@@ -34,8 +34,8 @@ def main(argv=None) -> int:
              "evaluate_two_prop_tuned": ctx.tuned_two_prop}
     plans.update({f"evaluate_{a}_{b}": p for (a, b), p in ctx.large.items()})
     plans.update({f"simulate_tuned_{k}": p for k, p in ctx.tuned.items()})
-    probes = wl.probe_ops(ctx, inprocess=True)
-    for op in wl.design_ops(ctx) + probes["design_s"] + probes["tune_s"]:
+    probes = wl.probe_ops(ctx)
+    for op in wl.design_ops(ctx, timed=False) + probes["design_s"] + probes["tune_s"]:
         if op.metric in ("design_s", "tune_s"):
             result = op.fn()
             plans[op.name] = getattr(result, "plan", result)

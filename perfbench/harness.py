@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import json
@@ -16,11 +17,42 @@ import time
 from collections import defaultdict
 
 import numpy as np
+from scipy import special
 
 import workloads as wl
 from spans import LAYERS, Tracer, layer_metrics
 
 WORK_DIR = ".perfbench_work"   # scratch files of the command-line steps
+
+# The shared host's speed swings by up to 1.9x over 5-30 s, in every kind
+# of code alike, so raw seconds of runs a minute apart differ by far more
+# than any change to seqtest.  Every round therefore also times a fixed
+# calibration kernel, spread evenly through the round, and each timed
+# sample is scaled by the kernel's time around it: end-to-end times are
+# *reference seconds*, the time the operation takes when the kernel takes
+# CALIBRATION_REF_S.  The kernel shares no code with seqtest, so a change
+# to seqtest moves the scaled figures exactly as it moves the raw ones.
+CALIBRATION = "calibration"
+CALIBRATION_REF_S = 0.01       # the kernel on a quiet 2-vCPU reference machine
+CALIBRATION_NEAR = 4           # kernel samples around each timed sample
+_CAL_RNG = np.random.default_rng(12345)
+_CAL_ARRAYS = [_CAL_RNG.random(n) for n in (50, 200, 800)]
+
+
+def calibration_kernel() -> float:
+    """About 10 ms of the work seqtest's loops are made of, without seqtest:
+    small numpy convolutions and reductions, scipy special functions and
+    interpreted dict arithmetic."""
+    total = 0.0
+    for _ in range(120):
+        for x in _CAL_ARRAYS:
+            total += float(np.convolve(x, x[:40]).sum())
+            total += float(special.gammaln(x * 50.0 + 1.0).sum())
+        counts = {}
+        for i in range(300):
+            counts[i % 17] = counts.get(i % 17, 0.0) + i * 0.5
+        total += sum(counts.values())
+    return total
 
 
 def canonical(obj):
@@ -65,13 +97,15 @@ class Run:
         self.problems: list[str] = []
         self.first: dict = {}
         self.faulty: set[str] = set()   # ops whose output shows a known fault
-        self.samples = defaultdict(list)  # op name -> seconds, over all rounds
+        # op name -> (midpoint, seconds) of every sample of the run
+        self.samples = defaultdict(list)
 
     def round(self, ops, traced: bool):
         """Run every op ``reps`` times, spread evenly over the round.
 
         Returns per-metric seconds (each op's mean over its reps, summed),
-        per-metric work, and each op's samples in this round.
+        per-metric work, and each op's samples in this round; the samples
+        are also kept for the whole run.
         """
         samples = defaultdict(list)
         for op in schedule(ops):
@@ -82,7 +116,9 @@ class Run:
                 with span:
                     t0 = time.perf_counter()
                     result = op.fn()
-                    samples[op.name].append(time.perf_counter() - t0)
+                    t1 = time.perf_counter()
+                    samples[op.name].append(t1 - t0)
+                    self.samples[op.name].append((0.5 * (t0 + t1), t1 - t0))
             except Exception as exc:  # counted, reported, and the round goes on
                 self.failed += 1
                 print(f"perfbench: {op.name} failed: {exc!r}", file=sys.stderr)
@@ -98,8 +134,36 @@ class Run:
             if samples[op.name]:
                 seconds[op.metric] += statistics.fmean(samples[op.name])
                 work[op.metric] += op.work
-                self.samples[op.name] += samples[op.name]
         return seconds, work, samples
+
+    def reference_seconds(self, name) -> list[float]:
+        """The op's samples, each scaled to the reference speed by the
+        median of the CALIBRATION_NEAR kernel samples nearest it in time."""
+        cal = sorted(self.samples[CALIBRATION])
+        mids = [t for t, _ in cal]
+        out = []
+        for t, secs in self.samples[name]:
+            i = bisect.bisect_left(mids, t)
+            window = cal[max(0, i - CALIBRATION_NEAR):i + CALIBRATION_NEAR]
+            near = sorted(window, key=lambda c: abs(c[0] - t))[:CALIBRATION_NEAR]
+            out.append(secs * CALIBRATION_REF_S / statistics.median(d for _, d in near))
+        return out
+
+    def medians(self, ops):
+        """Per-metric reference seconds and work over the whole run.
+
+        A metric's seconds are the sum, over its ops, of each op's median
+        over every sample of the run, in reference seconds.  A median over
+        samples spread through the run passes over what scaling leaves of
+        the machine's swings, where a mean or a sum would not.
+        """
+        seconds = defaultdict(float)
+        work = defaultdict(int)
+        for op in ops:
+            if op.metric != CALIBRATION and self.samples[op.name]:
+                seconds[op.metric] += statistics.median(self.reference_seconds(op.name))
+                work[op.metric] += op.work
+        return seconds, work
 
     def _check(self, op, result):
         form = canonical(result)
@@ -119,7 +183,7 @@ class Run:
 
 
 def _e2e(seconds, work):
-    """End-to-end figures of one round."""
+    """End-to-end figures from per-metric seconds and work."""
     out = {m: seconds[m] for m in wl.E2E_TIMES}
     for m in wl.E2E_RATES:
         out[m] = work[m] / seconds[m] if seconds[m] > 0 else 0.0
@@ -142,6 +206,23 @@ def _child_seconds(root, code, reps=3) -> float:
     return statistics.median(times)
 
 
+def rounds(seconds: float):
+    """Yield until ``seconds`` have passed, at least once.
+
+    A round is begun only if, at the pace of the last one, it ends less
+    than half a round past the deadline, so a run lasts ``seconds`` give
+    or take half a round.
+    """
+    start = time.perf_counter()
+    last = 0.0
+    done = 0
+    while done == 0 or time.perf_counter() - start + last / 2 < seconds:
+        began = time.perf_counter()
+        yield done
+        last = time.perf_counter() - began
+        done += 1
+
+
 def _medians(rows: list[dict]) -> dict:
     out = {}
     for key in rows[0]:
@@ -162,21 +243,18 @@ def run(root: str, workload: str, seed: int, seconds: float, traced: bool) -> di
     workdir = tempfile.mkdtemp(prefix=f"{workload}-", dir=base)
     tracer = Tracer()
     try:
-        t0 = time.perf_counter()
         ctx = wl.setup(workload, seed, wl.Cli(root, workdir, tracer))
-        first_setup = time.perf_counter() - t0
         ops = wl.round_ops(workload, ctx, inprocess=traced)
+        ops.append(wl.Op(CALIBRATION, CALIBRATION, calibration_kernel,
+                         reps=wl.CALIBRATION_REPS[workload]))
         state = Run(tracer)
         if traced:
             metrics = _traced(root, state, ops, seconds)
         else:
-            rows = []
-            start = time.perf_counter()
-            while not rows or time.perf_counter() - start < seconds:
-                secs, work, _ = state.round(ops, traced=False)
-                rows.append(_e2e(secs, work))
-            metrics = _medians(rows)
-            metrics["setup_s"] = statistics.median([first_setup] + state.samples["setup"])
+            for _ in rounds(seconds):
+                state.round(ops, traced=False)
+            metrics = _e2e(*state.medians(ops))
+            metrics["setup_s"] = statistics.median(state.reference_seconds("setup"))
             metrics["peak_rss_mb"] = _peak_rss_mb()
         state.problems += wl.crn_check(ctx)
     finally:
@@ -205,8 +283,7 @@ def _traced(root, state: Run, ops, seconds) -> dict:
     wall_ref = sum(sum(v) for v in samples.values())
     tracer.install()
     rows = []
-    start = time.perf_counter()
-    while not rows or time.perf_counter() - start < seconds:
+    for _ in rounds(seconds):
         first = len(tracer.spans)
         state.round(ops, traced=True)
         spans = list(enumerate(tracer.spans))[first:]
@@ -218,6 +295,8 @@ def _traced(root, state: Run, ops, seconds) -> dict:
         rows.append(row)
     tracer.uninstall()
     metrics = _medians(rows)
+    metrics["bench.calibration_s"] = statistics.median(
+        d for _, d in state.samples[CALIBRATION])
     metrics["cli.interpreter_s"] = _child_seconds(root, "pass")
     metrics["cli.import_s"] = _child_seconds(root, "import seqtest")
     return metrics

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import subprocess
 import sys
@@ -49,6 +48,12 @@ LARGE_SIZES = {(0.48, 0.52): (6, 27, 120, 536, 2399),
                (0.49, 0.51): (6, 38, 240, 1518, 9603)}
 ZONES3 = ([0.1, 0.55], [0.45, 0.9])
 TWO_PROP_DELTA = 0.22
+# The zeta ``tune_two_prop`` finds for the zone -0.2..0.2 plan with stages
+# 10, 20, 40 at budgets 0.22 (tolerance 0.05).  The evaluate set-up builds
+# the plan at it directly, so that set-up does not repeat a 4-second tuning
+# no evaluate operation times; the document is byte-identical to the tuned
+# plan's.
+TUNED_TWO_PROP_ZETA = 0.34140624999999997
 
 
 @dataclass
@@ -76,21 +81,14 @@ def _three_hyp(**kw):
                                   base_betas=[0.1, 0.1], stages=3, **kw)
 
 
-def _limits_op(metric, name, family, model, n, delta, ks):
+def _limits_op(metric, name, family, model, n, delta, ks, reps=1):
     """Lower and upper limits for the sum counts ``ks`` of n samples."""
     def run():
         return [(family.lower(model, n, k / n, delta),
                  family.upper(model, n, k / n, delta)) for k in ks]
     return Op(metric, name, run,
               lambda values: orc.check_limits(family.tag, model.name, n, delta, ks,
-                                              values, name))
-
-
-def _limits_ops(metric, prefix, family, model, n, delta, top, chunk):
-    """One op per chunk of counts, so the table's cost spreads over the round."""
-    return [_limits_op(metric, f"{prefix}_k{lo}", family, model, n, delta,
-                       range(lo, min(lo + chunk, top + 1)))
-            for lo in range(0, top + 1, chunk)]
+                                              values, name), reps)
 
 
 def _plan_op(metric, name, build, reps=1):
@@ -162,8 +160,12 @@ def _compare_op(metric, name, plan, spec, grid, trials, seed, reps=1):
 # ----------------------------------------------------------------------
 # the command line
 
-def cli_steps(seed: int, theta: float) -> list[tuple[str, list[str]]]:
-    """The README workflow at small sizes, as (step name, argv) pairs."""
+def cli_steps(seed: int, theta: float, small=False) -> list[tuple[str, list[str]]]:
+    """The README workflow at small sizes, as (step name, argv) pairs.
+
+    ``small`` cuts the simulation trials fivefold, for the in-process probe.
+    """
+    sim_trials, compare_trials = (400, 100) if small else (2000, 500)
     return [
         ("design", ["design", "--model", "bernoulli", "--limits", "exact",
                     "--theta0", "0.4", "--theta1", "0.6", "--alpha", "0.05",
@@ -174,28 +176,15 @@ def cli_steps(seed: int, theta: float) -> list[tuple[str, list[str]]]:
         ("tune", ["tune", "--plan", "plan.json", "--deltas", "0.05,0.05",
                   "--out", "tuned.json"]),
         ("simulate", ["simulate", "--plan", "tuned.json", "--theta", repr(theta),
-                      "--trials", "2000", "--seed", str(seed), "--out", "sim.csv"]),
+                      "--trials", str(sim_trials), "--seed", str(seed), "--out", "sim.csv"]),
         ("compare", ["compare", "--plan", "tuned.json", "--grid", "0.3:0.7:0.1",
-                     "--trials", "500", "--seed", str(seed), "--sprt",
+                     "--trials", str(compare_trials), "--seed", str(seed), "--sprt",
                      "--out", "compare.csv"]),
         ("design_two_prop", ["design", "--kind", "two-prop", "--zones=-0.3:0.3",
                              "--zeta", "0.5", "--stage-ns", "4,8",
                              "--out", "twoprop.json"]),
         ("certify", ["certify", "--plan", "twoprop.json", "--deltas", "0.15,0.35"]),
     ]
-
-
-# Runs a list of argv lists through seqtest.cli.main in one interpreter and
-# prints each step's exit code and standard output as one JSON line.
-_IN_ONE_CHILD = """
-import contextlib, io, json, sys
-from seqtest.cli import main
-for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(argv)
-    print(json.dumps([rc, buf.getvalue()]))
-"""
 
 
 class Cli:
@@ -231,15 +220,6 @@ class Cli:
         if rc != 0:
             raise RuntimeError(f"seqtest {name} exited with {rc}")
         return rc, out
-
-    def steps_in_one_child(self, steps, inprocess):
-        if inprocess:
-            return [self.in_process(name, argv) for name, argv in steps]
-        proc = self.child(["-c", _IN_ONE_CHILD, json.dumps([a for _, a in steps])])
-        results = [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
-        if len(results) != len(steps) or any(rc != 0 for rc, _ in results):
-            raise RuntimeError(f"workflow child failed: {proc.stderr[-400:]}")
-        return results
 
     def read(self, name):
         with open(os.path.join(self.workdir, name), encoding="utf-8") as fh:
@@ -325,6 +305,15 @@ def common_setup(seed, cli_runner) -> SimpleNamespace:
 def setup_design(ctx):
     rng = np.random.default_rng([ctx.seed, 1])
     ctx.limit_delta = float(rng.choice([0.01, 0.025, 0.05, 0.1]))
+    # Every second count at n = 50, every eighth exact and every second
+    # Chernoff count at n = 200, and every third Poisson count, each from a
+    # seeded offset: the full tables took 3 s, too long for the several
+    # rounds a run needs.
+    ctx.counts = {(fam, n): list(range(int(rng.integers(step)), top + 1, step))
+                  for fam, n, top, step in (("exact", 50, 50, 2), ("chernoff", 50, 50, 2),
+                                            ("exact", 200, 200, 8),
+                                            ("chernoff", 200, 200, 2),
+                                            ("poisson", 10, 60, 3))}
 
 
 def setup_evaluate(ctx):
@@ -334,9 +323,8 @@ def setup_evaluate(ctx):
     ctx.three = _three_hyp()
     ctx.large = {z: _one_sided(BERN, EXACT, *z, stage_ns=LARGE_SIZES[z])
                  for z in LARGE_SIZES}
-    ctx.tuned_two_prop = st.tune_two_prop(
-        lambda z: st.build_two_prop_plan([-0.2], [0.2], z, stage_ns=[10, 20, 40]),
-        (TWO_PROP_DELTA, TWO_PROP_DELTA), tol=0.05).plan
+    ctx.tuned_two_prop = st.build_two_prop_plan([-0.2], [0.2], TUNED_TWO_PROP_ZETA,
+                                                 stage_ns=[10, 20, 40])
     ctx.grids = {"fully_sequential": _jittered(rng, 0.2, 0.8, 201),
                  "poisson": _jittered(rng, 0.5, 2.0, 201),
                  "3hyp": _jittered(rng, 0.02, 0.98, 201)}
@@ -363,8 +351,13 @@ def setup_cli(ctx):
 
 SETUPS = {"design": setup_design, "evaluate": setup_evaluate,
           "simulate": setup_simulate, "cli": setup_cli}
-# Set-ups per run: one before the rounds, the rest spread over each round.
-SETUP_REPS = {"design": 10, "evaluate": 3, "simulate": 3, "cli": 10}
+# Set-ups per round, on top of the untimed one before the first round.
+SETUP_REPS = {"design": 3, "evaluate": 2, "simulate": 1, "cli": 3}
+# Calibration kernels per round (see harness.py): about one per 0.25 s.
+CALIBRATION_REPS = {"design": 16, "evaluate": 12, "simulate": 12, "cli": 36}
+# The cli round is mostly child processes and a run holds only one to three
+# of them, so its probes are repeated more to give each enough samples.
+PROBE_REPS = {"design": 1, "evaluate": 1, "simulate": 1, "cli": 2}
 
 
 def setup(workload: str, seed: int, cli_runner) -> SimpleNamespace:
@@ -378,60 +371,62 @@ def _parts(make, name, seq, parts, reps):
     return [make(f"{name}_{i}", seq[i::parts], reps) for i in range(parts)]
 
 
-def probe_ops(ctx, inprocess) -> dict[str, list[Op]]:
-    """Small instances of every stage, each split into many short operations."""
+def probe_ops(ctx) -> dict[str, list[Op]]:
+    """Small instances of every stage, each repeated a few times a round."""
     three_tune = (lambda: st.tune_multihyp(BERN, EXACT, *ZONES3, [0.1] * 3,
                                            base_alphas=[0.1, 0.1],
                                            base_betas=[0.1, 0.1], stages=3, tol=1e-2))
-    oc = lambda metric, plan: (lambda name, thetas, reps:
-                               _oc_op(metric, name, plan, thetas, reps))
     return {
-        "limits_s": [_limits_op("limits_s", f"probe_limits_{fam.tag}_k{lo}", fam, BERN,
-                                20, ctx.probe_delta, range(lo, min(lo + 2, 21)))
-                     for fam in (EXACT, CHER) for lo in range(0, 21, 2)],
+        "limits_s": [_limits_op("limits_s", f"probe_limits_{fam.tag}", fam, BERN, 20,
+                                ctx.probe_delta, range(0, 21, 5), 3)
+                     for fam in (EXACT, CHER)],
         "design_s": [_plan_op("design_s", "probe_design",
-                              lambda: _one_sided(BERN, EXACT, 0.4, 0.6, stages=5), 15),
-                     _plan_op("design_s", "probe_design_3hyp", _three_hyp, 15)],
-        "tune_s": [_tune_op("tune_s", "probe_tune_3hyp", three_tune, [0.1] * 3, 8)],
-        "oc_grid_s": _parts(oc("oc_grid_s", ctx.probe_plan), "probe_oc_grid",
-                            ctx.probe_grid, 4, 5)
-        + [_split_op("oc_grid_s", "probe_rejection_split",
-                     [(ctx.probe_plan, (0, 0.5, 0.5, side)) for side in ("low", "high")],
-                     5)],
+                              lambda: _one_sided(BERN, EXACT, 0.4, 0.6, stages=5), 3),
+                     _plan_op("design_s", "probe_design_3hyp", _three_hyp, 3)],
+        "tune_s": [_tune_op("tune_s", "probe_tune_3hyp", three_tune, [0.1] * 3, 3)],
+        "oc_grid_s": [_oc_op("oc_grid_s", "probe_oc_grid", ctx.probe_plan,
+                             ctx.probe_grid[::2], 2),
+                      _split_op("oc_grid_s", "probe_rejection_split",
+                                [(ctx.probe_plan, (0, 0.5, 0.5, side))
+                                 for side in ("low", "high")], 2)],
         "oc_large_s": [_oc_op("oc_large_s", "probe_oc_large", ctx.probe_large,
-                              ctx.probe_points, 20)],
+                              ctx.probe_points, 4)],
         "twoprop_oc_s": _parts(lambda name, pts, reps: _two_prop_op(
                                    "twoprop_oc_s", name, ctx.readme_two_prop, pts, reps),
-                               "probe_two_prop_oc", ctx.probe_pairs, 2, 10),
+                               "probe_two_prop_oc", ctx.probe_pairs, 2, 2),
         "certify_s": [_certify_op("certify_s", "probe_certify", ctx.readme_two_prop,
-                                  0, 0.15, ctx.seed, 8)],
+                                  0, 0.15, ctx.seed, 3)],
         "plan_trials_per_s": [_sim_op("plan_trials_per_s", "probe_sim_plan",
-                                      ctx.probe_plan, 0.5, 1000, ctx.sim_seed, 10)],
+                                      ctx.probe_plan, 0.5, 500, ctx.sim_seed, 3)],
+        # The SPRT runs outside its zone, where its walks vary least in
+        # length, so the seed moves the work by about 3%.
         "sprt_trials_per_s": [_sim_op("sprt_trials_per_s", "probe_sim_sprt",
-                                      ctx.probe_sprt, 0.5, 250, ctx.sim_seed, 10)],
+                                      ctx.probe_sprt, 0.3, 250, ctx.sim_seed, 3)],
         "compare_s": [_compare_op("compare_s", "probe_compare", ctx.probe_plan,
-                                  ctx.probe_sprt, [0.4, 0.5, 0.6], 100,
-                                  ctx.sim_seed, 8)],
-        "cli_workflow_s": [_cli_probe_op(ctx, inprocess)],
+                                  ctx.probe_sprt, [0.3, 0.7], 100, ctx.sim_seed, 3)],
+        "cli_workflow_s": _cli_step_ops(ctx, "probe_cli",
+                                        cli_steps(ctx.sim_seed, ctx.cli_theta, small=True),
+                                        inprocess=True),
     }
 
 
-def _cli_probe_op(ctx, inprocess):
-    """The seven workflow steps in one child process."""
-    steps = cli_steps(ctx.sim_seed, ctx.cli_theta)
-    return Op("cli_workflow_s", "probe_cli",
-              lambda: (ctx.cli.steps_in_one_child(steps, inprocess), _files(ctx.cli)),
-              lambda r: check_cli_outputs(ctx.cli, r[0][-1][1], "probe_cli"))
+def design_ops(ctx, timed=True):
+    """The design workload's own operations.
 
-
-def design_ops(ctx):
-    d = ctx.limit_delta
-    ops = (_limits_ops("limits_s", "limits_exact_n50", EXACT, BERN, 50, d, 50, 26)
-           + _limits_ops("limits_s", "limits_chernoff_n50", CHER, BERN, 50, d, 50, 51)
-           + _limits_ops("limits_s", "limits_exact_n200", EXACT, BERN, 200, d, 200, 20)
-           + _limits_ops("limits_s", "limits_chernoff_n200", CHER, BERN, 200, d, 200, 201)
-           + _limits_ops("limits_s", "limits_exact_poisson", EXACT, POIS, 10, d, 60, 20))
-    for z in LADDER:
+    With ``timed=False`` the list also holds the two ladder operations no
+    round runs, the 0.49/0.51 build (5-10 s) and the 0.48/0.52 tuning
+    (10 s): one sample each in a run cannot give a steady figure.
+    """
+    ops = []
+    for (tag, n), counts in ctx.counts.items():
+        fam, model = {"exact": (EXACT, BERN), "chernoff": (CHER, BERN),
+                      "poisson": (EXACT, POIS)}[tag]
+        # Parts of about 0.1 s, each spanning the whole table.
+        parts = 1 + len(counts) // (12 if fam is EXACT else 60)
+        ops += [_limits_op("limits_s", f"limits_{tag}_n{n}_{i}", fam, model, n,
+                           ctx.limit_delta, counts[i::parts]) for i in range(parts)]
+    ladder = LADDER if not timed else LADDER[:3]
+    for z in ladder:
         ops.append(_plan_op("design_s", f"design_{z[0]}_{z[1]}",
                             lambda z=z: _one_sided(BERN, EXACT, *z, stages=5)))
     ops += [
@@ -443,7 +438,8 @@ def design_ops(ctx):
                  lambda: _one_sided(POIS, EXACT, 1.0, 1.5, stages=5)),
         _plan_op("design_s", "design_3hyp", _three_hyp),
     ]
-    tunes = [(f"tune_{a}_{b}", BERN, EXACT, a, b, {"stages": 5}) for a, b in LADDER[:3]]
+    tunes = [(f"tune_{a}_{b}", BERN, EXACT, a, b, {"stages": 5})
+             for a, b in (LADDER[:3] if not timed else LADDER[:2])]
     tunes += [("tune_chernoff", BERN, CHER, 0.4, 0.6, {"stages": 5}),
               ("tune_fully_sequential", BERN, EXACT, 0.4, 0.6, {"fully_sequential": True}),
               ("tune_poisson", POIS, EXACT, 1.0, 1.5, {"stages": 5})]
@@ -465,15 +461,15 @@ def _evaluate_ops(ctx):
     # still spans the whole range, so a curve's cost spreads over the round
     # and each part can be checked for monotone edges.
     ops = []
-    for key, plan, parts, reps in (("fully_sequential", ctx.fs, 16, 1),
-                                   ("poisson", ctx.pois, 8, 2), ("3hyp", ctx.three, 4, 5)):
+    for key, plan, parts in (("fully_sequential", ctx.fs, 16), ("poisson", ctx.pois, 8),
+                             ("3hyp", ctx.three, 4)):
         ops += _parts(lambda name, thetas, reps, plan=plan:
                       _oc_op("oc_grid_s", name, plan, thetas, reps),
-                      f"oc_grid_{key}", ctx.grids[key], parts, reps)
+                      f"oc_grid_{key}", ctx.grids[key], parts, 1)
     ops.append(_split_op("oc_grid_s", "rejection_split",
                          [(plan, (hyp, float(t), bound, side))
                           for plan, hyp, bound in ((ctx.fs, 0, 0.5), (ctx.three, 1, 0.5))
-                          for t in ctx.split_thetas for side in ("low", "high")], 3))
+                          for t in ctx.split_thetas for side in ("low", "high")]))
     for z, plan in ctx.large.items():
         if z == (0.49, 0.51):
             # Known fault: the increment pmfs of this plan (up to 8085
@@ -483,25 +479,25 @@ def _evaluate_ops(ctx):
             # theta near the zone; the points are fixed so the operation
             # fails in every run and round alike.
             ops.append(_oc_op("oc_large_s", "oc_large_0.49_0.51", plan,
-                              np.linspace(0.47, 0.53, 12), 5,
+                              np.linspace(0.47, 0.53, 12), 3,
                               fault="do not sum to 1"))
         else:
             ops.append(_oc_op("oc_large_s", f"oc_large_{z[0]}_{z[1]}", plan,
-                              ctx.large_points[z], 5))
+                              ctx.large_points[z], 3))
         ops.append(Op("oc_large_s", f"verify_{z[0]}_{z[1]}",
                       lambda plan=plan: st.verify_risk(plan, (0.05, 0.05)),
                       lambda rep, plan=plan, z=z:
-                      orc.check_verify(plan, rep, f"verify {z}"), 5))
+                      orc.check_verify(plan, rep, f"verify {z}"), 3))
     for key, plan in (("tuned", ctx.tuned_two_prop), ("readme", ctx.readme_two_prop)):
         ops += _parts(lambda name, pts, reps, plan=plan:
                       _two_prop_op("twoprop_oc_s", name, plan, pts, reps),
-                      f"two_prop_oc_{key}", ctx.pairs, 4, 2)
-    for hyp, delta, reps in ((0, 0.15, 4), (1, 0.35, 3)):
+                      f"two_prop_oc_{key}", ctx.pairs, 4, 1)
+    for hyp, delta, reps in ((0, 0.15, 2), (1, 0.35, 1)):
         ops.append(_certify_op("certify_s", f"certify_readme_h{hyp}",
                                ctx.readme_two_prop, hyp, delta, ctx.seed + hyp, reps))
     for hyp in (0, 1):
         ops.append(_certify_op("certify_s", f"certify_tuned_h{hyp}", ctx.tuned_two_prop,
-                               hyp, TWO_PROP_DELTA, ctx.seed + 2 + hyp, 2))
+                               hyp, TWO_PROP_DELTA, ctx.seed + 2 + hyp))
     return ops
 
 
@@ -511,27 +507,26 @@ def _simulate_ops(ctx):
         mid = 0.5 * (plan.theta0 + plan.theta1)
         for theta in (plan.theta0, mid, plan.theta1):
             ops.append(_sim_op("plan_trials_per_s", f"sim_plan_{key}_{theta:g}", plan,
-                               theta, 2_400, ctx.sim_seed, 5))
+                               theta, 2_400, ctx.sim_seed))
     for key, spec in ctx.sprts.items():
         mid = 0.5 * (spec.theta0 + spec.theta1)
         for theta in (spec.theta0, mid, spec.theta1):
             ops.append(_sim_op("sprt_trials_per_s", f"sim_sprt_{key}_{theta:g}", spec,
-                               theta, 640, ctx.sim_seed, 5))
+                               theta, 640, ctx.sim_seed))
     ops.append(_compare_op("compare_s", "compare_p46", ctx.tuned["p46"], ctx.sprts["p46"],
-                           [0.3, 0.4, 0.5, 0.6, 0.7], 400, ctx.sim_seed, 8))
+                           [0.3, 0.4, 0.5, 0.6, 0.7], 400, ctx.sim_seed, 2))
     return ops
 
 
-def _cli_ops(ctx, inprocess):
-    """The workflow twice per round, one child process per step."""
-    steps = cli_steps(ctx.sim_seed, ctx.cli_theta)
-    ops = [Op("cli_workflow_s", f"cli_{name}",
-              lambda name=name, argv=argv: ctx.cli.step(name, argv, inprocess), reps=2)
+def _cli_step_ops(ctx, prefix, steps, inprocess):
+    """One op per workflow step, in order; the last one checks every output."""
+    ops = [Op("cli_workflow_s", f"{prefix}_{name}",
+              lambda name=name, argv=argv: ctx.cli.step(name, argv, inprocess))
            for name, argv in steps[:-1]]
     name, argv = steps[-1]
-    ops.append(Op("cli_workflow_s", f"cli_{name}",
+    ops.append(Op("cli_workflow_s", f"{prefix}_{name}",
                   lambda: (ctx.cli.step(name, argv, inprocess), _files(ctx.cli)),
-                  lambda result: check_cli_outputs(ctx.cli, result[0][1], "cli"), reps=2))
+                  lambda result: check_cli_outputs(ctx.cli, result[0][1], prefix)))
     return ops
 
 
@@ -541,20 +536,25 @@ FOCUS = {
                  lambda ctx, ip: _evaluate_ops(ctx)),
     "simulate": (("plan_trials_per_s", "sprt_trials_per_s", "compare_s"),
                  lambda ctx, ip: _simulate_ops(ctx)),
-    "cli": (("cli_workflow_s",), _cli_ops),
+    # One child process per step, unless traced.
+    "cli": (("cli_workflow_s",),
+            lambda ctx, ip: _cli_step_ops(ctx, "cli", cli_steps(ctx.sim_seed, ctx.cli_theta),
+                                          ip)),
 }
 
 
 def round_ops(workload: str, ctx, inprocess: bool) -> list[Op]:
-    """The operations of one round: the workload's stage, then the probes."""
+    """The operations of one round: set-ups, the workload's stage, the probes."""
     own, make = FOCUS[workload]
 
     def set_up_again():
         setup(workload, ctx.seed, ctx.cli)
-    ops = [Op("setup_s", "setup", set_up_again, reps=SETUP_REPS[workload] - 1)]
+    ops = [Op("setup_s", "setup", set_up_again, reps=SETUP_REPS[workload])]
     ops += make(ctx, inprocess)
-    for metric, probe in probe_ops(ctx, inprocess).items():
+    for metric, probe in probe_ops(ctx).items():
         if metric not in own:
+            for op in probe:
+                op.reps *= PROBE_REPS[workload]
             ops += probe
     return ops
 
