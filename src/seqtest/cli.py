@@ -9,9 +9,7 @@ and ``compare`` run seeded Monte Carlo studies.
 Exit codes: 0 on success, 1 when a design is infeasible, a certificate
 fails, or a document is invalid, 2 on command-line usage errors.  CSV
 output is comma-separated with a header row and LF line endings, and is
-byte-identical across runs for the same inputs.  The environment
-variable ``SEQTEST_THREADS`` caps the worker threads used by grid
-evaluation.
+byte-identical across runs for the same inputs.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
 
 from .errors import DomainError
 
@@ -43,6 +42,20 @@ def _count_ceil(x: float) -> int:
     if math.isinf(x):
         raise DomainError("threshold must be finite")
     return math.ceil(x - _COUNT_EPS)
+
+
+def _poisson_isf(q: float, mu: float) -> int:
+    """Smallest k with Pr{Poisson(mu) > k} <= q.
+
+    Follows scipy.stats.poisson.isf step for step (the ppf of 1 - q: round
+    the inverse of the regularized gamma up, then step back one count if
+    that still covers 1 - q), so cut-offs agree with it bit for bit without
+    loading scipy.stats.
+    """
+    p = 1.0 - q
+    vals = math.ceil(pdtrik(p, mu))
+    vals1 = max(vals - 1, 0)
+    return vals1 if pdtr(vals1, mu) >= p else vals
 
 
 @dataclass(frozen=True)
@@ -200,9 +213,9 @@ class Poisson:
         # Smallest cutoff whose upper tail is at most tail_mass; the
         # discarded mass is reported analytically so the truncation slack
         # is certified rather than inferred from a float sum.
-        k_hi = int(stats.poisson.isf(tail_mass, mu))
+        k_hi = _poisson_isf(tail_mass, mu)
         probs = self.pmf_sum(m, np.arange(k_hi + 1), theta)
-        deficit = float(stats.poisson.sf(k_hi, mu))
+        deficit = float(pdtrc(k_hi, mu))
         return probs, deficit
 
     def draw(self, rng: np.random.Generator, size: int, theta: float):

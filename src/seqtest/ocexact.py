@@ -22,8 +22,6 @@ endpoints (each wrong acceptance is monotone beyond its own boundary).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +105,7 @@ def oc_curve(plan: MultiHypPlan, thetas) -> OCReport:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or len(thetas) == 0:
         raise DomainError("theta grid must be a nonempty 1-D sequence")
-    workers = int(os.environ.get("SEQTEST_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: oc_single(plan, t), thetas))
-    else:
-        results = [oc_single(plan, t) for t in thetas]
+    results = [oc_single(plan, t) for t in thetas]
     accept = np.array([r[0] for r in results])
     asn = np.array([r[1] for r in results])
     stop = np.array([r[2] for r in results])

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, StreamExhaustedError
 from .models import Bernoulli, Poisson
@@ -138,6 +137,8 @@ def sprt_oc_asn(spec: SprtSpec, theta: float) -> tuple[float, float]:
     Both values ignore overshoot and any cap.  At the drift-free mean the
     limiting expressions are used.
     """
+    from scipy.optimize import brentq
+
     spec.model.validate_theta(theta)
     log_a, log_b = spec.log_a, spec.log_b
     mean, second = _increment_moments(spec, theta)

@@ -152,15 +152,6 @@ class TestOcCurve:
             assert rep.asn[t] == asn
             np.testing.assert_allclose(rep.stage_stop[t], stop, atol=0)
 
-    def test_threaded_evaluation_identical(self, monkeypatch):
-        plan = wide_plan([10, 30])
-        grid = np.linspace(0.2, 0.8, 13)
-        base = oc_curve(plan, grid)
-        monkeypatch.setenv("SEQTEST_THREADS", "4")
-        threaded = oc_curve(plan, grid)
-        np.testing.assert_array_equal(base.accept, threaded.accept)
-        np.testing.assert_array_equal(base.asn, threaded.asn)
-
     def test_csv_export_round_trips(self):
         plan = wide_plan([10, 30])
         rep = oc_curve(plan, [0.3, 0.5, 0.7])
