@@ -22,8 +22,11 @@ Every family also exposes crossing predicates that decide
 the limit itself: for the exact family this is a single tail evaluation at
 ``theta_ref``, for the Chernoff family a rate-function comparison plus a
 side condition on which flank of ``theta_ref`` the mean lies.  The
-predicates agree exactly with direct limit comparison and are what the plan
-builders evaluate along support grids.
+predicates agree exactly with direct limit comparison.  Their
+``support_*_crossed`` forms take an array of sum counts, with n either a
+scalar or an array broadcast against them, and evaluate each pair on its
+own; the plan builders search on them over the counts of many stage sizes
+at once to find where each crossing set begins or ends.
 
 All bisections run to absolute tolerance 1e-12 and round to the
 conservative side: lower limits round down, upper limits round up.  When a
@@ -141,18 +144,11 @@ class ExactLimits(_FamilyBase):
         return model.tail_lower(n, z, theta_ref) <= delta
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
-        """Vector predicate over sum counts ks = 0..K (must be contiguous)."""
-        pmf = model.pmf_sum(n, ks, theta_ref)
-        # Upper tail at k: 1 - sum of pmf below k (exact for both models,
-        # including the unbounded Poisson support).
-        prefix_excl = np.concatenate(([0.0], np.cumsum(pmf)[:-1]))
-        g = 1.0 - prefix_excl
-        return g <= delta
+        """Vector form of the lower crossing; n and ks broadcast."""
+        return model.sum_tail(n, ks, theta_ref, upper=True) <= delta
 
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
-        pmf = model.pmf_sum(n, ks, theta_ref)
-        f = np.cumsum(pmf)
-        return f <= delta
+        return model.sum_tail(n, ks, theta_ref) <= delta
 
 
 class ChernoffLimits(_FamilyBase):

@@ -4,9 +4,13 @@ Two discrete families are supported: Bernoulli trials with mean ``theta`` in
 (0, 1) and Poisson counts with mean ``theta`` in (0, inf).  In both cases the
 n-sample sum is a sufficient statistic (Binomial(n, theta) respectively
 Poisson(n*theta)), so every exact computation in the package works on integer
-sum counts.  All mass functions are evaluated in log space and tail sums use
-log-sum-exp; upper Poisson tails are taken as the complement of a finite
-lower sum so no infinite series is ever truncated silently.
+sum counts.  Mass functions are evaluated in log space.  Tail
+probabilities come in closed form from the regularized incomplete beta
+and gamma functions (``bdtr``/``bdtrc`` and ``pdtr``/``pdtrc``), the
+functions behind the Clopper-Pearson (1934) and Garwood (1936) limits:
+``sum_tail`` evaluates Pr{S <= k} or Pr{S >= k} count by count on arrays
+of n and k, accurate in relative terms far into either tail, so no upper
+tail is ever formed as one minus a lower sum.
 
 The large-deviation rate function appears here as ``chernoff(z, theta)``:
 the infimum over the exponential tilt of the moment generating function,
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, pdtr, pdtrc, pdtrik, xlogy
+from scipy.special import bdtr, bdtrc, gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .errors import DomainError
 
@@ -96,25 +100,26 @@ class Bernoulli:
     def pmf_sum(self, n: int, k, theta: float):
         return np.exp(self.log_pmf_sum(n, k, theta))
 
+    def sum_tail(self, n, k, theta: float, upper: bool = False):
+        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
+
+        ``bdtr``/``bdtrc`` return NaN off the support, so counts below 0 and
+        above n are clamped or settled here.
+        """
+        k = np.asarray(k)
+        if upper:
+            # Pr{S >= k} = Pr{S > k - 1}, which ``bdtrc`` puts at 1 for
+            # k - 1 = -1 and at 0 for k - 1 = n
+            return bdtrc(np.minimum(np.maximum(k - 1, -1), n), n, theta)
+        return np.where(k < 0, 0.0, bdtr(np.minimum(np.maximum(k, 0), n), n, theta))
+
     def tail_lower(self, n: int, z: float, theta: float) -> float:
         """Pr{sample mean <= z} evaluated exactly."""
-        kmax = _count_floor(n * z)
-        if kmax < 0:
-            return 0.0
-        if kmax >= n:
-            return 1.0
-        terms = self.log_pmf_sum(n, np.arange(kmax + 1), theta)
-        return min(1.0, float(np.exp(logsumexp(terms))))
+        return float(self.sum_tail(n, _count_floor(n * z), theta))
 
     def tail_upper(self, n: int, z: float, theta: float) -> float:
         """Pr{sample mean >= z} evaluated exactly."""
-        kmin = _count_ceil(n * z)
-        if kmin <= 0:
-            return 1.0
-        if kmin > n:
-            return 0.0
-        terms = self.log_pmf_sum(n, np.arange(kmin, n + 1), theta)
-        return min(1.0, float(np.exp(logsumexp(terms))))
+        return float(self.sum_tail(n, _count_ceil(n * z), theta, upper=True))
 
     def log_chernoff(self, z, theta: float):
         """log of the tilted-MGF infimum; vectorized over z in [0, 1]."""
@@ -178,21 +183,24 @@ class Poisson:
     def pmf_sum(self, n: int, k, theta: float):
         return np.exp(self.log_pmf_sum(n, k, theta))
 
+    def sum_tail(self, n, k, theta: float, upper: bool = False):
+        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
+
+        ``pdtr``/``pdtrc`` return NaN at negative counts, so those are
+        settled here.
+        """
+        k = np.asarray(k)
+        mu = np.asarray(n) * theta
+        if upper:
+            # Pr{S >= k} = Pr{S > k - 1}
+            return np.where(k <= 0, 1.0, pdtrc(np.maximum(k - 1, 0), mu))
+        return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0), mu))
+
     def tail_lower(self, n: int, z: float, theta: float) -> float:
-        kmax = _count_floor(n * z)
-        if kmax < 0:
-            return 0.0
-        terms = self.log_pmf_sum(n, np.arange(kmax + 1), theta)
-        return min(1.0, float(np.exp(logsumexp(terms))))
+        return float(self.sum_tail(n, _count_floor(n * z), theta))
 
     def tail_upper(self, n: int, z: float, theta: float) -> float:
-        # Complement of the finite lower sum; the infinite upper series is
-        # never summed directly.
-        kmin = _count_ceil(n * z)
-        if kmin <= 0:
-            return 1.0
-        terms = self.log_pmf_sum(n, np.arange(kmin), theta)
-        return max(0.0, 1.0 - float(np.exp(logsumexp(terms))))
+        return float(self.sum_tail(n, _count_ceil(n * z), theta, upper=True))
 
     def log_chernoff(self, z, theta: float):
         self.validate_theta(theta)

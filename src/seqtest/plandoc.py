@@ -6,6 +6,11 @@ plan never recomputes confidence limits.  Serialization is canonical
 endings, trailing newline), which makes the design -> save -> load ->
 save cycle byte-identical and documents diffable.
 
+Loading checks what the plan machinery relies on: every stage's windows
+are ordered and disjoint, and the final stage decides at every support
+point (every cell, for two-sample grids), so a loaded plan is a closed
+plan.
+
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
 strings: one character per second-arm count, a digit for the accepted
@@ -21,10 +26,11 @@ import math
 import numpy as np
 
 from .conflimits import ApproxLimits, family_by_tag
-from .errors import PlanDocumentError
+from .errors import InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
-from .plans import MultiHypPlan, OneSidedPlan, StageRule
-from .twoprop import TwoPropPlan, TwoPropStage
+from .plans import (MultiHypPlan, OneSidedPlan, StageRule, _validate_windows,
+                    stage_is_closed)
+from .twoprop import _CONTINUE, TwoPropPlan, TwoPropStage
 
 __all__ = [
     "SCHEMA_VERSION", "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
@@ -163,7 +169,12 @@ def _doc_to_stage(sd: dict, idx: int) -> StageRule:
                  for i, t in enumerate(_need(sd, "ties", f"{ctx}.ties")))
     if len(f) != len(windows) or len(g) != len(windows) or len(ties) != len(windows) - 1:
         raise PlanDocumentError("stage field lengths are inconsistent", ctx)
-    return StageRule(n=n, f=f, g=g, windows=windows, ties=ties)
+    rule = StageRule(n=n, f=f, g=g, windows=windows, ties=ties)
+    try:
+        _validate_windows(rule)
+    except InfeasibleDesignError as exc:
+        raise PlanDocumentError(str(exc), f"{ctx}.windows") from None
+    return rule
 
 
 def _rows_to_grid(rows, n_x: int, n_y: int, m: int, what: str, idx: int):
@@ -234,6 +245,9 @@ def doc_to_plan(doc: dict):
                                 n_x, n_y, m, "midpoint", i)
             stages.append(TwoPropStage(n_x=n_x, n_y=n_y, decision=dec,
                                        midpoint_used=mid))
+        if (stages[-1].decision == _CONTINUE).any():
+            raise PlanDocumentError("final stage leaves continuation cells",
+                                    f"stages[{len(stages) - 1}].decision")
         return TwoPropPlan(
             zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
             base_betas=base_betas, zeta=float(zeta), stages=tuple(stages),
@@ -253,6 +267,9 @@ def doc_to_plan(doc: dict):
         raise PlanDocumentError(str(exc), "family") from None
     c_policy = _need(doc, "c_policy")
     stages = tuple(_doc_to_stage(sd, i) for i, sd in enumerate(raw_stages))
+    if not stage_is_closed(stages[-1], model, stages[-1].n):
+        raise PlanDocumentError("final stage leaves continuation points",
+                                f"stages[{len(stages) - 1}].windows")
     common = dict(
         model=model, family=family, zone_lo=zone_lo, zone_hi=zone_hi,
         base_alphas=base_alphas, base_betas=base_betas, zeta=float(zeta),

@@ -22,11 +22,23 @@ continue until the lower limit clears ``theta0`` (reject) or the upper
 limit drops below ``theta1`` (accept), with the likelihood-ratio tie rule
 by default.
 
+Both crossing sets are intervals of the support, so a stage is fixed by
+two counts per boundary: the first reject count ``min_a(n)`` and the last
+accept count ``max_b(n)``.  ``_crossing_counts`` finds them by a
+sectioning search on the count, for a whole array of stage sizes at once;
+the stage rule is built from them and never tabulates the support.
+
 Plans are closed: the final stage size is chosen (or validated) so that
 every support point falls in some window, hence the sample size never
-exceeds ``stage_ns[-1]``.  For fully sequential one-sided plans,
-``sample_bound`` gives the analytic cap derived from the large-deviation
-rate at the zone midpoint.
+exceeds ``stage_ns[-1]``.  The search tabulates the two counts over
+blocks of sizes (1-16, 17-32, 33-64, ...) up to its horizon and builds
+a stage rule only at sizes whose counts leave no gap between the accept
+and reject-low sets (and, where ties are required, overlap them), which
+every closed stage does; the first of those that builds a closed rule is
+the answer, the same one a size-by-size scan gives, at a cost that tracks
+the answer rather than the horizon.  For fully sequential one-sided
+plans, ``sample_bound`` gives the analytic cap derived from the
+large-deviation rate at the zone midpoint.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import numpy as np
 
 from .conflimits import ExactLimits, ChernoffLimits, ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
-from .models import Bernoulli, Poisson, _count_floor
+from .models import Bernoulli, Poisson, _count_floor, _poisson_isf
 
 __all__ = [
     "TIEBREAK_LIKELIHOOD_RATIO",
@@ -70,7 +82,16 @@ C_POLICY_SUPPORT_MIDPOINT = "support-midpoint"
 C_POLICY_ZONE_MIDPOINT = "zone-midpoint"
 _C_POLICIES = (C_POLICY_SUPPORT_MIDPOINT, C_POLICY_ZONE_MIDPOINT)
 
-_POISSON_SCAN_CAP = 10_000_000
+# Largest count a Poisson crossing search brackets; beyond it float64 no
+# longer holds every integer.
+_MAX_COUNT = 2**53
+# Counts one predicate call probes in the crossing-edge searches.  A call's
+# fixed cost is about that of this many exact tails, and one call settles a
+# single Bernoulli stage of up to 254 samples.
+_PROBES = 256
+# Stage sizes 1..16 form the first block of the stage-size search, and each
+# later block doubles the sizes it covers.
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -220,48 +241,94 @@ def sample_bound(model, theta0: float, theta1: float, zeta_alpha: float, zeta_be
     return max(1, math.ceil(bound) - 1)
 
 
-def _interval_from_upset(mask: np.ndarray):
-    """First index of a monotone up-set mask, or None when empty."""
-    if not mask.any():
-        return None
-    return int(np.argmax(mask))
+def _first_true(pred, ns, hi):
+    """Per stage size, the smallest count k in [0, hi] where pred(n, k) holds.
 
-
-def _interval_from_downset(mask: np.ndarray):
-    """Last index of a monotone down-set mask, or None when empty."""
-    if not mask.any():
-        return None
-    return int(len(mask) - 1 - np.argmax(mask[::-1]))
-
-
-def _support_masks(model, family, n, zone_lo, zone_hi, alphas, betas):
-    """Crossing masks over sum counts 0..K for every zone boundary.
-
-    For Poisson the scan range grows until each reject-low crossing has
-    been located and each accept set ends strictly inside the range;
-    beyond K every count lies in all reject-low sets and no accept set,
-    so decisions out there belong to the top window.
+    ``pred`` must be monotone in k (false, then true) and hold at ``hi``,
+    which may be a virtual count one past a bounded support.  Each round
+    probes evenly spaced counts inside every unresolved bracket and keeps
+    the section where pred turns true: bisection when many sizes share a
+    call, wider sections when few do, about ``_PROBES`` counts per call.
     """
-    nb = len(zone_lo)
-    k_top = model.sum_upper(n)
-    if k_top is not None:
-        ks = np.arange(k_top + 1)
-        A = [family.support_lower_crossed(model, n, ks, zone_lo[i], alphas[i]) for i in range(nb)]
-        B = [family.support_upper_crossed(model, n, ks, zone_hi[i], betas[i]) for i in range(nb)]
-        return ks, A, B
-    K = 64 + int(8 * n * max(zone_hi))
-    while True:
-        ks = np.arange(K + 1)
-        A = [family.support_lower_crossed(model, n, ks, zone_lo[i], alphas[i]) for i in range(nb)]
-        B = [family.support_upper_crossed(model, n, ks, zone_hi[i], betas[i]) for i in range(nb)]
-        ok = all(a.any() for a in A) and all(not b[-1] for b in B)
-        if ok:
-            return ks, A, B
-        if K > _POISSON_SCAN_CAP:
+    hi = np.array(hi, dtype=np.int64)
+    lo = np.full_like(hi, -1)
+    act = np.flatnonzero(hi - lo > 1)
+    while act.size:
+        a_lo, a_hi = lo[act], hi[act]
+        span = (a_hi - a_lo)[:, None]
+        sections = min(max(2, _PROBES // act.size), int(span.max()))
+        # Section edges a_lo + ceil(j * span / sections), j = 0 .. sections,
+        # with the inner ones kept below a_hi: these probe every count
+        # strictly inside a bracket that spans at most ``sections``.
+        j = np.arange(sections + 1)
+        edges = a_lo[:, None] + np.minimum((j * span + sections - 1) // sections, span - 1)
+        edges[:, -1] = a_hi
+        probes = edges[:, 1:-1]
+        hit = pred(np.repeat(ns[act], sections - 1), probes.ravel()).reshape(probes.shape)
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), sections - 1)
+        rows = np.arange(act.size)
+        lo[act] = edges[rows, first]
+        hi[act] = edges[rows, first + 1]
+        act = act[hi[act] - lo[act] > 1]
+    return hi
+
+
+def _poisson_bracket(pred, ns, start):
+    """Counts where pred holds, doubling ``start`` (a first guess) until it does."""
+    hi = np.array(start, dtype=np.int64)
+    todo = np.arange(len(ns))
+    while todo.size:
+        if hi[todo].max() > _MAX_COUNT:
             raise InfeasibleDesignError(
-                f"no reject-low crossing within {K} counts at stage size {n}"
-            )
-        K *= 2
+                f"no crossing below {_MAX_COUNT} counts at stage size {int(ns[todo[0]])}")
+        hit = pred(ns[todo], hi[todo])
+        todo = todo[~hit]
+        hi[todo] = 2 * hi[todo] + 1
+    return hi
+
+
+def _poisson_guess(q, mus):
+    """Smallest k with Pr{Poisson(mu) >= k} <= q, per mu: where an exact
+    crossing search starts bracketing.  ``_poisson_isf`` needs 1 - q < 1;
+    below that, ceil(mu) + 1 serves as the first guess."""
+    if not 1.0 - q < 1.0:
+        return np.ceil(mus).astype(np.int64) + 1
+    return np.array([_poisson_isf(q, mu) + 1 for mu in mus], dtype=np.int64)
+
+
+def _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas):
+    """First reject count and last accept count of every zone boundary.
+
+    Returns ``(min_a, max_b)``, integer arrays of shape (boundaries,
+    len(ns)).  ``min_a[i, j]`` is the smallest sum count at stage size
+    ``ns[j]`` whose lower limit at level ``alphas[i]`` clears
+    ``zone_lo[i]``, or ``ns[j] + 1`` when no Bernoulli count does (every
+    Poisson stage has one).  ``max_b[i, j]`` is the largest count whose
+    upper limit at level ``betas[i]`` drops to ``zone_hi[i]``, or -1.
+    Both crossing sets are intervals of the support (the reject-low set an
+    up-set, the accept set a down-set), so each edge is found by a
+    sectioning search on the count (``_first_true``).
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    bounded = model.sum_upper(1) is not None
+    min_a = np.empty((len(zone_lo), len(ns)), dtype=np.int64)
+    max_b = np.empty_like(min_a)
+    for i in range(len(zone_lo)):
+        def reject(n, k, i=i):
+            return family.support_lower_crossed(model, n, k, zone_lo[i], alphas[i])
+
+        def not_accept(n, k, i=i):
+            return ~family.support_upper_crossed(model, n, k, zone_hi[i], betas[i])
+
+        if bounded:
+            hi_a = hi_b = ns + 1
+        else:
+            hi_a = _poisson_bracket(reject, ns, _poisson_guess(alphas[i], ns * zone_lo[i]))
+            hi_b = _poisson_bracket(not_accept, ns,
+                                    _poisson_guess(1.0 - betas[i], ns * zone_hi[i]))
+        min_a[i] = _first_true(reject, ns, hi_a)
+        max_b[i] = _first_true(not_accept, ns, hi_b) - 1
+    return min_a, max_b
 
 
 def _log_lr_cut(model, n, c_interval, theta0, theta1, log_ratio):
@@ -275,10 +342,10 @@ def _log_lr_cut(model, n, c_interval, theta0, theta1, log_ratio):
     lo, hi = c_interval
     ks = np.arange(lo, hi + 1)
     llr = model.log_pmf_sum(n, ks, theta0) - model.log_pmf_sum(n, ks, theta1)
-    acc = llr >= log_ratio
-    if not acc.any():
+    acc = np.flatnonzero(llr >= log_ratio)
+    if not acc.size:
         return None
-    return int(ks[_interval_from_downset(acc)])
+    return int(ks[acc[-1]])
 
 
 def build_stage_rule(
@@ -300,14 +367,13 @@ def build_stage_rule(
     """
     nb = len(zone_lo)
     m = nb + 1
-    ks, A, B = _support_masks(model, family, n, zone_lo, zone_hi, alphas, betas)
     k_top = model.sum_upper(n)
-
-    min_a = [_interval_from_upset(a) for a in A]
-    max_b = [_interval_from_downset(b) for b in B]
+    first_a, last_b = _crossing_counts(model, family, [n], zone_lo, zone_hi, alphas, betas)
+    min_a = [int(a) if k_top is None or a <= k_top else None for a in first_a[:, 0]]
+    max_b = [int(b) if b >= 0 else None for b in last_b[:, 0]]
 
     # Tie regions: the reject-low and accept sets overlap exactly when
-    # min A <= max B (both are monotone intervals of the support).
+    # min A <= max B (both are intervals of the support).
     ties: list[tuple[int, int] | None] = []
     cut: list[float | None] = []
     for i in range(nb):
@@ -377,6 +443,7 @@ def build_stage_rule(
 
 
 def _validate_windows(rule: StageRule) -> None:
+    """Raise unless the windows are nonempty, ordered and disjoint."""
     cursor = -1
     for win in rule.windows:
         if win is None:
@@ -384,6 +451,8 @@ def _validate_windows(rule: StageRule) -> None:
         lo, hi = win
         if lo <= cursor:
             raise InfeasibleDesignError(f"stage {rule.n}: decision windows overlap")
+        if hi is not None and hi < lo:
+            raise InfeasibleDesignError(f"stage {rule.n}: empty decision window")
         if hi is None:
             break
         cursor = hi
@@ -457,29 +526,69 @@ def build_thresholds(
     )
 
 
+def _size_blocks(horizon: int):
+    """Stage sizes 1..horizon in blocks 1-16, 17-32, 33-64, ..."""
+    lo = 1
+    while lo <= horizon:
+        hi = min(horizon, max(_FIRST_BLOCK, 2 * (lo - 1)))
+        yield np.arange(lo, hi + 1)
+        lo = hi + 1
+
+
+def _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                horizon, candidates, accept):
+    """Smallest n <= horizon whose stage rule satisfies ``accept``, or None.
+
+    ``candidates(ns, min_a, max_b)`` is a test on the crossing counts that
+    every accepted size passes; only sizes passing it are built, in order,
+    so the answer is the one a size-by-size scan would give.
+    """
+    for ns in _size_blocks(horizon):
+        min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
+        for n in ns[candidates(ns, min_a, max_b)]:
+            rule = build_stage_rule(model, family, int(n), zone_lo, zone_hi, alphas, betas,
+                                    c_policy, lr_cut)
+            if accept(rule):
+                return int(n)
+    return None
+
+
 def _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
                         lr_cut, require_ties: bool, max_stage_size: int) -> int:
-    for n in range(1, max_stage_size + 1):
-        rule = build_stage_rule(model, family, n, zone_lo, zone_hi, alphas, betas,
-                                c_policy, lr_cut)
+    def candidates(ns, min_a, max_b):
+        # With ties required (the multi-hypothesis builder) the accept and
+        # reject-low sets of every boundary must overlap.  Otherwise there is
+        # one boundary, and its stage is closed exactly when no count lies
+        # between the two sets.
+        gap = max_b + 1 if not require_ties else max_b
+        return (min_a <= gap).all(axis=0)
+
+    def accept(rule):
         if require_ties and not _all_ties_present(rule):
-            continue
-        if stage_is_closed(rule, model, n):
-            return n
-    raise InfeasibleDesignError(
-        f"no closed final stage within {max_stage_size} samples; "
-        "widen the zones or increase the risk budget"
-    )
+            return False
+        return stage_is_closed(rule, model, rule.n)
+
+    n = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                    max_stage_size, candidates, accept)
+    if n is None:
+        raise InfeasibleDesignError(
+            f"no closed final stage within {max_stage_size} samples; "
+            "widen the zones or increase the risk budget"
+        )
+    return n
 
 
 def _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
                          lr_cut, ns: int) -> int:
-    for n in range(1, ns + 1):
-        rule = build_stage_rule(model, family, n, zone_lo, zone_hi, alphas, betas,
-                                c_policy, lr_cut)
-        if any(w is not None for w in rule.windows):
-            return n
-    return ns
+    def candidates(sizes, min_a, max_b):
+        # A reachable decision needs some crossing count on the support.
+        top = model.sum_upper(sizes)
+        has_a = min_a <= top if top is not None else np.ones_like(min_a, dtype=bool)
+        return (has_a | (max_b >= 0)).any(axis=0)
+
+    n = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                    ns, candidates, lambda rule: any(w is not None for w in rule.windows))
+    return ns if n is None else n
 
 
 def build_multihyp_plan(

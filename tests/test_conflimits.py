@@ -210,7 +210,8 @@ class TestCrossing:
                 np.testing.assert_array_equal(up_fast, up_direct)
 
     def test_scalar_and_vector_forms_agree(self):
-        # the vector predicates require the contiguous support 0..n
+        # the vector predicates evaluate each count on its own; here they
+        # run over the whole support 0..n and are read count by count
         for n in (3, 17):
             ks = np.arange(n + 1)
             low = EXACT.support_lower_crossed(BERN, n, ks, 0.45, 0.08)
@@ -218,6 +219,51 @@ class TestCrossing:
             for k in range(n + 1):
                 got = crossing_test(EXACT, BERN, n, k / n, 0.45, 0.08)
                 assert got == (bool(low[k]), bool(up[k]))
+
+
+class TestSmallDeltaTails:
+    """Crossings at risk levels far below the float spacing of 1.
+
+    A tail formed as one minus a cumulative sum cannot go below the
+    rounding error of that sum (about 1e-12 at n = 3000), so it reports no
+    lower crossing at all there; the closed-form tails place each crossing
+    where scipy.stats does.
+    """
+
+    N, DELTA = 3000, 1e-12
+
+    def test_bernoulli_crossings_match_scipy_stats(self):
+        ks = np.arange(self.N + 1)
+        for theta_ref in (0.45, 0.5, 0.55):
+            low = EXACT.support_lower_crossed(BERN, self.N, ks, theta_ref, self.DELTA)
+            up = EXACT.support_upper_crossed(BERN, self.N, ks, theta_ref, self.DELTA)
+            want_low = stats.binom.sf(ks - 1, self.N, theta_ref) <= self.DELTA
+            want_up = stats.binom.cdf(ks, self.N, theta_ref) <= self.DELTA
+            assert want_low.any() and want_up.any()
+            np.testing.assert_array_equal(low, want_low)
+            np.testing.assert_array_equal(up, want_up)
+        # the lower crossing of the 0.45 reference sits at k = 1543
+        low = EXACT.support_lower_crossed(BERN, self.N, ks, 0.45, self.DELTA)
+        assert int(np.argmax(low)) == 1543
+
+    def test_poisson_crossings_match_scipy_stats(self):
+        ks = np.arange(2 * self.N + 1)
+        for theta_ref in (0.5, 1.0):
+            mu = self.N * theta_ref
+            low = EXACT.support_lower_crossed(POIS, self.N, ks, theta_ref, self.DELTA)
+            up = EXACT.support_upper_crossed(POIS, self.N, ks, theta_ref, self.DELTA)
+            want_low = stats.poisson.sf(ks - 1, mu) <= self.DELTA
+            want_up = stats.poisson.cdf(ks, mu) <= self.DELTA
+            assert want_low.any() and want_up.any()
+            np.testing.assert_array_equal(low, want_low)
+            np.testing.assert_array_equal(up, want_up)
+
+    def test_scalar_tails_agree_with_vector_tails(self):
+        for k in (0, 1, 1200, 1543, 2999, 3000):
+            z = k / self.N
+            assert BERN.tail_upper(self.N, z, 0.45) == BERN.sum_tail(self.N, k, 0.45,
+                                                                      upper=True)
+            assert BERN.tail_lower(self.N, z, 0.45) == BERN.sum_tail(self.N, k, 0.45)
 
 
 class TestOrderAndNesting:

@@ -82,6 +82,31 @@ class TestTails:
             assert all(b - a >= -1e-12 for a, b in zip(up, up[1:]))
 
 
+    def test_sum_tail_off_the_support(self):
+        """Counts below 0 and above n have the tails of the empty/full event."""
+        ks = np.array([-3, -1, 0, 4, 5, 6, 9])
+        np.testing.assert_array_equal(BERN.sum_tail(5, ks, 0.3)[[0, 1, 4, 5, 6]],
+                                      [0.0, 0.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(BERN.sum_tail(5, ks, 0.3, upper=True)[[0, 1, 2, 5, 6]],
+                                      [1.0, 1.0, 1.0, 0.0, 0.0])
+        assert POIS.sum_tail(5, -1, 0.3) == 0.0
+        assert POIS.sum_tail(5, 0, 0.3, upper=True) == 1.0
+        assert not np.isnan(BERN.sum_tail(5, ks, 0.3)).any()
+        assert not np.isnan(POIS.sum_tail(5, ks, 0.3, upper=True)).any()
+
+    def test_sum_tail_broadcasts_sizes_against_counts(self):
+        ns = np.array([1, 7, 40, 40, 300])
+        ks = np.array([0, 3, 12, 33, 150])
+        np.testing.assert_allclose(BERN.sum_tail(ns, ks, 0.37),
+                                   stats.binom.cdf(ks, ns, 0.37), rtol=1e-12)
+        np.testing.assert_allclose(BERN.sum_tail(ns, ks, 0.37, upper=True),
+                                   stats.binom.sf(ks - 1, ns, 0.37), rtol=1e-12)
+        np.testing.assert_allclose(POIS.sum_tail(ns, ks, 1.3),
+                                   stats.poisson.cdf(ks, 1.3 * ns), rtol=1e-12)
+        np.testing.assert_allclose(POIS.sum_tail(ns, ks, 1.3, upper=True),
+                                   stats.poisson.sf(ks - 1, 1.3 * ns), rtol=1e-12)
+
+
 class TestChernoff:
     def test_value_one_at_the_mean(self):
         assert BERN.chernoff(0.3, 0.3) == pytest.approx(1.0, abs=1e-14)

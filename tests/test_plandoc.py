@@ -200,6 +200,42 @@ class TestMalformedDocuments:
         doc["stages"][0]["midpoint"][2] = "x" * 5
         self.expect(doc, "midpoint")
 
+    def test_unclosed_final_stage_rejected(self):
+        # Dropping a window of the last stage leaves its counts undecided;
+        # evaluated anyway, this plan reports 0.206 of leftover mass at
+        # theta = 0.5 as truncation slack, though its truncation is zero.
+        doc = self.good_doc()
+        doc["stages"][-1]["windows"][1] = None
+        self.expect(doc, "stages[4].windows")
+        self.expect(doc, "continuation")
+
+        doc = self.good_doc("multi-chernoff")
+        doc["stages"] = doc["stages"][:1]
+        self.expect(doc, "stages[0].windows")
+
+    def test_overlapping_windows_rejected(self):
+        # Evaluated anyway, these windows give OC [1, 0] at every theta.
+        doc = self.good_doc()
+        doc["stages"] = [{"n": 5, "f": [0.5, "inf"], "g": ["-inf", 0.5],
+                          "windows": [[0, 5], [5, 5]], "ties": [None]}]
+        self.expect(doc, "stages[0].windows")
+        self.expect(doc, "overlap")
+
+        doc = self.good_doc()
+        doc["stages"][2]["windows"][1] = [9, 3]
+        self.expect(doc, "stages[2].windows")
+
+    def test_two_prop_final_stage_must_decide_every_cell(self):
+        doc = self.good_doc("two-prop")
+        rows = doc["stages"][-1]["decision"]
+        rows[0] = "." + rows[0][1:]
+        self.expect(doc, "continuation")
+        # an earlier stage may continue
+        doc = self.good_doc("two-prop")
+        rows = doc["stages"][0]["decision"]
+        rows[2] = "." + rows[2][1:]
+        assert doc_to_plan(doc).stages[0].decision[2, 0] == -1
+
     def test_unsupported_shapes_refuse_to_serialize(self):
         plan = plan_zoo()["two-prop"]
         odd = type(plan)(
