@@ -1,10 +1,14 @@
 """Exact operating characteristic and sample-size distribution of a plan.
 
-The stopping regions of every stage are integer intervals of the running
-sum, so the full distribution of (decision, stopping stage) follows from a
-forward dynamic program: carry the sub-probability vector of the running
-sum over the continuation event, convolve with the pmf of each stage
-increment, and sweep the stage's decision windows.
+Every exact evaluator runs one forward recursion, ``propagate`` (Jennison
+and Turnbull, *Group Sequential Methods*, 2000, ch. 19).  It carries the
+sub-probability array of the running sum over the undecided event: 1-D
+over the sum count for one sample, 2-D over the two arms' counts for two.
+At each stage it convolves in the pmf of each axis increment, hands the
+state and the stage's decision labels (one per sum cell, ``CONTINUE`` for
+undecided) to the caller's reduction, and then clears the decided cells.
+Mass still undecided after the last stage means the plan is not closed
+and raises ``InfeasibleDesignError``.
 
 For Bernoulli data every convolution is over a finite support and the
 result is exact to float arithmetic.  For Poisson data the increment pmf
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .plans import MultiHypPlan
+from .errors import DomainError, InfeasibleDesignError
+from .plans import CONTINUE, MultiHypPlan
 
 __all__ = ["OCReport", "RiskReport", "oc_single", "oc_curve", "verify_risk",
            "rejection_split"]
@@ -62,43 +66,77 @@ class OCReport:
         return "\n".join(lines) + "\n"
 
 
-def _stage_masses(plan: MultiHypPlan, theta: float):
-    """Yield per-stage (accept_mass[m], stop_mass) while running the DP."""
+def _convolve(state: np.ndarray, probs: np.ndarray, axis: int) -> np.ndarray:
+    """Full convolution of ``state`` with ``probs`` along one axis."""
+    if state.ndim == 1:
+        return np.convolve(state, probs)
+    shape = list(state.shape)
+    shape[axis] += len(probs) - 1
+    out = np.zeros(shape)
+    dst, src = out.swapaxes(0, axis), state.swapaxes(0, axis)
+    for d, w in enumerate(probs):
+        if w != 0.0:
+            dst[d:d + len(src)] += w * src
+    return out
+
+
+def propagate(stages, pmf):
+    """Run the forward recursion over ``stages``, one yield per stage.
+
+    ``stages`` lists (sizes, labels) per stage: the cumulative sample size
+    of each axis and the decision label of each sum cell.  A 1-D label
+    array may be shorter than the state; its last entry then covers every
+    count above it.  ``pmf(axis, m)`` gives (pmf, truncated mass) of an
+    m-sample increment on one axis, asked once per distinct (axis, m).
+    Yields (stage index, state, labels, truncated mass so far); the caller
+    may zero cells of ``state`` before the decided ones are cleared.  Mass
+    left after the last stage raises ``InfeasibleDesignError``.
+    """
+    pmfs = {}
+    state = np.ones((1,) * len(stages[0][0]))
+    prev = (0,) * state.ndim
+    truncated = 0.0
+    for idx, (sizes, labels) in enumerate(stages):
+        for axis, (n, n_prev) in enumerate(zip(sizes, prev)):
+            if n > n_prev:
+                key = (axis, n - n_prev)
+                if key not in pmfs:
+                    pmfs[key] = pmf(*key)
+                probs, lost = pmfs[key]
+                if lost:
+                    truncated += lost * float(state.sum())
+                state = _convolve(state, probs, axis)
+        prev = sizes
+        if len(labels) > len(state):
+            labels = labels[:len(state)]
+        elif labels.shape != state.shape:
+            labels = labels.take(np.arange(len(state)), mode="clip")
+        yield idx, state, labels, truncated
+        state[labels != CONTINUE] = 0.0
+    if state.any():
+        raise InfeasibleDesignError("plan leaves mass undecided after its last stage")
+
+
+def _one_sample(plan: MultiHypPlan, theta: float):
     model = plan.model
-    state = np.array([1.0])  # state[k] = Pr{running sum = k, no decision yet}
-    prev_n = 0
-    deficit = 0.0
-    accept = np.zeros(plan.m)
-    stop = np.zeros(plan.s)
-    asn = 0.0
-    for idx, rule in enumerate(plan.stages):
-        inc, inc_deficit = model.increment_pmf(rule.n - prev_n, theta, _TAIL_MASS)
-        deficit += inc_deficit * float(state.sum())
-        state = np.convolve(state, inc)
-        prev_n = rule.n
-        top = len(state) - 1
-        for i, win in enumerate(rule.windows):
-            if win is None:
-                continue
-            lo, hi = win
-            hi = top if hi is None else min(hi, top)
-            if hi < lo:
-                continue
-            seg = float(state[lo:hi + 1].sum())
-            accept[i] += seg
-            stop[idx] += seg
-            state[lo:hi + 1] = 0.0
-        asn += rule.n * stop[idx]
-    leftover = float(state.sum())
-    deficit += leftover  # a closed plan leaves nothing; count residue as slack
-    asn += plan.stage_ns[-1] * deficit
-    return accept, asn, stop, deficit
+    return propagate([((rule.n,), rule.labels) for rule in plan.stages],
+                     lambda _, m: model.increment_pmf(m, theta, _TAIL_MASS))
 
 
 def oc_single(plan: MultiHypPlan, theta: float):
     """(accept vector, asn, stopping-stage distribution, truncation bound)."""
     plan.model.validate_theta(theta)
-    return _stage_masses(plan, theta)
+    accept = [0.0] * plan.m
+    stop = [0.0] * plan.s
+    asn = 0.0
+    for idx, state, labels, truncated in _one_sample(plan, theta):
+        for i in range(plan.m):
+            seg = float(np.add.reduce(state, where=labels == i))
+            accept[i] += seg
+            stop[idx] += seg
+        asn += plan.stages[idx].n * stop[idx]
+    asn += plan.stage_ns[-1] * truncated
+    return np.array(accept), asn, np.array(stop), truncated
 
 
 def oc_curve(plan: MultiHypPlan, thetas) -> OCReport:
@@ -123,30 +161,13 @@ def rejection_split(plan: MultiHypPlan, hyp: int, theta: float, bound: float, si
     if side not in ("low", "high"):
         raise DomainError("side must be 'low' or 'high'")
     plan.model.validate_theta(theta)
-    model = plan.model
-    state = np.array([1.0])
-    prev_n = 0
     total = 0.0
-    for rule in plan.stages:
-        inc, _ = model.increment_pmf(rule.n - prev_n, theta, _TAIL_MASS)
-        state = np.convolve(state, inc)
-        prev_n = rule.n
-        top = len(state) - 1
-        for i, win in enumerate(rule.windows):
-            if win is None:
-                continue
-            lo, hi = win
-            hi = top if hi is None else min(hi, top)
-            if hi < lo:
-                continue
+    for idx, state, labels, _ in _one_sample(plan, theta):
+        zs = np.arange(len(state)) / plan.stages[idx].n
+        near = zs <= bound + 1e-12 if side == "low" else zs >= bound - 1e-12
+        for i in range(plan.m):
             if i != hyp:
-                zs = np.arange(lo, hi + 1) / rule.n
-                seg = state[lo:hi + 1]
-                if side == "low":
-                    total += float(seg[zs <= bound + 1e-12].sum())
-                else:
-                    total += float(seg[zs >= bound - 1e-12].sum())
-            state[lo:hi + 1] = 0.0
+                total += float(np.add.reduce(state, where=(labels == i) & near))
     return total
 
 

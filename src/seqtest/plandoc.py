@@ -28,9 +28,9 @@ import numpy as np
 from .conflimits import ApproxLimits, family_by_tag
 from .errors import InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
-from .plans import (MultiHypPlan, OneSidedPlan, StageRule, _validate_windows,
-                    stage_is_closed)
-from .twoprop import _CONTINUE, TwoPropPlan, TwoPropStage
+from .plans import (CONTINUE, MultiHypPlan, OneSidedPlan, StageRule,
+                    _validate_windows, stage_is_closed)
+from .twoprop import TwoPropPlan, TwoPropStage
 
 __all__ = [
     "SCHEMA_VERSION", "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
@@ -245,7 +245,7 @@ def doc_to_plan(doc: dict):
                                 n_x, n_y, m, "midpoint", i)
             stages.append(TwoPropStage(n_x=n_x, n_y=n_y, decision=dec,
                                        midpoint_used=mid))
-        if (stages[-1].decision == _CONTINUE).any():
+        if (stages[-1].decision == CONTINUE).any():
             raise PlanDocumentError("final stage leaves continuation cells",
                                     f"stages[{len(stages) - 1}].decision")
         return TwoPropPlan(

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -92,6 +93,8 @@ _PROBES = 256
 # Stage sizes 1..16 form the first block of the stage-size search, and each
 # later block doubles the sizes it covers.
 _FIRST_BLOCK = 16
+# Label of an undecided sum cell in a stage's decision array.
+CONTINUE = -1
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,26 @@ class StageRule:
     def m(self) -> int:
         return len(self.windows)
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Decision per sum count, int8: the 0-based hypothesis or CONTINUE.
+
+        The array ends one past the last finite window edge, and its last
+        entry also holds for every count above it.
+        """
+        spans = [(i, win) for i, win in enumerate(self.windows) if win is not None]
+        top = max([0] + [lo if hi is None else hi + 1 for _, (lo, hi) in spans])
+        labels = np.full(top + 1, CONTINUE, dtype=np.int8)
+        for i, (lo, hi) in reversed(spans):  # the first window holding k decides it
+            labels[lo:None if hi is None else hi + 1] = i
+        return labels
+
     def decision_for_sum(self, k: int) -> int:
         """Decision variable for sum count k: 0 = continue, else i in 1..m."""
-        for i, win in enumerate(self.windows):
-            if win is None:
-                continue
-            lo, hi = win
-            if k >= lo and (hi is None or k <= hi):
-                return i + 1
-        return 0
+        labels = self.labels
+        if k < 0:
+            return 0
+        return labels.item(k if k < len(labels) else -1) + 1
 
     def tie_for_sum(self, k: int) -> bool:
         for tie in self.ties:

@@ -9,12 +9,14 @@ floor below, upper limit sits under the zone ceiling above" holds.  When
 two consecutive brackets hold at once, the observed difference is
 compared against the midpoint of the shared indifference zone.
 
-Risk verification over a parameter rectangle uses truncated interval
-dynamic programming: per-stage transition masses are bounded over the
-rectangle (binomial mass is unimodal in p), paths are clipped to
-mean-range windows that lose at most eta of probability per stage and
-side, and the resulting upper/lower rejection bounds drive a
-branch-and-bound certificate over the hypothesis zone.
+The exact OC and the risk bounds run the forward recursion of
+``ocexact.propagate`` over the 2-D count grid.  Risk verification over a
+parameter rectangle uses truncated interval dynamic programming: per-stage
+transition masses are bounded over the rectangle (binomial mass is
+unimodal in p), paths are clipped to mean-range windows that lose at most
+eta of probability per stage and side, and the resulting upper/lower
+rejection bounds drive a branch-and-bound certificate over the hypothesis
+zone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from scipy.special import ndtri
 
 from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
 from .models import Bernoulli
-from .plans import TestOutcome, stage_schedule
+from .ocexact import propagate
+from .plans import CONTINUE, TestOutcome, stage_schedule
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
@@ -38,7 +41,6 @@ __all__ = [
 ]
 
 _BERN = Bernoulli()
-_CONTINUE = -1
 
 
 def _wilson_roots(phat, n, c):
@@ -228,7 +230,7 @@ def _build_stage(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> TwoPropStage:
             "strictly separated"
         )
     first = np.argmax(brackets, axis=0).astype(np.int8)
-    decision = np.where(counts == 0, np.int8(_CONTINUE), first)
+    decision = np.where(counts == 0, np.int8(CONTINUE), first)
     double = counts == 2
     if double.any():
         diff = (np.arange(n_x + 1) / n_x)[:, None] - (np.arange(n_y + 1) / n_y)[None, :]
@@ -251,7 +253,7 @@ def _ties_nonempty(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> bool:
 
 def _any_decision(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> bool:
     stage = _build_stage(n_x, n_y, zone_lo, zone_hi, alphas, betas)
-    return bool((stage.decision != _CONTINUE).any())
+    return bool((stage.decision != CONTINUE).any())
 
 
 def build_two_prop_plan(
@@ -315,7 +317,7 @@ def build_two_prop_plan(
         while True:
             nx, ny = sizes_for(ns_x)
             if not (_build_stage(nx, ny, zone_lo, zone_hi, alphas, betas).decision
-                    == _CONTINUE).any():
+                    == CONTINUE).any():
                 break
             ns_x += 1
             if ns_x > max_stage_size:
@@ -340,7 +342,7 @@ def build_two_prop_plan(
             raise DomainError("arm link must keep both arms strictly increasing")
     built = tuple(_build_stage(nx, ny, zone_lo, zone_hi, alphas, betas)
                   for nx, ny in pairs)
-    if (built[-1].decision == _CONTINUE).any():
+    if (built[-1].decision == CONTINUE).any():
         raise InfeasibleDesignError(
             f"final stage {pairs[-1]} leaves continuation points; increase the "
             "last stage size"
@@ -378,7 +380,7 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
         ky += sum(_take(it_y, stage.n_y - used_y, "second-arm"))
         used_x, used_y = stage.n_x, stage.n_y
         d = int(stage.decision[kx, ky])
-        if d != _CONTINUE:
+        if d != CONTINUE:
             return TestOutcome(
                 stage_index=idx + 1,
                 sample_count=used_x + used_y,
@@ -389,34 +391,20 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     raise InfeasibleDesignError("closed plan reached its last stage undecided")
 
 
-def _conv_axis(state: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Full 1-D convolution of a 2-D array along one axis."""
-    if axis == 0:
-        out = np.zeros((state.shape[0] + len(kernel) - 1, state.shape[1]))
-        for d, w in enumerate(kernel):
-            if w != 0.0:
-                out[d:d + state.shape[0], :] += w * state
-        return out
-    out = np.zeros((state.shape[0], state.shape[1] + len(kernel) - 1))
-    for d, w in enumerate(kernel):
-        if w != 0.0:
-            out[:, d:d + state.shape[1]] += w * state
-    return out
-
-
-def _binom_pmf_bounds(n: int, p_lo: float, p_hi: float):
-    """(lower, upper) pointwise bounds of the binomial pmf over [p_lo, p_hi].
+def _binom_pmf_bound(n: int, p_lo: float, p_hi: float, upper: bool):
+    """Pointwise upper (or lower) bound of the binomial pmf over [p_lo, p_hi].
 
     Each mass is unimodal in p with mode at count/n, so the maximum is at
     the clipped mode and the minimum at one of the endpoints.
     """
     ks = np.arange(n + 1)
-    at_lo = _BERN.pmf_sum(n, ks, p_lo)
-    at_hi = _BERN.pmf_sum(n, ks, p_hi)
-    lower = np.minimum(at_lo, at_hi)
-    p_star = np.clip(ks / n, p_lo, p_hi)
-    upper = np.exp(_BERN.log_pmf_sum(n, ks, p_star))
-    return lower, upper
+    if upper:
+        return np.exp(_BERN.log_pmf_sum(n, ks, np.clip(ks / n, p_lo, p_hi)))
+    return np.minimum(_BERN.pmf_sum(n, ks, p_lo), _BERN.pmf_sum(n, ks, p_hi))
+
+
+def _propagate(plan: TwoPropPlan, pmf):
+    return propagate([((st.n_x, st.n_y), st.decision) for st in plan.stages], pmf)
 
 
 def _window_counts(theta_lo: float, theta_hi: float, n: int, eta: float):
@@ -424,6 +412,27 @@ def _window_counts(theta_lo: float, theta_hi: float, n: int, eta: float):
     a, _ = truncation_bounds(theta_lo, n, eta)
     _, b = truncation_bounds(theta_hi, n, eta)
     return int(round(a * n)), int(round(b * n))
+
+
+def _windowed_rejection(plan: TwoPropPlan, hyp: int, rect: Rectangle, eta: float,
+                        outer: bool) -> float:
+    """Interval-DP mass of the windowed paths that reject ``hyp``.
+
+    ``outer``: pmf upper bounds and windows from the rectangle's own
+    endpoints; otherwise pmf lower bounds and the swapped (inner) windows.
+    """
+    ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
+    total = 0.0
+    for idx, state, labels, _ in _propagate(
+            plan, lambda axis, m: (_binom_pmf_bound(m, *ranges[axis], outer), 0.0)):
+        stage = plan.stages[idx]
+        for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), ranges)):
+            a, b = _window_counts(lo, hi, n, eta) if outer else _window_counts(hi, lo, n, eta)
+            cells = state.swapaxes(0, axis)
+            cells[:a] = 0.0
+            cells[b + 1:] = 0.0
+        total += float(state[(labels != CONTINUE) & (labels != hyp)].sum())
+    return total
 
 
 def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
@@ -438,48 +447,9 @@ def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
     """
     if not (0 <= hyp < plan.m):
         raise DomainError(f"hypothesis index out of range: {hyp}")
-    s = plan.s
-    total_up = 0.0
-    total_lo = 0.0
-    state_up = np.array([[1.0]])
-    state_lo = np.array([[1.0]])
-    prev_x = prev_y = 0
-    for stage in plan.stages:
-        inc_x, inc_y = stage.n_x - prev_x, stage.n_y - prev_y
-        if inc_x > 0:
-            tlo, tup = _binom_pmf_bounds(inc_x, rect.px_lo, rect.px_hi)
-            state_up = _conv_axis(state_up, tup, axis=0)
-            state_lo = _conv_axis(state_lo, tlo, axis=0)
-        if inc_y > 0:
-            tlo, tup = _binom_pmf_bounds(inc_y, rect.py_lo, rect.py_hi)
-            state_up = _conv_axis(state_up, tup, axis=1)
-            state_lo = _conv_axis(state_lo, tlo, axis=1)
-        prev_x, prev_y = stage.n_x, stage.n_y
-
-        # Outer windows for the upper pass, inner (swapped-endpoint)
-        # windows for the lower pass.
-        ax, bx = _window_counts(rect.px_lo, rect.px_hi, stage.n_x, eta)
-        ay, by = _window_counts(rect.py_lo, rect.py_hi, stage.n_y, eta)
-        cx, dx = _window_counts(rect.px_hi, rect.px_lo, stage.n_x, eta)
-        cy, dy = _window_counts(rect.py_hi, rect.py_lo, stage.n_y, eta)
-
-        def masked(state, kx_lo, kx_hi, ky_lo, ky_hi):
-            keep = np.zeros_like(state, dtype=bool)
-            if kx_lo <= kx_hi and ky_lo <= ky_hi:
-                keep[kx_lo:kx_hi + 1, ky_lo:ky_hi + 1] = True
-            return np.where(keep, state, 0.0)
-
-        state_up = masked(state_up, ax, bx, ay, by)
-        state_lo = masked(state_lo, cx, dx, cy, dy)
-        reject = (stage.decision != _CONTINUE) & (stage.decision != hyp)
-        cont = stage.decision == _CONTINUE
-        total_up += float(state_up[reject].sum())
-        total_lo += float(state_lo[reject].sum())
-        state_up = np.where(cont, state_up, 0.0)
-        state_lo = np.where(cont, state_lo, 0.0)
-    upper = min(1.0, total_up + 2.0 * s * eta)
-    lower = min(1.0, max(0.0, total_lo))
-    return lower, upper
+    upper = _windowed_rejection(plan, hyp, rect, eta, True) + 2.0 * plan.s * eta
+    lower = _windowed_rejection(plan, hyp, rect, eta, False)
+    return min(1.0, max(0.0, lower)), min(1.0, upper)
 
 
 def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
@@ -489,26 +459,16 @@ def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
             raise DomainError(f"{name} must lie in [0, 1], got {v}")
     accept = np.zeros(plan.m)
     asn_x = asn_y = 0.0
-    state = np.array([[1.0]])
-    prev_x = prev_y = 0
-    for stage in plan.stages:
-        if stage.n_x > prev_x:
-            state = _conv_axis(state, _BERN.pmf_sum(stage.n_x - prev_x,
-                                                    np.arange(stage.n_x - prev_x + 1),
-                                                    p_x), axis=0)
-        if stage.n_y > prev_y:
-            state = _conv_axis(state, _BERN.pmf_sum(stage.n_y - prev_y,
-                                                    np.arange(stage.n_y - prev_y + 1),
-                                                    p_y), axis=1)
-        prev_x, prev_y = stage.n_x, stage.n_y
+    ps = (p_x, p_y)
+    for idx, state, labels, _ in _propagate(
+            plan, lambda axis, m: _BERN.increment_pmf(m, ps[axis])):
         stopped = 0.0
         for b in range(plan.m):
-            mass = float(state[stage.decision == b].sum())
+            mass = float(state[labels == b].sum())
             accept[b] += mass
             stopped += mass
-        asn_x += stage.n_x * stopped
-        asn_y += stage.n_y * stopped
-        state = np.where(stage.decision == _CONTINUE, state, 0.0)
+        asn_x += plan.stages[idx].n_x * stopped
+        asn_y += plan.stages[idx].n_y * stopped
     return accept, asn_x, asn_y
 
 
