@@ -4,7 +4,10 @@ Two discrete families are supported: Bernoulli trials with mean ``theta`` in
 (0, 1) and Poisson counts with mean ``theta`` in (0, inf).  In both cases the
 n-sample sum is a sufficient statistic (Binomial(n, theta) respectively
 Poisson(n*theta)), so every exact computation in the package works on integer
-sum counts.  Mass functions are evaluated in log space.  Tail
+sum counts.  Mass functions are evaluated in log space; the increment pmfs
+behind the exact OC use Loader's (2000) saddle-point form, as R's
+``dbinom``/``dpois`` do, which keeps full relative accuracy for increments
+of thousands of samples where differences of ``gammaln`` values do not.  Tail
 probabilities come in closed form from the regularized incomplete beta
 and gamma functions (``bdtr``/``bdtrc`` and ``pdtr``/``pdtrc``), the
 functions behind the Clopper-Pearson (1934) and Garwood (1936) limits:
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammaln, pdtr, pdtrc, pdtrik, xlogy
+from scipy.special import bdtr, bdtrc, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 from .errors import DomainError
 
@@ -46,6 +49,40 @@ def _count_ceil(x: float) -> int:
     if math.isinf(x):
         raise DomainError("threshold must be finite")
     return math.ceil(x - _COUNT_EPS)
+
+
+# stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, exact to
+# double precision (Loader 2000; R's sferr_halves at whole k).
+_STIRLERR = np.array([
+    0.0, 0.0810614667953272582196702, 0.0413406959554092940938221,
+    0.02767792568499833914878929, 0.02079067210376509311152277,
+    0.01664469118982119216319487, 0.01387612882307074799874573,
+    0.01189670994589177009505572, 0.010411265261972096497478567,
+    0.009255462182712732917728637, 0.008330563433362871256469318,
+    0.007573675487951840794972024, 0.006942840107209529865664152,
+    0.006408994188004207068439631, 0.005951370112758847735624416,
+    0.005554733551962801371038690,
+])
+
+
+def _stirlerr(top: int) -> np.ndarray:
+    """stirlerr(k) for k = 0..top: the table, then the Stirling series."""
+    if top < len(_STIRLERR):
+        return _STIRLERR[:top + 1]
+    k = np.arange(16.0, top + 1)
+    nn = k * k
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / k
+    return np.concatenate((_STIRLERR[:16], series))
+
+
+# Tabulated once for the increments most plans use.
+_STIRLERR = _stirlerr(4095)
+
+
+def _bd0(x, mu: float):
+    """x log(x / mu) + mu - x, i.e. mu ((1 + d) log1p(d) - d) with d = (x - mu) / mu."""
+    diff = x - mu
+    return xlog1py(x, diff / mu) - diff
 
 
 def _poisson_isf(q: float, mu: float) -> int:
@@ -146,8 +183,19 @@ class Bernoulli:
 
         Returns (probs, deficit): probs[d] = Pr{increment sum = d} and the
         mass discarded by truncation (always 0 here; the support is finite).
+        Theta may be 0 or 1, giving a point mass.
         """
-        probs = self.pmf_sum(m, np.arange(m + 1), theta)
+        probs = np.zeros(m + 1)
+        if theta in (0.0, 1.0):
+            probs[0 if theta == 0.0 else m] = 1.0
+            return probs, 0.0
+        stirl = _stirlerr(m)
+        k = np.arange(1.0, m)
+        dev = _bd0(k, m * theta) + _bd0(m - k, m * (1.0 - theta))
+        probs[1:m] = (np.exp(stirl[m] - stirl[1:m] - stirl[m - 1:0:-1] - dev)
+                      * np.sqrt(m / (2.0 * math.pi * k * (m - k))))
+        probs[0] = math.exp(m * math.log1p(-theta))
+        probs[m] = math.exp(m * math.log(theta))
         return probs, 0.0
 
     def draw(self, rng: np.random.Generator, size: int, theta: float):
@@ -222,7 +270,10 @@ class Poisson:
         # discarded mass is reported analytically so the truncation slack
         # is certified rather than inferred from a float sum.
         k_hi = _poisson_isf(tail_mass, mu)
-        probs = self.pmf_sum(m, np.arange(k_hi + 1), theta)
+        k = np.arange(1.0, k_hi + 1)
+        probs = np.empty(k_hi + 1)
+        probs[0] = math.exp(-mu)
+        probs[1:] = np.exp(-_stirlerr(k_hi)[1:] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
         deficit = float(pdtrc(k_hi, mu))
         return probs, deficit
 

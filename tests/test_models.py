@@ -209,6 +209,28 @@ class TestIncrementAndDraw:
         np.testing.assert_allclose(probs, stats.binom.pmf(np.arange(7), 6, 0.4),
                                    atol=1e-14)
 
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 95, 383, 2399, 4095, 4096, 8085, 9603])
+    def test_bernoulli_increment_matches_scipy_stats_at_large_sizes(self, m):
+        # gammaln differences lost about 1e-11 of relative accuracy here
+        for theta in (0.001, 0.3, 0.47, 0.49, 0.5, 0.51, 0.53, 0.9):
+            probs, _ = BERN.increment_pmf(m, theta)
+            want = stats.binom.pmf(np.arange(m + 1), m, theta)
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+
+    def test_bernoulli_increment_point_masses(self):
+        np.testing.assert_array_equal(BERN.increment_pmf(3, 0.0)[0], [1, 0, 0, 0])
+        np.testing.assert_array_equal(BERN.increment_pmf(3, 1.0)[0], [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("mu", [1e-4, 0.7, 15.0, 16.5, 300.0, 5000.0])
+    def test_poisson_increment_sums_to_one_with_its_deficit(self, mu):
+        probs, deficit = POIS.increment_pmf(1, mu)
+        assert abs(math.fsum(probs) + deficit - 1.0) <= 1e-15
+        # scipy.stats' own Poisson pmf is a gammaln difference; near the
+        # mode both agree to its accuracy
+        ks = np.arange(max(0, int(mu) - 3), int(mu) + 4)
+        np.testing.assert_allclose(probs[ks], stats.poisson.pmf(ks, mu), rtol=1e-11)
+
     def test_poisson_increment_deficit_is_certified(self):
         probs, deficit = POIS.increment_pmf(3, 2.0, tail_mass=1e-15)
         assert deficit <= 1e-15

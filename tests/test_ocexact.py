@@ -128,6 +128,15 @@ class TestOcSingle:
             assert stop.sum() == pytest.approx(1.0, abs=1e-12)
             assert plan.stage_ns[0] <= asn <= plan.stage_ns[-1]
 
+    def test_long_increments_sum_to_one(self):
+        # final size 9603, increments up to 8085 samples
+        plan = build_one_sided_plan(BERN, EXACT, 0.49, 0.51, 0.05, 0.05, 0.5,
+                                    stage_ns=(6, 38, 240, 1518, 9603))
+        for theta in np.linspace(0.47, 0.53, 7):
+            acc, asn, stop, bound = oc_single(plan, theta)
+            assert bound == 0.0
+            assert abs(acc.sum() - 1.0) <= 1e-14
+
     def test_poisson_truncation_is_accounted(self):
         plan = build_one_sided_plan(POIS, EXACT, 1.0, 2.0, 0.1, 0.1, 0.5, stages=2)
         for theta in (0.8, 1.5, 2.4):
