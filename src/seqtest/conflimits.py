@@ -218,7 +218,8 @@ class ApproxLimits(_FamilyBase):
     def pair(self, model, n: int, z, delta: float):
         """Closed-form (lower, upper) limits; vectorized over z."""
         _check_delta(delta)
-        zcrit = float(ndtri(1.0 - delta / 2.0))
+        # not ndtri(1 - delta / 2): below delta ~1.1e-16 that argument rounds to 1
+        zcrit = float(-ndtri(delta / 2.0))
         w = self.w
         z = np.asarray(z, dtype=float)
         if isinstance(model, Bernoulli):

@@ -63,7 +63,7 @@ def newcombe_limits(phat_x, phat_y, n_x: int, n_y: int, delta: float):
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    z = float(ndtri(1.0 - delta / 2.0))
+    z = float(-ndtri(delta / 2.0))
     c = z * z
     lx, ux = _wilson_roots(phat_x, n_x, c)
     ly, uy = _wilson_roots(phat_y, n_y, c)

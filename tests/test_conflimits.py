@@ -17,6 +17,7 @@ from seqtest.conflimits import (
 )
 from seqtest.errors import DomainError
 from seqtest.models import Bernoulli, Poisson
+from seqtest.plans import build_stage_rule
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -148,6 +149,14 @@ class TestApproxLimits:
         wald = ApproxLimits(0.0).lower(BERN, 100, 0.5, 0.05)
         score = ApproxLimits(1.0).lower(BERN, 100, 0.5, 0.05)
         assert min(wald, score) <= mid <= max(wald, score)
+
+    def test_tiny_delta_gives_finite_limits(self):
+        # 1 - delta / 2 rounds to 1 here, which made the critical value inf
+        for model, z in ((BERN, 0.3), (POIS, 2.0)):
+            lo, hi = ApproxLimits(0.5).pair(model, 8, z, 1e-20)
+            assert 0.0 <= lo <= z <= hi < math.inf
+        rule = build_stage_rule(POIS, ApproxLimits(0.5), 8, [1.0], [2.0], [1e-20], [1e-20])
+        assert rule.n == 8
 
     def test_poisson_limits_bracket_observation(self):
         for w in (0.0, 0.5, 1.0):

@@ -69,6 +69,12 @@ class TestNewcombeLimits:
         assert float(lo) == pytest.approx(0.5, abs=1e-6)
         assert float(up) == pytest.approx(0.5, abs=1e-6)
 
+    def test_tiny_level_gives_finite_limits(self):
+        # 1 - delta / 2 rounds to 1 here, which made the critical value inf
+        lo, up = newcombe_limits(0.7, 0.2, 9, 13, 1e-20)
+        assert math.isfinite(float(lo)) and math.isfinite(float(up))
+        assert float(lo) < 0.5 < float(up)
+
     def test_always_brackets_the_difference(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
