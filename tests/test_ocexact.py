@@ -1,11 +1,13 @@
 """Exact operating-characteristic evaluation and risk verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from seqtest.conflimits import ExactLimits
-from seqtest.errors import DomainError
+from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson
 from seqtest.ocexact import OCReport, oc_curve, oc_single, rejection_split, verify_risk
 from seqtest.plans import build_multihyp_plan, build_one_sided_plan
@@ -144,6 +146,16 @@ class TestOcSingle:
             assert deficit <= 1e-12
             assert acc.sum() + deficit == pytest.approx(1.0, abs=1e-12)
             assert plan.stage_ns[0] <= asn <= plan.stage_ns[-1] + 1e-9
+
+    def test_unclosed_plan_raises_instead_of_reporting_slack(self):
+        # the residue used to be added to truncation_bound
+        for plan in (classic_plan(),
+                     build_one_sided_plan(POIS, EXACT, 1.0, 2.0, 0.1, 0.1, 0.5, stages=3)):
+            cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+            with pytest.raises(InfeasibleDesignError):
+                oc_single(cut, 1.0 if plan.model is POIS else 0.5)
+            with pytest.raises(InfeasibleDesignError):
+                rejection_split(cut, 0, 1.0 if plan.model is POIS else 0.5, 0.5, "high")
 
     def test_rejects_theta_outside_model_domain(self):
         with pytest.raises(DomainError):

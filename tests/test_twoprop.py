@@ -5,6 +5,7 @@ arithmetic for the truncation window, dict-free double-loop enumeration
 for operating characteristics, and dense parameter grids for certificates.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,12 @@ class TestExactOC:
             assert ax == pytest.approx(want_ax, abs=1e-12)
             assert ay == pytest.approx(want_ay, abs=1e-12)
             assert sum(acc) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unclosed_plan_raises(self):
+        plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23])
+        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        with pytest.raises(InfeasibleDesignError):
+            exact_oc(cut, 0.5, 0.5)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
