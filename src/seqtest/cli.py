@@ -27,12 +27,12 @@ from .plans import build_multihyp_plan, build_one_sided_plan
 from .ocexact import oc_curve
 from .plandoc import load_plan, plan_to_doc, dump_doc
 from .sim import compare as sim_compare
+from .sim import reports_csv, simulate_two_prop
 from .sim import simulate as sim_simulate
-from .sim import _summarize, _trial_rng
 from .sprt import SprtSpec
 from .tuning import tune_zeta
 from .twoprop import (TwoPropPlan, build_two_prop_plan, certify_risk,
-                      exact_oc, run_two_prop, tune_two_prop)
+                      exact_oc, tune_two_prop)
 
 _FMT = repr  # shortest round-trip decimals in CSV and reports
 
@@ -259,55 +259,21 @@ def _cmd_certify(args, parser) -> int:
     return 0 if all_proved else 1
 
 
-def _simulate_two_prop(plan: TwoPropPlan, p_x, p_y, trials, seed):
-    last = plan.stages[-1]
-    accepted = np.empty(trials, dtype=np.int64)
-    nstop = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        xs = (rng.random(last.n_x) < p_x).astype(np.int64)
-        ys = (rng.random(last.n_y) < p_y).astype(np.int64)
-        out = run_two_prop(plan, iter(xs.tolist()), iter(ys.tolist()))
-        accepted[t] = out.accepted_index
-        nstop[t] = out.sample_count
-    return _summarize(p_x - p_y, trials, seed, accepted, nstop, plan.m, None)
-
-
-def _sim_csv(names, reports, label_cols, labels) -> str:
-    n_hyp = max(len(r.accept_freq) for r in reports)
-    head = ["runner", *label_cols, "trials", "seed"]
-    head += [f"accept_h{i}" for i in range(n_hyp)]
-    head += [f"se_h{i}" for i in range(n_hyp)]
-    head += ["asn", "asn_se", "stop_p50", "stop_p90", "stop_p99",
-             "max_samples", "forced_rate"]
-    lines = [",".join(head)]
-    for name, rep, lab in zip(names, reports, labels):
-        row = [name, *(_FMT(float(v)) for v in lab), str(rep.trials), str(rep.seed)]
-        freq = list(rep.accept_freq) + [float("nan")] * (n_hyp - len(rep.accept_freq))
-        ses = list(rep.accept_se) + [float("nan")] * (n_hyp - len(rep.accept_se))
-        row += [_FMT(float(v)) for v in freq + ses]
-        row += [_FMT(rep.asn), _FMT(rep.asn_se)]
-        row += [_FMT(rep.stop_percentiles[q]) for q in (50, 90, 99)]
-        row += [str(rep.max_samples), _FMT(rep.forced_rate)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_simulate(args, parser) -> int:
     plan, _ = load_plan(args.plan)
     if isinstance(plan, TwoPropPlan):
         if args.theta_x is None or args.theta_y is None:
             parser.error("simulate on a two-prop document requires "
                          "--theta-x and --theta-y")
-        rep = _simulate_two_prop(plan, args.theta_x, args.theta_y,
-                                 args.trials, args.seed)
-        text = _sim_csv(["two-prop"], [rep], ["p_x", "p_y"],
-                        [(args.theta_x, args.theta_y)])
+        rep = simulate_two_prop(plan, args.theta_x, args.theta_y,
+                                args.trials, args.seed)
+        text = reports_csv([("two-prop", (args.theta_x, args.theta_y), rep)],
+                           ("p_x", "p_y"))
     else:
         if args.theta is None:
             parser.error("simulate requires --theta for one-sample documents")
         rep = sim_simulate(plan, args.theta, args.trials, args.seed)
-        text = _sim_csv(["plan"], [rep], ["theta"], [(args.theta,)])
+        text = reports_csv([("plan", (args.theta,), rep)])
     _write_text(args.out, text)
     freq = ", ".join(f"h{i}={f:.4f}" for i, f in enumerate(rep.accept_freq))
     print(f"{args.trials} trials: accept {freq}; mean samples {rep.asn:.2f}; "

@@ -17,8 +17,10 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 from .plans import MultiHypPlan
 from .sprt import SprtSpec
+from .twoprop import TwoPropPlan, run_two_prop
 
-__all__ = ["SimReport", "CompareReport", "simulate", "compare"]
+__all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
+           "reports_csv"]
 
 _SPRT_CHUNK = 64
 _SPRT_MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
@@ -116,6 +118,22 @@ def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
     return _summarize(theta, trials, seed, accepted, nstop, 2, forced)
 
 
+def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
+                      seed: int) -> SimReport:
+    """Empirical summary for a two-sample plan; ``theta`` is p_x - p_y."""
+    last = plan.stages[-1]
+    accepted = np.empty(trials, dtype=np.int64)
+    nstop = np.empty(trials, dtype=np.int64)
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        xs = (rng.random(last.n_x) < p_x).astype(np.int64)
+        ys = (rng.random(last.n_y) < p_y).astype(np.int64)
+        out = run_two_prop(plan, iter(xs.tolist()), iter(ys.tolist()))
+        accepted[t] = out.accepted_index
+        nstop[t] = out.sample_count
+    return _summarize(p_x - p_y, trials, seed, accepted, nstop, plan.m, None)
+
+
 def simulate(runner, theta: float, trials: int, seed: int) -> SimReport:
     """Empirical acceptance, sample-count, and stopping summary for one mean."""
     if trials < 1:
@@ -136,25 +154,27 @@ class CompareReport:
     rows: list  # (name, SimReport), grid-major order
 
     def to_csv(self) -> str:
-        n_hyp = max(len(rep.accept_freq) for _, rep in self.rows)
-        cols = ["runner", "theta", "trials", "seed"]
-        cols += [f"accept_h{i}" for i in range(n_hyp)]
-        cols += [f"se_h{i}" for i in range(n_hyp)]
-        cols += ["asn", "asn_se", "stop_p50", "stop_p90", "stop_p99",
-                 "max_samples", "forced_rate"]
-        lines = [",".join(cols)]
-        for name, rep in self.rows:
-            vals = [name, repr(rep.theta), str(rep.trials), str(rep.seed)]
-            freq = list(rep.accept_freq) + [float("nan")] * (n_hyp - len(rep.accept_freq))
-            ses = list(rep.accept_se) + [float("nan")] * (n_hyp - len(rep.accept_se))
-            vals += [repr(float(v)) for v in freq]
-            vals += [repr(float(v)) for v in ses]
-            vals += [repr(rep.asn), repr(rep.asn_se),
-                     repr(rep.stop_percentiles[50]), repr(rep.stop_percentiles[90]),
-                     repr(rep.stop_percentiles[99]), str(rep.max_samples),
-                     repr(rep.forced_rate)]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
+        return reports_csv([(name, (rep.theta,), rep) for name, rep in self.rows])
+
+
+def reports_csv(rows, label_cols=("theta",)) -> str:
+    """CSV of (runner name, label values, SimReport) rows, one line each."""
+    n_hyp = max(len(rep.accept_freq) for _, _, rep in rows)
+    head = ["runner", *label_cols, "trials", "seed"]
+    head += [f"accept_h{i}" for i in range(n_hyp)]
+    head += [f"se_h{i}" for i in range(n_hyp)]
+    head += ["asn", "asn_se", "stop_p50", "stop_p90", "stop_p99",
+             "max_samples", "forced_rate"]
+    lines = [",".join(head)]
+    for name, labels, rep in rows:
+        pad = [float("nan")] * (n_hyp - len(rep.accept_freq))
+        row = [name, *(repr(float(v)) for v in labels), str(rep.trials), str(rep.seed)]
+        row += [repr(float(v)) for v in [*rep.accept_freq, *pad, *rep.accept_se, *pad]]
+        row += [repr(rep.asn), repr(rep.asn_se)]
+        row += [repr(rep.stop_percentiles[q]) for q in (50, 90, 99)]
+        row += [str(rep.max_samples), repr(rep.forced_rate)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def compare(runners, theta_grid, trials: int, seed: int, names=None) -> CompareReport:

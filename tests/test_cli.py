@@ -8,6 +8,7 @@ import pytest
 from seqtest.cli import main
 from seqtest.ocexact import oc_curve
 from seqtest.plandoc import load_plan
+from seqtest.sim import compare as sim_compare
 from seqtest.sim import simulate as sim_simulate
 
 
@@ -195,6 +196,16 @@ class TestSimulate:
         assert float(fields[4]) == rep.accept_freq[0]
         assert float(fields[8]) == rep.asn
         assert int(fields[13]) == rep.max_samples
+
+    def test_csv_is_the_compare_csv_of_one_runner(self, workdir, capsys):
+        out = workdir / "sim_one.csv"
+        assert run(["simulate", "--plan", str(workdir / "plan.json"),
+                    "--theta", "0.45", "--trials", "200", "--seed", "4",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        plan, _ = load_plan(workdir / "plan.json")
+        report = sim_compare([plan], [0.45], 200, 4, names=["plan"])
+        assert out.read_text() == report.to_csv()
 
     def test_two_prop_runs(self, workdir, capsys):
         out = workdir / "sim_tp.csv"
