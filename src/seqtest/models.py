@@ -191,9 +191,10 @@ class Bernoulli:
             return probs, 0.0
         stirl = _stirlerr(m)
         k = np.arange(1.0, m)
-        dev = _bd0(k, m * theta) + _bd0(m - k, m * (1.0 - theta))
+        mk = m - k
+        dev = _bd0(k, m * theta) + _bd0(mk, m * (1.0 - theta))
         probs[1:m] = (np.exp(stirl[m] - stirl[1:m] - stirl[m - 1:0:-1] - dev)
-                      * np.sqrt(m / (2.0 * math.pi * k * (m - k))))
+                      * np.sqrt(m / (2.0 * math.pi) / (k * mk)))
         probs[0] = math.exp(m * math.log1p(-theta))
         probs[m] = math.exp(m * math.log(theta))
         return probs, 0.0
