@@ -189,7 +189,7 @@ def _rows_to_grid(rows, n_x: int, n_y: int, m: int, what: str, idx: int):
         for cidx, ch in enumerate(row):
             if what == "decision":
                 if ch == ".":
-                    dec[r, cidx] = -1
+                    dec[r, cidx] = CONTINUE
                 elif ch.isdigit() and int(ch) < m:
                     dec[r, cidx] = int(ch)
                 else:

@@ -121,6 +121,8 @@ def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
 def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
                       seed: int) -> SimReport:
     """Empirical summary for a two-sample plan; ``theta`` is p_x - p_y."""
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     last = plan.stages[-1]
     accepted = np.empty(trials, dtype=np.int64)
     nstop = np.empty(trials, dtype=np.int64)

@@ -428,7 +428,7 @@ def _windowed_rejection(plan: TwoPropPlan, hyp: int, rect: Rectangle, eta: float
         stage = plan.stages[idx]
         for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), ranges)):
             a, b = _window_counts(lo, hi, n, eta) if outer else _window_counts(hi, lo, n, eta)
-            cells = state.swapaxes(0, axis)
+            cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
             cells[:a] = 0.0
             cells[b + 1:] = 0.0
         total += float(state[(labels != CONTINUE) & (labels != hyp)].sum())
