@@ -75,7 +75,8 @@ def _stirlerr(top: int) -> np.ndarray:
     return np.concatenate((_STIRLERR[:16], series))
 
 
-# Tabulated once for the increments most plans use.
+# Extended once, at import, over the increment sizes most plans use; entries
+# 0..15 keep their exact values.
 _STIRLERR = _stirlerr(4095)
 
 
