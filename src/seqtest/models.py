@@ -80,6 +80,10 @@ def _stirlerr(top: int) -> np.ndarray:
 _STIRLERR = _stirlerr(4095)
 
 
+# Smallest normal double: a Bernoulli increment below it is a point mass.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+
+
 def _bd0(x, mu: float):
     """x log(x / mu) + mu - x, i.e. mu ((1 + d) log1p(d) - d) with d = (x - mu) / mu."""
     diff = x - mu
@@ -187,8 +191,9 @@ class Bernoulli:
         Theta may be 0 or 1, giving a point mass.
         """
         probs = np.zeros(m + 1)
-        if theta in (0.0, 1.0):
-            probs[0 if theta == 0.0 else m] = 1.0
+        if theta < _NORMAL_MIN or theta == 1.0:
+            # a point mass; a subnormal theta would overflow bd0's ratio
+            probs[0 if theta < 0.5 else m] = 1.0
             return probs, 0.0
         stirl = _stirlerr(m)
         k = np.arange(1.0, m)

@@ -218,8 +218,10 @@ class TestIncrementAndDraw:
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bernoulli_increment_point_masses(self):
         np.testing.assert_array_equal(BERN.increment_pmf(3, 0.0)[0], [1, 0, 0, 0])
+        np.testing.assert_array_equal(BERN.increment_pmf(3, 5e-324)[0], [1, 0, 0, 0])
         np.testing.assert_array_equal(BERN.increment_pmf(3, 1.0)[0], [0, 0, 0, 1])
 
     @pytest.mark.parametrize("mu", [1e-4, 0.7, 15.0, 16.5, 300.0, 5000.0])
