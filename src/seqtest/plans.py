@@ -131,6 +131,7 @@ class StageRule:
         labels = np.full(top + 1, CONTINUE, dtype=np.int8)
         for i, (lo, hi) in reversed(spans):  # the first window holding k decides it
             labels[lo:None if hi is None else hi + 1] = i
+        labels.setflags(write=False)  # cached and shared with every caller
         return labels
 
     def decision_for_sum(self, k: int) -> int:
