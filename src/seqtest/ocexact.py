@@ -26,7 +26,7 @@ endpoints (each wrong acceptance is monotone beyond its own boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
