@@ -53,7 +53,7 @@ def _count_ceil(x: float) -> int:
 
 # stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, exact to
 # double precision (Loader 2000; R's sferr_halves at whole k).
-_STIRLERR = np.array([
+_STIRLERR_EXACT = np.array([
     0.0, 0.0810614667953272582196702, 0.0413406959554092940938221,
     0.02767792568499833914878929, 0.02079067210376509311152277,
     0.01664469118982119216319487, 0.01387612882307074799874573,
@@ -65,19 +65,23 @@ _STIRLERR = np.array([
 ])
 
 
+def _stirling_series(k: np.ndarray) -> np.ndarray:
+    """stirlerr(k) from the Stirling series, accurate to double precision for k >= 16."""
+    nn = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / k
+
+
+# stirlerr(k) for k = 0..4095, computed once.  The series would add about
+# half to the cost of a pmf of tens of samples, the common increment; past
+# a few thousand samples it is a few percent of the convolution it feeds.
+_STIRLERR = np.concatenate((_STIRLERR_EXACT, _stirling_series(np.arange(16.0, 4096))))
+
+
 def _stirlerr(top: int) -> np.ndarray:
     """stirlerr(k) for k = 0..top: the table, then the Stirling series."""
     if top < len(_STIRLERR):
         return _STIRLERR[:top + 1]
-    k = np.arange(16.0, top + 1)
-    nn = k * k
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / k
-    return np.concatenate((_STIRLERR[:16], series))
-
-
-# Extended once, at import, over the increment sizes most plans use; entries
-# 0..15 keep their exact values.
-_STIRLERR = _stirlerr(4095)
+    return np.concatenate((_STIRLERR, _stirling_series(np.arange(float(len(_STIRLERR)), top + 1))))
 
 
 # Smallest normal double: a Bernoulli increment below it is a point mass.
