@@ -117,6 +117,11 @@ def propagate(stages, pmf):
         raise InfeasibleDesignError("plan leaves mass undecided after its last stage")
 
 
+def _label_mass(state: np.ndarray, labels: np.ndarray, m: int) -> list[float]:
+    """Mass of ``state`` on the cells labelled 0, ..., m - 1, in one pass."""
+    return np.bincount(labels + 1, weights=state, minlength=m + 1)[1:].tolist()
+
+
 def _one_sample(plan: MultiHypPlan, theta: float):
     model = plan.model
     return propagate([((rule.n,), rule.labels) for rule in plan.stages],
@@ -130,8 +135,7 @@ def oc_single(plan: MultiHypPlan, theta: float):
     stop = [0.0] * plan.s
     asn = 0.0
     for idx, state, labels, truncated in _one_sample(plan, theta):
-        for i in range(plan.m):
-            seg = float(np.add.reduce(state, where=labels == i))
+        for i, seg in enumerate(_label_mass(state, labels, plan.m)):
             accept[i] += seg
             stop[idx] += seg
         asn += plan.stages[idx].n * stop[idx]
@@ -165,9 +169,9 @@ def rejection_split(plan: MultiHypPlan, hyp: int, theta: float, bound: float, si
     for idx, state, labels, _ in _one_sample(plan, theta):
         zs = np.arange(len(state)) / plan.stages[idx].n
         near = zs <= bound + 1e-12 if side == "low" else zs >= bound - 1e-12
-        for i in range(plan.m):
+        for i, seg in enumerate(_label_mass(state * near, labels, plan.m)):
             if i != hyp:
-                total += float(np.add.reduce(state, where=(labels == i) & near))
+                total += seg
     return total
 
 
