@@ -391,16 +391,19 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     raise InfeasibleDesignError("closed plan reached its last stage undecided")
 
 
-def _binom_pmf_bound(n: int, p_lo: float, p_hi: float, upper: bool):
-    """Pointwise upper (or lower) bound of the binomial pmf over [p_lo, p_hi].
+def _pmf_max(n: int, p_lo: float, p_hi: float) -> np.ndarray:
+    """Pointwise maximum of the binomial pmf over [p_lo, p_hi].
 
     Each mass is unimodal in p with mode at count/n, so the maximum is at
-    the clipped mode and the minimum at one of the endpoints.
+    the clipped mode.
     """
     ks = np.arange(n + 1)
-    if upper:
-        return np.exp(_BERN.log_pmf_sum(n, ks, np.clip(ks / n, p_lo, p_hi)))
-    return np.minimum(_BERN.pmf_sum(n, ks, p_lo), _BERN.pmf_sum(n, ks, p_hi))
+    return np.exp(_BERN.log_pmf_sum(n, ks, np.clip(ks / n, p_lo, p_hi)))
+
+
+def _pmf_min(n: int, p_lo: float, p_hi: float) -> np.ndarray:
+    """Pointwise minimum of the binomial pmf over [p_lo, p_hi], at an endpoint."""
+    return np.minimum(_BERN.increment_pmf(n, p_lo)[0], _BERN.increment_pmf(n, p_hi)[0])
 
 
 def _propagate(plan: TwoPropPlan, pmf):
@@ -414,20 +417,20 @@ def _window_counts(theta_lo: float, theta_hi: float, n: int, eta: float):
     return int(round(a * n)), int(round(b * n))
 
 
-def _windowed_rejection(plan: TwoPropPlan, hyp: int, rect: Rectangle, eta: float,
-                        outer: bool) -> float:
+def _windowed_rejection(plan: TwoPropPlan, hyp: int, ranges, windows, pmf_bound,
+                        eta: float) -> float:
     """Interval-DP mass of the windowed paths that reject ``hyp``.
 
-    ``outer``: pmf upper bounds and windows from the rectangle's own
-    endpoints; otherwise pmf lower bounds and the swapped (inner) windows.
+    Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
+    parameter range in ``ranges``, and its counts are cut to the window
+    ``_window_counts(lo, hi, n, eta)`` of its pair in ``windows``.
     """
-    ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
     total = 0.0
     for idx, state, labels, _ in _propagate(
-            plan, lambda axis, m: (_binom_pmf_bound(m, *ranges[axis], outer), 0.0)):
+            plan, lambda axis, m: (pmf_bound(m, *ranges[axis]), 0.0)):
         stage = plan.stages[idx]
-        for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), ranges)):
-            a, b = _window_counts(lo, hi, n, eta) if outer else _window_counts(hi, lo, n, eta)
+        for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), windows)):
+            a, b = _window_counts(lo, hi, n, eta)
             cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
             cells[:a] = 0.0
             cells[b + 1:] = 0.0
@@ -447,8 +450,10 @@ def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
     """
     if not (0 <= hyp < plan.m):
         raise DomainError(f"hypothesis index out of range: {hyp}")
-    upper = _windowed_rejection(plan, hyp, rect, eta, True) + 2.0 * plan.s * eta
-    lower = _windowed_rejection(plan, hyp, rect, eta, False)
+    ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
+    inner = tuple((hi, lo) for lo, hi in ranges)
+    upper = _windowed_rejection(plan, hyp, ranges, ranges, _pmf_max, eta) + 2.0 * plan.s * eta
+    lower = _windowed_rejection(plan, hyp, ranges, inner, _pmf_min, eta)
     return min(1.0, max(0.0, lower)), min(1.0, upper)
 
 
