@@ -66,7 +66,6 @@ __all__ = [
     "TestOutcome",
     "sample_bound",
     "build_stage_rule",
-    "build_thresholds",
     "build_multihyp_plan",
     "build_one_sided_plan",
     "stage_schedule",
@@ -521,26 +520,6 @@ def _check_risks(base_alphas, base_betas, zeta, nb) -> None:
         raise DomainError(f"zeta must lie in (0, {1.0 / top:.6g}), got {zeta}")
 
 
-def build_thresholds(
-    model,
-    family,
-    zone_lo: Sequence[float],
-    zone_hi: Sequence[float],
-    base_alphas: Sequence[float],
-    base_betas: Sequence[float],
-    zeta: float,
-    stage_ns: Sequence[int],
-    c_policy: str = C_POLICY_SUPPORT_MIDPOINT,
-    lr_cut: tuple[float, float, float] | None = None,
-) -> tuple[StageRule, ...]:
-    alphas = [zeta * a for a in base_alphas]
-    betas = [zeta * b for b in base_betas]
-    return tuple(
-        build_stage_rule(model, family, n, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut)
-        for n in stage_ns
-    )
-
-
 def _size_blocks(horizon: int):
     """Stage sizes 1..horizon in blocks 1-16, 17-32, 33-64, ..."""
     lo = 1
@@ -552,7 +531,7 @@ def _size_blocks(horizon: int):
 
 def _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                 horizon, candidates, accept):
-    """Smallest n <= horizon whose stage rule satisfies ``accept``, or None.
+    """Stage rule of the smallest n <= horizon that satisfies ``accept``, or None.
 
     ``candidates(ns, min_a, max_b)`` is a test on the crossing counts that
     every accepted size passes; only sizes passing it are built, in order,
@@ -564,12 +543,12 @@ def _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut
             rule = build_stage_rule(model, family, int(n), zone_lo, zone_hi, alphas, betas,
                                     c_policy, lr_cut)
             if accept(rule):
-                return int(n)
+                return rule
     return None
 
 
 def _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
-                        lr_cut, require_ties: bool, max_stage_size: int) -> int:
+                        lr_cut, require_ties: bool, max_stage_size: int) -> StageRule:
     def candidates(ns, min_a, max_b):
         # With ties required (the multi-hypothesis builder) the accept and
         # reject-low sets of every boundary must overlap.  Otherwise there is
@@ -583,27 +562,58 @@ def _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy
             return False
         return stage_is_closed(rule, model, rule.n)
 
-    n = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
-                    max_stage_size, candidates, accept)
-    if n is None:
+    rule = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                       max_stage_size, candidates, accept)
+    if rule is None:
         raise InfeasibleDesignError(
             f"no closed final stage within {max_stage_size} samples; "
             "widen the zones or increase the risk budget"
         )
-    return n
+    return rule
 
 
 def _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
-                         lr_cut, ns: int) -> int:
+                         lr_cut, last: StageRule) -> StageRule:
     def candidates(sizes, min_a, max_b):
         # A reachable decision needs some crossing count on the support.
         top = model.sum_upper(sizes)
         has_a = min_a <= top if top is not None else np.ones_like(min_a, dtype=bool)
         return (has_a | (max_b >= 0)).any(axis=0)
 
-    n = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
-                    ns, candidates, lambda rule: any(w is not None for w in rule.windows))
-    return ns if n is None else n
+    rule = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                       last.n, candidates, lambda rule: any(w is not None for w in rule.windows))
+    return last if rule is None else rule
+
+
+def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
+                 stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
+    """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
+    the searches pick; the rules the searches confirmed are kept, not built again."""
+    built = {}
+    if stage_ns is None:
+        last = _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
+                                   lr_cut, require_ties, horizon)
+        built[last.n] = last
+        if fully_sequential:
+            stage_ns = range(1, last.n + 1)
+        else:
+            first = _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas,
+                                         c_policy, lr_cut, last)
+            built[first.n] = first
+            stage_ns = stage_schedule(first.n, last.n, stages, schedule)
+    else:
+        stage_ns = tuple(int(n) for n in stage_ns)
+        if any(b <= a for a, b in zip(stage_ns, stage_ns[1:])) or stage_ns[0] < 1:
+            raise DomainError("stage sizes must be strictly increasing positive integers")
+    rules = tuple(built.get(n) or build_stage_rule(model, family, n, zone_lo, zone_hi, alphas,
+                                                   betas, c_policy, lr_cut)
+                  for n in stage_ns)
+    if not stage_is_closed(rules[-1], model, rules[-1].n):
+        raise InfeasibleDesignError(
+            f"final stage of size {rules[-1].n} leaves continuation points; "
+            "increase the last stage size"
+        )
+    return rules
 
 
 def build_multihyp_plan(
@@ -639,25 +649,8 @@ def build_multihyp_plan(
     alphas = [zeta * a for a in base_alphas]
     betas = [zeta * b for b in base_betas]
 
-    if stage_ns is None:
-        ns = _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas,
-                                 c_policy, None, require_ties=True,
-                                 max_stage_size=max_stage_size)
-        n1 = _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas,
-                                  c_policy, None, ns)
-        stage_ns = stage_schedule(n1, ns, stages, schedule)
-    else:
-        stage_ns = tuple(int(n) for n in stage_ns)
-        if any(b <= a for a, b in zip(stage_ns, stage_ns[1:])) or stage_ns[0] < 1:
-            raise DomainError("stage sizes must be strictly increasing positive integers")
-
-    rules = build_thresholds(model, family, zone_lo, zone_hi, base_alphas, base_betas,
-                             zeta, stage_ns, c_policy)
-    if not stage_is_closed(rules[-1], model, stage_ns[-1]):
-        raise InfeasibleDesignError(
-            f"final stage of size {stage_ns[-1]} leaves continuation points; "
-            "increase the last stage size"
-        )
+    rules = _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, None,
+                         stage_ns, stages, schedule, True, max_stage_size)
     return MultiHypPlan(
         model=model, family=family,
         zone_lo=tuple(zone_lo), zone_hi=tuple(zone_hi),
@@ -706,27 +699,9 @@ def build_one_sided_plan(
     if isinstance(family, (ExactLimits, ChernoffLimits)):
         cap = sample_bound(model, theta0, theta1, alphas[0], betas[0])
 
-    if stage_ns is None:
-        ns = _minimal_last_stage(model, family, (theta0,), (theta1,), alphas, betas,
-                                 c_policy, lr_cut, require_ties=False,
-                                 max_stage_size=(cap + 1 if cap else max_stage_size))
-        if fully_sequential:
-            stage_ns = tuple(range(1, ns + 1))
-        else:
-            n1 = _minimal_first_stage(model, family, (theta0,), (theta1,), alphas,
-                                      betas, c_policy, lr_cut, ns)
-            stage_ns = stage_schedule(n1, ns, stages, schedule)
-    else:
-        stage_ns = tuple(int(n) for n in stage_ns)
-        if any(b <= a for a, b in zip(stage_ns, stage_ns[1:])) or stage_ns[0] < 1:
-            raise DomainError("stage sizes must be strictly increasing positive integers")
-
-    rules = build_thresholds(model, family, (theta0,), (theta1,), (alpha,), (beta,),
-                             zeta, stage_ns, c_policy, lr_cut)
-    if not stage_is_closed(rules[-1], model, stage_ns[-1]):
-        raise InfeasibleDesignError(
-            f"final stage of size {stage_ns[-1]} leaves continuation points"
-        )
+    rules = _stage_rules(model, family, (theta0,), (theta1,), alphas, betas, c_policy, lr_cut,
+                         stage_ns, stages, schedule, False,
+                         cap + 1 if cap else max_stage_size, fully_sequential)
     return OneSidedPlan(
         model=model, family=family,
         zone_lo=(theta0,), zone_hi=(theta1,),
@@ -745,17 +720,20 @@ def decision_variable(plan: MultiHypPlan, stage_index: int, theta_hat: float) ->
     return rule.decision_for_sum(k)
 
 
-def _take(it: Iterator, count: int, model) -> int:
+def _take(it: Iterator, count: int, model, label: str = "observation") -> int:
+    """Sum of the next ``count`` values of the stream ``label``, checked against the model."""
     total = 0
-    for _ in range(count):
+    for i in range(count):
         try:
             x = next(it)
         except StopIteration:
-            raise StreamExhaustedError(f"stream ended; {count} more values were needed")
+            raise StreamExhaustedError(
+                f"{label} stream ended after {i} of {count} needed samples") from None
         if isinstance(model, Bernoulli) and x not in (0, 1):
-            raise DomainError(f"Bernoulli stream must yield 0/1 values, got {x!r}")
+            raise DomainError(f"{label} values of a Bernoulli stream must be 0 or 1, got {x!r}")
         if isinstance(model, Poisson) and (x < 0 or x != int(x)):
-            raise DomainError(f"Poisson stream must yield nonnegative integers, got {x!r}")
+            raise DomainError(
+                f"{label} values of a Poisson stream must be nonnegative integers, got {x!r}")
         total += int(x)
     return total
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
 from .plans import MultiHypPlan
-from .sprt import SprtSpec
-from .twoprop import TwoPropPlan, run_two_prop
+from .sprt import SprtSpec, _forced, _grow_bounds
+from .twoprop import TwoPropPlan, _check_point, run_two_prop
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
@@ -84,33 +84,29 @@ def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
 
 def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
     spec.model.validate_theta(theta)
-    log_a, log_b = spec.log_a, spec.log_b
     accepted = np.empty(trials, dtype=np.int64)
     nstop = np.empty(trials, dtype=np.int64)
     forced = np.zeros(trials, dtype=bool)
+    bounds = None
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        llr = 0.0
-        consumed = 0
+        total = consumed = 0
         while True:
             chunk = _SPRT_CHUNK
             if spec.cap is not None:
                 chunk = min(chunk, spec.cap - consumed)
-            xs = spec.model.draw(rng, chunk, theta)
-            cs = llr + np.cumsum(spec.increments(xs))
-            hit = (cs >= log_a) | (cs <= log_b)
+            bounds = _grow_bounds(spec, bounds, consumed + chunk)
+            acc, rej = (side[consumed:consumed + chunk] for side in bounds)
+            cs = total + np.cumsum(spec.model.draw(rng, chunk, theta))
+            hit = (cs >= rej) | (cs <= acc)
             if hit.any():
                 j = int(np.argmax(hit))
-                accepted[t] = 1 if cs[j] >= log_a else 0
+                accepted[t] = 1 if cs[j] >= rej[j] else 0
                 nstop[t] = consumed + j + 1
+                forced[t] = _forced(spec, int(nstop[t]), int(cs[j]))
                 break
-            llr = float(cs[-1])
+            total = int(cs[-1])
             consumed += chunk
-            if spec.cap is not None and consumed >= spec.cap:
-                accepted[t] = 0 if llr <= 0.0 else 1
-                nstop[t] = spec.cap
-                forced[t] = True
-                break
             if consumed >= _SPRT_MAX_DRAWS:
                 raise DomainError(
                     f"sequential walk still undecided after {consumed} draws"
@@ -123,6 +119,7 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
     """Empirical summary for a two-sample plan; ``theta`` is p_x - p_y."""
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    _check_point(p_x, p_y)
     last = plan.stages[-1]
     accepted = np.empty(trials, dtype=np.int64)
     nstop = np.empty(trials, dtype=np.int64)

@@ -1,23 +1,29 @@
 """Wald's sequential probability ratio test, used as the efficiency baseline.
 
-The statistic is the running log likelihood ratio of the upper hypothesis
-mean against the lower one.  Crossing the upper boundary rejects the null,
-crossing the lower one accepts it.  The classical closed-form operating
-characteristic and expected-sample-number formulas are provided for
-reporting; they ignore boundary overshoot and are labeled approximate
-wherever they surface.
+The statistic is the log likelihood ratio of the upper hypothesis mean
+against the lower one.  After n observations summing to k it is the line
+``k * slope + n * offset``, slope > 0, so at every n its boundaries are
+integer count windows, as in a plan stage: the sum k accepts the null at
+k <= b_n (ratio <= log B) and rejects it at k >= a_n (ratio >= log A).  A
+sample cap closes its stage by the sign of the ratio.  The runners compare
+integer running sums with these windows, so a path that reaches a boundary
+exactly stops there whatever the order of its samples.  The closed-form
+OC and ASN are Wald's approximations: they ignore overshoot and any cap
+and are labeled approximate wherever they surface.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StreamExhaustedError
-from .models import Bernoulli, Poisson
-from .plans import TestOutcome
+from .models import Bernoulli, Poisson, _COUNT_EPS
+from .plans import TestOutcome, _take
 
 __all__ = ["SprtSpec", "run_sprt", "sprt_oc_asn"]
 
@@ -52,11 +58,64 @@ class SprtSpec:
         """Lower (acceptance) boundary."""
         return math.log(self.beta / (1.0 - self.alpha))
 
+    @cached_property
+    def line(self) -> tuple[float, float]:
+        """(slope, offset): n observations summing to k have ratio k * slope + n * offset.
+
+        One observation's ratio is linear in it for both models: the offset
+        is its value at 0 and the slope its step from 0 to 1.
+        """
+        xs = np.array([0, 1])
+        lr = (self.model.log_pmf_sum(1, xs, self.theta1)
+              - self.model.log_pmf_sum(1, xs, self.theta0))
+        return float(lr[1] - lr[0]), float(lr[0])
+
+    def _crossings(self, ns) -> tuple[np.ndarray, np.ndarray]:
+        """Uncapped count windows: (largest k <= log B, smallest k >= log A) per n."""
+        slope, offset = self.line
+        ns = np.asarray(ns, dtype=float)
+        accept = np.floor((self.log_b - ns * offset) / slope + _COUNT_EPS)
+        reject = np.ceil((self.log_a - ns * offset) / slope - _COUNT_EPS)
+        return accept.astype(np.int64), reject.astype(np.int64)
+
+    def count_bounds(self, ns) -> tuple[np.ndarray, np.ndarray]:
+        """Per sample size in the 1-D array ``ns``: (b_n, a_n).
+
+        A running sum k <= b_n accepts the null, k >= a_n rejects it, and
+        both are inclusive up to the ``_COUNT_EPS`` count slack.  At the cap
+        a ratio at most 0 accepts and a_n = b_n + 1.
+        """
+        accept, reject = self._crossings(ns)
+        if self.cap is not None:
+            slope, offset = self.line
+            at_cap = np.asarray(ns) == self.cap
+            accept[at_cap] = math.floor(-self.cap * offset / slope + _COUNT_EPS)
+            reject[at_cap] = accept[at_cap] + 1
+        return accept, reject
+
     def increments(self, xs) -> np.ndarray:
         """Per-observation log likelihood ratio contributions."""
-        xs = np.asarray(xs)
-        return (self.model.log_pmf_sum(1, xs, self.theta1)
-                - self.model.log_pmf_sum(1, xs, self.theta0))
+        slope, offset = self.line
+        return np.asarray(xs) * slope + offset
+
+
+def _grow_bounds(spec: SprtSpec, bounds, n: int):
+    """``bounds`` (``count_bounds`` of sizes 1..N, or None), N doubled up to the cap to n."""
+    size = 0 if bounds is None else len(bounds[0])
+    if n <= size:
+        return bounds
+    size = max(n, 2 * size, 64)
+    if spec.cap is not None:
+        size = min(size, spec.cap)
+    return spec.count_bounds(np.arange(1, size + 1))
+
+
+def _forced(spec: SprtSpec, n: int, k: int) -> bool:
+    """True when the cap's sign rule, not a crossing, decided sum k at size n."""
+    if n != spec.cap:
+        return False
+    accept, reject = spec._crossings([n])
+    return bool(accept[0] < k < reject[0])
 
 
 def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
@@ -65,70 +124,41 @@ def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
     With a cap, hitting it forces a decision by the sign of the statistic
     (nonpositive accepts the null); the outcome is flagged as forced.
     """
-    log_a, log_b = spec.log_a, spec.log_b
-    llr = 0.0
-    count = 0
-    total = 0
     it = iter(stream)
-    while True:
+    bounds = None
+    total = 0
+    for count in itertools.count(1):
         try:
-            x = next(it)
-        except StopIteration:
+            total += _take(it, 1, spec.model)
+        except StreamExhaustedError:
             raise StreamExhaustedError(
-                f"observation stream ended after {count} samples with no decision"
+                f"observation stream ended after {count - 1} samples with no decision"
             ) from None
-        count += 1
-        total += x
-        llr += float(spec.increments(x))
-        if llr >= log_a:
+        bounds = _grow_bounds(spec, bounds, count)
+        accept, reject = bounds[0][count - 1], bounds[1][count - 1]
+        if total <= accept or total >= reject:
             return TestOutcome(stage_index=count, sample_count=count,
-                               accepted_index=1, terminal_estimate=total / count,
-                               tie_occurred=False)
-        if llr <= log_b:
-            return TestOutcome(stage_index=count, sample_count=count,
-                               accepted_index=0, terminal_estimate=total / count,
-                               tie_occurred=False)
-        if spec.cap is not None and count >= spec.cap:
-            return TestOutcome(stage_index=count, sample_count=count,
-                               accepted_index=0 if llr <= 0.0 else 1,
-                               terminal_estimate=total / count,
-                               tie_occurred=False, forced=True)
+                               accepted_index=int(total >= reject),
+                               terminal_estimate=total / count, tie_occurred=False,
+                               forced=_forced(spec, count, total))
 
 
 def _log_mgf(spec: SprtSpec, theta: float, h: float) -> float:
     """log E[exp(h * increment)] at the true mean ``theta``.
 
-    Written with expm1/log1p near h = 0 and logaddexp elsewhere so the
-    root search keeps precision on both ends.
+    That is h * offset plus the cumulant generating function of X at
+    t = h * slope, written with expm1/log1p near t = 0 and logaddexp
+    elsewhere so the root search keeps precision on both ends.
     """
-    if isinstance(spec.model, Bernoulli):
-        up = math.log(spec.theta1 / spec.theta0)
-        dn = math.log((1.0 - spec.theta1) / (1.0 - spec.theta0))
-        if abs(h) < 1e-3:
-            return math.log1p(theta * math.expm1(h * up)
-                              + (1.0 - theta) * math.expm1(h * dn))
-        return float(np.logaddexp(math.log(theta) + h * up,
-                                  math.log1p(-theta) + h * dn))
+    slope, offset = spec.line
+    t = h * slope
     if isinstance(spec.model, Poisson):
-        log_r = math.log(spec.theta1 / spec.theta0)
-        return theta * math.expm1(h * log_r) - h * (spec.theta1 - spec.theta0)
-    raise DomainError(f"no moment generating function for model {spec.model!r}")
-
-
-def _increment_moments(spec: SprtSpec, theta: float) -> tuple[float, float]:
-    """(mean, second moment) of the per-observation statistic increment."""
-    if isinstance(spec.model, Bernoulli):
-        up = math.log(spec.theta1 / spec.theta0)
-        dn = math.log((1.0 - spec.theta1) / (1.0 - spec.theta0))
-        mean = theta * up + (1.0 - theta) * dn
-        second = theta * up * up + (1.0 - theta) * dn * dn
-        return mean, second
-    r = math.log(spec.theta1 / spec.theta0)
-    shift = spec.theta1 - spec.theta0
-    # increment = X log r - shift with X Poisson(theta)
-    mean = theta * r - shift
-    second = (theta + theta * theta) * r * r - 2.0 * shift * theta * r + shift * shift
-    return mean, second
+        return h * offset + theta * math.expm1(t)
+    if not isinstance(spec.model, Bernoulli):
+        raise DomainError(f"no moment generating function for model {spec.model!r}")
+    if abs(t) < 1e-3:
+        return h * offset + math.log1p(theta * math.expm1(t))
+    return h * offset + float(np.logaddexp(math.log(theta) + t, math.log1p(-theta)))
 
 
 def sprt_oc_asn(spec: SprtSpec, theta: float) -> tuple[float, float]:
@@ -141,11 +171,13 @@ def sprt_oc_asn(spec: SprtSpec, theta: float) -> tuple[float, float]:
 
     spec.model.validate_theta(theta)
     log_a, log_b = spec.log_a, spec.log_b
-    mean, second = _increment_moments(spec, theta)
+    slope, offset = spec.line
+    mean = theta * slope + offset  # of the increment X * slope + offset
 
     if abs(mean) < 1e-10:
+        var_x = theta * (1.0 - theta) if isinstance(spec.model, Bernoulli) else theta
         oc = log_a / (log_a - log_b)
-        asn = -(log_a * log_b) / second
+        asn = -(log_a * log_b) / (var_x * slope * slope + mean * mean)
         return oc, asn
 
     # Nonzero root of the log moment generating function: convex, zero at

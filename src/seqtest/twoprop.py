@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
+from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
 from .ocexact import propagate
-from .plans import CONTINUE, TestOutcome, stage_schedule
+from .plans import CONTINUE, TestOutcome, _take, stage_schedule
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
@@ -354,30 +354,14 @@ def build_two_prop_plan(
     )
 
 
-def _take(stream_iter, count, label):
-    out = []
-    for _ in range(count):
-        try:
-            x = next(stream_iter)
-        except StopIteration:
-            raise StreamExhaustedError(
-                f"{label} stream ended after {len(out)} of {count} needed samples"
-            ) from None
-        xi = int(x)
-        if xi not in (0, 1) or xi != x:
-            raise DomainError(f"{label} observations must be 0 or 1, got {x!r}")
-        out.append(xi)
-    return out
-
-
 def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     """Run the plan on two observation streams."""
     it_x, it_y = iter(stream_x), iter(stream_y)
     kx = ky = 0
     used_x = used_y = 0
     for idx, stage in enumerate(plan.stages):
-        kx += sum(_take(it_x, stage.n_x - used_x, "first-arm"))
-        ky += sum(_take(it_y, stage.n_y - used_y, "second-arm"))
+        kx += _take(it_x, stage.n_x - used_x, _BERN, "first-arm")
+        ky += _take(it_y, stage.n_y - used_y, _BERN, "second-arm")
         used_x, used_y = stage.n_x, stage.n_y
         d = int(stage.decision[kx, ky])
         if d != CONTINUE:
@@ -457,11 +441,15 @@ def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
     return min(1.0, max(0.0, lower)), min(1.0, upper)
 
 
-def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
-    """Exact (acceptance vector, expected samples per arm) at one point."""
+def _check_point(p_x: float, p_y: float) -> None:
     for v, name in ((p_x, "p_x"), (p_y, "p_y")):
         if not (0.0 <= v <= 1.0):
             raise DomainError(f"{name} must lie in [0, 1], got {v}")
+
+
+def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
+    """Exact (acceptance vector, expected samples per arm) at one point."""
+    _check_point(p_x, p_y)
     accept = np.zeros(plan.m)
     asn_x = asn_y = 0.0
     ps = (p_x, p_y)

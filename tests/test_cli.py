@@ -221,6 +221,11 @@ class TestSimulate:
         assert run(["simulate", "--plan", str(workdir / "twoprop.json"),
                     "--theta", "0.5", "--trials", "10", "--seed", "1"]) == 2
         capsys.readouterr()
+        # an arm parameter outside [0, 1] is a clean failure
+        assert run(["simulate", "--plan", str(workdir / "twoprop.json"),
+                    "--theta-x", "1.5", "--theta-y", "0.4",
+                    "--trials", "10", "--seed", "1"]) == 1
+        assert "p_x must lie in [0, 1]" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -11,8 +11,9 @@ from seqtest.errors import DomainError, UnsupportedModelError
 from seqtest.models import Bernoulli
 from seqtest.ocexact import oc_single
 from seqtest.plans import build_multihyp_plan, build_one_sided_plan, run_plan
-from seqtest.sim import compare, simulate
+from seqtest.sim import compare, simulate, simulate_two_prop
 from seqtest.sprt import SprtSpec
+from seqtest.twoprop import build_two_prop_plan
 
 
 def classic_plan():
@@ -201,3 +202,9 @@ class TestCompare:
             simulate(42, 0.5, 10, 1)
         with pytest.raises(DomainError):
             compare([plan], [0.5], 10, 1, names=["a", "b"])
+
+    @pytest.mark.parametrize("p_x, p_y", [(1.5, -0.2), (0.5, 1.01), (-0.1, 0.5)])
+    def test_two_prop_points_outside_the_unit_square(self, p_x, p_y):
+        plan = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
+        with pytest.raises(DomainError):
+            simulate_two_prop(plan, p_x, p_y, 10, 1)

@@ -1,13 +1,20 @@
 """Wald ratio-test baseline: boundaries, execution, approximations."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import seqtest.sim as sim
+from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, StreamExhaustedError
 from seqtest.models import Bernoulli, Poisson
+from seqtest.ocexact import propagate
+from seqtest.plans import CONTINUE, build_one_sided_plan, run_plan
+from seqtest.sim import simulate
 from seqtest.sprt import SprtSpec, run_sprt, sprt_oc_asn
+from seqtest.twoprop import build_two_prop_plan, run_two_prop
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -210,3 +217,145 @@ class TestApproximations:
             oc_w, _ = sprt_oc_asn(spec, theta)
             se = math.sqrt(max(mc * (1 - mc), 1e-9) / trials)
             assert abs(mc - oc_w) <= 3 * se
+
+
+# log(2/3) - log(1/3) = log 2, so the exact ratio after n samples summing to
+# k is (2k - n) log 2, and the boundaries are +-log 4: every path reaches a
+# boundary exactly, at the first n where |2k - n| = 2.
+TIE = SprtSpec(BERN, 1 / 3, 2 / 3, 0.2, 0.2)
+
+
+def tie_paths():
+    """Every 0/1 path of length 2..12, padded so that each one crosses."""
+    for length in range(2, 13):
+        for bits in itertools.product((0, 1), repeat=length):
+            yield list(bits) + [1, 1, 1]
+
+
+def first_tie_crossing(path):
+    k = 0
+    for n, x in enumerate(path, start=1):
+        k += x
+        if abs(2 * k - n) == 2:
+            return n, int(2 * k > n)
+
+
+def line_ratio(spec, n, k):
+    """The log likelihood ratio from the closed-form coefficients of each model."""
+    t0, t1 = spec.theta0, spec.theta1
+    if isinstance(spec.model, Bernoulli):
+        return (k * math.log(t1 * (1 - t0) / (t0 * (1 - t1)))
+                + n * math.log((1 - t1) / (1 - t0)))
+    return k * math.log(t1 / t0) - n * (t1 - t0)
+
+
+def window_labels(spec, n):
+    """Decision label per sum count 0..n of a Bernoulli stage from count_bounds."""
+    b, a = (int(v[0]) for v in spec.count_bounds(np.array([n])))
+    labels = np.full(n + 1, CONTINUE, dtype=np.int8)
+    labels[:max(b + 1, 0)] = 0
+    labels[min(a, n + 1):] = 1
+    return labels
+
+
+def exact_capped(spec, theta):
+    """Acceptance and ASN of a capped Bernoulli SPRT through the plan kernel."""
+    stages = [((n,), window_labels(spec, n)) for n in range(1, spec.cap + 1)]
+    accept = asn = 0.0
+    for idx, state, labels, _ in propagate(stages, lambda _, m: BERN.increment_pmf(m, theta)):
+        accept += float(state[labels == 0].sum())
+        asn += (idx + 1) * float(state[labels != CONTINUE].sum())
+    return accept, asn
+
+
+class TestCountWindows:
+    def test_line_coefficients(self):
+        for spec in (classic_spec(), SprtSpec(POIS, 1.0, 2.0, 0.05, 0.05)):
+            slope, offset = spec.line
+            assert slope == pytest.approx(line_ratio(spec, 1, 1) - line_ratio(spec, 1, 0),
+                                          rel=1e-14)
+            assert offset == pytest.approx(line_ratio(spec, 1, 0), rel=1e-14)
+
+    def test_run_sprt_stops_at_the_first_exact_tie(self):
+        for path in tie_paths():
+            n, decision = first_tie_crossing(path)
+            out = run_sprt(TIE, iter(path))
+            assert (out.sample_count, out.accepted_index) == (n, decision), path
+
+    def test_simulate_stops_at_the_first_exact_tie(self, monkeypatch):
+        class PathRng:
+            """Uniforms that make Bernoulli.draw at theta 0.5 yield ``path``."""
+
+            def __init__(self, path):
+                self.left = [0.0 if x else 0.75 for x in path]
+
+            def random(self, size):
+                out, self.left = self.left[:size], self.left[size:]
+                return np.array(out + [0.0] * (size - len(out)))
+
+        for path in tie_paths():
+            monkeypatch.setattr(sim, "_trial_rng", lambda seed, t, path=path: PathRng(path))
+            n, decision = first_tie_crossing(path)
+            rep = simulate(TIE, 0.5, 1, 0)
+            assert (rep.max_samples, rep.accept_freq[1]) == (n, decision), path
+
+    @pytest.mark.parametrize("spec", [
+        SprtSpec(BERN, 0.4, 0.6, 0.05, 0.05),
+        SprtSpec(BERN, 0.3, 0.5, 0.01, 0.2),
+        SprtSpec(BERN, 0.3, 0.5, 0.01, 0.2, cap=700),
+        SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05),
+        SprtSpec(POIS, 1.0, 1.5, 0.01, 0.2, cap=1500),
+    ], ids=lambda s: f"{s.model.name}-{s.theta0}-{s.alpha}-cap{s.cap}")
+    def test_bounds_classify_like_the_ratio(self, spec):
+        ns = np.arange(1, 2001)
+        if spec.cap is not None:
+            ns = ns[ns <= spec.cap]
+        b, a = spec.count_bounds(ns)
+        for n, b_n, a_n in zip(ns.tolist(), b.tolist(), a.tolist()):
+            top = n if isinstance(spec.model, Bernoulli) else a_n + 5
+            ks = np.arange(top + 1)
+            r = line_ratio(spec, n, ks)
+            if n == spec.cap:
+                levels, accept, reject = [0.0], r <= 0.0, r > 0.0
+            else:
+                levels = [spec.log_a, spec.log_b]
+                accept, reject = r <= spec.log_b, r >= spec.log_a
+            clear = np.all([np.abs(r - v) > 1e-7 for v in levels], axis=0)
+            np.testing.assert_array_equal((ks <= b_n)[clear], accept[clear], err_msg=str(n))
+            np.testing.assert_array_equal((ks >= a_n)[clear], reject[clear], err_msg=str(n))
+
+    @pytest.mark.parametrize("t0, t1, alpha, beta", [
+        (0.4, 0.6, 0.05, 0.05), (0.3, 0.5, 0.01, 0.2), (1 / 3, 2 / 3, 0.2, 0.2)])
+    def test_capped_windows_match_the_exact_walk(self, t0, t1, alpha, beta):
+        spec = SprtSpec(BERN, t0, t1, alpha, beta, cap=3000)
+        for theta in (t0, 0.5 * (t0 + t1), t1):
+            accept, asn = exact_capped(spec, theta)
+            want_accept, want_asn = exact_walk(spec, theta)
+            assert accept == pytest.approx(want_accept, abs=1e-12)
+            assert asn == pytest.approx(want_asn, abs=1e-9)
+
+
+class TestStreamValidation:
+    """Every runner reads through the same validated reader."""
+
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_off_support_values_raise(self, bad):
+        plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    stages=5)
+        two = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
+        stream = [bad] * 200
+        with pytest.raises(DomainError):
+            run_plan(plan, iter(stream))
+        with pytest.raises(DomainError):
+            run_sprt(classic_spec(), iter(stream))
+        with pytest.raises(DomainError):
+            run_sprt(classic_spec(cap=10), iter(stream))
+        with pytest.raises(DomainError, match="first-arm"):
+            run_two_prop(two, iter(stream), iter([0] * 8))
+        with pytest.raises(DomainError, match="second-arm"):
+            run_two_prop(two, iter([0] * 8), iter(stream))
+
+    @pytest.mark.parametrize("bad", [-1, 0.5])
+    def test_poisson_off_support_values_raise(self, bad):
+        with pytest.raises(DomainError):
+            run_sprt(SprtSpec(POIS, 1.0, 2.0, 0.05, 0.05), iter([bad] * 50))

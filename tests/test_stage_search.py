@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import seqtest.plans as plans
 from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
 from seqtest.models import Bernoulli, Poisson
 from seqtest.plans import (
@@ -181,3 +182,40 @@ def test_ladder_final_sizes():
         finals.append(plan.stage_ns[-1])
     assert finals == [95, 383, 2399, 9603]
     assert plan.stage_ns == (6, 38, 240, 1518, 9603)
+
+
+class TestSearchedRulesAreKept:
+    """A plan keeps the stage rules its size searches confirmed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []
+
+        def counting(*args, **kwargs):
+            rule = build_stage_rule(*args, **kwargs)
+            sizes.append(rule.n)
+            return rule
+
+        monkeypatch.setattr(plans, "build_stage_rule", counting)
+        return sizes
+
+    def test_one_sided(self, built):
+        plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    stages=5)
+        assert plan.stage_ns == (5, 10, 22, 46, 95)
+        assert sorted(built) == [5, 10, 22, 46, 95]
+        lr_cut = (0.4, 0.6, 0.0)
+        assert plan.stages == tuple(
+            build_stage_rule(BERN, ExactLimits(), n, [0.4], [0.6], [0.025], [0.025],
+                             lr_cut=lr_cut) for n in plan.stage_ns)
+
+    def test_three_hypotheses(self, built):
+        plan = build_multihyp_plan(BERN, ExactLimits(), [0.1, 0.55], [0.45, 0.9], 0.2755,
+                                   [0.1, 0.1], [0.1, 0.1], stages=3)
+        assert plan.stage_ns == (6, 13, 28)
+        # the first-stage search still probes 2..5, which reach no decision
+        assert sorted(built) == [2, 3, 4, 5, 6, 13, 28]
+        levels = [0.2755 * 0.1] * 2
+        assert plan.stages == tuple(
+            build_stage_rule(BERN, ExactLimits(), n, [0.1, 0.55], [0.45, 0.9], levels,
+                             levels) for n in plan.stage_ns)
