@@ -4,7 +4,8 @@ Every exact evaluator runs one forward recursion, ``propagate`` (Jennison
 and Turnbull, *Group Sequential Methods*, 2000, ch. 19).  It carries the
 sub-probability array of the running sum over the undecided event: 1-D
 over the sum count for one sample, 2-D over the two arms' counts for two.
-At each stage it convolves in the pmf of each axis increment, hands the
+At each stage it convolves in the pmf of each axis increment (``np.convolve``
+in 1-D; in 2-D one banded matrix product per axis), hands the
 state and the stage's decision labels (one per sum cell, ``CONTINUE`` for
 undecided) to the caller's reduction, and then clears the decided cells.
 Mass still undecided after the last stage means the plan is not closed
@@ -67,17 +68,23 @@ class OCReport:
 
 
 def _convolve(state: np.ndarray, probs: np.ndarray, axis: int) -> np.ndarray:
-    """Full convolution of ``state`` with ``probs`` along one axis."""
+    """Full convolution of ``state`` with ``probs`` along one axis.
+
+    A 1-D state goes through ``np.convolve``.  A 2-D state is multiplied
+    by the banded (Toeplitz) matrix ``T[i, j] = probs[i - j]``: ``T @ state``
+    along axis 0 and ``state @ T.T`` along axis 1.
+    """
     if state.ndim == 1:
         return np.convolve(state, probs)
-    shape = list(state.shape)
-    shape[axis] += len(probs) - 1
-    out = np.zeros(shape)
-    dst, src = out.swapaxes(0, axis), state.swapaxes(0, axis)
-    for d, w in enumerate(probs):
-        if w != 0.0:
-            dst[d:d + len(src)] += w * src
-    return out
+    n_in = state.shape[axis]
+    n_out = n_in + len(probs) - 1
+    # Row j of ``band`` starts ``probs`` at column j: each row of the
+    # buffer is one entry longer than a row of the view, so the view's
+    # rows shift right by one while the buffer's zeros fill the rest.
+    buf = np.zeros((n_in, n_out + 1))
+    buf[:, :len(probs)] = probs
+    band = buf.reshape(-1)[:n_in * n_out].reshape(n_in, n_out)   # T.T
+    return band.T @ state if axis == 0 else state @ band
 
 
 def propagate(stages, pmf):
@@ -88,6 +95,7 @@ def propagate(stages, pmf):
     array may be shorter than the state; its last entry then covers every
     count above it.  ``pmf(axis, m)`` gives (pmf, truncated mass) of an
     m-sample increment on one axis, asked once per distinct (axis, m).
+    A 2-D state takes each axis increment as one banded matrix product.
     Yields (stage index, state, labels, truncated mass so far); the caller
     may zero cells of ``state`` before the decided ones are cleared.  Mass
     left after the last stage raises ``InfeasibleDesignError``.

@@ -731,7 +731,8 @@ def _take(it: Iterator, count: int, model, label: str = "observation") -> int:
                 f"{label} stream ended after {i} of {count} needed samples") from None
         if isinstance(model, Bernoulli) and x not in (0, 1):
             raise DomainError(f"{label} values of a Bernoulli stream must be 0 or 1, got {x!r}")
-        if isinstance(model, Poisson) and (x < 0 or x != int(x)):
+        if isinstance(model, Poisson) and (
+                x < 0 or not (isinstance(x, int) or math.isfinite(x)) or x != int(x)):
             raise DomainError(
                 f"{label} values of a Poisson stream must be nonnegative integers, got {x!r}")
         total += int(x)

@@ -45,6 +45,10 @@ class SprtSpec:
         for v in (self.alpha, self.beta):
             if not (0.0 < v < 1.0):
                 raise DomainError(f"risk levels must lie in (0, 1), got {v}")
+        if not (self.alpha + self.beta < 1.0):
+            # Otherwise log A <= 0 <= log B and the count windows overlap.
+            raise DomainError(
+                f"risk levels must sum below 1, got {self.alpha} + {self.beta}")
         if self.cap is not None and self.cap < 1:
             raise DomainError("sample cap must be a positive integer")
 

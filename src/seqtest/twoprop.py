@@ -16,7 +16,8 @@ transition masses are bounded over the rectangle (binomial mass is
 unimodal in p), paths are clipped to mean-range windows that lose at most
 eta of probability per stage and side, and the resulting upper/lower
 rejection bounds drive a branch-and-bound certificate over the hypothesis
-zone.
+zone.  One certificate computes each pmf bound, count window and stage
+rejection mask once and reuses it across its rectangles.
 """
 
 from __future__ import annotations
@@ -394,32 +395,69 @@ def _propagate(plan: TwoPropPlan, pmf):
     return propagate([((st.n_x, st.n_y), st.decision) for st in plan.stages], pmf)
 
 
-def _window_counts(theta_lo: float, theta_hi: float, n: int, eta: float):
-    """Integer count window for a mean window from the truncation bounds."""
-    a, _ = truncation_bounds(theta_lo, n, eta)
-    _, b = truncation_bounds(theta_hi, n, eta)
-    return int(round(a * n)), int(round(b * n))
+class _IntervalDP:
+    """Sandwich bounds for one plan and hypothesis, inputs computed once.
 
-
-def _windowed_rejection(plan: TwoPropPlan, hyp: int, ranges, windows, pmf_bound,
-                        eta: float) -> float:
-    """Interval-DP mass of the windowed paths that reject ``hyp``.
-
-    Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
-    parameter range in ``ranges``, and its counts are cut to the window
-    ``_window_counts(lo, hi, n, eta)`` of its pair in ``windows``.
+    The pmf bounds per (bound, m, range) and the count-window ends per
+    (theta, n, eta) are kept for the life of the instance, and each
+    stage's "rejects ``hyp``" mask is built with it.  ``certify_risk``
+    keeps one for its whole search; ``rejection_prob_bounds`` makes a
+    fresh one per call.
     """
-    total = 0.0
-    for idx, state, labels, _ in _propagate(
-            plan, lambda axis, m: (pmf_bound(m, *ranges[axis]), 0.0)):
-        stage = plan.stages[idx]
-        for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), windows)):
-            a, b = _window_counts(lo, hi, n, eta)
-            cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
-            cells[:a] = 0.0
-            cells[b + 1:] = 0.0
-        total += float(state[(labels != CONTINUE) & (labels != hyp)].sum())
-    return total
+
+    def __init__(self, plan: TwoPropPlan, hyp: int):
+        if not (0 <= hyp < plan.m):
+            raise DomainError(f"hypothesis index out of range: {hyp}")
+        self.plan = plan
+        self._rejects = [(st.decision != CONTINUE) & (st.decision != hyp)
+                         for st in plan.stages]
+        self._pmfs: dict = {}
+        self._ends: dict = {}
+
+    def _pmf(self, bound, m: int, lo: float, hi: float) -> np.ndarray:
+        key = (bound, m, lo, hi)
+        if key not in self._pmfs:
+            self._pmfs[key] = bound(m, lo, hi)
+        return self._pmfs[key]
+
+    def _end_counts(self, theta: float, n: int, eta: float) -> tuple[int, int]:
+        """Count ends of ``truncation_bounds(theta, n, eta)``."""
+        key = (theta, n, eta)
+        if key not in self._ends:
+            lb, ub = truncation_bounds(theta, n, eta)
+            self._ends[key] = int(round(lb * n)), int(round(ub * n))
+        return self._ends[key]
+
+    def _windowed_rejection(self, ranges, windows, pmf_bound, eta: float) -> float:
+        """Interval-DP mass of the windowed paths that reject the hypothesis.
+
+        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
+        parameter range in ``ranges``, and its counts are cut to the window
+        from the lower count end at ``lo`` to the upper count end at ``hi``
+        of its pair in ``windows``.
+        """
+        plan = self.plan
+        total = 0.0
+        for idx, state, _, _ in _propagate(
+                plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
+            stage = plan.stages[idx]
+            for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), windows)):
+                a = self._end_counts(lo, n, eta)[0]
+                b = self._end_counts(hi, n, eta)[1]
+                cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
+                cells[:a] = 0.0
+                cells[b + 1:] = 0.0
+            total += float(state[self._rejects[idx]].sum())
+        return total
+
+    def bounds(self, rect: Rectangle, eta: float) -> tuple[float, float]:
+        """(lower, upper) of ``rejection_prob_bounds``."""
+        ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
+        inner = tuple((hi, lo) for lo, hi in ranges)
+        upper = (self._windowed_rejection(ranges, ranges, _pmf_max, eta)
+                 + 2.0 * self.plan.s * eta)
+        lower = self._windowed_rejection(ranges, inner, _pmf_min, eta)
+        return min(1.0, max(0.0, lower)), min(1.0, upper)
 
 
 def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
@@ -432,13 +470,7 @@ def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
     term.  Both passes bound every transition mass over the rectangle, so
     the sandwich holds at every parameter point inside it.
     """
-    if not (0 <= hyp < plan.m):
-        raise DomainError(f"hypothesis index out of range: {hyp}")
-    ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
-    inner = tuple((hi, lo) for lo, hi in ranges)
-    upper = _windowed_rejection(plan, hyp, ranges, ranges, _pmf_max, eta) + 2.0 * plan.s * eta
-    lower = _windowed_rejection(plan, hyp, ranges, inner, _pmf_min, eta)
-    return min(1.0, max(0.0, lower)), min(1.0, upper)
+    return _IntervalDP(plan, hyp).bounds(rect, eta)
 
 
 def _check_point(p_x: float, p_y: float) -> None:
@@ -492,12 +524,16 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float,
     whose sandwich gap is dominated by the truncation slack is
     re-evaluated with a halved eta before being split; rectangles
     narrower than ``tol`` that still straddle delta end the search as
-    inconclusive.
+    inconclusive.  Each bound is ``rejection_prob_bounds``'s, but the pmf
+    bounds, count windows and rejection masks are computed once per call:
+    split children share an axis range with their parent, and an eta
+    halving re-evaluates the same rectangle.
     """
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     band = plan.zone_band(hyp) if zone_band is None else (float(zone_band[0]),
                                                           float(zone_band[1]))
+    dp = _IntervalDP(plan, hyp)
     evals = 0
     explored = 0
     max_upper = 0.0
@@ -508,7 +544,7 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float,
     def push(rect: Rectangle, cur_eta: float):
         nonlocal evals, serial, max_upper
         evals += 1
-        lo, up = rejection_prob_bounds(plan, hyp, rect, cur_eta)
+        lo, up = dp.bounds(rect, cur_eta)
         max_upper = max(max_upper, up)
         trace.append((rect, lo, up, cur_eta))
         heapq.heappush(heap, (-up, serial, rect, lo, cur_eta))

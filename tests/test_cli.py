@@ -247,6 +247,17 @@ class TestCompare:
         drift_free = next(r for r in sprt_rows if r[1] == "0.5")
         assert int(drift_free[13]) > 95
 
+    @pytest.mark.parametrize("risk", ["0.6", "0.5"])
+    def test_sprt_with_risks_summing_to_one_exits_one(self, tmp_path, capsys, risk):
+        path = tmp_path / "plan.json"
+        assert run(["design", "--theta0", "0.4", "--theta1", "0.6",
+                    "--alpha", risk, "--beta", risk, "--stages", "2",
+                    "--limits", "exact", "--zeta", "0.5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert run(["compare", "--plan", str(path), "--grid", "0.4:0.6:0.1",
+                    "--trials", "10", "--seed", "1", "--sprt"]) == 1
+        assert "risk levels must sum below 1" in capsys.readouterr().err
+
     def test_usage_errors(self, workdir, capsys):
         assert run(["compare", "--plan", str(workdir / "twoprop.json"),
                     "--grid", "0.4:0.6:0.1", "--seed", "1"]) == 2

@@ -9,7 +9,8 @@ from scipy import stats
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson
-from seqtest.ocexact import OCReport, oc_curve, oc_single, rejection_split, verify_risk
+from seqtest.ocexact import (OCReport, _convolve, oc_curve, oc_single, rejection_split,
+                             verify_risk)
 from seqtest.plans import build_multihyp_plan, build_one_sided_plan
 
 BERN = Bernoulli()
@@ -61,6 +62,33 @@ def mc_accept_asn(plan, theta, trials, seed):
         done_total += b - undecided.sum()
         assert not undecided.any()
     return accept / trials, nsum / trials
+
+
+class TestConvolve:
+    """The 2-D step against ``np.convolve`` on every row or column."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 9), (21, 11)])
+    @pytest.mark.parametrize("probs", [
+        np.array([1.0]),
+        BERN.increment_pmf(1, 0.3)[0],
+        BERN.increment_pmf(10, 0.62)[0],
+        BERN.increment_pmf(10, 0.0)[0],
+        BERN.increment_pmf(10, 1.0)[0],
+    ], ids=["one-entry", "m1", "m10", "theta0", "theta1"])
+    def test_matches_one_dimensional_convolutions(self, shape, probs):
+        rng = np.random.default_rng(sum(shape) + len(probs))
+        state = rng.random(shape)
+        state[rng.random(shape) < 0.3] = 0.0
+        for axis in (0, 1):
+            got = _convolve(state, probs, axis)
+            want = np.apply_along_axis(np.convolve, axis, state, probs)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_one_dimensional_state_is_np_convolve(self):
+        state = np.random.default_rng(3).random(17)
+        probs = BERN.increment_pmf(9, 0.41)[0]
+        assert np.array_equal(_convolve(state, probs, 0), np.convolve(state, probs))
 
 
 class TestOcSingle:

@@ -84,6 +84,13 @@ class TestBoundaries:
         with pytest.raises(DomainError):
             SprtSpec(BERN, 0.4, 0.6, 0.05, 0.05, cap=0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.6), (0.5, 0.5), (0.3, 0.7)])
+    def test_risks_must_sum_below_one(self, alpha, beta):
+        # at alpha + beta >= 1, log A <= 0 <= log B: the windows would overlap
+        with pytest.raises(DomainError, match="sum below 1"):
+            SprtSpec(BERN, 0.4, 0.6, alpha, beta)
+        SprtSpec(BERN, 0.4, 0.6, alpha / 2, beta / 2)
+
 
 class TestRunSprt:
     def test_all_ones_rejects_after_eight(self):
@@ -359,3 +366,18 @@ class TestStreamValidation:
     def test_poisson_off_support_values_raise(self, bad):
         with pytest.raises(DomainError):
             run_sprt(SprtSpec(POIS, 1.0, 2.0, 0.05, 0.05), iter([bad] * 50))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("runner", ["plan", "sprt", "two_prop"])
+    def test_non_finite_values_raise(self, runner, bad):
+        if runner == "plan":
+            plan = build_one_sided_plan(POIS, ExactLimits(), 1.0, 2.0, 0.05, 0.05, 0.5,
+                                        stages=2)
+            run = lambda stream: run_plan(plan, stream)
+        elif runner == "sprt":
+            run = lambda stream: run_sprt(SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05), stream)
+        else:
+            two = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
+            run = lambda stream: run_two_prop(two, stream, iter([0] * 8))
+        with pytest.raises(DomainError, match="got -?(nan|inf)"):
+            run(iter([bad] * 50))

@@ -26,6 +26,15 @@ def small_plan():
     return build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
 
 
+# The scale ``tune_two_prop`` finds for zones [-0.2, 0.2], stages 10, 20, 40
+# and budgets 0.22 at tolerance 0.05 (``TestTuning``).
+TUNED_ZETA = 0.34140624999999997
+
+
+def tuned_plan():
+    return build_two_prop_plan([-0.2], [0.2], TUNED_ZETA, stage_ns=[10, 20, 40])
+
+
 def score_roots(phat, n, delta):
     """Interior roots of (p - phat)^2 = z^2 p(1-p)/n, solved numerically."""
     z = float(ndtri(1.0 - delta / 2.0))
@@ -391,6 +400,32 @@ class TestCertificates:
         with pytest.raises(DomainError):
             certify_risk(small_plan(), 0, 1.5)
 
+    @pytest.mark.parametrize("plan_fn, hyp, delta, budget_used, explored", [
+        (small_plan, 0, 0.15, 105, 85),
+        (small_plan, 1, 0.35, 276, 220),
+        (tuned_plan, 0, 0.22, 101, 77),
+        (tuned_plan, 1, 0.22, 819, 666),
+    ], ids=["small-h0", "small-h1", "tuned-h0", "tuned-h1"])
+    def test_search_size_is_pinned(self, plan_fn, hyp, delta, budget_used, explored):
+        cert = certify_risk(plan_fn(), hyp, delta)
+        assert (cert.verdict, cert.budget_used, cert.explored) == (
+            "proved", budget_used, explored)
+        assert len(cert.trace) == budget_used
+
+    def test_trace_holds_the_cold_bounds(self):
+        # the certificate reuses pmf bounds, windows and masks across its
+        # rectangles; a fresh call per rectangle must give the same numbers
+        plan = tuned_plan()
+        cert = certify_risk(plan, 1, 0.22)
+        rng = np.random.default_rng(6)
+        picks = rng.choice(len(cert.trace), size=40, replace=False)
+        etas = set()
+        for j in sorted(picks.tolist()) + [len(cert.trace) - 1]:
+            rect, lo, up, eta = cert.trace[j]
+            etas.add(eta)
+            assert rejection_prob_bounds(plan, 1, rect, eta) == (lo, up)
+        assert len(etas) > 1
+
 
 class TestTuning:
     def test_frozen_tuning_point(self):
@@ -405,3 +440,9 @@ class TestTuning:
         # the bracket is tight: just above its top the plan fails a zone
         above = fam(res.bracket[1] * 1.001)
         assert not all(certify_risk(above, h, 0.25).proved for h in (0, 1))
+
+    def test_benchmark_tuned_zeta(self):
+        fam = lambda z: build_two_prop_plan([-0.2], [0.2], z, stage_ns=[10, 20, 40])
+        res = tune_two_prop(fam, (0.22, 0.22), tol=0.05)
+        assert res.zeta == TUNED_ZETA
+        assert res.iterations == 7
