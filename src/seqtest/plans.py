@@ -44,6 +44,7 @@ large-deviation rate at the zone midpoint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -211,6 +212,31 @@ class MultiHypPlan:
     @property
     def betas(self) -> tuple[float, ...]:
         return tuple(self.zeta * b for b in self.base_betas)
+
+    @cached_property
+    def continue_spans(self) -> tuple[tuple[int, int | None, bool], ...]:
+        """Each stage's undecided span over the counts its model reaches.
+
+        A span is (lo, hi, holes): the first and last ``CONTINUE`` count
+        of ``StageRule.labels`` (hi None when the last label, which holds
+        for every count above it, continues on an unbounded support) and
+        whether a decided count lies between them.  (0, -1, False) when
+        every count is decided.
+        """
+        spans = []
+        for rule in self.stages:
+            top = self.model.sum_upper(rule.n)
+            labels = rule.labels
+            cells = np.flatnonzero(labels[:None if top is None else top + 1] == CONTINUE)
+            if not len(cells):
+                spans.append((0, -1, False))
+                continue
+            lo, hi = int(cells[0]), int(cells[-1])
+            holes = hi - lo + 1 > len(cells)
+            if hi == len(labels) - 1:
+                hi = top
+            spans.append((lo, hi, holes))
+        return tuple(spans)
 
 
 @dataclass(frozen=True)
@@ -731,10 +757,14 @@ def _take(it: Iterator, count: int, model, label: str = "observation") -> int:
                 f"{label} stream ended after {i} of {count} needed samples") from None
         if isinstance(model, Bernoulli) and x not in (0, 1):
             raise DomainError(f"{label} values of a Bernoulli stream must be 0 or 1, got {x!r}")
+        # Python ints compare with floats exactly, so a value above the
+        # float range fails here rather than as the float terminal estimate.
         if isinstance(model, Poisson) and (
-                x < 0 or not (isinstance(x, int) or math.isfinite(x)) or x != int(x)):
+                x < 0 or not (isinstance(x, int) or math.isfinite(x)) or x != int(x)
+                or x > sys.float_info.max):
             raise DomainError(
-                f"{label} values of a Poisson stream must be nonnegative integers, got {x!r}")
+                f"{label} values of a Poisson stream must be nonnegative integers "
+                f"within the float range, got {x!r}")
         total += int(x)
     return total
 

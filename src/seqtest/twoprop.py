@@ -392,7 +392,7 @@ def _pmf_min(n: int, p_lo: float, p_hi: float) -> np.ndarray:
 
 
 def _propagate(plan: TwoPropPlan, pmf):
-    return propagate([((st.n_x, st.n_y), st.decision) for st in plan.stages], pmf)
+    return propagate([((st.n_x, st.n_y), st.decision, None) for st in plan.stages], pmf)
 
 
 class _IntervalDP:
@@ -438,12 +438,12 @@ class _IntervalDP:
         """
         plan = self.plan
         total = 0.0
-        for idx, state, _, _ in _propagate(
+        for idx, state, _, offset, _ in _propagate(
                 plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
             stage = plan.stages[idx]
             for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), windows)):
-                a = self._end_counts(lo, n, eta)[0]
-                b = self._end_counts(hi, n, eta)[1]
+                a = self._end_counts(lo, n, eta)[0] - offset
+                b = self._end_counts(hi, n, eta)[1] - offset
                 cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
                 cells[:a] = 0.0
                 cells[b + 1:] = 0.0
@@ -485,7 +485,7 @@ def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
     accept = np.zeros(plan.m)
     asn_x = asn_y = 0.0
     ps = (p_x, p_y)
-    for idx, state, labels, _ in _propagate(
+    for idx, state, labels, _, _ in _propagate(
             plan, lambda axis, m: _BERN.increment_pmf(m, ps[axis])):
         stopped = 0.0
         for b in range(plan.m):

@@ -9,9 +9,10 @@ from scipy import stats
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson
-from seqtest.ocexact import (OCReport, _convolve, oc_curve, oc_single, rejection_split,
-                             verify_risk)
-from seqtest.plans import build_multihyp_plan, build_one_sided_plan
+from seqtest import ocexact
+from seqtest.ocexact import (OCReport, _convolve, _convolve_rows, _one_sample, oc_curve,
+                             oc_single, rejection_split, verify_risk)
+from seqtest.plans import MultiHypPlan, StageRule, build_multihyp_plan, build_one_sided_plan
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -85,10 +86,77 @@ class TestConvolve:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
-    def test_one_dimensional_state_is_np_convolve(self):
-        state = np.random.default_rng(3).random(17)
-        probs = BERN.increment_pmf(9, 0.41)[0]
-        assert np.array_equal(_convolve(state, probs, 0), np.convolve(state, probs))
+
+
+def pmf_rows(m, thetas):
+    return np.array([BERN.increment_pmf(m, t)[0] for t in thetas])
+
+
+class TestConvolveRows:
+    """The batched 1-D step: per row it is ``np.convolve`` up to rounding."""
+
+    # (rows, cells, increment): states wider and narrower than the pmf, 1-cell states
+    @pytest.mark.parametrize("rows, width, m", [
+        (1, 1, 6), (1, 18, 1), (4, 18, 1), (3, 9, 39), (5, 200, 2), (1, 17, 416),
+        (2, 60, 299), (1, 100, 199), (3, 47, 1000), (50, 7, 12), (2, 13, 12)])
+    def test_each_row_matches_np_convolve(self, rows, width, m):
+        rng = np.random.default_rng(rows * width + m)
+        state = rng.random((rows, width))
+        state[rng.random(state.shape) < 0.3] = 0.0
+        probs = pmf_rows(m, rng.uniform(0.05, 0.95, rows))
+        got = _convolve_rows(state, probs)
+        assert got.shape == (rows, width + m)
+        for row, s, p in zip(got, state, probs):
+            want = np.convolve(s, p)
+            assert np.max(np.abs(row - want)) <= 1e-15 * np.max(want)
+
+    @pytest.mark.parametrize("width, m", [(30, 20), (20, 30)])
+    def test_loop_over_cells_and_over_taps_agree_bitwise(self, width, m):
+        """Zero padding that swaps which side is shorter swaps the loop, not the bits."""
+        rng = np.random.default_rng(5)
+        state = rng.random((3, width))
+        probs = pmf_rows(m, (0.2, 0.5, 0.9))
+        want = _convolve_rows(state, probs)
+        pad = np.zeros((3, 2 * (width + m)))
+        wide_probs = np.hstack((probs, pad))
+        wide_state = np.hstack((state, pad))
+        assert np.array_equal(_convolve_rows(state, wide_probs)[:, :width + m], want)
+        assert np.array_equal(_convolve_rows(wide_state, probs)[:, :width + m], want)
+
+    def test_a_row_ignores_its_batch_and_padding(self):
+        rng = np.random.default_rng(8)
+        state = rng.random((3, 16))
+        state[0, 14:] = 0.0                    # a row narrower than its batch
+        probs = np.zeros((3, 60))
+        for row, mu in zip(probs, (0.2, 9.0, 14.0)):
+            p, _ = POIS.increment_pmf(4, mu / 4)
+            row[:len(p)] = p
+        batch = _convolve_rows(state, probs)   # over the 16 cells
+        taps = np.flatnonzero(probs[0])[-1] + 1
+        assert taps < 14                       # alone, over its taps
+        alone = _convolve_rows(state[:1, :14], probs[:1, :taps])
+        assert np.array_equal(batch[0, :alone.shape[1]], alone[0])
+        assert not batch[0, alone.shape[1]:].any()
+
+    def test_last_stage_convolves_only_the_undecided_span(self, monkeypatch):
+        """0.49/0.51: 47 of the 1,519 counts of stage 4 are undecided."""
+        plan = build_one_sided_plan(BERN, EXACT, 0.49, 0.51, 0.05, 0.05, 0.5,
+                                    stage_ns=(6, 38, 240, 1518, 9603))
+        widths = []
+
+        def spy(state, probs):
+            widths.append(state.shape[1])
+            return _convolve_rows(state, probs)
+
+        monkeypatch.setattr(ocexact, "_convolve_rows", spy)
+        stages = list(_one_sample(plan, [0.5]))
+        assert widths[-1] == 47
+        _, state, labels, offset, _ = stages[-1]
+        assert state.shape[1] == 47 + 8085
+        assert plan.continue_spans[3][:2] == (offset, offset + 46)
+        _, before, before_labels, before_offset, _ = stages[3]
+        assert before.shape[1] + before_offset < 1519
+        assert int((before_labels == -1).sum()) == 47
 
 
 class TestOcSingle:
@@ -185,6 +253,19 @@ class TestOcSingle:
             with pytest.raises(InfeasibleDesignError):
                 rejection_split(cut, 0, 1.0 if plan.model is POIS else 0.5, 0.5, "high")
 
+    def test_a_stage_that_decides_every_count_leaves_an_empty_state(self):
+        def rule(n, windows):
+            return StageRule(n=n, f=(0.0, 0.0), g=(0.0, 0.0), windows=windows, ties=(None,))
+
+        plan = MultiHypPlan(model=BERN, family=EXACT, zone_lo=(0.4,), zone_hi=(0.6,),
+                            base_alphas=(0.1,), base_betas=(0.1,), zeta=0.5,
+                            stages=(rule(5, ((0, 2), (3, 5))), rule(8, ((0, 4), (5, 8)))))
+        assert plan.continue_spans[0] == (0, -1, False)
+        rep = oc_curve(plan, [0.3, 0.5])
+        for t, theta in enumerate((0.3, 0.5)):
+            assert rep.accept[t, 0] == pytest.approx(stats.binom.cdf(2, 5, theta), abs=1e-15)
+            assert rep.stage_stop[t, 1] == 0.0
+
     def test_rejects_theta_outside_model_domain(self):
         with pytest.raises(DomainError):
             oc_single(classic_plan(), 1.5)
@@ -226,6 +307,69 @@ class TestOcCurve:
         rep = oc_curve(plan, np.linspace(0.02, 0.98, 49))
         acc0 = rep.accept[:, 0]
         assert np.all(np.diff(acc0) <= 1e-12)
+
+
+def fully_sequential_plan():
+    return build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, fully_sequential=True)
+
+
+def poisson_plan():
+    return build_one_sided_plan(POIS, EXACT, 1.0, 1.5, 0.05, 0.05, 0.5, stages=5)
+
+
+def wide_three_zone_plan():
+    return build_multihyp_plan(BERN, EXACT, [0.1, 0.55], [0.45, 0.9], 0.5, [0.1, 0.1],
+                               base_betas=[0.1, 0.1], stages=3)
+
+
+BATCH_CASES = [(fully_sequential_plan, 0.2, 0.8), (poisson_plan, 0.5, 2.0),
+               (wide_three_zone_plan, 0.02, 0.98)]
+
+
+def same_rows(rep, other, rows):
+    return (np.array_equal(rep.accept[rows], other.accept)
+            and np.array_equal(rep.asn[rows], other.asn)
+            and np.array_equal(rep.stage_stop[rows], other.stage_stop)
+            and np.array_equal(rep.truncation_bound[rows], other.truncation_bound))
+
+
+class TestBatchedRows:
+    """A row of ``oc_curve`` does not depend on the grid it shares, bit for bit."""
+
+    @pytest.mark.parametrize("make, lo, hi", BATCH_CASES)
+    def test_rows_equal_single_points(self, make, lo, hi):
+        plan = make()
+        grid = np.linspace(lo, hi, 13) + 0.003
+        rep = oc_curve(plan, grid)
+        if plan.model is POIS:
+            assert rep.truncation_bound.min() > 0.0
+        for t, theta in enumerate(grid):
+            acc, asn, stop, bound = oc_single(plan, theta)
+            assert np.array_equal(rep.accept[t], acc)
+            assert rep.asn[t] == asn
+            assert np.array_equal(rep.stage_stop[t], stop)
+            assert rep.truncation_bound[t] == bound
+
+    @pytest.mark.parametrize("make, lo, hi", BATCH_CASES)
+    def test_permuted_and_interleaved_grids(self, make, lo, hi):
+        plan = make()
+        grid = np.linspace(lo, hi, 24) + 0.001
+        rep = oc_curve(plan, grid)
+        perm = np.random.default_rng(2).permutation(len(grid))
+        assert same_rows(rep, oc_curve(plan, grid[perm]), perm)
+        for parts in (2, 5):
+            for i in range(parts):
+                assert same_rows(rep, oc_curve(plan, grid[i::parts]), slice(i, None, parts))
+
+    def test_verify_risk_bounds_are_the_single_point_values(self):
+        plan = wide_three_zone_plan()
+        rep = verify_risk(plan, (0.1, 0.1, 0.1))
+        at = {th: oc_single(plan, th) for th in plan.zone_lo + plan.zone_hi}
+        low, high = at[plan.zone_lo[0]], at[plan.zone_hi[1]]
+        a, b = at[plan.zone_hi[0]], at[plan.zone_lo[1]]
+        assert rep.zones[0].bound == (1.0 - float(low[0][0])) + low[3]
+        assert rep.zones[2].bound == (1.0 - float(high[0][2])) + high[3]
+        assert rep.zones[1].bound == float(a[0][:1].sum() + b[0][2:].sum()) + (a[3] + b[3])
 
 
 class TestRiskCaps:

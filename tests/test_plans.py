@@ -9,6 +9,9 @@ from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, StreamExhaustedError
 from seqtest.models import Bernoulli, Poisson
 from seqtest.plans import (
+    CONTINUE,
+    MultiHypPlan,
+    StageRule,
     TIEBREAK_ALWAYS_ACCEPT,
     TIEBREAK_ALWAYS_REJECT,
     TIEBREAK_LIKELIHOOD_RATIO,
@@ -355,3 +358,52 @@ class TestThreeHypotheses:
                 draws = (rng.random(plan.stage_ns[-1]) < theta).astype(int)
                 got.add(run_plan(plan, iter(draws)).accepted_index)
         assert got == {0, 1, 2}
+
+
+class TestContinueSpans:
+    """The undecided span of each stage, over the counts its model reaches."""
+
+    @staticmethod
+    def spans(model, windows, n=9):
+        m = len(windows)
+        rule = StageRule(n=n, f=(0.0,) * m, g=(0.0,) * m, windows=windows,
+                         ties=(None,) * (m - 1))
+        plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.4,) * (m - 1),
+                            zone_hi=(0.6,) * (m - 1), base_alphas=(0.1,) * (m - 1),
+                            base_betas=(0.1,) * (m - 1), zeta=0.5, stages=(rule,))
+        return rule, plan.continue_spans[0]
+
+    @pytest.mark.parametrize("windows", [
+        ((0, 1), (4, 5), (7, 8)), ((0, 3), None), (None, (4, None)), ((2, 2), (5, None)),
+        ((0, 9), None), ((0, 1), (2, None)), ((0, 3), (6, 7)), (None, None)])
+    @pytest.mark.parametrize("model, n", [(BERN, 9), (BERN, 6), (POIS, 9)])
+    def test_span_holds_the_continue_counts_of_the_labels(self, windows, model, n):
+        rule, (lo, hi, holes) = self.spans(model, windows, n)
+        top = model.sum_upper(n)
+        undecided = [k for k in range(len(rule.labels) + 3 if top is None else top + 1)
+                     if rule.decision_for_sum(k) == 0]
+        if not undecided:
+            assert (lo, hi, holes) == (0, -1, False)
+            return
+        assert lo == undecided[0]
+        assert hi == (None if top is None and rule.labels[-1] == CONTINUE else undecided[-1])
+        assert holes == (len(undecided) < undecided[-1] - lo + 1)
+
+    def test_bernoulli_sentinel_past_the_support_is_not_undecided(self):
+        plan = classic_plan()
+        for rule, span in zip(plan.stages[:-1], plan.continue_spans):
+            assert len(rule.labels) == rule.n + 2 and rule.labels[-1] == CONTINUE
+            undecided = np.flatnonzero(rule.labels[:rule.n + 1] == CONTINUE)
+            assert span == (undecided[0], undecided[-1], False)
+        assert plan.continue_spans[-1] == (0, -1, False)
+
+    def test_a_top_label_that_continues(self):
+        """Poisson: no end; Bernoulli: the support's end."""
+        assert self.spans(POIS, ((0, 3), None))[1] == (4, None, False)
+        assert self.spans(BERN, ((0, 3), None))[1] == (4, 9, False)
+
+    def test_holes_and_reach(self):
+        windows = ((0, 1), (4, 5), (7, 8))
+        assert self.spans(POIS, windows)[1] == (2, None, True)
+        assert self.spans(BERN, windows, n=8)[1] == (2, 6, True)
+        assert self.spans(BERN, windows, n=5)[1] == (2, 3, False)

@@ -18,7 +18,7 @@ from scipy import stats
 
 from seqtest.conflimits import ExactLimits
 from seqtest.models import Bernoulli, Poisson
-from seqtest.ocexact import oc_single, rejection_split
+from seqtest.ocexact import oc_curve, oc_single, rejection_split
 from seqtest.plans import MultiHypPlan, StageRule
 from seqtest.twoprop import TwoPropPlan, TwoPropStage, exact_oc
 
@@ -61,8 +61,12 @@ def one_sample_cases(draw):
     plan = MultiHypPlan(model=model, family=ExactLimits(), zone_lo=tuple(zones[::2]),
                         zone_hi=tuple(zones[1::2]), base_alphas=(0.1,) * (m - 1),
                         base_betas=(0.1,) * (m - 1), zeta=0.5, stages=tuple(stages))
-    theta = draw(st.floats(0.05, 0.95) if model is BERN else st.floats(0.1, 1.5))
+    theta = draw(thetas(model))
     return plan, theta
+
+
+def thetas(model):
+    return st.floats(0.05, 0.95) if model is BERN else st.floats(0.1, 1.5)
 
 
 def window_decision(rule, k):
@@ -97,12 +101,8 @@ def path_ends(plan, theta):
     return ends
 
 
-@FEW
-@given(one_sample_cases())
-def test_oc_single_matches_path_enumeration(case):
-    plan, theta = case
+def check_against_paths(plan, theta, acc, asn, stop, bound):
     ends = path_ends(plan, theta)
-    acc, asn, stop, bound = oc_single(plan, theta)
     want = [sum(p for d, _, _, p in ends if d == i) for i in range(plan.m)]
     np.testing.assert_allclose(acc, want, rtol=0, atol=1e-13 + bound)
     assert asn == pytest.approx(sum(n * p for _, n, _, p in ends),
@@ -110,9 +110,42 @@ def test_oc_single_matches_path_enumeration(case):
     for idx, rule in enumerate(plan.stages):
         assert stop[idx] == pytest.approx(sum(p for _, n, _, p in ends if n == rule.n),
                                           abs=1e-13 + bound)
+
+
+@FEW
+@given(one_sample_cases())
+def test_oc_single_matches_path_enumeration(case):
+    plan, theta = case
+    check_against_paths(plan, theta, *oc_single(plan, theta))
+    for rule, (lo, hi, holes) in zip(plan.stages, plan.continue_spans):
+        top = plan.model.sum_upper(rule.n)
+        undecided = []
         for k in range(rule.n * 3 + 4):
             dec = window_decision(rule, k)
             assert rule.decision_for_sum(k) == (0 if dec is None else dec + 1)
+            if dec is None and (top is None or k <= top):
+                undecided.append(k)
+        if undecided:
+            first, last = undecided[0], undecided[-1]
+            end = None if top is None and last == rule.n * 3 + 3 else last
+            assert (lo, hi, holes) == (first, end, len(undecided) < last - first + 1)
+        else:
+            assert (lo, hi, holes) == (0, -1, False)
+
+
+@FEW
+@given(one_sample_cases(), st.data())
+def test_oc_curve_matches_path_enumeration(case, data):
+    """Grids of 1-4 points: every row against the paths and its own single point."""
+    plan, theta = case
+    grid = [theta, *data.draw(st.lists(thetas(plan.model), max_size=3))]
+    rep = oc_curve(plan, grid)
+    for t, th in enumerate(grid):
+        check_against_paths(plan, th, rep.accept[t], rep.asn[t], rep.stage_stop[t],
+                            rep.truncation_bound[t])
+        acc, asn, stop, bound = oc_single(plan, th)
+        assert np.array_equal(rep.accept[t], acc) and rep.asn[t] == asn
+        assert np.array_equal(rep.stage_stop[t], stop) and rep.truncation_bound[t] == bound
 
 
 @FEW

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -265,13 +266,21 @@ def window_labels(spec, n):
     return labels
 
 
+def window_span(labels):
+    """The one run of undecided counts between the two windows."""
+    cells = np.flatnonzero(labels == CONTINUE)
+    return (int(cells[0]), int(cells[-1]), False) if len(cells) else (0, -1, False)
+
+
 def exact_capped(spec, theta):
     """Acceptance and ASN of a capped Bernoulli SPRT through the plan kernel."""
-    stages = [((n,), window_labels(spec, n)) for n in range(1, spec.cap + 1)]
+    stages = [((n,), labels, window_span(labels))
+              for n in range(1, spec.cap + 1) for labels in [window_labels(spec, n)]]
     accept = asn = 0.0
-    for idx, state, labels, _ in propagate(stages, lambda _, m: BERN.increment_pmf(m, theta)):
-        accept += float(state[labels == 0].sum())
-        asn += (idx + 1) * float(state[labels != CONTINUE].sum())
+    for idx, state, labels, _, _ in propagate(stages,
+                                              lambda _, m: BERN.increment_pmf(m, theta)):
+        accept += float(state[:, labels == 0].sum())
+        asn += (idx + 1) * float(state[:, labels != CONTINUE].sum())
     return accept, asn
 
 
@@ -381,3 +390,15 @@ class TestStreamValidation:
             run = lambda stream: run_two_prop(two, stream, iter([0] * 8))
         with pytest.raises(DomainError, match="got -?(nan|inf)"):
             run(iter([bad] * 50))
+
+    def test_values_above_the_float_range_raise(self):
+        """A Poisson count past float range would overflow the terminal estimate."""
+        plan = build_one_sided_plan(POIS, ExactLimits(), 1.0, 2.0, 0.05, 0.05, 0.5, stages=2)
+        with pytest.raises(DomainError, match="float range"):
+            run_sprt(SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05), iter([10**400] * 100))
+        with pytest.raises(DomainError, match="float range"):
+            run_plan(plan, iter([10**400] * 100))
+        top = int(sys.float_info.max)
+        assert run_sprt(SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05),
+                        iter([top] * 100)).terminal_estimate == sys.float_info.max
+        assert run_plan(plan, iter([top] * 100)).terminal_estimate == sys.float_info.max
