@@ -17,16 +17,15 @@ blend: the variance is evaluated at ``z + w*(theta - z)``, so ``w = 0``
 gives the Wald limits and ``w = 1`` the score (Wilson-type) limits.  Both
 Bernoulli and Poisson variance models admit closed-form roots.
 
-Every family also exposes crossing predicates that decide
-``lower(z) >= theta_ref`` and ``upper(z) <= theta_ref`` without computing
-the limit itself: for the exact family this is a single tail evaluation at
-``theta_ref``, for the Chernoff family a rate-function comparison plus a
-side condition on which flank of ``theta_ref`` the mean lies.  The
-predicates agree exactly with direct limit comparison.  Their
-``support_*_crossed`` forms take an array of sum counts, with n either a
-scalar or an array broadcast against them, and evaluate each pair on its
-own; the plan builders search on them over the counts of many stage sizes
-at once to find where each crossing set begins or ends.
+Every family also exposes crossing predicates, ``support_lower_crossed``
+and ``support_upper_crossed``, that decide ``lower(k / n) >= theta_ref``
+and ``upper(k / n) <= theta_ref`` for an array of sum counts ``k`` (n a
+scalar or an array broadcast against them) without computing the limit:
+for the exact family a single tail evaluation at ``theta_ref``, for the
+Chernoff family a rate-function comparison plus a side condition on which
+flank of ``theta_ref`` the mean lies.  They agree exactly with direct
+limit comparison; the plan builders search on them over the counts of
+many stage sizes at once to find where each crossing set begins or ends.
 
 All bisections run to absolute tolerance 1e-12 and round to the
 conservative side: lower limits round down, upper limits round up.  When a
@@ -52,7 +51,6 @@ __all__ = [
     "ChernoffLimits",
     "ApproxLimits",
     "LimitValue",
-    "crossing_test",
     "family_by_tag",
 ]
 
@@ -91,12 +89,6 @@ class _FamilyBase:
 
     def upper(self, model, n: int, z: float, delta: float) -> float:
         return self.upper_detail(model, n, z, delta).value
-
-    def lower_crossed(self, model, n: int, z: float, theta_ref: float, delta: float) -> bool:
-        return self._lower_crossed_scalar(model, n, z, theta_ref, delta)
-
-    def upper_crossed(self, model, n: int, z: float, theta_ref: float, delta: float) -> bool:
-        return self._upper_crossed_scalar(model, n, z, theta_ref, delta)
 
 
 class ExactLimits(_FamilyBase):
@@ -137,14 +129,8 @@ class ExactLimits(_FamilyBase):
         _, up = _bisect(lambda th: f(th) > delta, 0.0, hi)
         return LimitValue(up, False)
 
-    def _lower_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        return model.tail_upper(n, z, theta_ref) <= delta
-
-    def _upper_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        return model.tail_lower(n, z, theta_ref) <= delta
-
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
-        """Vector form of the lower crossing; n and ks broadcast."""
+        """Lower crossing at each sum count; n and ks broadcast."""
         return model.sum_tail(n, ks, theta_ref, upper=True) <= delta
 
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
@@ -182,16 +168,6 @@ class ChernoffLimits(_FamilyBase):
                 hi *= 2.0
         _, up = _bisect(lambda th: not ok(th), max(z, 0.0), hi)
         return LimitValue(up, False)
-
-    def _lower_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        if z < theta_ref:
-            return False
-        return n * float(model.log_chernoff(z, theta_ref)) <= math.log(delta)
-
-    def _upper_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        if z > theta_ref:
-            return False
-        return n * float(model.log_chernoff(z, theta_ref)) <= math.log(delta)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
         z = np.asarray(ks, dtype=float) / n
@@ -249,14 +225,6 @@ class ApproxLimits(_FamilyBase):
         _, hi = self.pair(model, n, z, delta)
         return LimitValue(float(hi), False)
 
-    def _lower_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        lo, _ = self.pair(model, n, z, delta)
-        return float(lo) >= theta_ref
-
-    def _upper_crossed_scalar(self, model, n, z, theta_ref, delta) -> bool:
-        _, hi = self.pair(model, n, z, delta)
-        return float(hi) <= theta_ref
-
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
         lo, _ = self.pair(model, n, np.asarray(ks, dtype=float) / n, delta)
         return lo >= theta_ref
@@ -264,14 +232,6 @@ class ApproxLimits(_FamilyBase):
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
         _, hi = self.pair(model, n, np.asarray(ks, dtype=float) / n, delta)
         return hi <= theta_ref
-
-
-def crossing_test(family, model, n: int, z: float, theta_ref: float, delta: float):
-    """(lower_crossed, upper_crossed) without computing the limits."""
-    return (
-        family.lower_crossed(model, n, z, theta_ref, delta),
-        family.upper_crossed(model, n, z, theta_ref, delta),
-    )
 
 
 def family_by_tag(tag: str, w: float | None = None):

@@ -305,6 +305,8 @@ def rejection_split(plan: MultiHypPlan, hyp: int, theta: float, bound: float, si
     """
     if side not in ("low", "high"):
         raise DomainError("side must be 'low' or 'high'")
+    if not 0 <= hyp < plan.m:
+        raise DomainError(f"hypothesis index out of range: {hyp}")
     plan.model.validate_theta(theta)
     states, stage_labels = [], []
     for idx, state, labels, offset, _ in _one_sample(plan, [theta]):

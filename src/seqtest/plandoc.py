@@ -6,10 +6,12 @@ plan never recomputes confidence limits.  Serialization is canonical
 endings, trailing newline), which makes the design -> save -> load ->
 save cycle byte-identical and documents diffable.
 
-Loading checks what the plan machinery relies on: every stage's windows
-are ordered and disjoint, and the final stage decides at every support
-point (every cell, for two-sample grids), so a loaded plan is a closed
-plan.
+Loading checks what the plan machinery relies on, by the builders' rules:
+stage sizes are positive and strictly increasing on every arm, every
+stage's windows are ordered and disjoint, and the final stage decides at
+every count the model reaches (every cell, for two-sample grids), so a
+loaded plan is a closed plan.  Unknown tie policies and fields of the
+wrong type are refused.
 
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
@@ -26,10 +28,10 @@ import math
 import numpy as np
 
 from .conflimits import ApproxLimits, family_by_tag
-from .errors import InfeasibleDesignError, PlanDocumentError
+from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
-from .plans import (CONTINUE, MultiHypPlan, OneSidedPlan, StageRule,
-                    _validate_windows, stage_is_closed)
+from .plans import (_C_POLICIES, _TIEBREAKS, CONTINUE, MultiHypPlan, OneSidedPlan,
+                    StageRule, _validate_windows, check_stage_sizes, stage_is_closed)
 from .twoprop import TwoPropPlan, TwoPropStage
 
 __all__ = [
@@ -135,6 +137,20 @@ def _need(doc: dict, key: str, ctx: str = ""):
     return doc[key]
 
 
+def _number(doc: dict, key: str) -> float:
+    v = _need(doc, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise PlanDocumentError(f"{key} must be a number, got {v!r}", key)
+    return float(v)
+
+
+def _list(doc: dict, key: str, ctx: str) -> list:
+    v = _need(doc, key, ctx)
+    if not isinstance(v, list):
+        raise PlanDocumentError(f"expected a list, got {v!r}", ctx)
+    return v
+
+
 def _floats(doc: dict, key: str) -> tuple[float, ...]:
     v = _need(doc, key)
     if not isinstance(v, list) or any(
@@ -153,23 +169,35 @@ def _pair_or_none(v, ctx: str, hi_none_ok: bool):
     return (v[0], v[1])
 
 
+def _check_sizes(raw_stages: list, keys: tuple[str, ...]) -> None:
+    """Raise unless every stage is an object whose size fields ``keys`` are
+    integers that pass ``check_stage_sizes`` along each arm."""
+    for idx, sd in enumerate(raw_stages):
+        if not isinstance(sd, dict):
+            raise PlanDocumentError("expected a stage object", f"stages[{idx}]")
+        for key in keys:
+            ctx = f"stages[{idx}].{key}"
+            n = _need(sd, key, ctx)
+            if not isinstance(n, int):
+                raise PlanDocumentError(f"stage size must be a positive integer, got {n!r}",
+                                        ctx)
+            try:
+                check_stage_sizes([raw_stages[idx - 1][key], n] if idx else [n])
+            except DomainError as exc:
+                raise PlanDocumentError(str(exc), ctx) from None
+
+
 def _doc_to_stage(sd: dict, idx: int) -> StageRule:
     ctx = f"stages[{idx}]"
-    if not isinstance(sd, dict):
-        raise PlanDocumentError("expected a stage object", ctx)
-    n = _need(sd, "n", f"{ctx}.n")
-    if not isinstance(n, int) or n < 1:
-        raise PlanDocumentError(f"stage size must be a positive integer, got {n!r}",
-                                f"{ctx}.n")
-    f = tuple(_dec_edge(x, f"{ctx}.f") for x in _need(sd, "f", f"{ctx}.f"))
-    g = tuple(_dec_edge(x, f"{ctx}.g") for x in _need(sd, "g", f"{ctx}.g"))
+    f = tuple(_dec_edge(x, f"{ctx}.f") for x in _list(sd, "f", f"{ctx}.f"))
+    g = tuple(_dec_edge(x, f"{ctx}.g") for x in _list(sd, "g", f"{ctx}.g"))
     windows = tuple(_pair_or_none(w, f"{ctx}.windows[{i}]", hi_none_ok=True)
-                    for i, w in enumerate(_need(sd, "windows", f"{ctx}.windows")))
+                    for i, w in enumerate(_list(sd, "windows", f"{ctx}.windows")))
     ties = tuple(_pair_or_none(t, f"{ctx}.ties[{i}]", hi_none_ok=False)
-                 for i, t in enumerate(_need(sd, "ties", f"{ctx}.ties")))
+                 for i, t in enumerate(_list(sd, "ties", f"{ctx}.ties")))
     if len(f) != len(windows) or len(g) != len(windows) or len(ties) != len(windows) - 1:
         raise PlanDocumentError("stage field lengths are inconsistent", ctx)
-    rule = StageRule(n=n, f=f, g=g, windows=windows, ties=ties)
+    rule = StageRule(n=sd["n"], f=f, g=g, windows=windows, ties=ties)
     try:
         _validate_windows(rule)
     except InfeasibleDesignError as exc:
@@ -219,26 +247,17 @@ def doc_to_plan(doc: dict):
     zone_hi = _floats(doc, "zone_hi")
     base_alphas = _floats(doc, "base_alphas")
     base_betas = _floats(doc, "base_betas")
-    zeta = _need(doc, "zeta")
-    if isinstance(zeta, bool) or not isinstance(zeta, (int, float)):
-        raise PlanDocumentError(f"zeta must be a number, got {zeta!r}", "zeta")
+    zeta = _number(doc, "zeta")
     raw_stages = _need(doc, "stages")
     if not isinstance(raw_stages, list) or not raw_stages:
         raise PlanDocumentError("expected a nonempty stage list", "stages")
 
     if kind == "two-prop":
+        _check_sizes(raw_stages, ("n_x", "n_y"))
         m = len(zone_lo) + 1
         stages = []
         for i, sd in enumerate(raw_stages):
-            if not isinstance(sd, dict):
-                raise PlanDocumentError("expected a stage object", f"stages[{i}]")
-            n_x = _need(sd, "n_x", f"stages[{i}].n_x")
-            n_y = _need(sd, "n_y", f"stages[{i}].n_y")
-            for label, v in (("n_x", n_x), ("n_y", n_y)):
-                if not isinstance(v, int) or v < 1:
-                    raise PlanDocumentError(
-                        f"stage size must be a positive integer, got {v!r}",
-                        f"stages[{i}].{label}")
+            n_x, n_y = sd["n_x"], sd["n_y"]
             dec = _rows_to_grid(_need(sd, "decision", f"stages[{i}].decision"),
                                 n_x, n_y, m, "decision", i)
             mid = _rows_to_grid(_need(sd, "midpoint", f"stages[{i}].midpoint"),
@@ -250,7 +269,7 @@ def doc_to_plan(doc: dict):
                                     f"stages[{len(stages) - 1}].decision")
         return TwoPropPlan(
             zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
-            base_betas=base_betas, zeta=float(zeta), stages=tuple(stages),
+            base_betas=base_betas, zeta=zeta, stages=tuple(stages),
             link_name=doc.get("link", "identity"),
         )
 
@@ -265,14 +284,19 @@ def doc_to_plan(doc: dict):
         family = family_by_tag(fam_doc["tag"], fam_doc.get("width"))
     except Exception as exc:
         raise PlanDocumentError(str(exc), "family") from None
+    # A one-sided plan records a tiebreak other than the likelihood ratio as its policy.
+    c_policies = _C_POLICIES if kind == "multi" else _C_POLICIES + _TIEBREAKS[1:]
     c_policy = _need(doc, "c_policy")
+    if c_policy not in c_policies:
+        raise PlanDocumentError(f"unknown c policy {c_policy!r}", "c_policy")
+    _check_sizes(raw_stages, ("n",))
     stages = tuple(_doc_to_stage(sd, i) for i, sd in enumerate(raw_stages))
-    if not stage_is_closed(stages[-1], model, stages[-1].n):
+    if not stage_is_closed(stages[-1], model):
         raise PlanDocumentError("final stage leaves continuation points",
                                 f"stages[{len(stages) - 1}].windows")
     common = dict(
         model=model, family=family, zone_lo=zone_lo, zone_hi=zone_hi,
-        base_alphas=base_alphas, base_betas=base_betas, zeta=float(zeta),
+        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta,
         stages=stages, c_policy=c_policy,
     )
     if kind == "multi":
@@ -281,10 +305,12 @@ def doc_to_plan(doc: dict):
     if cap is not None and (not isinstance(cap, int) or cap < 1):
         raise PlanDocumentError(f"sample cap must be null or a positive integer, "
                                 f"got {cap!r}", "sample_cap")
+    tiebreak = _need(doc, "tiebreak")
+    if tiebreak not in _TIEBREAKS:
+        raise PlanDocumentError(f"unknown tiebreak {tiebreak!r}", "tiebreak")
     return OneSidedPlan(
-        **common,
-        theta0=float(_need(doc, "theta0")), theta1=float(_need(doc, "theta1")),
-        tiebreak=_need(doc, "tiebreak"), sample_cap=cap,
+        **common, theta0=_number(doc, "theta0"), theta1=_number(doc, "theta1"),
+        tiebreak=tiebreak, sample_cap=cap,
     )
 
 

@@ -29,16 +29,17 @@ sectioning search on the count, for a whole array of stage sizes at once;
 the stage rule is built from them and never tabulates the support.
 
 Plans are closed: the final stage size is chosen (or validated) so that
-every support point falls in some window, hence the sample size never
-exceeds ``stage_ns[-1]``.  The search tabulates the two counts over
-blocks of sizes (1-16, 17-32, 33-64, ...) up to its horizon and builds
-a stage rule only at sizes whose counts leave no gap between the accept
-and reject-low sets (and, where ties are required, overlap them), which
-every closed stage does; the first of those that builds a closed rule is
-the answer, the same one a size-by-size scan gives, at a cost that tracks
-the answer rather than the horizon.  For fully sequential one-sided
-plans, ``sample_bound`` gives the analytic cap derived from the
-large-deviation rate at the zone midpoint.
+every count the model reaches at it decides (``stage_is_closed``, read
+from the stage's labels like the OC kernel's ``continue_spans``), hence
+the sample size never exceeds ``stage_ns[-1]``.  The search tabulates
+the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to its
+horizon and builds a stage rule only at sizes whose counts leave no gap
+between the accept and reject-low sets (and, where ties are required,
+overlap them), which every closed stage does; the first of those that
+builds a closed rule is the answer, the same one a size-by-size scan
+gives, at a cost that tracks the answer rather than the horizon.  For
+fully sequential one-sided plans, ``sample_bound`` gives the analytic
+cap derived from the large-deviation rate at the zone midpoint.
 """
 
 from __future__ import annotations
@@ -147,24 +148,22 @@ class StageRule:
                 return True
         return False
 
-    def continue_gaps(self, k_top: int | None):
-        """Integer intervals of the continuation region up to k_top."""
-        gaps = []
-        cursor = 0
-        for win in self.windows:
-            if win is None:
-                continue
-            lo, hi = win
-            if lo > cursor:
-                gaps.append((cursor, lo - 1))
-            cursor = (hi + 1) if hi is not None else None
-            if cursor is None:
-                return gaps
-        if cursor is not None and k_top is not None and cursor <= k_top:
-            gaps.append((cursor, k_top))
-        elif cursor is not None and k_top is None:
-            gaps.append((cursor, None))
-        return gaps
+
+def _undecided(rule: StageRule, model) -> tuple[np.ndarray, int | None]:
+    """The ``CONTINUE`` counts of ``rule.labels`` that the model reaches at ``rule.n``.
+
+    Returns those counts inside the labels array and the last undecided
+    count.  The last label holds for every count above the array, so when
+    it continues the last undecided count is the support's end (None for
+    an unbounded support).  -1 when every reachable count decides.
+    """
+    top = model.sum_upper(rule.n)
+    labels = rule.labels
+    cells = np.flatnonzero(labels[:None if top is None else top + 1] == CONTINUE)
+    if not len(cells):
+        return cells, -1
+    last = int(cells[-1])
+    return cells, top if last == len(labels) - 1 else last
 
 
 @dataclass(frozen=True)
@@ -225,17 +224,12 @@ class MultiHypPlan:
         """
         spans = []
         for rule in self.stages:
-            top = self.model.sum_upper(rule.n)
-            labels = rule.labels
-            cells = np.flatnonzero(labels[:None if top is None else top + 1] == CONTINUE)
+            cells, last = _undecided(rule, self.model)
             if not len(cells):
                 spans.append((0, -1, False))
                 continue
-            lo, hi = int(cells[0]), int(cells[-1])
-            holes = hi - lo + 1 > len(cells)
-            if hi == len(labels) - 1:
-                hi = top
-            spans.append((lo, hi, holes))
+            lo = int(cells[0])
+            spans.append((lo, last, int(cells[-1]) - lo + 1 > len(cells)))
         return tuple(spans)
 
 
@@ -498,9 +492,19 @@ def _validate_windows(rule: StageRule) -> None:
         cursor = hi
 
 
-def stage_is_closed(rule: StageRule, model, n: int) -> bool:
-    """True when every support point of the stage falls in some window."""
-    return not rule.continue_gaps(model.sum_upper(n))
+def stage_is_closed(rule: StageRule, model) -> bool:
+    """True when every count the model reaches at the stage's size decides:
+    no reachable ``CONTINUE`` in ``rule.labels``."""
+    return not len(_undecided(rule, model)[0])
+
+
+def check_stage_sizes(sizes: Sequence) -> None:
+    """Raise unless the stage sizes are positive and strictly increasing on
+    every arm.  Each entry is one stage's size, or a tuple of its per-arm sizes."""
+    arms = list(zip(*(n if isinstance(n, tuple) else (n,) for n in sizes)))
+    if not arms or any(arm[0] < 1 or any(b <= a for a, b in zip(arm, arm[1:]))
+                       for arm in arms):
+        raise DomainError("stage sizes must be strictly increasing positive integers")
 
 
 def _all_ties_present(rule: StageRule) -> bool:
@@ -586,7 +590,7 @@ def _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy
     def accept(rule):
         if require_ties and not _all_ties_present(rule):
             return False
-        return stage_is_closed(rule, model, rule.n)
+        return stage_is_closed(rule, model)
 
     rule = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                        max_stage_size, candidates, accept)
@@ -629,12 +633,11 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
             stage_ns = stage_schedule(first.n, last.n, stages, schedule)
     else:
         stage_ns = tuple(int(n) for n in stage_ns)
-        if any(b <= a for a, b in zip(stage_ns, stage_ns[1:])) or stage_ns[0] < 1:
-            raise DomainError("stage sizes must be strictly increasing positive integers")
+        check_stage_sizes(stage_ns)
     rules = tuple(built.get(n) or build_stage_rule(model, family, n, zone_lo, zone_hi, alphas,
                                                    betas, c_policy, lr_cut)
                   for n in stage_ns)
-    if not stage_is_closed(rules[-1], model, rules[-1].n):
+    if not stage_is_closed(rules[-1], model):
         raise InfeasibleDesignError(
             f"final stage of size {rules[-1].n} leaves continuation points; "
             "increase the last stage size"
@@ -739,6 +742,8 @@ def build_one_sided_plan(
 
 def decision_variable(plan: MultiHypPlan, stage_index: int, theta_hat: float) -> int:
     """Decision variable at 1-based stage ``stage_index`` for mean ``theta_hat``."""
+    if not 1 <= stage_index <= plan.s:
+        raise DomainError(f"stage index must lie in 1..{plan.s}, got {stage_index}")
     rule = plan.stages[stage_index - 1]
     k = int(round(theta_hat * rule.n))
     if abs(theta_hat * rule.n - k) > 1e-6:

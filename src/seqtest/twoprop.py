@@ -32,7 +32,7 @@ from scipy.special import ndtri
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
 from .ocexact import propagate
-from .plans import CONTINUE, TestOutcome, _take, stage_schedule
+from .plans import CONTINUE, TestOutcome, _take, check_stage_sizes, stage_schedule
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
@@ -334,13 +334,9 @@ def build_two_prop_plan(
         xs = stage_schedule(n1_x, ns_x, stages, schedule)
     else:
         xs = tuple(int(n) for n in stage_ns)
-        if any(b <= a for a, b in zip(xs, xs[1:])) or xs[0] < 1:
-            raise DomainError("stage sizes must be strictly increasing positive integers")
 
     pairs = [sizes_for(n) for n in xs]
-    for (ax, ay), (bx, by) in zip(pairs, pairs[1:]):
-        if not (ax < bx and ay < by):
-            raise DomainError("arm link must keep both arms strictly increasing")
+    check_stage_sizes(pairs)
     built = tuple(_build_stage(nx, ny, zone_lo, zone_hi, alphas, betas)
                   for nx, ny in pairs)
     if (built[-1].decision == CONTINUE).any():

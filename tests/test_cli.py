@@ -266,6 +266,68 @@ class TestCompare:
         capsys.readouterr()
 
 
+def swap_first_stages(doc):
+    doc["stages"][:2] = doc["stages"][1::-1]
+
+
+def repeat_first_size(doc):
+    doc["stages"][1]["n"] = doc["stages"][0]["n"]
+
+
+def null_final_window(doc):
+    doc["stages"][-1]["windows"][0] = None
+
+
+# Each breaks one rule of a plan document, and the field the loader names.
+# Every command must refuse it at loading, with one error line.
+MALFORMED = {
+    "swapped stages": (swap_first_stages, "stages[1].n"),
+    "repeated stage size": (repeat_first_size, "stages[1].n"),
+    "text theta0": (lambda doc: doc.update(theta0="low"), "theta0"),
+    "number for f": (lambda doc: doc["stages"][0].update(f=3), "stages[0].f"),
+    "unknown tiebreak": (lambda doc: doc.update(tiebreak="bogus"), "tiebreak"),
+    "unknown c policy": (lambda doc: doc.update(c_policy="bogus"), "c_policy"),
+    "null final window": (null_final_window, "stages[4].windows"),
+}
+
+
+class TestBadDocuments:
+    @pytest.fixture(params=sorted(MALFORMED))
+    def bad_plan(self, request, workdir, tmp_path):
+        doc = json.loads((workdir / "plan.json").read_text())
+        mutate, field = MALFORMED[request.param]
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path, field
+
+    @pytest.mark.parametrize("argv", [
+        ["oc", "--grid", "0.3:0.7:0.1"],
+        ["simulate", "--theta", "0.5", "--trials", "10", "--seed", "1"],
+        ["tune", "--tol", "1e-3"],
+    ], ids=["oc", "simulate", "tune"])
+    def test_exits_one_with_one_error_line(self, bad_plan, argv, capsys):
+        path, field = bad_plan
+        before = path.read_text()
+        code = run([*argv, "--plan", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"(at {field})" in err
+        assert path.read_text() == before
+
+    def test_swapped_two_prop_stages_exit_one(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "twoprop.json").read_text())
+        swap_first_stages(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run(["oc", "--plan", str(path), "--grid=-0.2:0.2:0.1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: stage sizes must be strictly increasing positive "
+                       "integers (at stages[1].n_x)\n")
+
+
 class TestErrorSurface:
     def test_malformed_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -12,7 +12,6 @@ from seqtest.conflimits import (
     ApproxLimits,
     ChernoffLimits,
     ExactLimits,
-    crossing_test,
     family_by_tag,
 )
 from seqtest.errors import DomainError
@@ -187,18 +186,16 @@ class TestApproxLimits:
 
 class TestCrossing:
     def test_exact_lower_crossing_example(self):
-        lower, upper = crossing_test(EXACT, BERN, 3, 1.0, 0.36, 0.05)
-        assert lower is True
+        assert EXACT.support_lower_crossed(BERN, 3, 3, 0.36, 0.05)
         assert EXACT.lower(BERN, 3, 1.0, 0.05) >= 0.36
 
     def test_chernoff_side_condition_blocks_lower(self):
-        lower, _ = crossing_test(CHER, BERN, 10, 0.3, 0.5, 0.1)
-        assert lower is False
+        assert not CHER.support_lower_crossed(BERN, 10, 3, 0.5, 0.1)
 
     def test_tail_value_decides_at_reference(self):
         # with a single observation, the tail at the reference IS the reference
-        assert crossing_test(EXACT, BERN, 1, 0.4, 0.4, 0.5)[0] is True
-        assert crossing_test(EXACT, BERN, 1, 0.6, 0.6, 0.5)[0] is False
+        assert EXACT.support_lower_crossed(BERN, 1, 1, 0.4, 0.5)
+        assert not EXACT.support_lower_crossed(BERN, 1, 1, 0.6, 0.5)
 
     @pytest.mark.parametrize("family", [EXACT, CHER, ApproxLimits(0.3)])
     def test_agrees_with_direct_comparison(self, family):
@@ -217,17 +214,6 @@ class TestCrossing:
                     [family.upper(BERN, n, z, delta) <= theta_ref + tol for z in zs])
                 np.testing.assert_array_equal(low_fast, low_direct)
                 np.testing.assert_array_equal(up_fast, up_direct)
-
-    def test_scalar_and_vector_forms_agree(self):
-        # the vector predicates evaluate each count on its own; here they
-        # run over the whole support 0..n and are read count by count
-        for n in (3, 17):
-            ks = np.arange(n + 1)
-            low = EXACT.support_lower_crossed(BERN, n, ks, 0.45, 0.08)
-            up = EXACT.support_upper_crossed(BERN, n, ks, 0.45, 0.08)
-            for k in range(n + 1):
-                got = crossing_test(EXACT, BERN, n, k / n, 0.45, 0.08)
-                assert got == (bool(low[k]), bool(up[k]))
 
 
 class TestSmallDeltaTails:

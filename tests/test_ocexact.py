@@ -461,6 +461,11 @@ class TestSplitBound:
         with pytest.raises(DomainError):
             rejection_split(three_zone_plan(), 1, 0.45, 0.45, "middle")
 
+    @pytest.mark.parametrize("hyp", [-1, 2])
+    def test_hypothesis_index_validation(self, hyp):
+        with pytest.raises(DomainError, match="hypothesis index"):
+            rejection_split(classic_plan(), hyp, 0.5, 0.5, "low")
+
 
 class TestVerifyRisk:
     def test_classic_plan_misses_tight_budget(self):

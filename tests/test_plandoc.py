@@ -186,6 +186,46 @@ class TestMalformedDocuments:
         doc["sample_cap"] = "many"
         self.expect(doc, "sample_cap")
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta0", "low"), ("theta1", None), ("theta1", [0.6]), ("theta0", True),
+        ("tiebreak", "bogus"), ("c_policy", "bogus"), ("c_policy", ["support-midpoint"])])
+    def test_one_sided_fields_are_typed(self, field, value):
+        doc = self.good_doc()
+        doc[field] = value
+        self.expect(doc, f"(at {field})")
+
+    def test_multi_c_policy_is_a_builder_policy(self):
+        doc = self.good_doc("multi-chernoff")
+        doc["c_policy"] = "always-accept"
+        self.expect(doc, "(at c_policy)")
+
+    def test_one_sided_tiebreak_policies_load(self):
+        for tiebreak in ("always-accept", "always-reject"):
+            plan = build_one_sided_plan(Bernoulli(), ExactLimits(), 0.4, 0.6, 0.05, 0.05,
+                                        0.5, stages=3, tiebreak=tiebreak)
+            text = dump_doc(plan_to_doc(plan))
+            assert dump_doc(plan_to_doc(doc_to_plan(parse_doc(text)))) == text
+
+    @pytest.mark.parametrize("key", ["f", "g", "windows", "ties"])
+    def test_stage_lists_are_lists(self, key):
+        doc = self.good_doc()
+        doc["stages"][1][key] = 3
+        self.expect(doc, f"(at stages[1].{key})")
+
+    @pytest.mark.parametrize("name", ["one-sided-exact", "multi-chernoff", "poisson",
+                                      "two-prop"])
+    def test_stage_sizes_increase_on_every_arm(self, name):
+        keys = ["n_x", "n_y"] if name == "two-prop" else ["n"]
+        doc = self.good_doc(name)
+        doc["stages"][:2] = doc["stages"][1::-1]
+        self.expect(doc, f"strictly increasing positive integers (at stages[1].{keys[0]})")
+        for key in keys:
+            doc = self.good_doc(name)
+            doc["stages"][1][key] = doc["stages"][0][key]
+            self.expect(doc, f"(at stages[1].{key})")
+            doc["stages"][0][key] = -1
+            self.expect(doc, f"(at stages[0].{key})")
+
     def test_two_prop_grid_context(self):
         doc = self.good_doc("two-prop")
         doc["stages"][0]["decision"][0] = "..."

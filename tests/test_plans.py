@@ -7,6 +7,7 @@ import pytest
 
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, StreamExhaustedError
+from seqtest import plans
 from seqtest.models import Bernoulli, Poisson
 from seqtest.plans import (
     CONTINUE,
@@ -18,6 +19,7 @@ from seqtest.plans import (
     build_multihyp_plan,
     build_one_sided_plan,
     build_stage_rule,
+    check_stage_sizes,
     decision_variable,
     run_plan,
     sample_bound,
@@ -148,17 +150,17 @@ class TestBuildPlans:
         assert plan.sample_cap == 180
         assert plan.alphas == (0.025,)
         assert plan.betas == (0.025,)
-        assert stage_is_closed(plan.stages[-1], BERN, 95)
+        assert stage_is_closed(plan.stages[-1], BERN)
 
     def test_fully_sequential_runs_every_size_to_closure(self):
         plan = build_one_sided_plan(BERN, EXACT, 0.3, 0.7, 0.1, 0.1, 0.5,
                                     fully_sequential=True)
         assert plan.stage_ns == tuple(range(1, 18))
         assert plan.sample_cap == 34
-        assert stage_is_closed(plan.stages[-1], BERN, 17)
+        assert stage_is_closed(plan.stages[-1], BERN)
         # n = 16 still has continuation points, so 17 is minimal
         r16 = build_stage_rule(BERN, EXACT, 16, [0.3], [0.7], [0.05], [0.05])
-        assert not stage_is_closed(r16, BERN, 16)
+        assert not stage_is_closed(r16, BERN)
 
     def test_zone_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -170,10 +172,15 @@ class TestBuildPlans:
         with pytest.raises(DomainError):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 30.0, stages=2)
 
-    def test_stage_sizes_must_increase(self):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("stage_ns", [[10, 10], [95, 46], [0, 95], [], [-5, 95]])
+    def test_stage_sizes_must_increase(self, stage_ns, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a stage rule was built")
+
+        monkeypatch.setattr(plans, "build_stage_rule", no_build)
+        with pytest.raises(DomainError, match="strictly increasing positive"):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
-                                 stage_ns=[10, 10])
+                                 stage_ns=stage_ns)
 
     def test_unclosable_design_is_reported(self):
         with pytest.raises(InfeasibleDesignError):
@@ -190,10 +197,14 @@ class TestDecisionVariable:
     def test_continuation_between_windows(self):
         plan = classic_plan()
         rule = plan.stages[0]
-        gaps = rule.continue_gaps(rule.n)
-        assert gaps
-        lo, hi = gaps[0]
-        assert decision_variable(plan, 1, lo / rule.n) == 0
+        undecided = np.flatnonzero(rule.labels[:rule.n + 1] == CONTINUE)
+        assert undecided.size
+        assert decision_variable(plan, 1, undecided[0] / rule.n) == 0
+
+    @pytest.mark.parametrize("stage_index", [0, 6])
+    def test_stage_index_validation(self, stage_index):
+        with pytest.raises(DomainError, match="stage index"):
+            decision_variable(classic_plan(), stage_index, 0.0)
 
     def test_all_failures_accept_lowest(self):
         assert decision_variable(classic_plan(), 1, 0.0) == 1
@@ -358,6 +369,50 @@ class TestThreeHypotheses:
                 draws = (rng.random(plan.stage_ns[-1]) < theta).astype(int)
                 got.add(run_plan(plan, iter(draws)).accepted_index)
         assert got == {0, 1, 2}
+
+
+class TestStageSizeRule:
+    @pytest.mark.parametrize("sizes", [[1], [1, 2, 9], [(1, 3), (2, 4)], [(4, 1), (8, 2)]])
+    def test_increasing_positive_sizes_pass(self, sizes):
+        check_stage_sizes(sizes)
+
+    @pytest.mark.parametrize("sizes", [[], [0], [3, 3], [5, 4], [(1, 3), (2, 3)],
+                                       [(2, 3), (1, 4)], [(1, 0)], [(0, 1)]])
+    def test_every_arm_is_checked(self, sizes):
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            check_stage_sizes(sizes)
+
+
+class TestClosure:
+    """Closure is read from the labels over the counts the model reaches."""
+
+    def rule(self, n):
+        windows = ((0, 1), (2, 3), (4, 5), (7, 9))
+        return StageRule(n=n, f=(0.0,) * 4, g=(0.0,) * 4, windows=windows,
+                         ties=(None,) * 3)
+
+    def test_a_gap_past_the_support_leaves_the_stage_closed(self):
+        # count 6 continues, but no Bernoulli sample of 2 reaches it
+        assert stage_is_closed(self.rule(2), BERN)
+        assert stage_is_closed(self.rule(5), BERN)
+
+    def test_a_reachable_gap_opens_the_stage(self):
+        assert not stage_is_closed(self.rule(6), BERN)
+        assert not stage_is_closed(self.rule(2), POIS)
+
+    def test_a_top_label_that_continues_opens_the_stage(self):
+        # the last label, CONTINUE at count 10, holds for every count above it
+        assert not stage_is_closed(self.rule(10), BERN)
+        assert not stage_is_closed(self.rule(1), POIS)
+
+    def test_closure_agrees_with_the_spans(self):
+        for model, n in ((BERN, 2), (BERN, 6), (BERN, 10), (POIS, 2)):
+            rule = self.rule(n)
+            plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.2, 0.4, 0.6),
+                                zone_hi=(0.3, 0.5, 0.7), base_alphas=(0.1,) * 3,
+                                base_betas=(0.1,) * 3, zeta=0.5, stages=(rule,))
+            closed = plan.continue_spans[0] == (0, -1, False)
+            assert stage_is_closed(rule, model) == closed
 
 
 class TestContinueSpans:

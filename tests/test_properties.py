@@ -5,9 +5,13 @@ two samples, decision grids), so the evaluators also meet label patterns
 no builder makes: unreachable decisions, several gaps, windows reaching
 past the support.  Each plan is checked against a walk over every sample
 path, weighted by scipy.stats pmfs.  Poisson plans get at most three
-stages, which keeps that walk short.
+stages, which keeps that walk short.  The same plans, as documents, must
+round-trip byte for byte, and each of a set of mutations must make
+loading fail with ``PlanDocumentError``.
 """
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +21,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from seqtest.conflimits import ExactLimits
+from seqtest.errors import PlanDocumentError
 from seqtest.models import Bernoulli, Poisson
 from seqtest.ocexact import oc_curve, oc_single, rejection_split
-from seqtest.plans import MultiHypPlan, StageRule
+from seqtest.plandoc import doc_to_plan, dump_doc, parse_doc, plan_to_doc
+from seqtest.plans import MultiHypPlan, OneSidedPlan, StageRule
 from seqtest.twoprop import TwoPropPlan, TwoPropStage, exact_oc
 
 BERN, POIS = Bernoulli(), Poisson()
@@ -214,3 +220,77 @@ def test_exact_oc_matches_double_loop(case):
     acc, asn_x, asn_y = exact_oc(plan, p_x, p_y)
     np.testing.assert_allclose(acc, accept, rtol=0, atol=1e-13)
     np.testing.assert_allclose([asn_x, asn_y], asn, rtol=0, atol=1e-12)
+
+
+@st.composite
+def any_plans(draw):
+    """A random closed plan of any document kind."""
+    if draw(st.booleans()):
+        return draw(two_sample_cases())[0]
+    plan = draw(one_sample_cases())[0]
+    if plan.m == 2 and draw(st.booleans()):
+        fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(MultiHypPlan)
+                  if f.name != "kind"}
+        plan = OneSidedPlan(**fields, theta0=plan.zone_lo[0], theta1=plan.zone_hi[0])
+    return plan
+
+
+def nodes(node, path=()):
+    """(path, value) of the node and of everything inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from nodes(child, (*path, key))
+
+
+def with_value(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@FEW
+@given(any_plans())
+def test_document_round_trip_is_byte_identical(plan):
+    text = dump_doc(plan_to_doc(plan))
+    assert dump_doc(plan_to_doc(doc_to_plan(parse_doc(text)))) == text
+
+
+@FEW
+@given(any_plans(), st.data())
+def test_document_mutations_raise_plan_document_error(plan, data):
+    doc = parse_doc(dump_doc(plan_to_doc(plan)))
+    found = list(nodes(doc))
+    numbers = [p for p, v in found if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    lists = [p for p, v in found if isinstance(v, list)]
+    mutated = {"string for a number": with_value(doc, data.draw(st.sampled_from(numbers)), "x"),
+               "number for a list": with_value(doc, data.draw(st.sampled_from(lists)), 7)}
+    stages = doc["stages"]
+    last = len(stages) - 1
+    if len(stages) > 1:
+        i, j = sorted(data.draw(st.lists(st.integers(0, last), min_size=2, max_size=2,
+                                         unique=True)))
+        swapped = copy.deepcopy(doc)
+        swapped["stages"][i], swapped["stages"][j] = stages[j], stages[i]
+        key = data.draw(st.sampled_from(["n_x", "n_y"] if plan.kind == "two-prop" else ["n"]))
+        mutated["swapped stages"] = swapped
+        mutated["repeated size"] = with_value(doc, ("stages", j, key), stages[i][key])
+    if plan.kind == "two-prop":
+        rows = stages[-1]["decision"]
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(rows[r]) - 1))
+        mutated["undecided final cell"] = with_value(
+            doc, ("stages", last, "decision", r), rows[r][:c] + "." + rows[r][c + 1:])
+    else:
+        w = data.draw(st.sampled_from(
+            [w for w, win in enumerate(stages[-1]["windows"]) if win is not None]))
+        mutated["null final window"] = with_value(doc, ("stages", last, "windows", w), None)
+    for name, bad in mutated.items():
+        try:
+            doc_to_plan(bad)
+        except PlanDocumentError:
+            continue
+        pytest.fail(f"{name}: the document loaded")

@@ -39,7 +39,7 @@ def scan_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
                                 c_policy, lr_cut)
         if require_ties and not all(t is not None for t in rule.ties):
             continue
-        if stage_is_closed(rule, model, n):
+        if stage_is_closed(rule, model):
             return n
     return None
 

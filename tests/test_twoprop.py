@@ -204,6 +204,9 @@ class TestBuildPlan:
             build_two_prop_plan([-0.1], [0.1], 1.5)
         with pytest.raises(DomainError):
             build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[8, 8])
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            # the second arm stays at 5
+            build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[4, 8], link=lambda n: 5)
         with pytest.raises(InfeasibleDesignError):
             build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[3, 7])
         with pytest.raises(InfeasibleDesignError):
