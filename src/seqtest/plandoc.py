@@ -7,11 +7,12 @@ endings, trailing newline), which makes the design -> save -> load ->
 save cycle byte-identical and documents diffable.
 
 Loading checks what the plan machinery relies on, by the builders' rules:
-stage sizes are positive and strictly increasing on every arm, every
-stage's windows are ordered and disjoint, and the final stage decides at
-every count the model reaches (every cell, for two-sample grids), so a
-loaded plan is a closed plan.  Unknown tie policies and fields of the
-wrong type are refused.
+zones, risk coefficients and ``zeta`` lie in the builders' domain, stage
+sizes are positive and strictly increasing on every arm, every stage's
+windows are ordered and disjoint (and, for Bernoulli stages, end at most
+at the stage size), and the final stage decides at every count the model
+reaches (every cell, for two-sample grids), so a loaded plan is a closed
+plan.  Unknown tie policies and fields of the wrong type are refused.
 
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
@@ -31,8 +32,9 @@ from .conflimits import ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
 from .plans import (_C_POLICIES, _TIEBREAKS, CONTINUE, MultiHypPlan, OneSidedPlan,
-                    StageRule, _validate_windows, check_stage_sizes, stage_is_closed)
-from .twoprop import TwoPropPlan, TwoPropStage
+                    StageRule, _check_risks, _check_zones, _validate_windows,
+                    check_stage_sizes, stage_is_closed)
+from .twoprop import TwoPropPlan, TwoPropStage, _check_two_prop_zones
 
 __all__ = [
     "SCHEMA_VERSION", "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
@@ -187,7 +189,15 @@ def _check_sizes(raw_stages: list, keys: tuple[str, ...]) -> None:
                 raise PlanDocumentError(str(exc), ctx) from None
 
 
-def _doc_to_stage(sd: dict, idx: int) -> StageRule:
+def _check_domain(check, ctx: str, *args) -> None:
+    """Run one of the builders' domain checks on document values."""
+    try:
+        check(*args)
+    except DomainError as exc:
+        raise PlanDocumentError(str(exc), ctx) from None
+
+
+def _doc_to_stage(sd: dict, idx: int, model) -> StageRule:
     ctx = f"stages[{idx}]"
     f = tuple(_dec_edge(x, f"{ctx}.f") for x in _list(sd, "f", f"{ctx}.f"))
     g = tuple(_dec_edge(x, f"{ctx}.g") for x in _list(sd, "g", f"{ctx}.g"))
@@ -202,6 +212,12 @@ def _doc_to_stage(sd: dict, idx: int) -> StageRule:
         _validate_windows(rule)
     except InfeasibleDesignError as exc:
         raise PlanDocumentError(str(exc), f"{ctx}.windows") from None
+    # StageRule.labels holds one cell per count up to the last finite edge
+    top = model.sum_upper(rule.n)
+    if top is not None and any(e is not None and e > top
+                               for win in windows if win is not None for e in win):
+        raise PlanDocumentError(f"window edges must not exceed the largest count {top}",
+                                f"{ctx}.windows")
     return rule
 
 
@@ -253,6 +269,9 @@ def doc_to_plan(doc: dict):
         raise PlanDocumentError("expected a nonempty stage list", "stages")
 
     if kind == "two-prop":
+        _check_domain(_check_two_prop_zones, "zone_lo, zone_hi", zone_lo, zone_hi)
+        _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
+                      zeta, len(zone_lo))
         _check_sizes(raw_stages, ("n_x", "n_y"))
         m = len(zone_lo) + 1
         stages = []
@@ -284,13 +303,16 @@ def doc_to_plan(doc: dict):
         family = family_by_tag(fam_doc["tag"], fam_doc.get("width"))
     except Exception as exc:
         raise PlanDocumentError(str(exc), "family") from None
+    _check_domain(_check_zones, "zone_lo, zone_hi", model, zone_lo, zone_hi)
+    _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
+                  zeta, len(zone_lo))
     # A one-sided plan records a tiebreak other than the likelihood ratio as its policy.
     c_policies = _C_POLICIES if kind == "multi" else _C_POLICIES + _TIEBREAKS[1:]
     c_policy = _need(doc, "c_policy")
     if c_policy not in c_policies:
         raise PlanDocumentError(f"unknown c policy {c_policy!r}", "c_policy")
     _check_sizes(raw_stages, ("n",))
-    stages = tuple(_doc_to_stage(sd, i) for i, sd in enumerate(raw_stages))
+    stages = tuple(_doc_to_stage(sd, i, model) for i, sd in enumerate(raw_stages))
     if not stage_is_closed(stages[-1], model):
         raise PlanDocumentError("final stage leaves continuation points",
                                 f"stages[{len(stages) - 1}].windows")
@@ -308,10 +330,12 @@ def doc_to_plan(doc: dict):
     tiebreak = _need(doc, "tiebreak")
     if tiebreak not in _TIEBREAKS:
         raise PlanDocumentError(f"unknown tiebreak {tiebreak!r}", "tiebreak")
-    return OneSidedPlan(
-        **common, theta0=_number(doc, "theta0"), theta1=_number(doc, "theta1"),
-        tiebreak=tiebreak, sample_cap=cap,
-    )
+    theta0, theta1 = _number(doc, "theta0"), _number(doc, "theta1")
+    if (theta0,) != zone_lo or (theta1,) != zone_hi:
+        raise PlanDocumentError("theta0 and theta1 must be the zone endpoints",
+                                "theta0, theta1")
+    return OneSidedPlan(**common, theta0=theta0, theta1=theta1, tiebreak=tiebreak,
+                        sample_cap=cap)
 
 
 def dump_doc(doc: dict) -> str:

@@ -24,22 +24,28 @@ by default.
 
 Both crossing sets are intervals of the support, so a stage is fixed by
 two counts per boundary: the first reject count ``min_a(n)`` and the last
-accept count ``max_b(n)``.  ``_crossing_counts`` finds them by a
-sectioning search on the count, for a whole array of stage sizes at once;
-the stage rule is built from them and never tabulates the support.
+accept count ``max_b(n)``.  A stage rule is made in two steps:
+``_crossing_counts`` finds the counts by a sectioning search on the count,
+for a whole array of stage sizes at once, and ``_rule_from_counts`` turns
+one column of that table into the rule's ties, cuts and windows, never
+tabulating the support.  ``build_stage_rule`` takes both steps for one
+size; a plan build computes each table once over many sizes.
 
 Plans are closed: the final stage size is chosen (or validated) so that
 every count the model reaches at it decides (``stage_is_closed``, read
 from the stage's labels like the OC kernel's ``continue_spans``), hence
 the sample size never exceeds ``stage_ns[-1]``.  The search tabulates
 the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to its
-horizon and builds a stage rule only at sizes whose counts leave no gap
-between the accept and reject-low sets (and, where ties are required,
-overlap them), which every closed stage does; the first of those that
-builds a closed rule is the answer, the same one a size-by-size scan
-gives, at a cost that tracks the answer rather than the horizon.  For
-fully sequential one-sided plans, ``sample_bound`` gives the analytic
-cap derived from the large-deviation rate at the zone midpoint.
+horizon and makes a stage rule, from the block's table, only at sizes
+whose counts leave no gap between the accept and reject-low sets (and,
+where ties are required, overlap them), which every closed stage does;
+the first of those whose rule is closed is the answer, the same one a
+size-by-size scan gives, at a cost that tracks the answer rather than the
+horizon.  The first-stage search does the same below the final size, and
+the sizes in between, or every size of a given layout, take one more
+table together.  For fully sequential one-sided plans, ``sample_bound``
+gives the analytic cap derived from the large-deviation rate at the zone
+midpoint.
 """
 
 from __future__ import annotations
@@ -51,10 +57,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.special import pdtr, pdtrik
 
 from .conflimits import ExactLimits, ChernoffLimits, ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
-from .models import Bernoulli, Poisson, _count_floor, _poisson_isf
+from .models import Bernoulli, Poisson, _count_floor
 
 __all__ = [
     "TIEBREAK_LIKELIHOOD_RATIO",
@@ -323,11 +330,15 @@ def _poisson_bracket(pred, ns, start):
 
 def _poisson_guess(q, mus):
     """Smallest k with Pr{Poisson(mu) >= k} <= q, per mu: where an exact
-    crossing search starts bracketing.  ``_poisson_isf`` needs 1 - q < 1;
-    below that, ceil(mu) + 1 serves as the first guess."""
+    crossing search starts bracketing.  This is ``models._poisson_isf(q, mu)
+    + 1``, its steps taken over the whole array at once.  They need
+    1 - q < 1; below that, ceil(mu) + 1 serves as the first guess."""
     if not 1.0 - q < 1.0:
         return np.ceil(mus).astype(np.int64) + 1
-    return np.array([_poisson_isf(q, mu) + 1 for mu in mus], dtype=np.int64)
+    p = 1.0 - q
+    vals = np.ceil(pdtrik(p, mus))
+    vals1 = np.maximum(vals - 1.0, 0.0)
+    return np.where(pdtr(vals1, mus) >= p, vals1, vals).astype(np.int64) + 1
 
 
 def _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas):
@@ -397,14 +408,24 @@ def build_stage_rule(
 
     ``lr_cut = (theta0, theta1, log_ratio)`` switches the tie policy of a
     two-hypothesis stage to the likelihood-ratio rule; ``c_policy`` selects
-    the midpoint flavour otherwise.
+    the midpoint flavour otherwise.  The rule is the crossing counts of
+    ``_crossing_counts`` at ``[n]`` turned into windows by
+    ``_rule_from_counts``; the plan builders take the same two steps, with
+    one count table over many sizes.
     """
+    min_a, max_b = _crossing_counts(model, family, [n], zone_lo, zone_hi, alphas, betas)
+    return _rule_from_counts(model, n, min_a[:, 0], max_b[:, 0], zone_lo, zone_hi,
+                             c_policy, lr_cut)
+
+
+def _rule_from_counts(model, n, first_a, last_b, zone_lo, zone_hi, c_policy, lr_cut):
+    """Stage rule of size ``n`` from one column of ``_crossing_counts``: per zone
+    boundary, the first reject count and the last accept count at ``n``."""
     nb = len(zone_lo)
     m = nb + 1
     k_top = model.sum_upper(n)
-    first_a, last_b = _crossing_counts(model, family, [n], zone_lo, zone_hi, alphas, betas)
-    min_a = [int(a) if k_top is None or a <= k_top else None for a in first_a[:, 0]]
-    max_b = [int(b) if b >= 0 else None for b in last_b[:, 0]]
+    min_a = [int(a) if k_top is None or a <= k_top else None for a in first_a]
+    max_b = [int(b) if b >= 0 else None for b in last_b]
 
     # Tie regions: the reject-low and accept sets overlap exactly when
     # min A <= max B (both are intervals of the support).
@@ -565,13 +586,14 @@ def _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut
 
     ``candidates(ns, min_a, max_b)`` is a test on the crossing counts that
     every accepted size passes; only sizes passing it are built, in order,
-    so the answer is the one a size-by-size scan would give.
+    from the columns of the block's count table, so the answer is the one a
+    size-by-size scan would give.
     """
     for ns in _size_blocks(horizon):
         min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
-        for n in ns[candidates(ns, min_a, max_b)]:
-            rule = build_stage_rule(model, family, int(n), zone_lo, zone_hi, alphas, betas,
-                                    c_policy, lr_cut)
+        for j in np.flatnonzero(candidates(ns, min_a, max_b)):
+            rule = _rule_from_counts(model, int(ns[j]), min_a[:, j], max_b[:, j],
+                                     zone_lo, zone_hi, c_policy, lr_cut)
             if accept(rule):
                 return rule
     return None
@@ -618,7 +640,8 @@ def _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas, c_polic
 def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                  stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
     """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
-    the searches pick; the rules the searches confirmed are kept, not built again."""
+    the searches pick.  The rules the searches confirmed are kept, and the rest
+    come from one count table over their sizes."""
     built = {}
     if stage_ns is None:
         last = _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
@@ -634,9 +657,13 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
     else:
         stage_ns = tuple(int(n) for n in stage_ns)
         check_stage_sizes(stage_ns)
-    rules = tuple(built.get(n) or build_stage_rule(model, family, n, zone_lo, zone_hi, alphas,
-                                                   betas, c_policy, lr_cut)
-                  for n in stage_ns)
+    todo = [n for n in stage_ns if n not in built]
+    if todo:
+        min_a, max_b = _crossing_counts(model, family, todo, zone_lo, zone_hi, alphas, betas)
+        for j, n in enumerate(todo):
+            built[n] = _rule_from_counts(model, n, min_a[:, j], max_b[:, j], zone_lo, zone_hi,
+                                         c_policy, lr_cut)
+    rules = tuple(built[n] for n in stage_ns)
     if not stage_is_closed(rules[-1], model):
         raise InfeasibleDesignError(
             f"final stage of size {rules[-1].n} leaves continuation points; "

@@ -32,7 +32,8 @@ from scipy.special import ndtri
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
 from .ocexact import propagate
-from .plans import CONTINUE, TestOutcome, _take, check_stage_sizes, stage_schedule
+from .plans import (CONTINUE, TestOutcome, _check_risks, _take, check_stage_sizes,
+                    stage_schedule)
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
@@ -283,14 +284,7 @@ def build_two_prop_plan(
     nb = len(zone_lo)
     base_alphas = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
     base_betas = tuple(base_betas) if base_betas is not None else (1.0,) * nb
-    if len(base_alphas) != nb or len(base_betas) != nb:
-        raise DomainError("need one risk coefficient pair per zone boundary")
-    for v in base_alphas + base_betas:
-        if not (v > 0.0 and math.isfinite(v)):
-            raise DomainError(f"risk coefficients must be positive, got {v}")
-    top = max(max(base_alphas), max(base_betas))
-    if not (0.0 < zeta < 1.0 / top):
-        raise DomainError(f"zeta must lie in (0, {1.0 / top:g}), got {zeta}")
+    _check_risks(base_alphas, base_betas, zeta, nb)
     link_fn = link if link is not None else _identity_link
     link_name = "identity" if link is None else getattr(link, "__name__", "custom")
     alphas = [zeta * a for a in base_alphas]

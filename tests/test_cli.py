@@ -288,6 +288,13 @@ MALFORMED = {
     "unknown tiebreak": (lambda doc: doc.update(tiebreak="bogus"), "tiebreak"),
     "unknown c policy": (lambda doc: doc.update(c_policy="bogus"), "c_policy"),
     "null final window": (null_final_window, "stages[4].windows"),
+    "negative base alpha": (lambda doc: doc.update(base_alphas=[-0.05]),
+                            "base_alphas, base_betas, zeta"),
+    "zone out of order": (lambda doc: doc.update(zone_lo=[0.7], theta0=0.7),
+                          "zone_lo, zone_hi"),
+    "theta0 off the zone": (lambda doc: doc.update(theta0=0.45), "theta0, theta1"),
+    "window edge past the stage size": (
+        lambda doc: doc["stages"][4]["windows"][1].__setitem__(1, 10**7), "stages[4].windows"),
 }
 
 

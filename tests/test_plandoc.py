@@ -253,6 +253,36 @@ class TestMalformedDocuments:
         doc["stages"] = doc["stages"][:1]
         self.expect(doc, "stages[0].windows")
 
+    @pytest.mark.parametrize("name, field, value, ctx", [
+        ("one-sided-exact", "base_alphas", [-0.05], "base_alphas, base_betas, zeta"),
+        ("one-sided-exact", "zeta", 20.0, "base_alphas, base_betas, zeta"),
+        ("one-sided-exact", "zone_lo", [0.7], "zone_lo, zone_hi"),
+        ("multi-chernoff", "zone_hi", [0.35, 1.5], "zone_lo, zone_hi"),
+        ("poisson", "base_betas", [0.0], "base_alphas, base_betas, zeta"),
+        ("two-prop", "zone_lo", [0.5], "zone_lo, zone_hi"),
+        ("two-prop", "base_alphas", [-0.05], "base_alphas, base_betas, zeta"),
+    ])
+    def test_values_outside_the_builders_domain_rejected(self, name, field, value, ctx):
+        doc = self.good_doc(name)
+        doc[field] = value
+        self.expect(doc, f"(at {ctx})")
+
+    def test_one_sided_thetas_are_the_zone_endpoints(self):
+        doc = self.good_doc()
+        doc["theta1"] = 0.65
+        self.expect(doc, "(at theta0, theta1)")
+
+    def test_bernoulli_window_edges_end_at_the_stage_size(self):
+        plan = build_one_sided_plan(Bernoulli(), ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    stage_ns=[50, 150])
+        doc = plan_to_doc(plan)
+        # an edge of 10**7 would make a 10 MB labels array; it is refused first
+        for edge in (151, 10**7):
+            doc["stages"][1]["windows"][1][1] = edge
+            self.expect(doc, "(at stages[1].windows)")
+        doc["stages"][1]["windows"][1][1] = 150
+        assert doc_to_plan(doc).stages == plan.stages
+
     def test_overlapping_windows_rejected(self):
         # Evaluated anyway, these windows give OC [1, 0] at every theta.
         doc = self.good_doc()

@@ -175,9 +175,10 @@ class TestBuildPlans:
     @pytest.mark.parametrize("stage_ns", [[10, 10], [95, 46], [0, 95], [], [-5, 95]])
     def test_stage_sizes_must_increase(self, stage_ns, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("a stage rule was built")
+            raise AssertionError("crossing counts were computed")
 
-        monkeypatch.setattr(plans, "build_stage_rule", no_build)
+        # every stage rule is made from crossing counts
+        monkeypatch.setattr(plans, "_crossing_counts", no_build)
         with pytest.raises(DomainError, match="strictly increasing positive"):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
                                  stage_ns=stage_ns)

@@ -13,7 +13,7 @@ import pytest
 
 import seqtest.plans as plans
 from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
-from seqtest.models import Bernoulli, Poisson
+from seqtest.models import Bernoulli, Poisson, _poisson_isf
 from seqtest.plans import (
     TIEBREAK_ALWAYS_ACCEPT,
     TIEBREAK_ALWAYS_REJECT,
@@ -54,17 +54,31 @@ def scan_first_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
     return ns
 
 
-def one_sided_oracle(model, family, theta0, theta1, alpha, beta, zeta, tiebreak):
-    """(first, last) stage size of build_one_sided_plan, found by scanning."""
-    alphas, betas = [zeta * alpha], [zeta * beta]
+def assert_rules_match(plan, model, family, zone_lo, zone_hi, alphas, betas, c_policy,
+                       lr_cut):
+    """Every stage of a built plan equals build_stage_rule at its size."""
+    for rule in plan.stages:
+        assert rule == build_stage_rule(model, family, rule.n, zone_lo, zone_hi, alphas,
+                                        betas, c_policy, lr_cut), rule.n
+
+
+def one_sided_rule_args(theta0, theta1, alpha, beta, zeta, tiebreak):
+    """(zone_lo, zone_hi, alphas, betas, c_policy, lr_cut) of build_one_sided_plan."""
     if tiebreak == TIEBREAK_LIKELIHOOD_RATIO:
         lr_cut, c_policy = (theta0, theta1, math.log(alpha / beta)), "support-midpoint"
     else:
         lr_cut, c_policy = None, tiebreak
+    return (theta0,), (theta1,), [zeta * alpha], [zeta * beta], c_policy, lr_cut
+
+
+def one_sided_oracle(model, family, theta0, theta1, alpha, beta, zeta, tiebreak):
+    """(first, last) stage size of build_one_sided_plan, found by scanning."""
+    rule_args = one_sided_rule_args(theta0, theta1, alpha, beta, zeta, tiebreak)
+    alphas, betas = rule_args[2], rule_args[3]
     horizon = 200_000
     if isinstance(family, (ExactLimits, ChernoffLimits)):
         horizon = sample_bound(model, theta0, theta1, alphas[0], betas[0]) + 1
-    args = (model, family, (theta0,), (theta1,), alphas, betas, c_policy, lr_cut)
+    args = (model, family, *rule_args)
     last = scan_last_stage(*args, require_ties=False, max_stage_size=horizon)
     return scan_first_stage(*args, last), last
 
@@ -90,11 +104,16 @@ class TestLastAndFirstStageAgainstScan:
                                         stages=5)
             assert plan.stage_ns[-1] == last, zeta
             assert plan.stage_ns[0] == first, zeta
+            assert_rules_match(plan, model, family, *one_sided_rule_args(
+                theta0, theta1, alpha, beta, zeta, TIEBREAK_LIKELIHOOD_RATIO))
+            # given sizes are built from one count table too
+            assert build_one_sided_plan(model, family, theta0, theta1, alpha, beta, zeta,
+                                        stage_ns=plan.stage_ns) == plan
 
     @pytest.mark.parametrize("tiebreak", [TIEBREAK_LIKELIHOOD_RATIO,
                                           TIEBREAK_ALWAYS_ACCEPT,
                                           TIEBREAK_ALWAYS_REJECT])
-    @pytest.mark.parametrize("family", FAMILIES[:3], ids=lambda f: f"{f.tag}-{f.w}")
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
     def test_every_tiebreak(self, family, tiebreak):
         for model, theta0, theta1, alpha, beta in ONE_SIDED_CASES[::2]:
             for zeta in (0.3, 0.7):
@@ -103,8 +122,10 @@ class TestLastAndFirstStageAgainstScan:
                 plan = build_one_sided_plan(model, family, theta0, theta1, alpha, beta,
                                             zeta, stages=3, tiebreak=tiebreak)
                 assert (plan.stage_ns[0], plan.stage_ns[-1]) == (first, last)
+                assert_rules_match(plan, model, family, *one_sided_rule_args(
+                    theta0, theta1, alpha, beta, zeta, tiebreak))
 
-    @pytest.mark.parametrize("family", FAMILIES[:2], ids=lambda f: f.tag)
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
     def test_fully_sequential(self, family):
         for model, theta0, theta1, alpha, beta in ONE_SIDED_CASES:
             for zeta in (0.25, 0.5):
@@ -113,6 +134,8 @@ class TestLastAndFirstStageAgainstScan:
                 plan = build_one_sided_plan(model, family, theta0, theta1, alpha, beta,
                                             zeta, fully_sequential=True)
                 assert plan.stage_ns == tuple(range(1, last + 1))
+                assert_rules_match(plan, model, family, *one_sided_rule_args(
+                    theta0, theta1, alpha, beta, zeta, TIEBREAK_LIKELIHOOD_RATIO))
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
     def test_three_hypotheses(self, family):
@@ -130,6 +153,7 @@ class TestLastAndFirstStageAgainstScan:
                 plan = build_multihyp_plan(model, family, zone_lo, zone_hi, zeta,
                                            base_a, base_b, stages=3)
                 assert (plan.stage_ns[0], plan.stage_ns[-1]) == (first, last)
+                assert_rules_match(plan, *args)
 
 
 def mask_edges(model, family, n, theta_lo, theta_hi, alpha, beta):
@@ -172,6 +196,16 @@ class TestCrossingCounts:
         np.testing.assert_array_equal(max_b[0], want[:, 1])
         assert (max_b[0] >= 0).any()
 
+    def test_poisson_guess_is_the_scalar_quantile_plus_one(self):
+        mus = np.unique(np.concatenate([np.linspace(0.0, 10.0, 1001),
+                                        np.linspace(10.0, 2500.0, 2499),
+                                        np.geomspace(1e-6, 2500.0, 200)]))
+        for q in (1e-12, 1e-9, 1e-6, 1e-3, 0.025, 0.05, 0.5, 0.975):
+            want = [_poisson_isf(q, mu) + 1 for mu in mus]
+            assert plans._poisson_guess(q, mus).tolist() == want, q
+        # 1 - q rounds to 1, where the quantile is not defined
+        np.testing.assert_array_equal(plans._poisson_guess(1e-20, mus), np.ceil(mus) + 1)
+
 
 def test_ladder_final_sizes():
     """The exact 5-stage ladder of the benchmark at zeta 0.5."""
@@ -189,14 +223,16 @@ class TestSearchedRulesAreKept:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Sizes of the stage rules made from crossing counts."""
         sizes = []
+        rule_from_counts = plans._rule_from_counts
 
         def counting(*args, **kwargs):
-            rule = build_stage_rule(*args, **kwargs)
+            rule = rule_from_counts(*args, **kwargs)
             sizes.append(rule.n)
             return rule
 
-        monkeypatch.setattr(plans, "build_stage_rule", counting)
+        monkeypatch.setattr(plans, "_rule_from_counts", counting)
         return sizes
 
     def test_one_sided(self, built):
@@ -219,3 +255,28 @@ class TestSearchedRulesAreKept:
         assert plan.stages == tuple(
             build_stage_rule(BERN, ExactLimits(), n, [0.1, 0.55], [0.45, 0.9], levels,
                              levels) for n in plan.stage_ns)
+
+
+class TestOneCountTablePerSearch:
+    """Each stage-size search block, and the sizes no search confirmed, take one
+    crossing-count table; no stage rule makes one of its own."""
+
+    @pytest.mark.parametrize("build, tables", [
+        (lambda: build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                      fully_sequential=True), 5),
+        (lambda: build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                      stages=5), 6),
+        (lambda: build_multihyp_plan(BERN, ExactLimits(), [0.1, 0.55], [0.45, 0.9],
+                                     0.2755, [0.1, 0.1], [0.1, 0.1], stages=3), 4),
+    ], ids=["fully-sequential", "five-stage", "three-hypotheses"])
+    def test_crossing_count_calls(self, build, tables, monkeypatch):
+        calls = []
+        crossing_counts = plans._crossing_counts
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return crossing_counts(*args, **kwargs)
+
+        monkeypatch.setattr(plans, "_crossing_counts", counting)
+        build()
+        assert len(calls) == tables, calls
