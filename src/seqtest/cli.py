@@ -23,8 +23,8 @@ from . import __version__
 from .conflimits import family_by_tag
 from .errors import SeqTestError
 from .models import model_by_name
-from .plans import build_multihyp_plan, build_one_sided_plan
-from .ocexact import oc_curve
+from .plans import _SCHEDULES, build_multihyp_plan, build_one_sided_plan
+from .ocexact import _csv_text, oc_curve
 from .plandoc import load_plan, plan_to_doc, dump_doc
 from .sim import compare as sim_compare
 from .sim import reports_csv, simulate_two_prop
@@ -34,7 +34,7 @@ from .tuning import tune_zeta
 from .twoprop import (TwoPropPlan, build_two_prop_plan, certify_risk,
                       exact_oc, tune_two_prop)
 
-_FMT = repr  # shortest round-trip decimals in CSV and reports
+_FMT = repr  # shortest round-trip decimals in reports
 
 
 def _parse_grid(text: str, what: str):
@@ -106,12 +106,16 @@ def _sizing_from_args(args) -> dict:
     if args.stage_ns is not None:
         return {"stage_ns": list(args.stage_ns)}
     sizing = {"stages": args.stages, "schedule": args.schedule}
-    if getattr(args, "fully_sequential", False):
+    if args.fully_sequential:
         sizing["fully_sequential"] = True
     return sizing
 
 
 def _cmd_design(args, parser) -> int:
+    if args.stages < 1:
+        parser.error("--stages must be a positive integer")
+    if args.fully_sequential and args.kind != "one-sided":
+        parser.error("--fully-sequential applies to one-sided designs")
     if args.kind == "one-sided":
         for flag in ("theta0", "theta1", "alpha", "beta"):
             if getattr(args, flag) is None:
@@ -151,18 +155,13 @@ def _cmd_design(args, parser) -> int:
 
 
 def _two_prop_oc_csv(plan: TwoPropPlan, grid_x, grid_y) -> str:
-    head = ["p_x", "p_y"]
-    head += [f"accept_h{i}" for i in range(plan.m)]
-    head += ["asn_x", "asn_y"]
-    lines = [",".join(head)]
+    head = ["p_x", "p_y", *(f"accept_h{i}" for i in range(plan.m)), "asn_x", "asn_y"]
+    rows = []
     for px in grid_x:
         for py in grid_y:
             acc, ax, ay = exact_oc(plan, float(px), float(py))
-            row = [_FMT(float(px)), _FMT(float(py))]
-            row += [_FMT(float(a)) for a in acc]
-            row += [_FMT(float(ax)), _FMT(float(ay))]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            rows.append([px, py, *acc, ax, ay])
+    return _csv_text(head, rows)
 
 
 def _cmd_oc(args, parser) -> int:
@@ -331,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--betas", type=lambda s: _parse_floats(s, "--betas"))
     d.add_argument("--zeta", type=float, required=True)
     d.add_argument("--stages", type=int, default=1)
-    d.add_argument("--schedule", choices=["arithmetic", "geometric"],
+    d.add_argument("--schedule", choices=_SCHEDULES,
                    default="geometric")
     d.add_argument("--stage-ns", type=lambda s: _parse_ints(s, "--stage-ns"),
                    help="explicit stage sizes, overriding --stages/--schedule")

@@ -4,10 +4,11 @@ Two discrete families are supported: Bernoulli trials with mean ``theta`` in
 (0, 1) and Poisson counts with mean ``theta`` in (0, inf).  In both cases the
 n-sample sum is a sufficient statistic (Binomial(n, theta) respectively
 Poisson(n*theta)), so every exact computation in the package works on integer
-sum counts.  Mass functions are evaluated in log space; the increment pmfs
-behind the exact OC use Loader's (2000) saddle-point form, as R's
-``dbinom``/``dpois`` do, which keeps full relative accuracy for increments
-of thousands of samples where differences of ``gammaln`` values do not.  Tail
+sum counts.  Every mass comes from Loader's (2000) saddle-point form, as in
+R's ``dbinom``/``dpois`` (``_binom_pmf``, ``_poisson_pmf``), which keeps
+full relative accuracy for sums of thousands of samples.  ``log_lr_line``
+is the log likelihood ratio of two means as a line in the observation,
+read by the SPRT and by the one-sided tie rule.  Tail
 probabilities come in closed form from the regularized incomplete beta
 and gamma functions (``bdtr``/``bdtrc`` and ``pdtr``/``pdtrc``), the
 functions behind the Clopper-Pearson (1934) and Garwood (1936) limits:
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
+from scipy.special import bdtr, bdtrc, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 from .errors import DomainError
 
@@ -88,24 +89,52 @@ def _stirlerr(top: int) -> np.ndarray:
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
-def _bd0(x, mu: float):
+def _bd0(x, mu):
     """x log(x / mu) + mu - x, i.e. mu ((1 + d) log1p(d) - d) with d = (x - mu) / mu."""
     diff = x - mu
     return xlog1py(x, diff / mu) - diff
 
 
-def _poisson_isf(q: float, mu: float) -> int:
-    """Smallest k with Pr{Poisson(mu) > k} <= q.
+def _binom_pmf(n: int, theta, k=None):
+    """Pr{Binomial(n, theta) = k} in Loader's form, for float counts 0 < k < n,
+    or for all of them when k is None (stirlerr read by slices, not gathers,
+    for the whole-support increments); k and theta broadcast."""
+    stirl = _stirlerr(n)
+    if k is None:
+        k, at = np.arange(1.0, n), slice(1, n)
+    else:
+        at = k.astype(np.intp)
+    nk = n - k
+    dev = _bd0(k, n * theta) + _bd0(nk, n * (1.0 - theta))
+    # stirl[::-1][at] is stirlerr(n - k)
+    return (np.exp(stirl[n] - stirl[at] - stirl[::-1][at] - dev)
+            * np.sqrt(n / (2.0 * math.pi) / (k * nk)))
+
+
+def _poisson_pmf(mu, top: int, k=None):
+    """Pr{Poisson(mu) = k} in Loader's form, for float counts 0 < k <= top, or
+    for all of them when k is None (as in ``_binom_pmf``); k and mu broadcast."""
+    if k is None:
+        k, at = np.arange(1.0, top + 1), slice(1, None)
+    else:
+        at = k.astype(np.intp)
+    return np.exp(-_stirlerr(top)[at] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_isf(q: float, mu):
+    """Smallest k with Pr{Poisson(mu) > k} <= q, per mean in the array ``mu``.
 
     Follows scipy.stats.poisson.isf step for step (the ppf of 1 - q: round
     the inverse of the regularized gamma up, then step back one count if
     that still covers 1 - q), so cut-offs agree with it bit for bit without
-    loading scipy.stats.
+    loading scipy.stats.  Needs 1 - q < 1.
     """
     p = 1.0 - q
-    vals = math.ceil(pdtrik(p, mu))
-    vals1 = max(vals - 1, 0)
-    return vals1 if pdtr(vals1, mu) >= p else vals
+    if not p < 1.0:
+        raise DomainError(f"tail mass {q} is too small for a Poisson quantile")
+    vals = np.ceil(pdtrik(p, mu))
+    # pdtr is NaN at -1, so a zero never steps back
+    return (vals - (pdtr(vals - 1.0, mu) >= p)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -129,22 +158,24 @@ class Bernoulli:
         """Largest sum count (the support is {0, ..., n})."""
         return n
 
-    def log_pmf_sum(self, n: int, k, theta: float):
-        """log Pr{sum = k} for Binomial(n, theta); vectorized over k."""
-        k = np.asarray(k)
-        valid = (k >= 0) & (k <= n)
-        kk = np.where(valid, k, 0)
-        out = (
-            gammaln(n + 1.0)
-            - gammaln(kk + 1.0)
-            - gammaln(n - kk + 1.0)
-            + xlogy(kk, theta)
-            + xlogy(n - kk, 1.0 - theta)
-        )
-        return np.where(valid, out, -np.inf)
+    def pmf_sum(self, n: int, k, theta):
+        """Pr{sum = k} at integer counts k; k and theta broadcast, theta may be 0 or 1."""
+        k, theta = np.asarray(k), np.asarray(theta, dtype=float)
+        inner = (k > 0) & (k < n)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _binom_pmf(n, theta, np.where(inner, k, 0.0))
+            ends = np.exp(np.where(k == 0, n * np.log1p(-theta), n * np.log(theta)))
+        return np.where(inner, out, np.where((k == 0) | (k == n), ends, 0.0))
 
-    def pmf_sum(self, n: int, k, theta: float):
-        return np.exp(self.log_pmf_sum(n, k, theta))
+    def log_pmf_sum(self, n: int, k, theta):
+        """log of ``pmf_sum``: -inf where the mass underflows."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.pmf_sum(n, k, theta))
+
+    def log_lr_line(self, theta0: float, theta1: float) -> tuple[float, float]:
+        """(slope, offset): log f(x; theta1) - log f(x; theta0) = x * slope + offset."""
+        return (math.log(theta1) - math.log(theta0) + math.log1p(-theta0) - math.log1p(-theta1),
+                math.log1p(-theta1) - math.log1p(-theta0))
 
     def sum_tail(self, n, k, theta: float, upper: bool = False):
         """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
@@ -199,12 +230,7 @@ class Bernoulli:
             # a point mass; a subnormal theta would overflow bd0's ratio
             probs[0 if theta < 0.5 else m] = 1.0
             return probs, 0.0
-        stirl = _stirlerr(m)
-        k = np.arange(1.0, m)
-        mk = m - k
-        dev = _bd0(k, m * theta) + _bd0(mk, m * (1.0 - theta))
-        probs[1:m] = (np.exp(stirl[m] - stirl[1:m] - stirl[m - 1:0:-1] - dev)
-                      * np.sqrt(m / (2.0 * math.pi) / (k * mk)))
+        probs[1:m] = _binom_pmf(m, theta)
         probs[0] = math.exp(m * math.log1p(-theta))
         probs[m] = math.exp(m * math.log(theta))
         return probs, 0.0
@@ -231,16 +257,22 @@ class Poisson:
     def sum_upper(self, n: int) -> None:
         return None  # unbounded support
 
-    def log_pmf_sum(self, n: int, k, theta: float):
-        k = np.asarray(k)
-        mu = n * theta
-        valid = k >= 0
-        kk = np.where(valid, k, 0)
-        out = xlogy(kk, mu) - mu - gammaln(kk + 1.0)
-        return np.where(valid, out, -np.inf)
+    def pmf_sum(self, n: int, k, theta):
+        """Pr{sum = k} at integer counts k; k and theta broadcast."""
+        k, mu = np.asarray(k), n * np.asarray(theta, dtype=float)
+        pos = k > 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _poisson_pmf(mu, int(k.max(initial=1)), np.where(pos, k, 1.0))
+        return np.where(pos, out, np.where(k == 0, np.exp(-mu), 0.0))
 
-    def pmf_sum(self, n: int, k, theta: float):
-        return np.exp(self.log_pmf_sum(n, k, theta))
+    def log_pmf_sum(self, n: int, k, theta):
+        """log of ``pmf_sum``: -inf where the mass underflows."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.pmf_sum(n, k, theta))
+
+    def log_lr_line(self, theta0: float, theta1: float) -> tuple[float, float]:
+        """(slope, offset): log f(x; theta1) - log f(x; theta0) = x * slope + offset."""
+        return math.log(theta1) - math.log(theta0), theta0 - theta1
 
     def sum_tail(self, n, k, theta: float, upper: bool = False):
         """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
@@ -280,13 +312,11 @@ class Poisson:
         # Smallest cutoff whose upper tail is at most tail_mass; the
         # discarded mass is reported analytically so the truncation slack
         # is certified rather than inferred from a float sum.
-        k_hi = _poisson_isf(tail_mass, mu)
-        k = np.arange(1.0, k_hi + 1)
+        k_hi = int(_poisson_isf(tail_mass, mu))
         probs = np.empty(k_hi + 1)
         probs[0] = math.exp(-mu)
-        probs[1:] = np.exp(-_stirlerr(k_hi)[1:] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
-        deficit = float(pdtrc(k_hi, mu))
-        return probs, deficit
+        probs[1:] = _poisson_pmf(mu, k_hi)
+        return probs, float(pdtrc(k_hi, mu))
 
     def draw(self, rng: np.random.Generator, size: int, theta: float):
         return rng.poisson(theta, size).astype(np.int64)

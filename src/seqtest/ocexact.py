@@ -65,19 +65,17 @@ class OCReport:
     stage_ns: tuple[int, ...]
 
     def to_csv(self) -> str:
-        m = self.accept.shape[1]
-        cols = ["theta"] + [f"accept_h{i}" for i in range(m)] + ["asn"] \
-            + [f"stop_stage_{i+1}" for i in range(len(self.stage_ns))] \
-            + ["truncation_bound"]
-        lines = [",".join(cols)]
-        for t in range(len(self.thetas)):
-            row = [repr(float(self.thetas[t]))]
-            row += [repr(float(v)) for v in self.accept[t]]
-            row.append(repr(float(self.asn[t])))
-            row += [repr(float(v)) for v in self.stage_stop[t]]
-            row.append(repr(float(self.truncation_bound[t])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        head = ["theta", *(f"accept_h{i}" for i in range(self.accept.shape[1])), "asn",
+                *(f"stop_stage_{i + 1}" for i in range(len(self.stage_ns))), "truncation_bound"]
+        return _csv_text(head, np.column_stack((self.thetas, self.accept, self.asn,
+                                                self.stage_stop, self.truncation_bound)))
+
+
+def _csv_text(head, rows) -> str:
+    """CSV lines of the header and each row: strings as they are, numbers as
+    the shortest decimals that round-trip their float values."""
+    return "".join(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+                   for row in [head, *rows])
 
 
 def _convolve(state: np.ndarray, probs: np.ndarray, axis: int) -> np.ndarray:

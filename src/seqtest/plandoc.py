@@ -31,8 +31,8 @@ import numpy as np
 from .conflimits import ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
-from .plans import (_C_POLICIES, _TIEBREAKS, CONTINUE, MultiHypPlan, OneSidedPlan,
-                    StageRule, _check_risks, _check_zones, _validate_windows,
+from .plans import (_C_POLICIES, _SCHEDULES, _TIEBREAKS, CONTINUE, MultiHypPlan,
+                    OneSidedPlan, StageRule, _check_risks, _check_zones, _validate_windows,
                     check_stage_sizes, stage_is_closed)
 from .twoprop import TwoPropPlan, TwoPropStage, _check_two_prop_zones
 
@@ -133,6 +133,10 @@ def plan_to_doc(plan, build: dict | None = None, tuning: dict | None = None) -> 
     return doc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _need(doc: dict, key: str, ctx: str = ""):
     if key not in doc:
         raise PlanDocumentError(f"missing field {key!r}", ctx or key)
@@ -180,7 +184,7 @@ def _check_sizes(raw_stages: list, keys: tuple[str, ...]) -> None:
         for key in keys:
             ctx = f"stages[{idx}].{key}"
             n = _need(sd, key, ctx)
-            if not isinstance(n, int):
+            if not _is_int(n):
                 raise PlanDocumentError(f"stage size must be a positive integer, got {n!r}",
                                         ctx)
             try:
@@ -195,6 +199,29 @@ def _check_domain(check, ctx: str, *args) -> None:
         check(*args)
     except DomainError as exc:
         raise PlanDocumentError(str(exc), ctx) from None
+
+
+def _check_build(build, kind: str) -> None:
+    """Raise unless the ``build`` block is null or holds sizing fields the
+    builder of ``kind`` accepts, so that re-tuning can rebuild the plan family."""
+    if build is None:
+        return
+    if not isinstance(build, dict):
+        raise PlanDocumentError(f"expected null or an object, got {build!r}", "build")
+    if "stage_ns" in build:
+        ns = build["stage_ns"]
+        if not isinstance(ns, list) or not all(map(_is_int, ns)):
+            raise PlanDocumentError(f"expected a list of integers, got {ns!r}", "build.stage_ns")
+        _check_domain(check_stage_sizes, "build.stage_ns", ns)
+    stages, schedule = build.get("stages", 1), build.get("schedule", "geometric")
+    if not _is_int(stages) or stages < 1:
+        raise PlanDocumentError(f"expected a positive integer, got {stages!r}", "build.stages")
+    if schedule not in _SCHEDULES:
+        raise PlanDocumentError(f"unknown schedule {schedule!r}", "build.schedule")
+    fully = build.get("fully_sequential", False)
+    if not isinstance(fully, bool) or fully and kind != "one-sided":
+        raise PlanDocumentError(f"expected false, or true on a one-sided plan, got {fully!r}",
+                                "build.fully_sequential")
 
 
 def _doc_to_stage(sd: dict, idx: int, model) -> StageRule:
@@ -267,8 +294,13 @@ def doc_to_plan(doc: dict):
     raw_stages = _need(doc, "stages")
     if not isinstance(raw_stages, list) or not raw_stages:
         raise PlanDocumentError("expected a nonempty stage list", "stages")
+    _check_build(doc.get("build"), kind)
 
     if kind == "two-prop":
+        link = doc.get("link", "identity")
+        if link != "identity":
+            raise PlanDocumentError(f"only the identity arm link is supported, got {link!r}",
+                                    "link")
         _check_domain(_check_two_prop_zones, "zone_lo, zone_hi", zone_lo, zone_hi)
         _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
                       zeta, len(zone_lo))
@@ -288,8 +320,7 @@ def doc_to_plan(doc: dict):
                                     f"stages[{len(stages) - 1}].decision")
         return TwoPropPlan(
             zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
-            base_betas=base_betas, zeta=zeta, stages=tuple(stages),
-            link_name=doc.get("link", "identity"),
+            base_betas=base_betas, zeta=zeta, stages=tuple(stages), link_name=link,
         )
 
     try:
@@ -324,7 +355,7 @@ def doc_to_plan(doc: dict):
     if kind == "multi":
         return MultiHypPlan(**common)
     cap = doc.get("sample_cap")
-    if cap is not None and (not isinstance(cap, int) or cap < 1):
+    if cap is not None and (not _is_int(cap) or cap < 1):
         raise PlanDocumentError(f"sample cap must be null or a positive integer, "
                                 f"got {cap!r}", "sample_cap")
     tiebreak = _need(doc, "tiebreak")

@@ -57,11 +57,9 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import pdtr, pdtrik
-
 from .conflimits import ExactLimits, ChernoffLimits, ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
-from .models import Bernoulli, Poisson, _count_floor
+from .models import _COUNT_EPS, Bernoulli, Poisson, _count_floor, _poisson_isf
 
 __all__ = [
     "TIEBREAK_LIKELIHOOD_RATIO",
@@ -86,6 +84,8 @@ TIEBREAK_LIKELIHOOD_RATIO = "likelihood-ratio"
 TIEBREAK_ALWAYS_ACCEPT = "always-accept"
 TIEBREAK_ALWAYS_REJECT = "always-reject"
 _TIEBREAKS = (TIEBREAK_LIKELIHOOD_RATIO, TIEBREAK_ALWAYS_ACCEPT, TIEBREAK_ALWAYS_REJECT)
+
+_SCHEDULES = ("arithmetic", "geometric")
 
 C_POLICY_SUPPORT_MIDPOINT = "support-midpoint"
 C_POLICY_ZONE_MIDPOINT = "zone-midpoint"
@@ -330,15 +330,11 @@ def _poisson_bracket(pred, ns, start):
 
 def _poisson_guess(q, mus):
     """Smallest k with Pr{Poisson(mu) >= k} <= q, per mu: where an exact
-    crossing search starts bracketing.  This is ``models._poisson_isf(q, mu)
-    + 1``, its steps taken over the whole array at once.  They need
-    1 - q < 1; below that, ceil(mu) + 1 serves as the first guess."""
+    crossing search starts bracketing.  Where 1 - q rounds to 1, the quantile
+    is out of reach and ceil(mu) + 1 serves as the first guess."""
     if not 1.0 - q < 1.0:
         return np.ceil(mus).astype(np.int64) + 1
-    p = 1.0 - q
-    vals = np.ceil(pdtrik(p, mus))
-    vals1 = np.maximum(vals - 1.0, 0.0)
-    return np.where(pdtr(vals1, mus) >= p, vals1, vals).astype(np.int64) + 1
+    return _poisson_isf(q, mus) + 1
 
 
 def _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas):
@@ -379,18 +375,16 @@ def _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas):
 def _log_lr_cut(model, n, c_interval, theta0, theta1, log_ratio):
     """Largest accepting count in the tie region under the likelihood-ratio rule.
 
-    The per-path log likelihood ratio log f(X; theta0) - log f(X; theta1)
-    depends on the data only through the sum and decreases in it, so the
-    rule is a threshold: accept H0 for counts up to the returned value
+    The log likelihood ratio of theta1 against theta0 is the line
+    ``k * slope + n * offset`` in the sum k (``model.log_lr_line``), as in
+    the SPRT, so the rule is a threshold: accept H0 for counts up to where
+    the line meets -log_ratio, with the SPRT's ``_COUNT_EPS`` rounding
     (None when the whole region rejects).
     """
     lo, hi = c_interval
-    ks = np.arange(lo, hi + 1)
-    llr = model.log_pmf_sum(n, ks, theta0) - model.log_pmf_sum(n, ks, theta1)
-    acc = np.flatnonzero(llr >= log_ratio)
-    if not acc.size:
-        return None
-    return int(ks[acc[-1]])
+    slope, offset = model.log_lr_line(theta0, theta1)
+    k_acc = min(math.floor((-log_ratio - n * offset) / slope + _COUNT_EPS), hi)
+    return k_acc if k_acc >= lo else None
 
 
 def build_stage_rule(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
+from .ocexact import _csv_text
 from .plans import MultiHypPlan
 from .sprt import SprtSpec, _forced, _grow_bounds
 from .twoprop import TwoPropPlan, _check_point, run_two_prop
@@ -164,16 +165,14 @@ def reports_csv(rows, label_cols=("theta",)) -> str:
     head += [f"se_h{i}" for i in range(n_hyp)]
     head += ["asn", "asn_se", "stop_p50", "stop_p90", "stop_p99",
              "max_samples", "forced_rate"]
-    lines = [",".join(head)]
+    body = []
     for name, labels, rep in rows:
         pad = [float("nan")] * (n_hyp - len(rep.accept_freq))
-        row = [name, *(repr(float(v)) for v in labels), str(rep.trials), str(rep.seed)]
-        row += [repr(float(v)) for v in [*rep.accept_freq, *pad, *rep.accept_se, *pad]]
-        row += [repr(rep.asn), repr(rep.asn_se)]
-        row += [repr(rep.stop_percentiles[q]) for q in (50, 90, 99)]
-        row += [str(rep.max_samples), repr(rep.forced_rate)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        body.append([name, *labels, str(rep.trials), str(rep.seed), *rep.accept_freq, *pad,
+                     *rep.accept_se, *pad, rep.asn, rep.asn_se,
+                     *(rep.stop_percentiles[q] for q in (50, 90, 99)),
+                     str(rep.max_samples), rep.forced_rate])
+    return _csv_text(head, body)
 
 
 def compare(runners, theta_grid, trials: int, seed: int, names=None) -> CompareReport:

@@ -64,15 +64,8 @@ class SprtSpec:
 
     @cached_property
     def line(self) -> tuple[float, float]:
-        """(slope, offset): n observations summing to k have ratio k * slope + n * offset.
-
-        One observation's ratio is linear in it for both models: the offset
-        is its value at 0 and the slope its step from 0 to 1.
-        """
-        xs = np.array([0, 1])
-        lr = (self.model.log_pmf_sum(1, xs, self.theta1)
-              - self.model.log_pmf_sum(1, xs, self.theta0))
-        return float(lr[1] - lr[0]), float(lr[0])
+        """(slope, offset): n observations summing to k have ratio k * slope + n * offset."""
+        return self.model.log_lr_line(self.theta0, self.theta1)
 
     def _crossings(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Uncapped count windows: (largest k <= log B, smallest k >= log A) per n."""

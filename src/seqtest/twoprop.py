@@ -373,7 +373,7 @@ def _pmf_max(n: int, p_lo: float, p_hi: float) -> np.ndarray:
     the clipped mode.
     """
     ks = np.arange(n + 1)
-    return np.exp(_BERN.log_pmf_sum(n, ks, np.clip(ks / n, p_lo, p_hi)))
+    return _BERN.pmf_sum(n, ks, (ks / n).clip(p_lo, p_hi))
 
 
 def _pmf_min(n: int, p_lo: float, p_hi: float) -> np.ndarray:

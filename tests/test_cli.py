@@ -295,6 +295,11 @@ MALFORMED = {
     "theta0 off the zone": (lambda doc: doc.update(theta0=0.45), "theta0, theta1"),
     "window edge past the stage size": (
         lambda doc: doc["stages"][4]["windows"][1].__setitem__(1, 10**7), "stages[4].windows"),
+    # a build block that re-tuning could not rebuild from
+    "build not an object": (lambda doc: doc.update(build=[3]), "build"),
+    "text stage count": (lambda doc: doc["build"].update(stages="three"), "build.stages"),
+    "decreasing build sizes": (lambda doc: doc["build"].update(stage_ns=[5, 3]),
+                               "build.stage_ns"),
 }
 
 
@@ -333,6 +338,21 @@ class TestBadDocuments:
         assert code == 1
         assert err == ("error: stage sizes must be strictly increasing positive "
                        "integers (at stages[1].n_x)\n")
+
+
+class TestDesignSizing:
+    @pytest.mark.parametrize("argv", [
+        ["--stages", "0"],
+        ["--kind", "multi", "--zones", "0.3:0.4,0.6:0.7", "--fully-sequential"],
+        ["--kind", "two-prop", "--zones=-0.3:0.3", "--fully-sequential"],
+    ], ids=["no stages", "fully sequential multi", "fully sequential two-prop"])
+    def test_sizing_a_document_could_not_keep_is_a_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        code = run(["design", "--theta0", "0.4", "--theta1", "0.6", "--alpha", "0.05",
+                    "--beta", "0.05", "--zeta", "0.5", *argv, "--out", str(path)])
+        assert code == 2
+        assert not path.exists()
+        capsys.readouterr()
 
 
 class TestErrorSurface:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -48,6 +49,45 @@ class TestPmfSum:
                                    stats.poisson.pmf(ks, 7 * 1.9), atol=1e-14)
 
 
+    def test_mass_broadcasts_over_theta_and_settles_the_edges(self):
+        ks = np.array([-1, 0, 0, 2, 4, 4, 5])
+        thetas = np.array([0.5, 0.0, 1.0, 0.5, 1.0, 0.0, 0.5])
+        np.testing.assert_array_equal(BERN.pmf_sum(4, ks, thetas),
+                                      [0, 1, 0, 0.375, 1, 0, 0])
+        np.testing.assert_allclose(BERN.pmf_sum(30, np.arange(31), np.linspace(0.01, 0.99, 31)),
+                                   stats.binom.pmf(np.arange(31), 30, np.linspace(0.01, 0.99, 31)),
+                                   rtol=1e-13)
+        np.testing.assert_array_equal(POIS.pmf_sum(2, [-1, 0, 3], 0.0), [0, 1, 0])
+        np.testing.assert_array_equal(BERN.pmf_sum(0, [-1, 0, 1], 0.3), [0, 1, 0])
+
+    def test_log_mass_against_scipy(self):
+        ks = np.arange(-1, 42)
+        np.testing.assert_allclose(BERN.log_pmf_sum(40, ks, 0.3)[1:],
+                                   stats.binom.logpmf(ks[1:], 40, 0.3), rtol=1e-13)
+        assert BERN.log_pmf_sum(40, -1, 0.3) == -np.inf
+        np.testing.assert_allclose(POIS.log_pmf_sum(7, ks[1:], 1.9),
+                                   stats.poisson.logpmf(ks[1:], 7 * 1.9), rtol=1e-13)
+
+    @pytest.mark.parametrize("model, top", [(BERN, 1.0), (POIS, 30.0)])
+    def test_log_lr_line_against_mpmath(self, model, top):
+        rng = np.random.default_rng(3)
+        with mp.workdps(40):
+            for _ in range(200):
+                t0, t1 = sorted(float(x) for x in rng.uniform(0.0, top, 2))
+                slope, offset = model.log_lr_line(t0, t1)
+                m0, m1 = mp.mpf(t0), mp.mpf(t1)
+                if model is BERN:
+                    want_offset = mp.log((1 - m1) / (1 - m0))
+                    want_slope = mp.log(m1 / m0) - want_offset
+                    scale = abs(math.log(t0 * t1)) + abs(math.log((1 - t0) * (1 - t1)))
+                else:
+                    want_slope, want_offset = mp.log(m1 / m0), m0 - m1
+                    scale = abs(math.log(t0 * t1)) + t0 + t1
+                # each term is rounded once, so the error scales with the terms
+                assert abs(slope - want_slope) <= 4e-16 * scale
+                assert abs(offset - want_offset) <= 4e-16 * scale
+
+
 class TestTails:
     def test_single_fair_coin(self):
         assert BERN.tail_lower(1, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
@@ -66,7 +106,7 @@ class TestTails:
         for z in (0.0, 0.2, 0.4, 1.0):
             f = BERN.tail_lower(5, z, 0.3)
             g = BERN.tail_upper(5, z, 0.3)
-            atom = BERN.pmf_sum(5, int(round(z * 5)), 0.3)
+            atom = stats.binom.pmf(int(round(z * 5)), 5, 0.3)
             assert f + g == pytest.approx(1.0 + atom, abs=1e-13)
 
     def test_ule_monotonicity_in_theta(self):
@@ -196,7 +236,7 @@ class TestProbabilityIntegralBound:
         for n in (1, 7, 30):
             for theta in (0.2, 0.5, 0.9):
                 ks = np.arange(n + 1)
-                mass = BERN.pmf_sum(n, ks, theta)
+                mass = stats.binom.pmf(ks, n, theta)
                 fvals = np.array([BERN.tail_lower(n, k / n, theta) for k in ks])
                 for a in np.arange(0.01, 1.0, 0.01):
                     assert mass[fvals <= a].sum() <= a + 1e-12
@@ -217,6 +257,22 @@ class TestIncrementAndDraw:
             want = stats.binom.pmf(np.arange(m + 1), m, theta)
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-15)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 17, 383, 4096, 9603])
+    def test_increment_is_the_mass_over_the_support(self, m):
+        for theta in (0.001, 0.3, 0.5, 0.9):
+            probs, _ = BERN.increment_pmf(m, theta)
+            want = BERN.pmf_sum(m, np.arange(m + 1), theta)
+            np.testing.assert_array_equal(probs[1:-1], want[1:-1])
+            # the end masses exp(m log(1 - theta)) and exp(m log theta) take
+            # libm's exp and logs here and numpy's in pmf_sum, which may
+            # differ by an ulp, scaled by the size of the exponent
+            np.testing.assert_allclose(probs[[0, -1]], want[[0, -1]], rtol=1e-12, atol=0)
+        for mu in (1e-4, 0.7, 300.0):
+            probs, _ = POIS.increment_pmf(m, mu / m)
+            want = POIS.pmf_sum(m, np.arange(len(probs)), mu / m)
+            np.testing.assert_array_equal(probs[1:], want[1:])
+            assert probs[0] == pytest.approx(want[0], rel=1e-13)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bernoulli_increment_point_masses(self):

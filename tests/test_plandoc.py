@@ -314,3 +314,39 @@ class TestMalformedDocuments:
             zeta=plan.zeta, stages=plan.stages, link_name="doubling")
         with pytest.raises(PlanDocumentError):
             plan_to_doc(odd)
+
+    @pytest.mark.parametrize("name, build, ctx", [
+        ("one-sided-exact", [3], "build"),
+        ("one-sided-exact", {"stages": "three"}, "build.stages"),
+        ("one-sided-exact", {"stages": 0}, "build.stages"),
+        ("one-sided-exact", {"stages": True}, "build.stages"),
+        ("one-sided-exact", {"stage_ns": [5, 3]}, "build.stage_ns"),
+        ("one-sided-exact", {"stage_ns": "5,10"}, "build.stage_ns"),
+        ("one-sided-exact", {"stage_ns": [5, 10.5]}, "build.stage_ns"),
+        ("one-sided-exact", {"schedule": "harmonic"}, "build.schedule"),
+        ("one-sided-exact", {"fully_sequential": 1}, "build.fully_sequential"),
+        ("multi-chernoff", {"fully_sequential": True}, "build.fully_sequential"),
+        ("two-prop", {"stage_ns": []}, "build.stage_ns"),
+    ])
+    def test_build_block_is_what_the_builders_accept(self, name, build, ctx):
+        doc = plan_to_doc(plan_zoo()[name], build=build)
+        self.expect(doc, f"(at {ctx})")
+
+    @pytest.mark.parametrize("build", [
+        None, {}, {"stage_ns": [5, 10]}, {"stages": 3, "schedule": "arithmetic"},
+        {"stages": 1, "schedule": "geometric", "fully_sequential": True}])
+    def test_builder_sizings_load(self, build):
+        plan = plan_zoo()["one-sided-exact"]
+        assert doc_to_plan(plan_to_doc(plan, build=build)).stages == plan.stages
+
+    @pytest.mark.parametrize("link", [5, None, "doubling", ["identity"]])
+    def test_two_prop_link_is_the_identity(self, link):
+        doc = self.good_doc("two-prop")
+        doc["link"] = link
+        self.expect(doc, "(at link)")
+
+    def test_every_loaded_two_prop_document_saves(self):
+        doc = self.good_doc("two-prop")
+        assert dump_doc(plan_to_doc(doc_to_plan(doc))) == dump_doc(doc)
+        del doc["link"]
+        assert doc_to_plan(doc).link_name == "identity"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -125,6 +126,50 @@ class TestStageRule:
         spans = [w for w in rule.windows if w is not None]
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             assert hi < lo
+
+
+class TestLikelihoodRatioTie:
+    """At k = n / 2 the 0.4 and 0.6 likelihoods are equal, and with alpha = beta
+    the rule accepts H0 when their ratio is at least 1."""
+
+    def test_exact_tie_accepts(self):
+        plan = build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    stage_ns=[104, 105])
+        assert plan.stages[0].ties == ((52, 52),)
+        assert plan.stages[0].decision_for_sum(52) == 1
+
+    def test_exact_tie_accepts_at_every_even_size(self):
+        ns = np.arange(2, 3001, 2)
+        min_a, max_b = plans._crossing_counts(BERN, EXACT, ns, [0.4], [0.6], [0.025], [0.025])
+        tied = np.flatnonzero((min_a[0] <= ns // 2) & (ns // 2 <= max_b[0]))
+        assert len(tied) == 1449
+        wrong = [int(ns[j]) for j in tied
+                 if plans._rule_from_counts(BERN, int(ns[j]), min_a[:, j], max_b[:, j],
+                                            [0.4], [0.6], None, (0.4, 0.6, 0.0)
+                                            ).decision_for_sum(int(ns[j]) // 2) != 1]
+        assert wrong == []
+
+    @pytest.mark.parametrize("model, top", [(BERN, 1.0), (POIS, 20.0)])
+    def test_cut_is_where_the_exact_ratio_line_meets_the_level(self, model, top):
+        rng = np.random.default_rng(17)
+        with mp.workdps(40):
+            for _ in range(300):
+                t0, t1 = sorted(float(x) for x in rng.uniform(0.0, top, 2))
+                n = int(rng.integers(1, 5000))
+                log_ratio = math.log(rng.uniform(0.001, 0.3) / rng.uniform(0.001, 0.3))
+                m0, m1 = mp.mpf(t0), mp.mpf(t1)
+                if model is BERN:
+                    offset = mp.log((1 - m1) / (1 - m0))
+                    slope = mp.log(m1 / m0) - offset
+                else:
+                    slope, offset = mp.log(m1 / m0), m0 - m1
+                # the largest count whose exact ratio k slope + n offset is at
+                # most -log_ratio, clipped to a tie region drawn around it
+                cross = int(mp.floor((-log_ratio - n * offset) / slope))
+                lo = max(cross - int(rng.integers(-3, 4)), 0)
+                hi = lo + int(rng.integers(0, 6))
+                want = min(cross, hi) if cross >= lo else None
+                assert plans._log_lr_cut(model, n, (lo, hi), t0, t1, log_ratio) == want
 
 
 class TestSchedules:

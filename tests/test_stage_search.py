@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import seqtest.plans as plans
 from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
+from seqtest.errors import DomainError
 from seqtest.models import Bernoulli, Poisson, _poisson_isf
 from seqtest.plans import (
     TIEBREAK_ALWAYS_ACCEPT,
@@ -196,15 +198,18 @@ class TestCrossingCounts:
         np.testing.assert_array_equal(max_b[0], want[:, 1])
         assert (max_b[0] >= 0).any()
 
-    def test_poisson_guess_is_the_scalar_quantile_plus_one(self):
+    def test_poisson_quantile_is_scipy_stats_isf(self):
         mus = np.unique(np.concatenate([np.linspace(0.0, 10.0, 1001),
                                         np.linspace(10.0, 2500.0, 2499),
                                         np.geomspace(1e-6, 2500.0, 200)]))
-        for q in (1e-12, 1e-9, 1e-6, 1e-3, 0.025, 0.05, 0.5, 0.975):
-            want = [_poisson_isf(q, mu) + 1 for mu in mus]
-            assert plans._poisson_guess(q, mus).tolist() == want, q
+        for q in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.025, 0.05, 0.5, 0.975):
+            want = stats.poisson.isf(q, mus)
+            np.testing.assert_array_equal(_poisson_isf(q, mus), want)
+            np.testing.assert_array_equal(plans._poisson_guess(q, mus), want + 1)
         # 1 - q rounds to 1, where the quantile is not defined
         np.testing.assert_array_equal(plans._poisson_guess(1e-20, mus), np.ceil(mus) + 1)
+        with pytest.raises(DomainError):
+            _poisson_isf(1e-20, mus)
 
 
 def test_ladder_final_sizes():

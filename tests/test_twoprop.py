@@ -8,6 +8,7 @@ for operating characteristics, and dense parameter grids for certificates.
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -16,7 +17,7 @@ from scipy.stats import binom
 
 from seqtest.errors import (DomainError, InfeasibleDesignError,
                             StreamExhaustedError)
-from seqtest.twoprop import (Rectangle, build_two_prop_plan, certify_risk,
+from seqtest.twoprop import (Rectangle, _pmf_max, build_two_prop_plan, certify_risk,
                              exact_oc, newcombe_limits, rejection_prob_bounds,
                              run_two_prop, truncation_bounds, tune_two_prop)
 
@@ -141,6 +142,22 @@ class TestTruncationBounds:
             truncation_bounds(0.5, 10, 0.0)
         with pytest.raises(DomainError):
             truncation_bounds(0.5, 0, 0.1)
+
+
+class TestPmfBounds:
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_pmf_max_against_mpmath(self, n):
+        """The binomial mass at each count's clipped mode, within 1e-12 relative."""
+        ks = list(range(0, n + 1, 7)) + [n]
+        with mp.workdps(40):
+            for p_lo, p_hi in ((0.2, 0.3), (0.45, 0.55), (0.0, 0.05), (0.9, 1.0), (0.31, 0.3101)):
+                got = _pmf_max(n, p_lo, p_hi)
+                modes = np.clip(np.arange(n + 1) / n, p_lo, p_hi)
+                for k in ks:
+                    p = mp.mpf(float(modes[k]))
+                    want = mp.binomial(n, k) * p**k * (1 - p)**(n - k)
+                    if want >= 1e-290:
+                        assert abs(got[k] - want) <= 1e-12 * want, (p_lo, p_hi, k)
 
 
 class TestBuildPlan:
