@@ -95,15 +95,11 @@ def _bd0(x, mu):
     return xlog1py(x, diff / mu) - diff
 
 
-def _binom_pmf(n: int, theta, k=None):
-    """Pr{Binomial(n, theta) = k} in Loader's form, for float counts 0 < k < n,
-    or for all of them when k is None (stirlerr read by slices, not gathers,
-    for the whole-support increments); k and theta broadcast."""
+def _binom_pmf(n: int, theta, k):
+    """Pr{Binomial(n, theta) = k} in Loader's form, for float counts 0 < k < n;
+    k and theta broadcast."""
     stirl = _stirlerr(n)
-    if k is None:
-        k, at = np.arange(1.0, n), slice(1, n)
-    else:
-        at = k.astype(np.intp)
+    at = k.astype(np.intp)
     nk = n - k
     dev = _bd0(k, n * theta) + _bd0(nk, n * (1.0 - theta))
     # stirl[::-1][at] is stirlerr(n - k)
@@ -111,14 +107,10 @@ def _binom_pmf(n: int, theta, k=None):
             * np.sqrt(n / (2.0 * math.pi) / (k * nk)))
 
 
-def _poisson_pmf(mu, top: int, k=None):
-    """Pr{Poisson(mu) = k} in Loader's form, for float counts 0 < k <= top, or
-    for all of them when k is None (as in ``_binom_pmf``); k and mu broadcast."""
-    if k is None:
-        k, at = np.arange(1.0, top + 1), slice(1, None)
-    else:
-        at = k.astype(np.intp)
-    return np.exp(-_stirlerr(top)[at] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
+def _poisson_pmf(mu, top: int, k):
+    """Pr{Poisson(mu) = k} in Loader's form, for float counts 0 < k <= top;
+    k and mu broadcast."""
+    return np.exp(-_stirlerr(top)[k.astype(np.intp)] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
 
 
 def _poisson_isf(q: float, mu):
@@ -164,7 +156,7 @@ class Bernoulli:
         inner = (k > 0) & (k < n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _binom_pmf(n, theta, np.where(inner, k, 0.0))
-            ends = np.exp(np.where(k == 0, n * np.log1p(-theta), n * np.log(theta)))
+            ends = np.exp(np.where(k == 0, xlog1py(n, -theta), xlogy(n, theta)))
         return np.where(inner, out, np.where((k == 0) | (k == n), ends, 0.0))
 
     def log_pmf_sum(self, n: int, k, theta):
@@ -230,7 +222,7 @@ class Bernoulli:
             # a point mass; a subnormal theta would overflow bd0's ratio
             probs[0 if theta < 0.5 else m] = 1.0
             return probs, 0.0
-        probs[1:m] = _binom_pmf(m, theta)
+        probs[1:m] = _binom_pmf(m, theta, np.arange(1.0, m))
         probs[0] = math.exp(m * math.log1p(-theta))
         probs[m] = math.exp(m * math.log(theta))
         return probs, 0.0
@@ -315,7 +307,7 @@ class Poisson:
         k_hi = int(_poisson_isf(tail_mass, mu))
         probs = np.empty(k_hi + 1)
         probs[0] = math.exp(-mu)
-        probs[1:] = _poisson_pmf(mu, k_hi)
+        probs[1:] = _poisson_pmf(mu, k_hi, np.arange(1.0, k_hi + 1))
         return probs, float(pdtrc(k_hi, mu))
 
     def draw(self, rng: np.random.Generator, size: int, theta: float):

@@ -59,6 +59,8 @@ class TestPmfSum:
                                    rtol=1e-13)
         np.testing.assert_array_equal(POIS.pmf_sum(2, [-1, 0, 3], 0.0), [0, 1, 0])
         np.testing.assert_array_equal(BERN.pmf_sum(0, [-1, 0, 1], 0.3), [0, 1, 0])
+        # zero samples sum to 0 surely, also at the closed ends of the mean range
+        np.testing.assert_array_equal(BERN.pmf_sum(0, [0, 0, 1, 1], [0.0, 1.0, 0.0, 1.0]), [1, 1, 0, 0])
 
     def test_log_mass_against_scipy(self):
         ks = np.arange(-1, 42)
