@@ -201,8 +201,7 @@ def _cmd_tune(args, parser) -> int:
         top = max(max(plan.base_alphas), max(plan.base_betas))
         res = tune_two_prop(fam, deltas, tol=args.tol,
                             zeta_max=args.zeta_max or 1.0 / top,
-                            eta=args.eta, certify_tol=args.certify_tol,
-                            budget=args.budget)
+                            certify_tol=args.certify_tol, budget=args.budget)
         trace_req = list(deltas)
     else:
         if plan.kind == "one-sided":
@@ -249,8 +248,7 @@ def _cmd_certify(args, parser) -> int:
         parser.error(f"need {plan.m} risk budgets, got {len(args.deltas)}")
     all_proved = True
     for i, delta in enumerate(args.deltas):
-        cert = certify_risk(plan, i, delta, eta=args.eta, tol=args.tol,
-                            budget=args.budget)
+        cert = certify_risk(plan, i, delta, tol=args.tol, budget=args.budget)
         print(f"hypothesis {i}: {cert.verdict} (risk budget {_FMT(delta)}, "
               f"max upper bound {_FMT(cert.max_upper)}, "
               f"{cert.explored} rectangles)")
@@ -355,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--deltas", type=lambda s: _parse_floats(s, "--deltas"),
                    help="risk budget per hypothesis")
     t.add_argument("--zeta-max", type=float)
-    t.add_argument("--eta", type=float, default=0.01,
-                   help="truncation loss per stage and side (two-prop)")
     t.add_argument("--certify-tol", type=float, default=1e-3)
     t.add_argument("--budget", type=int, default=20_000)
     t.add_argument("--out", help="output path (default: rewrite --plan)")
@@ -366,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--plan", required=True)
     c.add_argument("--deltas", required=True,
                    type=lambda s: _parse_floats(s, "--deltas"))
-    c.add_argument("--eta", type=float, default=0.01)
     c.add_argument("--tol", type=float, default=1e-3)
     c.add_argument("--budget", type=int, default=20_000)
     c.set_defaults(fn=_cmd_certify)

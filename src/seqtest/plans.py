@@ -528,6 +528,8 @@ def _all_ties_present(rule: StageRule) -> bool:
 
 def stage_schedule(n1: int, ns: int, s: int, kind: str) -> tuple[int, ...]:
     """Strictly increasing stage sizes from n1 to ns (inclusive)."""
+    if s < 1:
+        raise DomainError(f"need at least one stage, got {s}")
     if ns < n1:
         raise DomainError(f"need n1 <= ns, got {n1} > {ns}")
     if s <= 1 or n1 == ns:

@@ -35,8 +35,7 @@ class TuneResult:
 
 
 def tune_zeta(plan_family, requirement, tol: float = 1e-3,
-              zeta_max: float = 1.0, floor: float = ZETA_FLOOR,
-              verify=None) -> TuneResult:
+              zeta_max: float = 1.0, verify=None) -> TuneResult:
     """Largest scale in (0, zeta_max) whose plan passes exact verification.
 
     ``plan_family`` maps a scale to a plan; a construction error counts as
@@ -44,11 +43,11 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
     defaults to the exact zone-endpoint verdict against ``requirement``.
     The bracket starts by geometric probing downward from ``zeta_max`` and
     is then bisected to relative width ``tol``; the feasible endpoint is
-    returned.  No feasible scale above ``floor`` raises an error.
+    returned.  No feasible scale above ``ZETA_FLOOR`` raises an error.
     """
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    if not (floor < zeta_max):
+    if not (ZETA_FLOOR < zeta_max):
         raise DomainError("zeta_max must exceed the search floor")
     if verify is None:
         def verify(plan):
@@ -79,7 +78,7 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
     # Geometric probing for a feasible low endpoint.
     lo = None
     z = 0.5 * hi
-    while z >= floor:
+    while z >= ZETA_FLOOR:
         ok, plan, rep = feasible(z)
         if ok:
             lo = z
@@ -88,7 +87,7 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
         z *= 0.5
     if lo is None:
         raise InfeasibleDesignError(
-            f"no feasible scale above {floor:g}; the stage layout cannot "
+            f"no feasible scale above {ZETA_FLOOR:g}; the stage layout cannot "
             "meet the requirement"
         )
     best_plan, best_rep = plan, rep

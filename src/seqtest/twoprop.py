@@ -11,13 +11,13 @@ compared against the midpoint of the shared indifference zone.
 
 The exact OC and the risk bounds run the forward recursion of
 ``ocexact.propagate`` over the 2-D count grid.  Risk verification over a
-parameter rectangle uses truncated interval dynamic programming: per-stage
-transition masses are bounded over the rectangle (binomial mass is
-unimodal in p), paths are clipped to mean-range windows that lose at most
-eta of probability per stage and side, and the resulting upper/lower
-rejection bounds drive a branch-and-bound certificate over the hypothesis
-zone.  One certificate computes each pmf bound, count window and stage
-rejection mask once and reuses it across its rectangles.
+parameter rectangle uses interval dynamic programming: the same recursion
+over both arms' whole supports, with each transition mass replaced by its
+pointwise minimum or maximum over the rectangle (binomial mass is unimodal
+in p).  The resulting lower/upper rejection bounds hold at every point of
+the rectangle and drive a branch-and-bound certificate over the hypothesis
+zone.  One certificate computes each pmf bound and stage rejection mask
+once and reuses it across its rectangles.
 """
 
 from __future__ import annotations
@@ -388,11 +388,10 @@ def _propagate(plan: TwoPropPlan, pmf):
 class _IntervalDP:
     """Sandwich bounds for one plan and hypothesis, inputs computed once.
 
-    The pmf bounds per (bound, m, range) and the count-window ends per
-    (theta, n, eta) are kept for the life of the instance, and each
-    stage's "rejects ``hyp``" mask is built with it.  ``certify_risk``
-    keeps one for its whole search; ``rejection_prob_bounds`` makes a
-    fresh one per call.
+    The pmf bounds per (bound, m, range) are kept for the life of the
+    instance, and each stage's "rejects ``hyp``" mask is built with it.
+    ``certify_risk`` keeps one for its whole search;
+    ``rejection_prob_bounds`` makes a fresh one per call.
     """
 
     def __init__(self, plan: TwoPropPlan, hyp: int):
@@ -402,7 +401,6 @@ class _IntervalDP:
         self._rejects = [(st.decision != CONTINUE) & (st.decision != hyp)
                          for st in plan.stages]
         self._pmfs: dict = {}
-        self._ends: dict = {}
 
     def _pmf(self, bound, m: int, lo: float, hi: float) -> np.ndarray:
         key = (bound, m, lo, hi)
@@ -410,57 +408,37 @@ class _IntervalDP:
             self._pmfs[key] = bound(m, lo, hi)
         return self._pmfs[key]
 
-    def _end_counts(self, theta: float, n: int, eta: float) -> tuple[int, int]:
-        """Count ends of ``truncation_bounds(theta, n, eta)``."""
-        key = (theta, n, eta)
-        if key not in self._ends:
-            lb, ub = truncation_bounds(theta, n, eta)
-            self._ends[key] = int(round(lb * n)), int(round(ub * n))
-        return self._ends[key]
+    def _rejection(self, ranges, pmf_bound) -> float:
+        """Interval-DP mass of the paths that reject the hypothesis.
 
-    def _windowed_rejection(self, ranges, windows, pmf_bound, eta: float) -> float:
-        """Interval-DP mass of the windowed paths that reject the hypothesis.
-
-        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
-        parameter range in ``ranges``, and its counts are cut to the window
-        from the lower count end at ``lo`` to the upper count end at ``hi``
-        of its pair in ``windows``.
+        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over
+        its parameter range in ``ranges``, over the arm's whole support.
         """
-        plan = self.plan
         total = 0.0
-        for idx, state, _, offset, _ in _propagate(
-                plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
-            stage = plan.stages[idx]
-            for axis, (n, (lo, hi)) in enumerate(zip((stage.n_x, stage.n_y), windows)):
-                a = self._end_counts(lo, n, eta)[0] - offset
-                b = self._end_counts(hi, n, eta)[1] - offset
-                cells = state.swapaxes(0, axis)  # a view: zero the counts outside the window
-                cells[:a] = 0.0
-                cells[b + 1:] = 0.0
+        for idx, state, _, _, _ in _propagate(
+                self.plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
             total += float(state[self._rejects[idx]].sum())
         return total
 
-    def bounds(self, rect: Rectangle, eta: float) -> tuple[float, float]:
+    def bounds(self, rect: Rectangle) -> tuple[float, float]:
         """(lower, upper) of ``rejection_prob_bounds``."""
         ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
-        inner = tuple((hi, lo) for lo, hi in ranges)
-        upper = (self._windowed_rejection(ranges, ranges, _pmf_max, eta)
-                 + 2.0 * self.plan.s * eta)
-        lower = self._windowed_rejection(ranges, inner, _pmf_min, eta)
-        return min(1.0, max(0.0, lower)), min(1.0, upper)
+        lower = self._rejection(ranges, _pmf_min)
+        upper = self._rejection(ranges, _pmf_max)
+        return min(1.0, lower), min(1.0, upper)
 
 
-def rejection_prob_bounds(plan: TwoPropPlan, hyp: int, rect: Rectangle,
-                          eta: float = 0.01) -> tuple[float, float]:
+def rejection_prob_bounds(plan: TwoPropPlan, hyp: int,
+                          rect: Rectangle) -> tuple[float, float]:
     """Sandwich bounds on Pr{accept something other than ``hyp``} over ``rect``.
 
-    Upper: 2 s eta plus the interval-DP mass of windowed rejection paths,
-    with per-stage windows built from the rectangle's own endpoints.
-    Lower: the same path sum under the swapped (inner) windows, no eta
-    term.  Both passes bound every transition mass over the rectangle, so
-    the sandwich holds at every parameter point inside it.
+    The exact recursion over both arms' whole supports, with every
+    transition mass replaced by its pointwise minimum (lower) or maximum
+    (upper) over the rectangle.  A path's probability is a product of
+    transition masses, so each bound holds at every parameter point inside
+    the rectangle; at a point rectangle both equal the exact rejection.
     """
-    return _IntervalDP(plan, hyp).bounds(rect, eta)
+    return _IntervalDP(plan, hyp).bounds(rect)
 
 
 def _check_point(p_x: float, p_y: float) -> None:
@@ -493,89 +471,70 @@ class RiskCertificate:
     hypothesis: int
     budget_used: int                  # bound evaluations spent
     explored: int                     # rectangles examined
-    max_upper: float                  # largest upper bound seen on the zone
-    witness: Rectangle | None         # violator (disproved) or widest straddler
-    trace: list                       # (rectangle, lower, upper, eta) tuples
+    max_upper: float                  # largest upper bound on the final frontier
+    witness: Rectangle                # frontier's worst rectangle: the violator if disproved
+    # (rectangle, lower, upper, truncation slack) tuples; the bounds run
+    # over whole supports, so the slack is always 0.0
+    trace: list
 
     @property
     def proved(self) -> bool:
         return self.verdict == "proved"
 
 
-def certify_risk(plan: TwoPropPlan, hyp: int, delta: float,
-                 zone_band: tuple[float, float] | None = None,
-                 eta: float = 0.01, tol: float = 1e-3,
-                 budget: int = 20_000, eta_min: float = 1e-5) -> RiskCertificate:
+def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
+                 budget: int = 20_000) -> RiskCertificate:
     """Branch-and-bound verdict: is Pr{reject ``hyp``} <= delta on its zone?
 
-    Best-first on the upper bound: if the worst remaining rectangle's
-    upper bound clears delta the claim is proved; a lower bound above
-    delta on a zone-intersecting rectangle disproves it.  A rectangle
-    whose sandwich gap is dominated by the truncation slack is
-    re-evaluated with a halved eta before being split; rectangles
-    narrower than ``tol`` that still straddle delta end the search as
-    inconclusive.  Each bound is ``rejection_prob_bounds``'s, but the pmf
-    bounds, count windows and rejection masks are computed once per call:
-    split children share an axis range with their parent, and an eta
-    halving re-evaluates the same rectangle.
+    Best-first on the upper bound over rectangles that meet the zone band
+    ``plan.zone_band(hyp)``: if the worst remaining rectangle's upper
+    bound clears delta the claim is proved; a lower bound above delta on a
+    zone-intersecting rectangle disproves it.  Rectangles narrower than
+    ``tol`` that still straddle delta end the search as inconclusive.
+    Each bound is ``rejection_prob_bounds``'s, but the pmf bounds and
+    rejection masks are computed once per call: split children share an
+    axis range with their parent.
     """
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    band = plan.zone_band(hyp) if zone_band is None else (float(zone_band[0]),
-                                                          float(zone_band[1]))
+    band = plan.zone_band(hyp)
     dp = _IntervalDP(plan, hyp)
-    evals = 0
-    explored = 0
-    max_upper = 0.0
     trace: list = []
     heap: list = []
-    serial = 0
 
-    def push(rect: Rectangle, cur_eta: float):
-        nonlocal evals, serial, max_upper
-        evals += 1
-        lo, up = dp.bounds(rect, cur_eta)
-        max_upper = max(max_upper, up)
-        trace.append((rect, lo, up, cur_eta))
-        heapq.heappush(heap, (-up, serial, rect, lo, cur_eta))
-        serial += 1
+    def push(rect: Rectangle):
+        lo, up = dp.bounds(rect)
+        heapq.heappush(heap, (-up, len(trace), rect, lo))
+        trace.append((rect, lo, up, 0.0))
 
     root = Rectangle(0.0, 1.0, 0.0, 1.0)
     if not root.intersects_band(*band):
         raise DomainError(f"hypothesis zone {band} is empty")
-    push(root, eta)
+    push(root)
 
-    while heap:
-        neg_up, _, rect, lo, cur_eta = heapq.heappop(heap)
+    # Every split keeps a child on the band, so the frontier never empties.
+    explored = 0
+    while True:
+        neg_up, _, rect, lo = heapq.heappop(heap)
         up = -neg_up
         explored += 1
+        # best-first: ``up`` is the largest upper bound on the frontier
         if up <= delta:
-            # best-first: every remaining rectangle is at least as good
-            return RiskCertificate("proved", hyp, evals, explored, max_upper,
-                                   rect, trace)
-        if lo > delta:
-            return RiskCertificate("disproved", hyp, evals, explored, max_upper,
-                                   rect, trace)
-        if evals >= budget:
-            return RiskCertificate("inconclusive", hyp, evals, explored,
-                                   max_upper, rect, trace)
-        slack = 2.0 * plan.s * cur_eta
-        if slack > 0.5 * (up - delta) and cur_eta > eta_min:
-            push(rect, 0.5 * cur_eta)
+            verdict = "proved"
+        elif lo > delta:
+            verdict = "disproved"
+        elif len(trace) >= budget or max(rect.widths) < tol:
+            verdict = "inconclusive"
+        else:
+            for child in rect.split():
+                if child.intersects_band(*band):
+                    push(child)
             continue
-        if max(rect.widths) < tol:
-            return RiskCertificate("inconclusive", hyp, evals, explored,
-                                   max_upper, rect, trace)
-        for child in rect.split():
-            if child.intersects_band(*band):
-                push(child, cur_eta)
-    # Frontier exhausted: nothing on the zone exceeded delta.
-    return RiskCertificate("proved", hyp, evals, explored, max_upper, None, trace)
+        return RiskCertificate(verdict, hyp, len(trace), explored, up, rect, trace)
 
 
 def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,
-                  eta: float = 0.01, certify_tol: float = 1e-3,
-                  budget: int = 20_000):
+                  certify_tol: float = 1e-3, budget: int = 20_000):
     """Largest scale whose plan earns a proved certificate for every zone.
 
     Only a full set of proved verdicts counts as feasible; disproved and
@@ -588,8 +547,7 @@ def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,
     def verify(plan):
         certs = []
         for i in range(plan.m):
-            cert = certify_risk(plan, i, deltas[i], eta=eta, tol=certify_tol,
-                                budget=budget)
+            cert = certify_risk(plan, i, deltas[i], tol=certify_tol, budget=budget)
             certs.append(cert)
             if not cert.proved:
                 return False, certs

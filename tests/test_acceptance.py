@@ -259,7 +259,7 @@ class TestAcceptance:
                  Rectangle(0.05, 0.35, 0.45, 0.85)]
         for rect in rects:
             for hyp in range(plan.m):
-                lo, up = rejection_prob_bounds(plan, hyp, rect, eta=0.01)
+                lo, up = rejection_prob_bounds(plan, hyp, rect)
                 for _ in range(100):
                     px = rng.uniform(rect.px_lo, rect.px_hi)
                     py = rng.uniform(rect.py_lo, rect.py_hi)

@@ -1,6 +1,7 @@
 """Command-line front end: flows, artifacts, and exit codes, in process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestCertify:
         assert code == 0
         assert "hypothesis 0: proved" in out
         assert "hypothesis 1: proved" in out
+
+    def test_proved_lines_report_an_upper_bound_within_budget(self, workdir, capsys):
+        assert run(["certify", "--plan", str(workdir / "twoprop.json"),
+                    "--deltas", "0.15,0.35"]) == 0
+        out = capsys.readouterr().out
+        proved = re.findall(r"proved \(risk budget ([^,]+), max upper bound ([^,]+),", out)
+        assert len(proved) == 2
+        for budget, upper in proved:
+            assert float(upper) <= float(budget)
 
     def test_disproof_exits_one(self, workdir, capsys):
         code = run(["certify", "--plan", str(workdir / "twoprop.json"),

@@ -228,6 +228,16 @@ class TestBuildPlans:
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
                                  stage_ns=stage_ns)
 
+    @pytest.mark.parametrize("stages", [0, -3])
+    def test_one_sided_stage_count_below_one_is_refused(self, stages):
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, stages=stages)
+
+    def test_multihyp_stage_count_below_one_is_refused(self):
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
+                                base_alphas=[0.1, 0.1], base_betas=[0.1, 0.1], stages=0)
+
     def test_unclosable_design_is_reported(self):
         with pytest.raises(InfeasibleDesignError):
             build_multihyp_plan(BERN, EXACT, [0.48], [0.52], 0.04, stages=2,

@@ -26,7 +26,8 @@ from seqtest.models import Bernoulli, Poisson
 from seqtest.ocexact import oc_curve, oc_single, rejection_split
 from seqtest.plandoc import doc_to_plan, dump_doc, parse_doc, plan_to_doc
 from seqtest.plans import MultiHypPlan, OneSidedPlan, StageRule
-from seqtest.twoprop import TwoPropPlan, TwoPropStage, exact_oc
+from seqtest.twoprop import (Rectangle, TwoPropPlan, TwoPropStage, exact_oc,
+                             rejection_prob_bounds)
 
 BERN, POIS = Bernoulli(), Poisson()
 FEW = settings(max_examples=40, deadline=None, database=None)
@@ -220,6 +221,27 @@ def test_exact_oc_matches_double_loop(case):
     acc, asn_x, asn_y = exact_oc(plan, p_x, p_y)
     np.testing.assert_allclose(acc, accept, rtol=0, atol=1e-13)
     np.testing.assert_allclose([asn_x, asn_y], asn, rtol=0, atol=1e-12)
+
+
+@FEW
+@given(two_sample_cases(), st.data())
+def test_rejection_bounds_sandwich_the_exact_oc(case, data):
+    """The bounds over a rectangle hold at its corners and at an interior
+    point, and over a point rectangle both are the exact rejection."""
+    plan, p_x, p_y = case
+    hyp = data.draw(st.integers(0, plan.m - 1))
+    q_x, q_y, f_x, f_y = (data.draw(st.floats(0.0, 1.0)) for _ in range(4))
+    rect = Rectangle(min(p_x, q_x), max(p_x, q_x), min(p_y, q_y), max(p_y, q_y))
+    lo, up = rejection_prob_bounds(plan, hyp, rect)
+    inner = (min(rect.px_hi, rect.px_lo + f_x * rect.widths[0]),
+             min(rect.py_hi, rect.py_lo + f_y * rect.widths[1]))
+    for x, y in [(x, y) for x in (rect.px_lo, rect.px_hi)
+                 for y in (rect.py_lo, rect.py_hi)] + [inner]:
+        rej = 1.0 - exact_oc(plan, x, y)[0][hyp]
+        assert lo - 1e-12 <= rej <= up + 1e-12
+    rej = 1.0 - exact_oc(plan, p_x, p_y)[0][hyp]
+    point = rejection_prob_bounds(plan, hyp, Rectangle(p_x, p_x, p_y, p_y))
+    assert point == pytest.approx((rej, rej), abs=1e-12)
 
 
 @st.composite

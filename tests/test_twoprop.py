@@ -183,6 +183,11 @@ class TestBuildPlan:
         plan = build_two_prop_plan([-0.1], [0.1], 0.5, stages=2)
         assert plan.stage_sizes == ((1, 1), (23, 23))
 
+    @pytest.mark.parametrize("stages", [0, -3])
+    def test_stage_count_below_one_is_refused(self, stages):
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_two_prop_plan([-0.3], [0.3], 0.5, stages=stages)
+
     def test_wide_zone_single_sample(self):
         plan = build_two_prop_plan([-0.45], [0.45], 0.5)
         assert plan.stage_sizes == ((1, 1),)
@@ -343,7 +348,7 @@ class TestSandwichBounds:
                  Rectangle(0.55, 0.9, 0.05, 0.3)]
         for rect in rects:
             for hyp in (0, 1):
-                lo, up = rejection_prob_bounds(plan, hyp, rect, eta=0.01)
+                lo, up = rejection_prob_bounds(plan, hyp, rect)
                 assert 0.0 <= lo <= up <= 1.0
                 for _ in range(100):
                     px = rng.uniform(rect.px_lo, rect.px_hi)
@@ -353,23 +358,21 @@ class TestSandwichBounds:
                     assert lo - 1e-12 <= rej <= up + 1e-12
 
     def test_point_rectangle_collapse(self):
-        # a point rectangle with tiny slack pins the exact probability:
-        # the gap is the 2 s eta truncation allowance
+        # at a point both pmf bounds are the pmf, so both bounds pin the
+        # exact probability
         plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23])
         acc, _, _ = exact_oc(plan, 0.37, 0.52)
         exact_rej = 1.0 - acc[0]
-        lo, up = rejection_prob_bounds(plan, 0,
-                                       Rectangle(0.37, 0.37, 0.52, 0.52),
-                                       eta=1e-9)
+        lo, up = rejection_prob_bounds(plan, 0, Rectangle(0.37, 0.37, 0.52, 0.52))
         assert lo == pytest.approx(exact_rej, abs=1e-12)
-        assert exact_rej <= up <= exact_rej + 2 * plan.s * 1e-9 + 1e-12
+        assert up == pytest.approx(exact_rej, abs=1e-12)
 
     def test_shrinking_never_loosens(self):
         plan = small_plan()
         parent = Rectangle(0.2, 0.6, 0.1, 0.5)
-        plo, pup = rejection_prob_bounds(plan, 0, parent, eta=0.01)
+        plo, pup = rejection_prob_bounds(plan, 0, parent)
         for child in parent.split():
-            clo, cup = rejection_prob_bounds(plan, 0, child, eta=0.01)
+            clo, cup = rejection_prob_bounds(plan, 0, child)
             assert clo >= plo - 1e-12
             assert cup <= pup + 1e-12
 
@@ -421,10 +424,10 @@ class TestCertificates:
             certify_risk(small_plan(), 0, 1.5)
 
     @pytest.mark.parametrize("plan_fn, hyp, delta, budget_used, explored", [
-        (small_plan, 0, 0.15, 105, 85),
-        (small_plan, 1, 0.35, 276, 220),
-        (tuned_plan, 0, 0.22, 101, 77),
-        (tuned_plan, 1, 0.22, 819, 666),
+        (small_plan, 0, 0.15, 67, 47),
+        (small_plan, 1, 0.35, 160, 104),
+        (tuned_plan, 0, 0.22, 78, 54),
+        (tuned_plan, 1, 0.22, 453, 300),
     ], ids=["small-h0", "small-h1", "tuned-h0", "tuned-h1"])
     def test_search_size_is_pinned(self, plan_fn, hyp, delta, budget_used, explored):
         cert = certify_risk(plan_fn(), hyp, delta)
@@ -433,18 +436,16 @@ class TestCertificates:
         assert len(cert.trace) == budget_used
 
     def test_trace_holds_the_cold_bounds(self):
-        # the certificate reuses pmf bounds, windows and masks across its
+        # the certificate reuses pmf bounds and masks across its
         # rectangles; a fresh call per rectangle must give the same numbers
         plan = tuned_plan()
         cert = certify_risk(plan, 1, 0.22)
         rng = np.random.default_rng(6)
         picks = rng.choice(len(cert.trace), size=40, replace=False)
-        etas = set()
         for j in sorted(picks.tolist()) + [len(cert.trace) - 1]:
-            rect, lo, up, eta = cert.trace[j]
-            etas.add(eta)
-            assert rejection_prob_bounds(plan, 1, rect, eta) == (lo, up)
-        assert len(etas) > 1
+            rect, lo, up, slack = cert.trace[j]
+            assert slack == 0.0
+            assert rejection_prob_bounds(plan, 1, rect) == (lo, up)
 
 
 class TestTuning:
