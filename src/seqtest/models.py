@@ -135,10 +135,9 @@ class Bernoulli:
 
     name = "bernoulli"
 
-    # Open parameter interval and the closed convex hull of the mean support.
+    # Open parameter interval.
     theta_lo = 0.0
     theta_hi = 1.0
-    mean_hull = (0.0, 1.0)
 
     def validate_theta(self, theta: float, closed: bool = False) -> None:
         lo_ok = theta >= 0.0 if closed else theta > 0.0
@@ -239,7 +238,6 @@ class Poisson:
 
     theta_lo = 0.0
     theta_hi = math.inf
-    mean_hull = (0.0, math.inf)
 
     def validate_theta(self, theta: float, closed: bool = False) -> None:
         ok = theta >= 0.0 if closed else theta > 0.0

@@ -106,16 +106,12 @@ def plan_to_doc(plan, build: dict | None = None, tuning: dict | None = None) -> 
                 "two-sample documents encode decisions as single digits and "
                 f"support at most 10 hypotheses, got {plan.m}"
             )
-        if plan.link_name != "identity":
-            raise PlanDocumentError(
-                f"only the identity arm link round-trips, got {plan.link_name!r}"
-            )
         stages = []
         for st in plan.stages:
             dec_rows, mid_rows = _grid_to_rows(st.decision, st.midpoint_used)
             stages.append({"n_x": st.n_x, "n_y": st.n_y,
                            "decision": dec_rows, "midpoint": mid_rows})
-        doc["link"] = plan.link_name
+        doc["link"] = "identity"
         doc["stages"] = stages
         return doc
 
@@ -297,10 +293,9 @@ def doc_to_plan(doc: dict):
     _check_build(doc.get("build"), kind)
 
     if kind == "two-prop":
-        link = doc.get("link", "identity")
-        if link != "identity":
-            raise PlanDocumentError(f"only the identity arm link is supported, got {link!r}",
-                                    "link")
+        if doc.get("link", "identity") != "identity":
+            raise PlanDocumentError(
+                f"only the identity arm link is supported, got {doc['link']!r}", "link")
         _check_domain(_check_two_prop_zones, "zone_lo, zone_hi", zone_lo, zone_hi)
         _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
                       zeta, len(zone_lo))
@@ -315,13 +310,11 @@ def doc_to_plan(doc: dict):
                                 n_x, n_y, m, "midpoint", i)
             stages.append(TwoPropStage(n_x=n_x, n_y=n_y, decision=dec,
                                        midpoint_used=mid))
-        if (stages[-1].decision == CONTINUE).any():
+        if not stages[-1].closed:
             raise PlanDocumentError("final stage leaves continuation cells",
                                     f"stages[{len(stages) - 1}].decision")
-        return TwoPropPlan(
-            zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
-            base_betas=base_betas, zeta=zeta, stages=tuple(stages), link_name=link,
-        )
+        return TwoPropPlan(zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
+                           base_betas=base_betas, zeta=zeta, stages=tuple(stages))
 
     try:
         model = model_by_name(_need(doc, "model"))

@@ -526,10 +526,14 @@ def _all_ties_present(rule: StageRule) -> bool:
     return all(t is not None for t in rule.ties)
 
 
-def stage_schedule(n1: int, ns: int, s: int, kind: str) -> tuple[int, ...]:
-    """Strictly increasing stage sizes from n1 to ns (inclusive)."""
+def _check_stage_count(s: int) -> None:
     if s < 1:
         raise DomainError(f"need at least one stage, got {s}")
+
+
+def stage_schedule(n1: int, ns: int, s: int, kind: str) -> tuple[int, ...]:
+    """Strictly increasing stage sizes from n1 to ns (inclusive)."""
+    _check_stage_count(s)
     if ns < n1:
         raise DomainError(f"need n1 <= ns, got {n1} > {ns}")
     if s <= 1 or n1 == ns:
@@ -638,6 +642,7 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
     """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
     the searches pick.  The rules the searches confirmed are kept, and the rest
     come from one count table over their sizes."""
+    _check_stage_count(stages)
     built = {}
     if stage_ns is None:
         last = _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,

@@ -17,14 +17,13 @@ import numpy as np
 from .errors import DomainError, UnsupportedModelError
 from .ocexact import _csv_text
 from .plans import MultiHypPlan
-from .sprt import SprtSpec, _forced, _grow_bounds
+from .sprt import SprtSpec, _Walk
 from .twoprop import TwoPropPlan, _check_point, run_two_prop
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
 
 _SPRT_CHUNK = 64
-_SPRT_MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -85,33 +84,10 @@ def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
 
 def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
     spec.model.validate_theta(theta)
-    accepted = np.empty(trials, dtype=np.int64)
-    nstop = np.empty(trials, dtype=np.int64)
-    forced = np.zeros(trials, dtype=bool)
-    bounds = None
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        total = consumed = 0
-        while True:
-            chunk = _SPRT_CHUNK
-            if spec.cap is not None:
-                chunk = min(chunk, spec.cap - consumed)
-            bounds = _grow_bounds(spec, bounds, consumed + chunk)
-            acc, rej = (side[consumed:consumed + chunk] for side in bounds)
-            cs = total + np.cumsum(spec.model.draw(rng, chunk, theta))
-            hit = (cs >= rej) | (cs <= acc)
-            if hit.any():
-                j = int(np.argmax(hit))
-                accepted[t] = 1 if cs[j] >= rej[j] else 0
-                nstop[t] = consumed + j + 1
-                forced[t] = _forced(spec, int(nstop[t]), int(cs[j]))
-                break
-            total = int(cs[-1])
-            consumed += chunk
-            if consumed >= _SPRT_MAX_DRAWS:
-                raise DomainError(
-                    f"sequential walk still undecided after {consumed} draws"
-                )
+    walk = _Walk(spec)
+    nstop, _, accepted, forced = np.array([
+        walk.run(lambda used, n, rng=_trial_rng(seed, t): spec.model.draw(rng, n, theta),
+                 _SPRT_CHUNK) for t in range(trials)]).T
     return _summarize(theta, trials, seed, accepted, nstop, 2, forced)
 
 

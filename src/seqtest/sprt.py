@@ -5,16 +5,16 @@ against the lower one.  After n observations summing to k it is the line
 ``k * slope + n * offset``, slope > 0, so at every n its boundaries are
 integer count windows, as in a plan stage: the sum k accepts the null at
 k <= b_n (ratio <= log B) and rejects it at k >= a_n (ratio >= log A).  A
-sample cap closes its stage by the sign of the ratio.  The runners compare
-integer running sums with these windows, so a path that reaches a boundary
-exactly stops there whatever the order of its samples.  The closed-form
+sample cap closes its stage by the sign of the ratio.  The stream runner
+and the simulator share one walk, which compares integer running sums with
+these windows, so a path that reaches a boundary exactly stops there
+whatever the order of its samples.  The closed-form
 OC and ASN are Wald's approximations: they ignore overshoot and any cap
 and are labeled approximate wherever they surface.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,23 +96,49 @@ class SprtSpec:
         return np.asarray(xs) * slope + offset
 
 
-def _grow_bounds(spec: SprtSpec, bounds, n: int):
-    """``bounds`` (``count_bounds`` of sizes 1..N, or None), N doubled up to the cap to n."""
-    size = 0 if bounds is None else len(bounds[0])
-    if n <= size:
-        return bounds
-    size = max(n, 2 * size, 64)
-    if spec.cap is not None:
-        size = min(size, spec.cap)
-    return spec.count_bounds(np.arange(1, size + 1))
+_MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
 
 
-def _forced(spec: SprtSpec, n: int, k: int) -> bool:
-    """True when the cap's sign rule, not a crossing, decided sum k at size n."""
-    if n != spec.cap:
-        return False
-    accept, reject = spec._crossings([n])
-    return bool(accept[0] < k < reject[0])
+class _Walk:
+    """The test's random walk for one spec, over its ``count_bounds`` table.
+
+    The table covers sizes 1..N and N doubles, up to the cap, as walks
+    need more, so the runs of one instance share it.
+    """
+
+    def __init__(self, spec: SprtSpec):
+        self.spec = spec
+        self.accept = self.reject = np.empty(0, dtype=np.int64)
+
+    def run(self, read, chunk: int) -> tuple[int, int, int, bool]:
+        """(samples, sum, accepted index, forced) of the walk whose values
+        ``read(used, n)`` hands over, n at a time.
+
+        ``n`` is ``chunk``, or less to stop at the cap; ``used`` counts the
+        values read before.  The running sum stays exact when ``read``
+        returns Python integers in an object array.
+        """
+        spec = self.spec
+        total = used = 0
+        while used < _MAX_DRAWS:
+            n = chunk if spec.cap is None else min(chunk, spec.cap - used)
+            if used + n > len(self.accept):
+                size = max(used + n, 2 * len(self.accept), 64)
+                size = size if spec.cap is None else min(size, spec.cap)
+                self.accept, self.reject = spec.count_bounds(np.arange(1, size + 1))
+            acc, rej = self.accept[used:used + n], self.reject[used:used + n]
+            sums = total + np.cumsum(read(used, n))
+            hit = (sums <= acc) | (sums >= rej)
+            if hit.any():
+                j = int(np.argmax(hit))
+                count, k = used + j + 1, int(sums[j])
+                forced = False
+                if count == spec.cap:  # did the sign rule decide a sum no crossing reaches?
+                    low, high = spec._crossings([count])
+                    forced = bool(low[0] < k < high[0])
+                return count, k, int(k >= rej[j]), forced
+            total, used = int(sums[-1]), used + n
+        raise DomainError(f"sequential walk still undecided after {used} draws")
 
 
 def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
@@ -122,22 +148,18 @@ def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
     (nonpositive accepts the null); the outcome is flagged as forced.
     """
     it = iter(stream)
-    bounds = None
-    total = 0
-    for count in itertools.count(1):
+
+    def read(used, n):
         try:
-            total += _take(it, 1, spec.model)
+            return np.array([_take(it, n, spec.model)], dtype=object)
         except StreamExhaustedError:
             raise StreamExhaustedError(
-                f"observation stream ended after {count - 1} samples with no decision"
+                f"observation stream ended after {used} samples with no decision"
             ) from None
-        bounds = _grow_bounds(spec, bounds, count)
-        accept, reject = bounds[0][count - 1], bounds[1][count - 1]
-        if total <= accept or total >= reject:
-            return TestOutcome(stage_index=count, sample_count=count,
-                               accepted_index=int(total >= reject),
-                               terminal_estimate=total / count, tie_occurred=False,
-                               forced=_forced(spec, count, total))
+
+    count, k, accepted, forced = _Walk(spec).run(read, 1)
+    return TestOutcome(stage_index=count, sample_count=count, accepted_index=accepted,
+                       terminal_estimate=k / count, tie_occurred=False, forced=forced)
 
 
 def _log_mgf(spec: SprtSpec, theta: float, h: float) -> float:

@@ -7,7 +7,10 @@ decision regions plus a continuation region by the same inclusion rule as
 the scalar plans: stop once some bracket "lower limit clears the zone
 floor below, upper limit sits under the zone ceiling above" holds.  When
 two consecutive brackets hold at once, the observed difference is
-compared against the midpoint of the shared indifference zone.
+compared against the midpoint of the shared indifference zone.  The
+builder gives both arms the same size at every stage and, unless the
+sizes are given, finds the first and last in one pass over the sizes;
+plan documents whose arms differ in size still load and run.
 
 The exact OC and the risk bounds run the forward recursion of
 ``ocexact.propagate`` over the 2-D count grid.  Risk verification over a
@@ -32,8 +35,8 @@ from scipy.special import ndtri
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
 from .ocexact import propagate
-from .plans import (CONTINUE, TestOutcome, _check_risks, _take, check_stage_sizes,
-                    stage_schedule)
+from .plans import (CONTINUE, TestOutcome, _check_risks, _check_stage_count, _take,
+                    check_stage_sizes, stage_schedule)
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
@@ -139,6 +142,11 @@ class TwoPropStage:
     decision: np.ndarray  # (n_x+1, n_y+1) int8: -1 continue, else hypothesis
     midpoint_used: np.ndarray  # bool grid: decided by the shared-zone midpoint rule
 
+    @property
+    def closed(self) -> bool:
+        """True when the stage decides every (count_x, count_y) cell."""
+        return not (self.decision == CONTINUE).any()
+
 
 @dataclass(frozen=True, eq=False)
 class TwoPropPlan:
@@ -148,7 +156,6 @@ class TwoPropPlan:
     base_betas: tuple[float, ...]
     zeta: float
     stages: tuple[TwoPropStage, ...]
-    link_name: str = "identity"
     kind: str = "two-prop"
 
     @property
@@ -195,36 +202,25 @@ def _check_two_prop_zones(zone_lo, zone_hi):
             )
 
 
-def _bracket_sets(n_x, n_y, zone_lo, zone_hi, alphas, betas):
-    """Per-boundary clearing sets over the (count_x, count_y) grid.
+def _build_stage(n, zone_lo, zone_hi, alphas, betas):
+    """(stage, overlap): the stage of n samples per arm, and whether at every
+    boundary some cell lies in both of its clearing sets.
 
-    above[j]: lower limit at the boundary's level clears the zone floor.
-    below[j]: upper limit sits at or under the zone ceiling.
+    The sets over the (count_x, count_y) grid, per boundary: ``above``, the
+    lower limit at the boundary's level clears the zone floor; ``below``,
+    the upper limit sits at or under the zone ceiling.
     """
-    px = np.arange(n_x + 1) / n_x
-    py = np.arange(n_y + 1) / n_y
-    gx = px[:, None] + np.zeros((1, n_y + 1))
-    gy = np.zeros((n_x + 1, 1)) + py[None, :]
-    above, below = [], []
-    for j in range(len(zone_lo)):
-        lower, _ = newcombe_limits(gx, gy, n_x, n_y, alphas[j])
-        _, upper = newcombe_limits(gx, gy, n_x, n_y, betas[j])
-        above.append(lower >= zone_lo[j])
-        below.append(upper <= zone_hi[j])
-    return above, below
-
-
-def _build_stage(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> TwoPropStage:
     m = len(zone_lo) + 1
-    above, below = _bracket_sets(n_x, n_y, zone_lo, zone_hi, alphas, betas)
-    full = np.ones((n_x + 1, n_y + 1), dtype=bool)
+    px = np.arange(n + 1) / n
+    above = [newcombe_limits(px[:, None], px, n, n, a)[0] >= lo
+             for lo, a in zip(zone_lo, alphas)]
+    below = [newcombe_limits(px[:, None], px, n, n, b)[1] <= hi
+             for hi, b in zip(zone_hi, betas)]
+    full = np.ones((n + 1, n + 1), dtype=bool)
     # bracket[b] accepts hypothesis b: needs the boundary below it cleared
     # upward and the boundary above it cleared downward.
-    brackets = np.empty((m, n_x + 1, n_y + 1), dtype=bool)
-    for b in range(m):
-        lo_ok = above[b - 1] if b > 0 else full
-        hi_ok = below[b] if b < m - 1 else full
-        brackets[b] = lo_ok & hi_ok
+    brackets = np.stack([(above[b - 1] if b > 0 else full) & (below[b] if b < m - 1 else full)
+                         for b in range(m)])
     counts = brackets.sum(axis=0)
     if counts.max() > 2:
         raise InfeasibleDesignError(
@@ -235,27 +231,29 @@ def _build_stage(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> TwoPropStage:
     decision = np.where(counts == 0, np.int8(CONTINUE), first)
     double = counts == 2
     if double.any():
-        diff = (np.arange(n_x + 1) / n_x)[:, None] - (np.arange(n_y + 1) / n_y)[None, :]
         mids = np.array([(zone_lo[b] + zone_hi[b]) / 2.0 for b in range(m - 1)])
         # shared zone between hypotheses b and b+1 is boundary index b
         shared_mid = mids[np.clip(first, 0, m - 2)]
-        decision = np.where(double & (diff > shared_mid), first + 1, decision)
-    return TwoPropStage(n_x=n_x, n_y=n_y, decision=decision.astype(np.int8),
-                        midpoint_used=double)
+        decision = np.where(double & (px[:, None] - px > shared_mid), first + 1, decision)
+    stage = TwoPropStage(n_x=n, n_y=n, decision=decision.astype(np.int8),
+                         midpoint_used=double)
+    return stage, all((a & b).any() for a, b in zip(above, below))
 
 
-def _identity_link(n: int) -> int:
-    return n
-
-
-def _ties_nonempty(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> bool:
-    above, below = _bracket_sets(n_x, n_y, zone_lo, zone_hi, alphas, betas)
-    return all((a & b).any() for a, b in zip(above, below))
-
-
-def _any_decision(n_x, n_y, zone_lo, zone_hi, alphas, betas) -> bool:
-    stage = _build_stage(n_x, n_y, zone_lo, zone_hi, alphas, betas)
-    return bool((stage.decision != CONTINUE).any())
+def _search_sizes(zone_lo, zone_hi, alphas, betas, max_stage_size):
+    """(first, last) stage sizes of ``build_two_prop_plan``'s search, in one pass."""
+    first, overlap = None, False
+    for n in range(1, max_stage_size + 1):
+        stage, ties = _build_stage(n, zone_lo, zone_hi, alphas, betas)
+        if first is None and (stage.decision != CONTINUE).any():
+            first = n
+        overlap = overlap or ties
+        if overlap and stage.closed:
+            return first, n
+    raise InfeasibleDesignError(
+        f"no {'closed final stage' if overlap else 'bracketing overlap'} within "
+        f"stage size {max_stage_size}"
+    )
 
 
 def build_two_prop_plan(
@@ -267,81 +265,42 @@ def build_two_prop_plan(
     stage_ns=None,
     stages: int = 1,
     schedule: str = "geometric",
-    link=None,
     max_stage_size: int = 400,
 ) -> TwoPropPlan:
-    """Build a closed multistage difference-of-proportions plan.
+    """Build a closed multistage difference-of-proportions plan with equal arms.
 
-    ``link`` maps each stage's first-arm size to the second-arm size
-    (identity when omitted).  With ``stage_ns`` omitted the largest
-    first-arm size is the smallest at which every boundary has a
-    nonempty bracketing overlap, pushed further until the stage decides
-    every grid point; the smallest is the first at which any decision
-    exists; ``stages`` sizes are interpolated on ``schedule``.
-    ``stage_ns`` may also give the first-arm sizes explicitly.
+    Every stage takes the same number of samples from both arms.  With
+    ``stage_ns`` omitted, one pass over the sizes 1..``max_stage_size``
+    picks the last size and the first: the last is the smallest whose
+    stage decides every grid point, once every boundary has had a nonempty
+    bracketing overlap; the first is the smallest whose stage decides any
+    point.  ``stages`` sizes are interpolated between them on ``schedule``.
+    ``stage_ns`` may also give the sizes explicitly.  Plan documents whose
+    arms differ in size still load and run.
     """
     _check_two_prop_zones(zone_lo, zone_hi)
     nb = len(zone_lo)
     base_alphas = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
     base_betas = tuple(base_betas) if base_betas is not None else (1.0,) * nb
     _check_risks(base_alphas, base_betas, zeta, nb)
-    link_fn = link if link is not None else _identity_link
-    link_name = "identity" if link is None else getattr(link, "__name__", "custom")
+    _check_stage_count(stages)
     alphas = [zeta * a for a in base_alphas]
     betas = [zeta * b for b in base_betas]
 
-    def sizes_for(n_x):
-        n_y = int(link_fn(n_x))
-        if n_y < 1:
-            raise DomainError(f"arm link maps {n_x} to nonpositive size {n_y}")
-        return n_x, n_y
-
     if stage_ns is None:
-        ns_x = None
-        for n in range(1, max_stage_size + 1):
-            nx, ny = sizes_for(n)
-            if _ties_nonempty(nx, ny, zone_lo, zone_hi, alphas, betas):
-                ns_x = n
-                break
-        if ns_x is None:
-            raise InfeasibleDesignError(
-                f"no bracketing overlap within first-arm size {max_stage_size}"
-            )
-        # The overlap criterion does not by itself guarantee the stage
-        # decides everywhere on the 2-D grid; push until it does.
-        while True:
-            nx, ny = sizes_for(ns_x)
-            if not (_build_stage(nx, ny, zone_lo, zone_hi, alphas, betas).decision
-                    == CONTINUE).any():
-                break
-            ns_x += 1
-            if ns_x > max_stage_size:
-                raise InfeasibleDesignError(
-                    f"no closed final stage within first-arm size {max_stage_size}"
-                )
-        n1_x = ns_x
-        for n in range(1, ns_x + 1):
-            nx, ny = sizes_for(n)
-            if _any_decision(nx, ny, zone_lo, zone_hi, alphas, betas):
-                n1_x = n
-                break
-        xs = stage_schedule(n1_x, ns_x, stages, schedule)
-    else:
-        xs = tuple(int(n) for n in stage_ns)
-
-    pairs = [sizes_for(n) for n in xs]
-    check_stage_sizes(pairs)
-    built = tuple(_build_stage(nx, ny, zone_lo, zone_hi, alphas, betas)
-                  for nx, ny in pairs)
-    if (built[-1].decision == CONTINUE).any():
+        first, last = _search_sizes(zone_lo, zone_hi, alphas, betas, max_stage_size)
+        stage_ns = stage_schedule(first, last, stages, schedule)
+    ns = tuple(int(n) for n in stage_ns)
+    check_stage_sizes(ns)
+    built = tuple(_build_stage(n, zone_lo, zone_hi, alphas, betas)[0] for n in ns)
+    if not built[-1].closed:
         raise InfeasibleDesignError(
-            f"final stage {pairs[-1]} leaves continuation points; increase the "
-            "last stage size"
+            f"final stage of size {ns[-1]} leaves continuation points; "
+            "increase the last stage size"
         )
     return TwoPropPlan(
         zone_lo=tuple(zone_lo), zone_hi=tuple(zone_hi),
-        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta,
-        stages=built, link_name=link_name,
+        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta, stages=built,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: flows, artifacts, and exit codes, in process."""
 
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -11,6 +12,8 @@ from seqtest.ocexact import oc_curve
 from seqtest.plandoc import load_plan
 from seqtest.sim import compare as sim_compare
 from seqtest.sim import simulate as sim_simulate
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "plans"
 
 
 def run(argv):
@@ -56,6 +59,17 @@ class TestDesign:
     def test_two_prop_document(self, workdir):
         plan, _ = load_plan(workdir / "twoprop.json")
         assert plan.stage_sizes == ((4, 4), (8, 8))
+
+    def test_two_prop_search_writes_the_golden_stages(self, tmp_path, capsys):
+        path = tmp_path / "searched.json"
+        code = run(["design", "--kind", "two-prop", "--zones=-0.2:0.2", "--zeta", "0.5",
+                    "--stages", "3", "--out", str(path)])
+        assert code == 0
+        assert "stage sizes [(1, 1), (2, 2), (6, 6)]" in capsys.readouterr().out
+        golden = json.loads((GOLDEN / "two_prop_0.2_3stage.json").read_text())
+        doc = json.loads(path.read_text())
+        assert doc["stages"] == golden["stages"]
+        assert doc["build"] == {"schedule": "geometric", "stages": 3}
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         code = run(["design", "--theta0", "0.4", "--theta1", "0.6",

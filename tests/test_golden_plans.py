@@ -17,6 +17,7 @@ from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
 from seqtest.models import Bernoulli, Poisson
 from seqtest.plans import TIEBREAK_ALWAYS_ACCEPT, build_multihyp_plan, build_one_sided_plan
 from seqtest.tuning import tune_one_sided
+from seqtest.twoprop import build_two_prop_plan
 
 DATA = pathlib.Path(__file__).parent / "data" / "plans"
 BERN, POIS, EXACT = Bernoulli(), Poisson(), ExactLimits()
@@ -43,6 +44,10 @@ PLANS = {
                                     [0.1, 0.1], [0.1, 0.1], stages=3),
     "always_accept_0.4_0.6_3stage":
         lambda: _one_sided(BERN, EXACT, 0.4, 0.6, stages=3, tiebreak=TIEBREAK_ALWAYS_ACCEPT),
+    "two_prop_0.2_3stage": lambda: build_two_prop_plan([-0.2], [0.2], 0.5, stages=3),
+    "two_prop_0.1_zeta0.2_3stage": lambda: build_two_prop_plan([-0.1], [0.1], 0.2, stages=3),
+    "two_prop_three_hypotheses_3stage":
+        lambda: build_two_prop_plan([-0.4, 0.1], [-0.1, 0.4], 0.5, stages=3),
 }
 
 

@@ -307,12 +307,14 @@ class TestMalformedDocuments:
         assert doc_to_plan(doc).stages[0].decision[2, 0] == -1
 
     def test_unsupported_shapes_refuse_to_serialize(self):
+        # decisions are stored as single digits: 11 hypotheses do not fit
         plan = plan_zoo()["two-prop"]
+        zone_lo = tuple(-0.95 + 0.19 * i for i in range(10))
         odd = type(plan)(
-            zone_lo=plan.zone_lo, zone_hi=plan.zone_hi,
-            base_alphas=plan.base_alphas, base_betas=plan.base_betas,
-            zeta=plan.zeta, stages=plan.stages, link_name="doubling")
-        with pytest.raises(PlanDocumentError):
+            zone_lo=zone_lo, zone_hi=tuple(lo + 0.1 for lo in zone_lo),
+            base_alphas=(1.0,) * 10, base_betas=(1.0,) * 10,
+            zeta=plan.zeta, stages=plan.stages)
+        with pytest.raises(PlanDocumentError, match="at most 10 hypotheses, got 11"):
             plan_to_doc(odd)
 
     @pytest.mark.parametrize("name, build, ctx", [
@@ -349,4 +351,4 @@ class TestMalformedDocuments:
         doc = self.good_doc("two-prop")
         assert dump_doc(plan_to_doc(doc_to_plan(doc))) == dump_doc(doc)
         del doc["link"]
-        assert doc_to_plan(doc).link_name == "identity"
+        assert plan_to_doc(doc_to_plan(doc))["link"] == "identity"

@@ -233,6 +233,30 @@ class TestBuildPlans:
         with pytest.raises(DomainError, match="at least one stage"):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, stages=stages)
 
+    def test_stage_count_is_refused_before_the_search(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("crossing counts were computed")
+
+        monkeypatch.setattr(plans, "_crossing_counts", no_build)
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_one_sided_plan(BERN, EXACT, 0.49, 0.51, 0.05, 0.05, 0.5, stages=0)
+
+    @pytest.mark.parametrize("sizing, stages", [
+        ({"stage_ns": [46, 95]}, 0),
+        ({"fully_sequential": True}, -2),
+    ], ids=["given sizes", "fully sequential"])
+    def test_stage_count_is_refused_whatever_the_sizing(self, sizing, stages):
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, stages=stages,
+                                 **sizing)
+
+    def test_multihyp_stage_count_is_refused_with_given_sizes(self):
+        with pytest.raises(DomainError, match="at least one stage"):
+            # the sizes alone make a closed plan
+            build_multihyp_plan(BERN, EXACT, [0.1, 0.55], [0.45, 0.9], 0.2755,
+                                base_alphas=[0.1, 0.1], base_betas=[0.1, 0.1],
+                                stage_ns=[10, 30], stages=-1)
+
     def test_multihyp_stage_count_below_one_is_refused(self):
         with pytest.raises(DomainError, match="at least one stage"):
             build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,

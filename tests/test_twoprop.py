@@ -188,6 +188,10 @@ class TestBuildPlan:
         with pytest.raises(DomainError, match="at least one stage"):
             build_two_prop_plan([-0.3], [0.3], 0.5, stages=stages)
 
+    def test_stage_count_is_refused_with_given_sizes(self):
+        with pytest.raises(DomainError, match="at least one stage"):
+            build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8], stages=0)
+
     def test_wide_zone_single_sample(self):
         plan = build_two_prop_plan([-0.45], [0.45], 0.5)
         assert plan.stage_sizes == ((1, 1),)
@@ -226,9 +230,6 @@ class TestBuildPlan:
             build_two_prop_plan([-0.1], [0.1], 1.5)
         with pytest.raises(DomainError):
             build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[8, 8])
-        with pytest.raises(DomainError, match="strictly increasing positive"):
-            # the second arm stays at 5
-            build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[4, 8], link=lambda n: 5)
         with pytest.raises(InfeasibleDesignError):
             build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[3, 7])
         with pytest.raises(InfeasibleDesignError):
