@@ -15,7 +15,8 @@ import pytest
 from seqtest import dump_doc, plan_to_doc
 from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
 from seqtest.models import Bernoulli, Poisson
-from seqtest.plans import TIEBREAK_ALWAYS_ACCEPT, build_multihyp_plan, build_one_sided_plan
+from seqtest.plans import (TIEBREAK_ALWAYS_ACCEPT, TIEBREAK_ALWAYS_REJECT,
+                           TIEBREAK_LIKELIHOOD_RATIO, build_multihyp_plan, build_one_sided_plan)
 from seqtest.tuning import tune_one_sided
 from seqtest.twoprop import build_two_prop_plan
 
@@ -25,6 +26,13 @@ BERN, POIS, EXACT = Bernoulli(), Poisson(), ExactLimits()
 
 def _one_sided(model, family, theta0, theta1, **kw):
     return build_one_sided_plan(model, family, theta0, theta1, 0.05, 0.05, 0.5, **kw)
+
+
+def _tied(tiebreak):
+    """Both stages hold a tie region, (58, 60) and (71, 77), and unequal risks
+    put the likelihood-ratio cut at a nonzero log ratio."""
+    return build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.1, 0.05, 0.5, stage_ns=[120, 150],
+                                tiebreak=tiebreak)
 
 
 PLANS = {
@@ -44,6 +52,15 @@ PLANS = {
                                     [0.1, 0.1], [0.1, 0.1], stages=3),
     "always_accept_0.4_0.6_3stage":
         lambda: _one_sided(BERN, EXACT, 0.4, 0.6, stages=3, tiebreak=TIEBREAK_ALWAYS_ACCEPT),
+    "tied_likelihood_ratio_0.4_0.6": lambda: _tied(TIEBREAK_LIKELIHOOD_RATIO),
+    "tied_always_accept_0.4_0.6": lambda: _tied(TIEBREAK_ALWAYS_ACCEPT),
+    "tied_always_reject_0.4_0.6": lambda: _tied(TIEBREAK_ALWAYS_REJECT),
+    "three_hypotheses_zone_midpoint_3stage":
+        lambda: build_multihyp_plan(BERN, EXACT, [0.1, 0.55], [0.45, 0.9], 0.2755,
+                                    [0.1, 0.1], [0.1, 0.1], stages=3, c_policy="zone-midpoint"),
+    "poisson_three_hypotheses_3stage":
+        lambda: build_multihyp_plan(POIS, EXACT, [1.0, 3.0], [2.0, 4.5], 0.5,
+                                    [0.1, 0.1], [0.1, 0.1], stages=3),
     "two_prop_0.2_3stage": lambda: build_two_prop_plan([-0.2], [0.2], 0.5, stages=3),
     "two_prop_0.1_zeta0.2_3stage": lambda: build_two_prop_plan([-0.1], [0.1], 0.2, stages=3),
     "two_prop_three_hypotheses_3stage":
