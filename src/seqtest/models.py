@@ -37,6 +37,9 @@ __all__ = ["Bernoulli", "Poisson", "model_by_name"]
 # Slack used when mapping a mean-scale threshold z onto integer sum counts.
 # Support atoms arrive as k/n floats; n*(k/n) can miss k by a few ulp.
 _COUNT_EPS = 1e-9
+# Upper-tail mass a Poisson increment pmf may drop; the dropped mass is
+# reported with the pmf.
+_TAIL_MASS = 1e-15
 
 
 def _count_floor(x: float) -> int:
@@ -135,10 +138,6 @@ class Bernoulli:
 
     name = "bernoulli"
 
-    # Open parameter interval.
-    theta_lo = 0.0
-    theta_hi = 1.0
-
     def validate_theta(self, theta: float, closed: bool = False) -> None:
         lo_ok = theta >= 0.0 if closed else theta > 0.0
         hi_ok = theta <= 1.0 if closed else theta < 1.0
@@ -209,7 +208,7 @@ class Bernoulli:
         out = np.minimum(val, 1.0)
         return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
-    def increment_pmf(self, m: int, theta: float, tail_mass: float = 1e-15):
+    def increment_pmf(self, m: int, theta: float):
         """Distribution of a stage increment of m samples.
 
         Returns (probs, deficit): probs[d] = Pr{increment sum = d} and the
@@ -235,9 +234,6 @@ class Poisson:
     """Poisson observations; the n-sample sum is Poisson(n * theta)."""
 
     name = "poisson"
-
-    theta_lo = 0.0
-    theta_hi = math.inf
 
     def validate_theta(self, theta: float, closed: bool = False) -> None:
         ok = theta >= 0.0 if closed else theta > 0.0
@@ -297,12 +293,12 @@ class Poisson:
         out = np.minimum(val, 1.0)
         return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
-    def increment_pmf(self, m: int, theta: float, tail_mass: float = 1e-15):
+    def increment_pmf(self, m: int, theta: float):
         mu = m * theta
-        # Smallest cutoff whose upper tail is at most tail_mass; the
+        # Smallest cutoff whose upper tail is at most _TAIL_MASS; the
         # discarded mass is reported analytically so the truncation slack
         # is certified rather than inferred from a float sum.
-        k_hi = int(_poisson_isf(tail_mass, mu))
+        k_hi = int(_poisson_isf(_TAIL_MASS, mu))
         probs = np.empty(k_hi + 1)
         probs[0] = math.exp(-mu)
         probs[1:] = _poisson_pmf(mu, k_hi, np.arange(1.0, k_hi + 1))

@@ -48,7 +48,6 @@ from .plans import CONTINUE, MultiHypPlan
 __all__ = ["OCReport", "RiskReport", "oc_single", "oc_curve", "verify_risk",
            "rejection_split"]
 
-_TAIL_MASS = 1e-15
 # Cells of the running-sum states one batch of thetas may keep (about 0.5 MB).
 _BATCH_CELLS = 1 << 16
 
@@ -223,7 +222,7 @@ def _one_sample(plan: MultiHypPlan, thetas):
     model = plan.model
 
     def pmf(_, m):
-        rows = [model.increment_pmf(m, theta, _TAIL_MASS) for theta in thetas]
+        rows = [model.increment_pmf(m, theta) for theta in thetas]
         taps = max(len(p) for p, _ in rows)
         probs = np.array([p if len(p) == taps else np.concatenate((p, np.zeros(taps - len(p))))
                           for p, _ in rows])

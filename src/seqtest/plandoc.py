@@ -12,7 +12,9 @@ sizes are positive and strictly increasing on every arm, every stage's
 windows are ordered and disjoint (and, for Bernoulli stages, end at most
 at the stage size), and the final stage decides at every count the model
 reaches (every cell, for two-sample grids), so a loaded plan is a closed
-plan.  Unknown tie policies and fields of the wrong type are refused.
+plan.  A one-sided document's sample cap must be the one its zone and
+risk levels give.  Unknown tie policies and fields of the wrong type are
+refused.
 
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
@@ -347,10 +349,6 @@ def doc_to_plan(doc: dict):
     )
     if kind == "multi":
         return MultiHypPlan(**common)
-    cap = doc.get("sample_cap")
-    if cap is not None and (not _is_int(cap) or cap < 1):
-        raise PlanDocumentError(f"sample cap must be null or a positive integer, "
-                                f"got {cap!r}", "sample_cap")
     tiebreak = _need(doc, "tiebreak")
     if tiebreak not in _TIEBREAKS:
         raise PlanDocumentError(f"unknown tiebreak {tiebreak!r}", "tiebreak")
@@ -358,8 +356,13 @@ def doc_to_plan(doc: dict):
     if (theta0,) != zone_lo or (theta1,) != zone_hi:
         raise PlanDocumentError("theta0 and theta1 must be the zone endpoints",
                                 "theta0, theta1")
-    return OneSidedPlan(**common, theta0=theta0, theta1=theta1, tiebreak=tiebreak,
-                        sample_cap=cap)
+    plan = OneSidedPlan(**common, tiebreak=tiebreak)
+    _check_domain(lambda: plan.sample_cap, "zone_lo, zone_hi")
+    cap = doc.get("sample_cap")
+    if not (cap is None or _is_int(cap)) or cap != plan.sample_cap:
+        raise PlanDocumentError(f"sample cap must be {plan.sample_cap}, the bound the "
+                                f"zone and risk levels give, got {cap!r}", "sample_cap")
+    return plan
 
 
 def dump_doc(doc: dict) -> str:

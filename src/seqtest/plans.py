@@ -34,18 +34,18 @@ size; a plan build computes each table once over many sizes.
 Plans are closed: the final stage size is chosen (or validated) so that
 every count the model reaches at it decides (``stage_is_closed``, read
 from the stage's labels like the OC kernel's ``continue_spans``), hence
-the sample size never exceeds ``stage_ns[-1]``.  The search tabulates
-the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to its
-horizon and makes a stage rule, from the block's table, only at sizes
-whose counts leave no gap between the accept and reject-low sets (and,
-where ties are required, overlap them), which every closed stage does;
-the first of those whose rule is closed is the answer, the same one a
-size-by-size scan gives, at a cost that tracks the answer rather than the
-horizon.  The first-stage search does the same below the final size, and
-the sizes in between, or every size of a given layout, take one more
-table together.  For fully sequential one-sided plans, ``sample_bound``
-gives the analytic cap derived from the large-deviation rate at the zone
-midpoint.
+the sample size never exceeds ``stage_ns[-1]``.  The searches tabulate
+the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to their
+horizon, so their cost tracks the answer rather than the horizon, and
+each answer is the one a size-by-size scan gives.  The final size is the
+first whose counts close the stage (``_closes``): no count between the
+accept and reject-low sets, or, where ties are required, the two sets
+overlapping at every boundary.  It makes no rule.  The first size is the
+first at which some crossing count lies on the support and the rule made
+there has a window.  Every rule of the plan is then made from one more
+table over its sizes, which the final ``stage_is_closed`` check reads.
+For fully sequential one-sided plans, ``sample_bound`` gives the analytic
+cap derived from the large-deviation rate at the zone midpoint.
 """
 
 from __future__ import annotations
@@ -244,11 +244,16 @@ class MultiHypPlan:
 class OneSidedPlan(MultiHypPlan):
     """Two-hypothesis plan for H0: theta <= theta0 versus H1: theta >= theta1."""
 
-    theta0: float = 0.0
-    theta1: float = 0.0
     tiebreak: str = TIEBREAK_LIKELIHOOD_RATIO
-    sample_cap: int | None = None
     kind: str = "one-sided"
+
+    @property
+    def theta0(self) -> float:
+        return self.zone_lo[0]
+
+    @property
+    def theta1(self) -> float:
+        return self.zone_hi[0]
 
     @property
     def alpha(self) -> float:
@@ -257,6 +262,13 @@ class OneSidedPlan(MultiHypPlan):
     @property
     def beta(self) -> float:
         return self.base_betas[0]
+
+    @cached_property
+    def sample_cap(self) -> int | None:
+        """The fully sequential test's hard sample bound, or None for limit
+        families it does not hold for."""
+        return _sample_cap(self.model, self.family, self.theta0, self.theta1, *self.alphas,
+                           *self.betas)
 
 
 def sample_bound(model, theta0: float, theta1: float, zeta_alpha: float, zeta_beta: float) -> int:
@@ -280,6 +292,13 @@ def sample_bound(model, theta0: float, theta1: float, zeta_alpha: float, zeta_be
         raise DomainError("degenerate zone: rate function is 1 at the midpoint")
     bound = max(math.log(zeta_alpha) / lc0, math.log(zeta_beta) / lc1)
     return max(1, math.ceil(bound) - 1)
+
+
+def _sample_cap(model, family, theta0, theta1, zeta_alpha, zeta_beta) -> int | None:
+    """``sample_bound`` for exact and Chernoff limits; None for approximate ones."""
+    if isinstance(family, (ExactLimits, ChernoffLimits)):
+        return sample_bound(model, theta0, theta1, zeta_alpha, zeta_beta)
+    return None
 
 
 def _first_true(pred, ns, hi):
@@ -414,79 +433,55 @@ def build_stage_rule(
 
 def _rule_from_counts(model, n, first_a, last_b, zone_lo, zone_hi, c_policy, lr_cut):
     """Stage rule of size ``n`` from one column of ``_crossing_counts``: per zone
-    boundary, the first reject count and the last accept count at ``n``."""
-    nb = len(zone_lo)
-    m = nb + 1
-    k_top = model.sum_upper(n)
-    min_a = [int(a) if k_top is None or a <= k_top else None for a in first_a]
-    max_b = [int(b) if b >= 0 else None for b in last_b]
+    boundary, the first reject count and the last accept count at ``n``.
 
-    # Tie regions: the reject-low and accept sets overlap exactly when
-    # min A <= max B (both are intervals of the support).
-    ties: list[tuple[int, int] | None] = []
-    cut: list[float | None] = []
-    for i in range(nb):
-        if min_a[i] is not None and max_b[i] is not None and min_a[i] <= max_b[i]:
-            lo_c, hi_c = min_a[i], max_b[i]
-            ties.append((lo_c, hi_c))
+    One pass over the boundaries.  At each, the tie cut ``c`` or the counts
+    give the last count at or below the boundary and the first count above
+    it; window i runs from the first count above boundary i - 1 to the last
+    count at or below boundary i, and is None when either is missing.
+    """
+    k_top = model.sum_upper(n)
+    f, g, windows, ties = [], [-math.inf], [], []
+    lo = 0  # first count above the previous boundary
+    for i, (a, b) in enumerate(zip(first_a, last_b)):
+        a, b = int(a), int(b)
+        if a <= b:
+            # Tie region: the reject-low and accept sets (both intervals of
+            # the support) overlap, and the cut c splits it.
             if lr_cut is not None:
                 theta0, theta1, log_ratio = lr_cut
-                k_acc = _log_lr_cut(model, n, (lo_c, hi_c), theta0, theta1, log_ratio)
-                c = (k_acc + 0.5) / n if k_acc is not None else (lo_c - 0.5) / n
+                k_acc = _log_lr_cut(model, n, (a, b), theta0, theta1, log_ratio)
+                c = (k_acc + 0.5) / n if k_acc is not None else (a - 0.5) / n
             elif c_policy == C_POLICY_SUPPORT_MIDPOINT:
-                c = (lo_c + hi_c) / (2.0 * n)
+                c = (a + b) / (2.0 * n)
             elif c_policy == C_POLICY_ZONE_MIDPOINT:
                 c = 0.5 * (zone_lo[i] + zone_hi[i])
             elif c_policy == TIEBREAK_ALWAYS_ACCEPT:
-                c = (hi_c + 0.5) / n
+                c = (b + 0.5) / n
             elif c_policy == TIEBREAK_ALWAYS_REJECT:
-                c = (lo_c - 0.5) / n
+                c = (a - 0.5) / n
             else:
                 raise DomainError(f"unknown tie policy {c_policy!r}")
-            cut.append(c)
+            ties.append((a, b))
+            f.append(c)
+            g.append(c)
+            below = _count_floor(n * c)
+            above = below + 1
         else:
+            # No tie: g sits just below the first reject count so that count
+            # itself decides (the crossing event is inclusive); f = -inf and
+            # g = inf mark an empty accept or reject-low set.
+            has_a = k_top is None or a <= k_top
             ties.append(None)
-            cut.append(None)
-
-    # Window edge values.  g is the exclusive lower edge of the window
-    # above boundary i; when there is no tie region it sits just below the
-    # smallest crossing count so that count itself decides (the crossing
-    # event is inclusive).
-    f_vals = []
-    g_vals = []
-    for i in range(nb):
-        if ties[i] is not None:
-            f_vals.append(cut[i])
-            g_vals.append(cut[i])
-        else:
-            f_vals.append(max_b[i] / n if max_b[i] is not None else -math.inf)
-            g_vals.append((min_a[i] - 0.5) / n if min_a[i] is not None else math.inf)
-    f = tuple(f_vals + [math.inf])
-    g = tuple([-math.inf] + g_vals)
-
-    windows: list[tuple[int, int | None] | None] = []
-    for i in range(m):
-        # Window i (deciding D = i + 1) runs over (g[i], f[i]] where the
-        # tuples are laid out as g = (g_0..g_{m-1}), f = (f_1..f_m).
-        if i == 0:
-            klo = 0
-        elif math.isinf(g[i]):
-            klo = None
-        else:
-            klo = _count_floor(n * g[i]) + 1
-        if i == nb:
-            khi = k_top  # None for Poisson: unbounded top window
-        elif f[i] == -math.inf:
-            khi = None
-            klo = None  # unreachable decision: no accept set at this stage
-        else:
-            khi = _count_floor(n * f[i])
-        if klo is None or (khi is not None and khi < max(klo, 0)):
-            windows.append(None)
-        else:
-            windows.append((max(klo, 0), khi))
-
-    rule = StageRule(n=n, f=f, g=g, windows=tuple(windows), ties=tuple(ties))
+            f.append(b / n if b >= 0 else -math.inf)
+            g.append((a - 0.5) / n if has_a else math.inf)
+            below = b if b >= 0 else None
+            above = a if has_a else None
+        windows.append(None if lo is None or below is None or below < lo else (lo, below))
+        lo = above
+    windows.append(None if lo is None or (k_top is not None and k_top < lo) else (lo, k_top))
+    rule = StageRule(n=n, f=tuple(f + [math.inf]), g=tuple(g), windows=tuple(windows),
+                     ties=tuple(ties))
     _validate_windows(rule)
     return rule
 
@@ -520,10 +515,6 @@ def check_stage_sizes(sizes: Sequence) -> None:
     if not arms or any(arm[0] < 1 or any(b <= a for a, b in zip(arm, arm[1:]))
                        for arm in arms):
         raise DomainError("stage sizes must be strictly increasing positive integers")
-
-
-def _all_ties_present(rule: StageRule) -> bool:
-    return all(t is not None for t in rule.ties)
 
 
 def _check_stage_count(s: int) -> None:
@@ -580,91 +571,75 @@ def _size_blocks(horizon: int):
         lo = hi + 1
 
 
-def _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
-                horizon, candidates, accept):
-    """Stage rule of the smallest n <= horizon that satisfies ``accept``, or None.
+def _first_size(model, family, zone_lo, zone_hi, alphas, betas, horizon, passes):
+    """The smallest stage size n <= horizon that ``passes``, or None.
 
-    ``candidates(ns, min_a, max_b)`` is a test on the crossing counts that
-    every accepted size passes; only sizes passing it are built, in order,
-    from the columns of the block's count table, so the answer is the one a
-    size-by-size scan would give.
+    ``passes(ns, min_a, max_b)`` takes a block's crossing-count table and
+    returns, column by column in order, whether each size passes; the
+    search stops at the first that does, so its answer is the one a
+    size-by-size scan gives.
     """
     for ns in _size_blocks(horizon):
         min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
-        for j in np.flatnonzero(candidates(ns, min_a, max_b)):
-            rule = _rule_from_counts(model, int(ns[j]), min_a[:, j], max_b[:, j],
-                                     zone_lo, zone_hi, c_policy, lr_cut)
-            if accept(rule):
-                return rule
+        for n, ok in zip(ns, passes(ns, min_a, max_b)):
+            if ok:
+                return int(n)
     return None
 
 
-def _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
-                        lr_cut, require_ties: bool, max_stage_size: int) -> StageRule:
-    def candidates(ns, min_a, max_b):
-        # With ties required (the multi-hypothesis builder) the accept and
-        # reject-low sets of every boundary must overlap.  Otherwise there is
-        # one boundary, and its stage is closed exactly when no count lies
-        # between the two sets.
-        gap = max_b + 1 if not require_ties else max_b
-        return (min_a <= gap).all(axis=0)
+def _closes(min_a, max_b, require_ties: bool) -> np.ndarray:
+    """Per column of a crossing-count table, whether the stage is closed.
 
-    def accept(rule):
-        if require_ties and not _all_ties_present(rule):
-            return False
-        return stage_is_closed(rule, model)
-
-    rule = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
-                       max_stage_size, candidates, accept)
-    if rule is None:
-        raise InfeasibleDesignError(
-            f"no closed final stage within {max_stage_size} samples; "
-            "widen the zones or increase the risk budget"
-        )
-    return rule
-
-
-def _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
-                         lr_cut, last: StageRule) -> StageRule:
-    def candidates(sizes, min_a, max_b):
-        # A reachable decision needs some crossing count on the support.
-        top = model.sum_upper(sizes)
-        has_a = min_a <= top if top is not None else np.ones_like(min_a, dtype=bool)
-        return (has_a | (max_b >= 0)).any(axis=0)
-
-    rule = _first_size(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
-                       last.n, candidates, lambda rule: any(w is not None for w in rule.windows))
-    return last if rule is None else rule
+    With one boundary, a stage is closed exactly when no count lies
+    between the accept and reject-low sets.  With ties required (the
+    multi-hypothesis builder), the two sets must overlap at every
+    boundary, and the tie cuts then leave no count undecided.
+    """
+    return (min_a <= (max_b if require_ties else max_b + 1)).all(axis=0)
 
 
 def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                  stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
     """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
-    the searches pick.  The rules the searches confirmed are kept, and the rest
-    come from one count table over their sizes."""
+    the searches pick.  The final-size search reads the count tables
+    (``_closes``) and makes no rule.  The first-stage search makes a rule
+    wherever some crossing count lies on the support, since that count test
+    is only a necessary condition for a window.  Every rule of the plan is
+    then made once, from one count table over its sizes."""
     _check_stage_count(stages)
-    built = {}
+
+    def rule(n, min_a, max_b, j):
+        return _rule_from_counts(model, n, min_a[:, j], max_b[:, j], zone_lo, zone_hi,
+                                 c_policy, lr_cut)
+
     if stage_ns is None:
-        last = _minimal_last_stage(model, family, zone_lo, zone_hi, alphas, betas, c_policy,
-                                   lr_cut, require_ties, horizon)
-        built[last.n] = last
+        last = _first_size(model, family, zone_lo, zone_hi, alphas, betas, horizon,
+                           lambda ns, min_a, max_b: _closes(min_a, max_b, require_ties))
+        if last is None:
+            raise InfeasibleDesignError(
+                f"no closed final stage within {horizon} samples; "
+                "widen the zones or increase the risk budget"
+            )
         if fully_sequential:
-            stage_ns = range(1, last.n + 1)
+            stage_ns = range(1, last + 1)
         else:
-            first = _minimal_first_stage(model, family, zone_lo, zone_hi, alphas, betas,
-                                         c_policy, lr_cut, last)
-            built[first.n] = first
-            stage_ns = stage_schedule(first.n, last.n, stages, schedule)
+            def has_window(ns, min_a, max_b):
+                # A decision needs some crossing count on the support; only
+                # there is a rule made to see whether it reaches one.
+                top = model.sum_upper(ns)
+                reach = ((min_a <= top if top is not None else True) | (max_b >= 0)).any(axis=0)
+                for j, n in enumerate(ns):
+                    yield reach[j] and any(w is not None
+                                           for w in rule(int(n), min_a, max_b, j).windows)
+
+            first = _first_size(model, family, zone_lo, zone_hi, alphas, betas, last,
+                                has_window)
+            stage_ns = stage_schedule(first or last, last, stages, schedule)
     else:
         stage_ns = tuple(int(n) for n in stage_ns)
         check_stage_sizes(stage_ns)
-    todo = [n for n in stage_ns if n not in built]
-    if todo:
-        min_a, max_b = _crossing_counts(model, family, todo, zone_lo, zone_hi, alphas, betas)
-        for j, n in enumerate(todo):
-            built[n] = _rule_from_counts(model, n, min_a[:, j], max_b[:, j], zone_lo, zone_hi,
-                                         c_policy, lr_cut)
-    rules = tuple(built[n] for n in stage_ns)
+    min_a, max_b = _crossing_counts(model, family, stage_ns, zone_lo, zone_hi, alphas, betas)
+    rules = tuple(rule(n, min_a, max_b, j) for j, n in enumerate(stage_ns))
     if not stage_is_closed(rules[-1], model):
         raise InfeasibleDesignError(
             f"final stage of size {rules[-1].n} leaves continuation points; "
@@ -752,10 +727,7 @@ def build_one_sided_plan(
         lr_cut = None
         c_policy = tiebreak
 
-    cap = None
-    if isinstance(family, (ExactLimits, ChernoffLimits)):
-        cap = sample_bound(model, theta0, theta1, alphas[0], betas[0])
-
+    cap = _sample_cap(model, family, theta0, theta1, alphas[0], betas[0])
     rules = _stage_rules(model, family, (theta0,), (theta1,), alphas, betas, c_policy, lr_cut,
                          stage_ns, stages, schedule, False,
                          cap + 1 if cap else max_stage_size, fully_sequential)
@@ -764,7 +736,7 @@ def build_one_sided_plan(
         zone_lo=(theta0,), zone_hi=(theta1,),
         base_alphas=(alpha,), base_betas=(beta,), zeta=zeta,
         stages=rules, c_policy=c_policy if lr_cut is None else C_POLICY_SUPPORT_MIDPOINT,
-        theta0=theta0, theta1=theta1, tiebreak=tiebreak, sample_cap=cap,
+        tiebreak=tiebreak,
     )
 
 

@@ -222,11 +222,6 @@ def _build_stage(n, zone_lo, zone_hi, alphas, betas):
     brackets = np.stack([(above[b - 1] if b > 0 else full) & (below[b] if b < m - 1 else full)
                          for b in range(m)])
     counts = brackets.sum(axis=0)
-    if counts.max() > 2:
-        raise InfeasibleDesignError(
-            "more than two brackets hold at one grid point; zones are not "
-            "strictly separated"
-        )
     first = np.argmax(brackets, axis=0).astype(np.int8)
     decision = np.where(counts == 0, np.int8(CONTINUE), first)
     double = counts == 2

@@ -272,6 +272,19 @@ class TestMalformedDocuments:
         doc["theta1"] = 0.65
         self.expect(doc, "(at theta0, theta1)")
 
+    @pytest.mark.parametrize("family, cap", [(ExactLimits(), 7), (ExactLimits(), 181),
+                                             (ExactLimits(), None), (ChernoffLimits(), 7),
+                                             (ApproxLimits(0.3), 180)],
+                             ids=["exact-7", "exact-181", "exact-null", "chernoff-7",
+                                  "approx-180"])
+    def test_sample_cap_is_the_bound_of_the_zone_and_levels(self, family, cap):
+        plan = build_one_sided_plan(Bernoulli(), family, 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    stage_ns=[50, 300])
+        doc = plan_to_doc(plan)
+        assert doc_to_plan(doc).sample_cap == plan.sample_cap
+        doc["sample_cap"] = cap
+        self.expect(doc, "(at sample_cap)")
+
     def test_bernoulli_window_edges_end_at_the_stage_size(self):
         plan = build_one_sided_plan(Bernoulli(), ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
                                     stage_ns=[50, 150])

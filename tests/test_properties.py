@@ -253,7 +253,7 @@ def any_plans(draw):
     if plan.m == 2 and draw(st.booleans()):
         fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(MultiHypPlan)
                   if f.name != "kind"}
-        plan = OneSidedPlan(**fields, theta0=plan.zone_lo[0], theta1=plan.zone_hi[0])
+        plan = OneSidedPlan(**fields)
     return plan
 
 

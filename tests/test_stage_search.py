@@ -92,6 +92,12 @@ ONE_SIDED_CASES = [
     (POIS, 2.0, 3.0, 0.05, 0.1),
 ]
 
+THREE_HYPOTHESIS_CASES = [
+    (BERN, [0.1, 0.55], [0.45, 0.9], [0.1, 0.1], [0.1, 0.1]),
+    (BERN, [0.15, 0.55], [0.35, 0.75], [0.1, 0.05], [0.05, 0.1]),
+    (POIS, [1.0, 3.0], [2.0, 4.5], [0.1, 0.1], [0.1, 0.1]),
+]
+
 
 class TestLastAndFirstStageAgainstScan:
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
@@ -223,12 +229,51 @@ def test_ladder_final_sizes():
     assert plan.stage_ns == (6, 38, 240, 1518, 9603)
 
 
-class TestSearchedRulesAreKept:
-    """A plan keeps the stage rules its size searches confirmed."""
+class TestCountTableCloses:
+    """The final-size search reads closure off the count table: at every size
+    1-200, ``_closes`` says closed exactly when the rule made there is closed,
+    with a tie at every boundary where ties are required."""
+
+    @staticmethod
+    def assert_closes_like_rules(model, family, rule_args, require_ties):
+        zone_lo, zone_hi, alphas, betas, c_policy, lr_cut = rule_args
+        ns = np.arange(1, 201)
+        min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
+        closed = []
+        for j, n in enumerate(ns):
+            rule = plans._rule_from_counts(model, int(n), min_a[:, j], max_b[:, j], zone_lo,
+                                           zone_hi, c_policy, lr_cut)
+            closed.append(stage_is_closed(rule, model)
+                          and not (require_ties and None in rule.ties))
+        np.testing.assert_array_equal(plans._closes(min_a, max_b, require_ties), closed)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
+    def test_one_sided(self, family):
+        for model, theta0, theta1, alpha, beta in ONE_SIDED_CASES:
+            for zeta in (0.2, 0.5, 0.9):
+                for tiebreak in (TIEBREAK_LIKELIHOOD_RATIO, TIEBREAK_ALWAYS_ACCEPT,
+                                 TIEBREAK_ALWAYS_REJECT):
+                    self.assert_closes_like_rules(model, family, one_sided_rule_args(
+                        theta0, theta1, alpha, beta, zeta, tiebreak), False)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
+    def test_three_hypotheses(self, family):
+        for model, zone_lo, zone_hi, base_a, base_b in THREE_HYPOTHESIS_CASES:
+            for zeta in (0.3, 0.8):
+                for c_policy in ("support-midpoint", "zone-midpoint"):
+                    self.assert_closes_like_rules(model, family, (
+                        zone_lo, zone_hi, [zeta * a for a in base_a],
+                        [zeta * b for b in base_b], c_policy, None), True)
+
+
+class TestRulesAreMadeAtKeptSizes:
+    """A plan makes each stage rule from one count table over its sizes; the
+    final-size search makes none, and the first-stage search only the rules
+    it needs to see a window."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """Sizes of the stage rules made from crossing counts."""
+    def made(self, monkeypatch):
+        """Sizes of the stage rules made from crossing counts, in order."""
         sizes = []
         rule_from_counts = plans._rule_from_counts
 
@@ -240,22 +285,28 @@ class TestSearchedRulesAreKept:
         monkeypatch.setattr(plans, "_rule_from_counts", counting)
         return sizes
 
-    def test_one_sided(self, built):
+    def test_one_sided(self, made):
         plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
                                     stages=5)
         assert plan.stage_ns == (5, 10, 22, 46, 95)
-        assert sorted(built) == [5, 10, 22, 46, 95]
+        # 1..4 reach no crossing count, so the first-stage search makes only 5
+        assert made == [5, 5, 10, 22, 46, 95]
         lr_cut = (0.4, 0.6, 0.0)
         assert plan.stages == tuple(
             build_stage_rule(BERN, ExactLimits(), n, [0.4], [0.6], [0.025], [0.025],
                              lr_cut=lr_cut) for n in plan.stage_ns)
 
-    def test_three_hypotheses(self, built):
+    def test_fully_sequential(self, made):
+        plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
+                                    fully_sequential=True)
+        assert made == list(plan.stage_ns) == list(range(1, 96))
+
+    def test_three_hypotheses(self, made):
         plan = build_multihyp_plan(BERN, ExactLimits(), [0.1, 0.55], [0.45, 0.9], 0.2755,
                                    [0.1, 0.1], [0.1, 0.1], stages=3)
         assert plan.stage_ns == (6, 13, 28)
-        # the first-stage search still probes 2..5, which reach no decision
-        assert sorted(built) == [2, 3, 4, 5, 6, 13, 28]
+        # the first-stage search probes 2..5, which reach no decision
+        assert made == [2, 3, 4, 5, 6, 6, 13, 28]
         levels = [0.2755 * 0.1] * 2
         assert plan.stages == tuple(
             build_stage_rule(BERN, ExactLimits(), n, [0.1, 0.55], [0.45, 0.9], levels,
