@@ -23,7 +23,8 @@ from . import __version__
 from .conflimits import family_by_tag
 from .errors import SeqTestError
 from .models import model_by_name
-from .plans import _SCHEDULES, build_multihyp_plan, build_one_sided_plan
+from .plans import (_SCHEDULES, _TIEBREAKS, TIEBREAK_LIKELIHOOD_RATIO, build_multihyp_plan,
+                    build_one_sided_plan)
 from .ocexact import _csv_text, oc_curve
 from .plandoc import load_plan, plan_to_doc, dump_doc
 from .sim import compare as sim_compare
@@ -333,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--stage-ns", type=lambda s: _parse_ints(s, "--stage-ns"),
                    help="explicit stage sizes, overriding --stages/--schedule")
     d.add_argument("--fully-sequential", action="store_true")
-    d.add_argument("--tiebreak", default="likelihood-ratio",
-                   choices=["likelihood-ratio", "always-accept", "always-reject"])
+    d.add_argument("--tiebreak", default=TIEBREAK_LIKELIHOOD_RATIO, choices=_TIEBREAKS)
     d.add_argument("--out", required=True)
     d.set_defaults(fn=_cmd_design)
 

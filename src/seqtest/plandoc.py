@@ -13,8 +13,9 @@ windows are ordered and disjoint (and, for Bernoulli stages, end at most
 at the stage size), and the final stage decides at every count the model
 reaches (every cell, for two-sample grids), so a loaded plan is a closed
 plan.  A one-sided document's sample cap must be the one its zone and
-risk levels give.  Unknown tie policies and fields of the wrong type are
-refused.
+risk levels give, and its ``c_policy`` the one its ``tiebreak`` gives: the
+support midpoint under the likelihood-ratio rule, the tiebreak itself
+otherwise.  Unknown tie policies and fields of the wrong type are refused.
 
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
@@ -34,8 +35,8 @@ from .conflimits import ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
 from .plans import (_C_POLICIES, _SCHEDULES, _TIEBREAKS, CONTINUE, MultiHypPlan,
-                    OneSidedPlan, StageRule, _check_risks, _check_zones, _validate_windows,
-                    check_stage_sizes, stage_is_closed)
+                    OneSidedPlan, StageRule, _check_zones, _levels, _tie_c_policy,
+                    _validate_windows, check_stage_sizes, stage_is_closed)
 from .twoprop import TwoPropPlan, TwoPropStage, _check_two_prop_zones
 
 __all__ = [
@@ -299,7 +300,7 @@ def doc_to_plan(doc: dict):
             raise PlanDocumentError(
                 f"only the identity arm link is supported, got {doc['link']!r}", "link")
         _check_domain(_check_two_prop_zones, "zone_lo, zone_hi", zone_lo, zone_hi)
-        _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
+        _check_domain(_levels, "base_alphas, base_betas, zeta", base_alphas, base_betas,
                       zeta, len(zone_lo))
         _check_sizes(raw_stages, ("n_x", "n_y"))
         m = len(zone_lo) + 1
@@ -330,12 +331,10 @@ def doc_to_plan(doc: dict):
     except Exception as exc:
         raise PlanDocumentError(str(exc), "family") from None
     _check_domain(_check_zones, "zone_lo, zone_hi", model, zone_lo, zone_hi)
-    _check_domain(_check_risks, "base_alphas, base_betas, zeta", base_alphas, base_betas,
+    _check_domain(_levels, "base_alphas, base_betas, zeta", base_alphas, base_betas,
                   zeta, len(zone_lo))
-    # A one-sided plan records a tiebreak other than the likelihood ratio as its policy.
-    c_policies = _C_POLICIES if kind == "multi" else _C_POLICIES + _TIEBREAKS[1:]
     c_policy = _need(doc, "c_policy")
-    if c_policy not in c_policies:
+    if kind == "multi" and c_policy not in _C_POLICIES:
         raise PlanDocumentError(f"unknown c policy {c_policy!r}", "c_policy")
     _check_sizes(raw_stages, ("n",))
     stages = tuple(_doc_to_stage(sd, i, model) for i, sd in enumerate(raw_stages))
@@ -344,14 +343,16 @@ def doc_to_plan(doc: dict):
                                 f"stages[{len(stages) - 1}].windows")
     common = dict(
         model=model, family=family, zone_lo=zone_lo, zone_hi=zone_hi,
-        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta,
-        stages=stages, c_policy=c_policy,
+        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta, stages=stages,
     )
     if kind == "multi":
-        return MultiHypPlan(**common)
+        return MultiHypPlan(**common, c_policy=c_policy)
     tiebreak = _need(doc, "tiebreak")
     if tiebreak not in _TIEBREAKS:
         raise PlanDocumentError(f"unknown tiebreak {tiebreak!r}", "tiebreak")
+    if c_policy != _tie_c_policy(tiebreak):
+        raise PlanDocumentError(f"c policy must be {_tie_c_policy(tiebreak)!r}, the one "
+                                f"tiebreak {tiebreak!r} gives, got {c_policy!r}", "c_policy")
     theta0, theta1 = _number(doc, "theta0"), _number(doc, "theta1")
     if (theta0,) != zone_lo or (theta1,) != zone_hi:
         raise PlanDocumentError("theta0 and theta1 must be the zone endpoints",

@@ -54,7 +54,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 from .conflimits import ExactLimits, ChernoffLimits, ApproxLimits, family_by_tag
@@ -183,20 +183,8 @@ class TestOutcome:
     forced: bool = False  # decision imposed by a sample cap, not a crossing
 
 
-@dataclass(frozen=True)
-class MultiHypPlan:
-    """A fully materialized multistage plan over m hypotheses."""
-
-    model: object
-    family: object
-    zone_lo: tuple[float, ...]
-    zone_hi: tuple[float, ...]
-    base_alphas: tuple[float, ...]
-    base_betas: tuple[float, ...]
-    zeta: float
-    stages: tuple[StageRule, ...]
-    c_policy: str = C_POLICY_SUPPORT_MIDPOINT
-    kind: str = "multi"
+class _ZonedPlan:
+    """Hypothesis and stage counts and risk levels of one- and two-sample plans."""
 
     @property
     def m(self) -> int:
@@ -207,10 +195,6 @@ class MultiHypPlan:
         return len(self.stages)
 
     @property
-    def stage_ns(self) -> tuple[int, ...]:
-        return tuple(st.n for st in self.stages)
-
-    @property
     def alphas(self) -> tuple[float, ...]:
         """Effective per-stage lower-limit levels per zone boundary."""
         return tuple(self.zeta * a for a in self.base_alphas)
@@ -218,6 +202,26 @@ class MultiHypPlan:
     @property
     def betas(self) -> tuple[float, ...]:
         return tuple(self.zeta * b for b in self.base_betas)
+
+
+@dataclass(frozen=True)
+class MultiHypPlan(_ZonedPlan):
+    """A fully materialized multistage plan over m hypotheses."""
+
+    kind: ClassVar[str] = "multi"
+    model: object
+    family: object
+    zone_lo: tuple[float, ...]
+    zone_hi: tuple[float, ...]
+    base_alphas: tuple[float, ...]
+    base_betas: tuple[float, ...]
+    zeta: float
+    stages: tuple[StageRule, ...]
+    c_policy: str = C_POLICY_SUPPORT_MIDPOINT
+
+    @property
+    def stage_ns(self) -> tuple[int, ...]:
+        return tuple(st.n for st in self.stages)
 
     @cached_property
     def continue_spans(self) -> tuple[tuple[int, int | None, bool], ...]:
@@ -244,8 +248,12 @@ class MultiHypPlan:
 class OneSidedPlan(MultiHypPlan):
     """Two-hypothesis plan for H0: theta <= theta0 versus H1: theta >= theta1."""
 
+    kind: ClassVar[str] = "one-sided"
+    c_policy: str = field(init=False)
     tiebreak: str = TIEBREAK_LIKELIHOOD_RATIO
-    kind: str = "one-sided"
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_policy", _tie_c_policy(self.tiebreak))
 
     @property
     def theta0(self) -> float:
@@ -269,6 +277,12 @@ class OneSidedPlan(MultiHypPlan):
         families it does not hold for."""
         return _sample_cap(self.model, self.family, self.theta0, self.theta1, *self.alphas,
                            *self.betas)
+
+
+def _tie_c_policy(tiebreak: str) -> str:
+    """A one-sided plan's c policy: the tiebreak, or the support midpoint under
+    the likelihood-ratio rule, which reads no c policy."""
+    return C_POLICY_SUPPORT_MIDPOINT if tiebreak == TIEBREAK_LIKELIHOOD_RATIO else tiebreak
 
 
 def sample_bound(model, theta0: float, theta1: float, zeta_alpha: float, zeta_beta: float) -> int:
@@ -551,7 +565,11 @@ def _check_zones(model, zone_lo, zone_hi) -> None:
             raise DomainError("indifference zones must be ordered and non-overlapping")
 
 
-def _check_risks(base_alphas, base_betas, zeta, nb) -> None:
+def _levels(base_alphas, base_betas, zeta, nb):
+    """(base_alphas, base_betas, alphas, betas): the base risk coefficients
+    (1.0 per zone boundary where None), checked, and scaled by ``zeta``."""
+    base_alphas = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
+    base_betas = tuple(base_betas) if base_betas is not None else (1.0,) * nb
     if len(base_alphas) != nb or len(base_betas) != nb:
         raise DomainError("need one (alpha, beta) base pair per zone boundary")
     for v in (*base_alphas, *base_betas):
@@ -560,6 +578,7 @@ def _check_risks(base_alphas, base_betas, zeta, nb) -> None:
     top = max(max(base_alphas), max(base_betas))
     if not (0.0 < zeta < 1.0 / top):
         raise DomainError(f"zeta must lie in (0, {1.0 / top:.6g}), got {zeta}")
+    return base_alphas, base_betas, [zeta * a for a in base_alphas], [zeta * b for b in base_betas]
 
 
 def _size_blocks(horizon: int):
@@ -672,14 +691,10 @@ def build_multihyp_plan(
     if isinstance(family, str):
         family = family_by_tag(family)
     _check_zones(model, zone_lo, zone_hi)
-    nb = len(zone_lo)
-    base_alphas = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
-    base_betas = tuple(base_betas) if base_betas is not None else (1.0,) * nb
-    _check_risks(base_alphas, base_betas, zeta, nb)
+    base_alphas, base_betas, alphas, betas = _levels(base_alphas, base_betas, zeta,
+                                                     len(zone_lo))
     if c_policy not in _C_POLICIES:
         raise DomainError(f"unknown c policy {c_policy!r}")
-    alphas = [zeta * a for a in base_alphas]
-    betas = [zeta * b for b in base_betas]
 
     rules = _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, None,
                          stage_ns, stages, schedule, True, max_stage_size)
@@ -717,26 +732,18 @@ def build_one_sided_plan(
     _check_zones(model, (theta0,), (theta1,))
     if tiebreak not in _TIEBREAKS:
         raise DomainError(f"unknown tiebreak {tiebreak!r}")
-    _check_risks((alpha,), (beta,), zeta, 1)
-    alphas = [zeta * alpha]
-    betas = [zeta * beta]
-    if tiebreak == TIEBREAK_LIKELIHOOD_RATIO:
-        lr_cut = (theta0, theta1, math.log(alpha / beta))
-        c_policy = C_POLICY_SUPPORT_MIDPOINT  # unused under lr_cut
-    else:
-        lr_cut = None
-        c_policy = tiebreak
-
+    _, _, alphas, betas = _levels((alpha,), (beta,), zeta, 1)
+    lr_cut = ((theta0, theta1, math.log(alpha / beta))
+              if tiebreak == TIEBREAK_LIKELIHOOD_RATIO else None)
     cap = _sample_cap(model, family, theta0, theta1, alphas[0], betas[0])
-    rules = _stage_rules(model, family, (theta0,), (theta1,), alphas, betas, c_policy, lr_cut,
-                         stage_ns, stages, schedule, False,
+    rules = _stage_rules(model, family, (theta0,), (theta1,), alphas, betas,
+                         _tie_c_policy(tiebreak), lr_cut, stage_ns, stages, schedule, False,
                          cap + 1 if cap else max_stage_size, fully_sequential)
     return OneSidedPlan(
         model=model, family=family,
         zone_lo=(theta0,), zone_hi=(theta1,),
         base_alphas=(alpha,), base_betas=(beta,), zeta=zeta,
-        stages=rules, c_policy=c_policy if lr_cut is None else C_POLICY_SUPPORT_MIDPOINT,
-        tiebreak=tiebreak,
+        stages=rules, tiebreak=tiebreak,
     )
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedModelError
 from .ocexact import _csv_text
-from .plans import MultiHypPlan
+from .plans import CONTINUE, MultiHypPlan
 from .sprt import SprtSpec, _Walk
-from .twoprop import TwoPropPlan, _check_point, run_two_prop
+from .twoprop import _BERN, TwoPropPlan, _check_point
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
@@ -102,11 +102,16 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
     nstop = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        xs = (rng.random(last.n_x) < p_x).astype(np.int64)
-        ys = (rng.random(last.n_y) < p_y).astype(np.int64)
-        out = run_two_prop(plan, iter(xs.tolist()), iter(ys.tolist()))
-        accepted[t] = out.accepted_index
-        nstop[t] = out.sample_count
+        kx = np.cumsum(_BERN.draw(rng, last.n_x, p_x))
+        ky = np.cumsum(_BERN.draw(rng, last.n_y, p_y))
+        for stage in plan.stages:
+            d = int(stage.decision[kx[stage.n_x - 1], ky[stage.n_y - 1]])
+            if d != CONTINUE:
+                accepted[t] = d
+                nstop[t] = stage.n_x + stage.n_y
+                break
+        else:
+            raise DomainError("closed plan reached its last stage undecided")
     return _summarize(p_x - p_y, trials, seed, accepted, nstop, plan.m, None)
 
 

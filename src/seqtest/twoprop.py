@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,7 +36,7 @@ from scipy.special import ndtri
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
 from .ocexact import propagate
-from .plans import (CONTINUE, TestOutcome, _check_risks, _check_stage_count, _take,
+from .plans import (CONTINUE, TestOutcome, _ZonedPlan, _check_stage_count, _levels, _take,
                     check_stage_sizes, stage_schedule)
 
 __all__ = [
@@ -149,34 +150,18 @@ class TwoPropStage:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoPropPlan:
+class TwoPropPlan(_ZonedPlan):
+    kind: ClassVar[str] = "two-prop"
     zone_lo: tuple[float, ...]   # lower endpoint of each indifference zone
     zone_hi: tuple[float, ...]   # upper endpoint of each indifference zone
     base_alphas: tuple[float, ...]
     base_betas: tuple[float, ...]
     zeta: float
     stages: tuple[TwoPropStage, ...]
-    kind: str = "two-prop"
-
-    @property
-    def m(self) -> int:
-        return len(self.zone_lo) + 1
-
-    @property
-    def s(self) -> int:
-        return len(self.stages)
 
     @property
     def stage_sizes(self) -> tuple[tuple[int, int], ...]:
         return tuple((st.n_x, st.n_y) for st in self.stages)
-
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(self.zeta * a for a in self.base_alphas)
-
-    @property
-    def betas(self) -> tuple[float, ...]:
-        return tuple(self.zeta * b for b in self.base_betas)
 
     def zone_band(self, hyp: int) -> tuple[float, float]:
         """Closed theta band of hypothesis ``hyp`` inside (-1, 1)."""
@@ -274,13 +259,9 @@ def build_two_prop_plan(
     arms differ in size still load and run.
     """
     _check_two_prop_zones(zone_lo, zone_hi)
-    nb = len(zone_lo)
-    base_alphas = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
-    base_betas = tuple(base_betas) if base_betas is not None else (1.0,) * nb
-    _check_risks(base_alphas, base_betas, zeta, nb)
+    base_alphas, base_betas, alphas, betas = _levels(base_alphas, base_betas, zeta,
+                                                     len(zone_lo))
     _check_stage_count(stages)
-    alphas = [zeta * a for a in base_alphas]
-    betas = [zeta * b for b in base_betas]
 
     if stage_ns is None:
         first, last = _search_sizes(zone_lo, zone_hi, alphas, betas, max_stage_size)
@@ -423,13 +404,17 @@ def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
 class RiskCertificate:
     verdict: str                      # "proved" | "disproved" | "inconclusive"
     hypothesis: int
-    budget_used: int                  # bound evaluations spent
     explored: int                     # rectangles examined
     max_upper: float                  # largest upper bound on the final frontier
     witness: Rectangle                # frontier's worst rectangle: the violator if disproved
     # (rectangle, lower, upper, truncation slack) tuples; the bounds run
     # over whole supports, so the slack is always 0.0
     trace: list
+
+    @property
+    def budget_used(self) -> int:
+        """Bound evaluations spent: one per rectangle in the trace."""
+        return len(self.trace)
 
     @property
     def proved(self) -> bool:
@@ -484,7 +469,7 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
                 if child.intersects_band(*band):
                     push(child)
             continue
-        return RiskCertificate(verdict, hyp, len(trace), explored, up, rect, trace)
+        return RiskCertificate(verdict, hyp, explored, up, rect, trace)
 
 
 def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,

@@ -194,6 +194,13 @@ class TestMalformedDocuments:
         doc[field] = value
         self.expect(doc, f"(at {field})")
 
+    @pytest.mark.parametrize("tiebreak, c_policy", [
+        ("always-reject", "support-midpoint"), ("likelihood-ratio", "always-accept")])
+    def test_one_sided_c_policy_is_the_tiebreaks(self, tiebreak, c_policy):
+        doc = self.good_doc()
+        doc["tiebreak"], doc["c_policy"] = tiebreak, c_policy
+        self.expect(doc, "(at c_policy)")
+
     def test_multi_c_policy_is_a_builder_policy(self):
         doc = self.good_doc("multi-chernoff")
         doc["c_policy"] = "always-accept"

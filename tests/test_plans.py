@@ -13,6 +13,7 @@ from seqtest.models import Bernoulli, Poisson
 from seqtest.plans import (
     CONTINUE,
     MultiHypPlan,
+    OneSidedPlan,
     StageRule,
     TIEBREAK_ALWAYS_ACCEPT,
     TIEBREAK_ALWAYS_REJECT,
@@ -271,6 +272,35 @@ class TestBuildPlans:
         with pytest.raises(InfeasibleDesignError):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
                                  stage_ns=[5, 8])
+
+
+class TestPlanFields:
+    """A plan takes only its inputs; its kind and a one-sided c policy are derived."""
+
+    def fields(self, plan):
+        return dict(model=plan.model, family=plan.family, zone_lo=plan.zone_lo,
+                    zone_hi=plan.zone_hi, base_alphas=plan.base_alphas,
+                    base_betas=plan.base_betas, zeta=plan.zeta, stages=plan.stages)
+
+    def test_kind_is_not_an_argument(self):
+        plan = classic_plan()
+        with pytest.raises(TypeError):
+            MultiHypPlan(**self.fields(plan), kind="two-prop")
+        assert (MultiHypPlan(**self.fields(plan)).kind, plan.kind) == ("multi", "one-sided")
+
+    def test_one_sided_c_policy_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            OneSidedPlan(**self.fields(classic_plan()), c_policy="zone-midpoint")
+
+    @pytest.mark.parametrize("tiebreak, c_policy", [
+        (TIEBREAK_LIKELIHOOD_RATIO, "support-midpoint"),
+        (TIEBREAK_ALWAYS_ACCEPT, TIEBREAK_ALWAYS_ACCEPT),
+        (TIEBREAK_ALWAYS_REJECT, TIEBREAK_ALWAYS_REJECT),
+    ])
+    def test_one_sided_c_policy_follows_the_tiebreak(self, tiebreak, c_policy):
+        plan = classic_plan(tiebreak=tiebreak)
+        assert plan.c_policy == c_policy
+        assert OneSidedPlan(**self.fields(plan), tiebreak=tiebreak) == plan
 
 
 class TestDecisionVariable:

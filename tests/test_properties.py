@@ -252,7 +252,7 @@ def any_plans(draw):
     plan = draw(one_sample_cases())[0]
     if plan.m == 2 and draw(st.booleans()):
         fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(MultiHypPlan)
-                  if f.name != "kind"}
+                  if f.name != "c_policy"}
         plan = OneSidedPlan(**fields)
     return plan
 
