@@ -252,7 +252,7 @@ def _cmd_certify(args, parser) -> int:
         cert = certify_risk(plan, i, delta, tol=args.tol, budget=args.budget)
         print(f"hypothesis {i}: {cert.verdict} (risk budget {_FMT(delta)}, "
               f"max upper bound {_FMT(cert.max_upper)}, "
-              f"{cert.explored} rectangles)")
+              f"{cert.explored} rectangles, {cert.bounds} bounds)")
         all_proved = all_proved and cert.proved
     return 0 if all_proved else 1
 

@@ -13,14 +13,20 @@ sizes are given, finds the first and last in one pass over the sizes;
 plan documents whose arms differ in size still load and run.
 
 The exact OC and the risk bounds run the forward recursion of
-``ocexact.propagate`` over the 2-D count grid.  Risk verification over a
-parameter rectangle uses interval dynamic programming: the same recursion
-over both arms' whole supports, with each transition mass replaced by its
-pointwise minimum or maximum over the rectangle (binomial mass is unimodal
-in p).  The resulting lower/upper rejection bounds hold at every point of
-the rectangle and drive a branch-and-bound certificate over the hypothesis
-zone.  One certificate computes each pmf bound and stage rejection mask
-once and reuses it across its rectangles.
+``ocexact.propagate`` over the 2-D count grid.  Risk bounds over a
+parameter rectangle take one of two paths, chosen per hypothesis from the
+plan's decision grids.  Where every stage's decision regions are monotone
+in the two counts (``_monotone``), a coupling argument makes each side's
+wrong acceptance monotone in p_x and p_y, so exact values at two opposite
+corners bound the rejection over the rectangle (the paper's use of the
+monotonicity of the OC function).  Otherwise interval dynamic programming
+bounds it: the same recursion over both arms' whole supports, with each
+transition mass replaced by its pointwise minimum or maximum over the
+rectangle (binomial mass is unimodal in p).  Either way the lower/upper
+rejection bounds hold at every point of the rectangle and drive a
+branch-and-bound certificate over the hypothesis zone.  One certificate
+computes each corner, pmf bound and stage mask once and reuses it across
+its rectangles.
 """
 
 from __future__ import annotations
@@ -316,15 +322,47 @@ def _pmf_min(n: int, p_lo: float, p_hi: float) -> np.ndarray:
     return np.minimum(_BERN.increment_pmf(n, p_lo)[0], _BERN.increment_pmf(n, p_hi)[0])
 
 
+def _pmf_at(n: int, p: float, _: float) -> np.ndarray:
+    """The binomial pmf at p, for a range that is the point [p, p]."""
+    return _BERN.increment_pmf(n, p)[0]
+
+
 def _propagate(plan: TwoPropPlan, pmf):
     return propagate([((st.n_x, st.n_y), st.decision, None) for st in plan.stages], pmf)
 
 
-class _IntervalDP:
-    """Sandwich bounds for one plan and hypothesis, inputs computed once.
+def _monotone(plan: TwoPropPlan, b: int) -> bool:
+    """True when boundary ``b``, between hypotheses b-1 and b, is monotone.
 
-    The pmf bounds per (bound, m, range) are kept for the life of the
-    instance, and each stage's "rejects ``hyp``" mask is built with it.
+    At every stage the cells deciding a hypothesis >= b must form an
+    up-set in count_x and a down-set in count_y, and the cells deciding one
+    below b the reverse: the three-way label (below b, undecided, b or
+    above) never falls as count_x grows and never rises as count_y grows.
+    Couple each arm's draws as U < p.  A path with larger p_x or smaller
+    p_y then has counts at least as far toward "b or above" at every stage,
+    so it never decides below b where the original went on and it decides
+    b or above wherever the original did: Pr{decide >= b} rises with p_x
+    and falls with p_y, and Pr{decide < b} does the reverse.
+    """
+    for st in plan.stages:
+        side = np.where(st.decision == CONTINUE, 0, np.where(st.decision < b, -1, 1))
+        if (np.diff(side, axis=0) < 0).any() or (np.diff(side, axis=1) > 0).any():
+            return False
+    return True
+
+
+class _RejectionBounds:
+    """Bounds on Pr{reject ``hyp``} over rectangles for one plan, inputs computed once.
+
+    ``path`` is "corner" when the boundaries on both sides of ``hyp`` are
+    monotone (``_monotone``).  Then Pr{accept below hyp} is largest at the
+    rectangle corner B = (px_lo, py_hi) and smallest at A = (px_hi, py_lo),
+    Pr{accept above hyp} the reverse, so exact values at the two corners
+    bound the rejection over the whole rectangle.  Each corner is one
+    propagation, cached by point: split children share two corners with
+    their parent.  Otherwise ``path`` is "interval" and every rectangle
+    takes the interval DP, whose pmf bounds per (bound, m, range) are kept
+    for the life of the instance, like the corners and the stage masks.
     ``certify_risk`` keeps one for its whole search;
     ``rejection_prob_bounds`` makes a fresh one per call.
     """
@@ -333,9 +371,12 @@ class _IntervalDP:
         if not (0 <= hyp < plan.m):
             raise DomainError(f"hypothesis index out of range: {hyp}")
         self.plan = plan
-        self._rejects = [(st.decision != CONTINUE) & (st.decision != hyp)
-                         for st in plan.stages]
+        self._below = [(st.decision != CONTINUE) & (st.decision < hyp) for st in plan.stages]
+        self._above = [st.decision > hyp for st in plan.stages]
         self._pmfs: dict = {}
+        self._corners: dict = {}
+        self.path = ("corner" if all(_monotone(plan, b) for b in (hyp, hyp + 1) if 0 < b < plan.m)
+                     else "interval")
 
     def _pmf(self, bound, m: int, lo: float, hi: float) -> np.ndarray:
         key = (bound, m, lo, hi)
@@ -343,37 +384,64 @@ class _IntervalDP:
             self._pmfs[key] = bound(m, lo, hi)
         return self._pmfs[key]
 
-    def _rejection(self, ranges, pmf_bound) -> float:
-        """Interval-DP mass of the paths that reject the hypothesis.
+    def _masses(self, ranges, pmf_bound) -> tuple[float, float]:
+        """(mass accepting a hypothesis below ``hyp``, mass accepting one above).
 
-        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over
-        its parameter range in ``ranges``, over the arm's whole support.
+        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
+        parameter range in ``ranges``, over the arm's whole support.
         """
-        total = 0.0
+        below = above = 0.0
         for idx, state, _, _, _ in _propagate(
                 self.plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
-            total += float(state[self._rejects[idx]].sum())
-        return total
+            below += float(state[self._below[idx]].sum())
+            above += float(state[self._above[idx]].sum())
+        return below, above
+
+    def _corner(self, px: float, py: float) -> tuple[float, float]:
+        """Exact ``_masses`` at one point."""
+        key = (px, py)
+        if key not in self._corners:
+            self._corners[key] = self._masses(((px, px), (py, py)), _pmf_at)
+        return self._corners[key]
+
+    def interval(self, rect: Rectangle) -> tuple[float, float]:
+        """(lower, upper) from the interval DP: every transition mass
+        replaced by its pointwise minimum or maximum over ``rect``."""
+        ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
+        lower = sum(self._masses(ranges, _pmf_min))
+        upper = sum(self._masses(ranges, _pmf_max))
+        return min(1.0, lower), min(1.0, upper)
+
+    def corner(self, rect: Rectangle) -> tuple[float, float]:
+        """(lower, upper) from the exact values at corners A and B; sound
+        only on the corner path."""
+        below_a, above_a = self._corner(rect.px_hi, rect.py_lo)
+        below_b, above_b = self._corner(rect.px_lo, rect.py_hi)
+        return min(1.0, below_a + above_b), min(1.0, below_b + above_a)
 
     def bounds(self, rect: Rectangle) -> tuple[float, float]:
         """(lower, upper) of ``rejection_prob_bounds``."""
-        ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
-        lower = self._rejection(ranges, _pmf_min)
-        upper = self._rejection(ranges, _pmf_max)
-        return min(1.0, lower), min(1.0, upper)
+        return self.corner(rect) if self.path == "corner" else self.interval(rect)
 
 
 def rejection_prob_bounds(plan: TwoPropPlan, hyp: int,
                           rect: Rectangle) -> tuple[float, float]:
     """Sandwich bounds on Pr{accept something other than ``hyp``} over ``rect``.
 
-    The exact recursion over both arms' whole supports, with every
-    transition mass replaced by its pointwise minimum (lower) or maximum
-    (upper) over the rectangle.  A path's probability is a product of
-    transition masses, so each bound holds at every parameter point inside
-    the rectangle; at a point rectangle both equal the exact rejection.
+    Where the boundaries on both sides of ``hyp`` are monotone at every
+    stage (the cells deciding a higher hypothesis form an up-set in
+    count_x and a down-set in count_y, the lower ones the reverse), the
+    acceptance of the hypotheses below ``hyp`` falls with p_x and rises
+    with p_y, and of those above it the reverse.  The bounds are then sums
+    of exact values at the corners (px_hi, py_lo) and (px_lo, py_hi).
+    Otherwise they come from the interval DP: the exact recursion over
+    both arms' whole supports, with every transition mass replaced by its
+    pointwise minimum (lower) or maximum (upper) over the rectangle; a
+    path's probability is a product of transition masses.  Either way each
+    bound holds at every parameter point inside the rectangle, and at a
+    point rectangle both equal the exact rejection.
     """
-    return _IntervalDP(plan, hyp).bounds(rect)
+    return _RejectionBounds(plan, hyp).bounds(rect)
 
 
 def _check_point(p_x: float, p_y: float) -> None:
@@ -407,9 +475,10 @@ class RiskCertificate:
     explored: int                     # rectangles examined
     max_upper: float                  # largest upper bound on the final frontier
     witness: Rectangle                # frontier's worst rectangle: the violator if disproved
-    # (rectangle, lower, upper, truncation slack) tuples; the bounds run
-    # over whole supports, so the slack is always 0.0
+    # (rectangle, lower, upper, truncation slack) tuples; both bounds hold
+    # over the whole rectangle, so the slack is always 0.0
     trace: list
+    bounds: str                       # "corner" | "interval": how rectangles were bounded
 
     @property
     def budget_used(self) -> int:
@@ -430,14 +499,16 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
     bound clears delta the claim is proved; a lower bound above delta on a
     zone-intersecting rectangle disproves it.  Rectangles narrower than
     ``tol`` that still straddle delta end the search as inconclusive.
-    Each bound is ``rejection_prob_bounds``'s, but the pmf bounds and
-    rejection masks are computed once per call: split children share an
-    axis range with their parent.
+    Each bound is ``rejection_prob_bounds``'s, from exact values at two
+    corners where the plan's boundaries around ``hyp`` are monotone and
+    from the interval DP otherwise; ``bounds`` names the path.  Corner
+    values, pmf bounds and rejection masks are computed once per call:
+    split children share two corners, or an axis range, with their parent.
     """
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     band = plan.zone_band(hyp)
-    dp = _IntervalDP(plan, hyp)
+    dp = _RejectionBounds(plan, hyp)
     trace: list = []
     heap: list = []
 
@@ -469,7 +540,7 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
                 if child.intersects_band(*band):
                     push(child)
             continue
-        return RiskCertificate(verdict, hyp, explored, up, rect, trace)
+        return RiskCertificate(verdict, hyp, explored, up, rect, trace, dp.path)
 
 
 def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,

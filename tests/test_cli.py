@@ -173,6 +173,16 @@ class TestCertify:
         assert "hypothesis 0: proved" in out
         assert "hypothesis 1: proved" in out
 
+    def test_lines_name_the_bounds_path(self, workdir, capsys):
+        # the README plan's decision regions are monotone: corner bounds
+        assert run(["certify", "--plan", str(workdir / "twoprop.json"),
+                    "--deltas", "0.15,0.35"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for i, line in enumerate(lines):
+            assert line.startswith(f"hypothesis {i}: proved (")
+            assert line.endswith(" rectangles, corner bounds)")
+
     def test_proved_lines_report_an_upper_bound_within_budget(self, workdir, capsys):
         assert run(["certify", "--plan", str(workdir / "twoprop.json"),
                     "--deltas", "0.15,0.35"]) == 0

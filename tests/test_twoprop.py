@@ -17,9 +17,10 @@ from scipy.stats import binom
 
 from seqtest.errors import (DomainError, InfeasibleDesignError,
                             StreamExhaustedError)
-from seqtest.twoprop import (Rectangle, _pmf_max, build_two_prop_plan, certify_risk,
-                             exact_oc, newcombe_limits, rejection_prob_bounds,
-                             run_two_prop, truncation_bounds, tune_two_prop)
+from seqtest.twoprop import (Rectangle, _monotone, _pmf_max, _RejectionBounds,
+                             build_two_prop_plan, certify_risk, exact_oc, newcombe_limits,
+                             rejection_prob_bounds, run_two_prop, truncation_bounds,
+                             tune_two_prop)
 
 
 def small_plan():
@@ -34,6 +35,29 @@ TUNED_ZETA = 0.34140624999999997
 
 def tuned_plan():
     return build_two_prop_plan([-0.2], [0.2], TUNED_ZETA, stage_ns=[10, 20, 40])
+
+
+def three_hyp_plan():
+    """Zones -0.5..-0.1 and 0.1..0.5, scale 0.5, 3 stages: monotone at both boundaries."""
+    return build_two_prop_plan([-0.5, 0.1], [-0.1, 0.5], 0.5, stages=3)
+
+
+def non_monotone_three_hyp_plan():
+    """Zones -0.4..-0.1 and 0.1..0.4, scale 0.5, 3 stages.  At stage (3, 3)
+    cell (1, 1) accepts the middle hypothesis while (2, 1) continues."""
+    return build_two_prop_plan([-0.4, 0.1], [-0.1, 0.4], 0.5, stages=3)
+
+
+def bent_plan():
+    """``small_plan`` with first-stage cell (2, 0) undecided, though (1, 0)
+    accepts hypothesis 1: the cells accepting it are no up-set in count_x."""
+    plan = small_plan()
+    first = plan.stages[0]
+    decision = first.decision.copy()
+    assert decision[1, 0] == decision[2, 0] == 1
+    decision[2, 0] = -1
+    return dataclasses.replace(
+        plan, stages=(dataclasses.replace(first, decision=decision), *plan.stages[1:]))
 
 
 def score_roots(phat, n, delta):
@@ -384,6 +408,91 @@ class TestSandwichBounds:
             Rectangle(0.6, 0.4, 0.0, 1.0)
 
 
+MONOTONE_PLANS = [small_plan, tuned_plan, three_hyp_plan]
+
+
+def random_rect(rng):
+    (x0, x1), (y0, y1) = np.sort(rng.uniform(size=(2, 2)), axis=1)
+    return Rectangle(float(x0), float(x1), float(y0), float(y1))
+
+
+class TestCornerBounds:
+    """Bounds from exact values at two corners, where the plan is monotone."""
+
+    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS)
+    def test_monotone_plans_take_the_corner_path(self, plan_fn):
+        plan = plan_fn()
+        assert all(_monotone(plan, b) for b in range(1, plan.m))
+        for hyp in range(plan.m):
+            assert _RejectionBounds(plan, hyp).path == "corner"
+
+    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS)
+    def test_bounds_contain_the_exact_rejection(self, plan_fn):
+        plan = plan_fn()
+        rng = np.random.default_rng(31)
+        for hyp in range(plan.m):
+            for _ in range(6):
+                rect = random_rect(rng)
+                lo, up = rejection_prob_bounds(plan, hyp, rect)
+                assert 0.0 <= lo <= up <= 1.0
+                for _ in range(15):
+                    px = rng.uniform(rect.px_lo, rect.px_hi)
+                    py = rng.uniform(rect.py_lo, rect.py_hi)
+                    rej = 1.0 - exact_oc(plan, px, py)[0][hyp]
+                    assert lo - 1e-12 <= rej <= up + 1e-12, (hyp, rect, px, py)
+
+    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS)
+    def test_point_rectangle_gives_the_exact_rejection(self, plan_fn):
+        plan = plan_fn()
+        for px, py in [(0.37, 0.52), (0.0, 1.0), (0.9, 0.15), (0.5, 0.5)]:
+            acc, _, _ = exact_oc(plan, px, py)
+            for hyp in range(plan.m):
+                lo, up = rejection_prob_bounds(plan, hyp, Rectangle(px, px, py, py))
+                assert lo == up
+                assert lo == pytest.approx(1.0 - acc[hyp], abs=1e-12)
+
+    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS)
+    def test_corner_bounds_lie_inside_the_interval_bounds(self, plan_fn):
+        plan = plan_fn()
+        rng = np.random.default_rng(32)
+        for hyp in range(plan.m):
+            dp = _RejectionBounds(plan, hyp)
+            for rect in [Rectangle(0.0, 1.0, 0.0, 1.0)] + [random_rect(rng) for _ in range(10)]:
+                clo, cup = dp.corner(rect)
+                ilo, iup = dp.interval(rect)
+                assert ilo - 1e-12 <= clo <= cup <= iup + 1e-12, (hyp, rect)
+
+    def test_non_monotone_three_hyp_plan_keeps_the_interval_dp(self):
+        plan = non_monotone_three_hyp_plan()
+        assert plan.stage_sizes[1] == (3, 3)
+        decision = plan.stages[1].decision
+        assert decision[1, 1] == 1 and decision[2, 1] == -1
+        assert not _monotone(plan, 1) and not _monotone(plan, 2)
+        # verdicts as the interval DP gave them before the corner path
+        for hyp, delta, want in [(0, 0.5, "disproved"), (0, 0.7, "proved"),
+                                 (1, 0.5, "disproved"), (1, 0.6, "proved"),
+                                 (2, 0.6, "inconclusive")]:
+            cert = certify_risk(plan, hyp, delta)
+            assert (cert.verdict, cert.bounds) == (want, "interval")
+
+    def test_bent_two_hyp_plan_keeps_the_interval_dp(self):
+        plan = bent_plan()
+        assert _monotone(small_plan(), 1) and not _monotone(plan, 1)
+        for hyp, delta, want in [(0, 0.1, "disproved"), (0, 0.15, "proved"),
+                                 (1, 0.2, "disproved"), (1, 0.35, "proved")]:
+            cert = certify_risk(plan, hyp, delta)
+            assert (cert.verdict, cert.bounds) == (want, "interval")
+        # the fallback's bounds still hold: sample the trace of a proof
+        cert = certify_risk(plan, 1, 0.35)
+        rng = np.random.default_rng(33)
+        for j in rng.choice(len(cert.trace), size=10, replace=False):
+            rect, lo, up, _ = cert.trace[int(j)]
+            px = rng.uniform(rect.px_lo, rect.px_hi)
+            py = rng.uniform(rect.py_lo, rect.py_hi)
+            rej = 1.0 - exact_oc(plan, px, py)[0][1]
+            assert lo - 1e-12 <= rej <= up + 1e-12
+
+
 class TestCertificates:
     def zone_grid_max(self, plan, hyp, points=80):
         band = plan.zone_band(hyp)
@@ -426,9 +535,9 @@ class TestCertificates:
 
     @pytest.mark.parametrize("plan_fn, hyp, delta, budget_used, explored", [
         (small_plan, 0, 0.15, 67, 47),
-        (small_plan, 1, 0.35, 160, 104),
+        (small_plan, 1, 0.35, 83, 61),
         (tuned_plan, 0, 0.22, 78, 54),
-        (tuned_plan, 1, 0.22, 453, 300),
+        (tuned_plan, 1, 0.22, 385, 261),
     ], ids=["small-h0", "small-h1", "tuned-h0", "tuned-h1"])
     def test_search_size_is_pinned(self, plan_fn, hyp, delta, budget_used, explored):
         cert = certify_risk(plan_fn(), hyp, delta)
@@ -437,8 +546,9 @@ class TestCertificates:
         assert len(cert.trace) == budget_used
 
     def test_trace_holds_the_cold_bounds(self):
-        # the certificate reuses pmf bounds and masks across its
-        # rectangles; a fresh call per rectangle must give the same numbers
+        # the certificate reuses corner values (pmf bounds on the
+        # interval path) and masks across its rectangles; a fresh call per
+        # rectangle must give the same numbers
         plan = tuned_plan()
         cert = certify_risk(plan, 1, 0.22)
         rng = np.random.default_rng(6)
