@@ -27,13 +27,16 @@ is truncated once its tail mass drops below 1e-15; the discarded mass is
 accumulated per parameter point and reported as ``truncation_bound`` so
 every reported probability is certified to that absolute slack.
 
-``verify_risk`` turns the exact evaluations into a zone-by-zone verdict
-using the proved monotonicity structure: the rejection probability of the
-edge hypotheses is monotone over their zones, so a single endpoint
-evaluation settles them, and the rejection of a middle hypothesis is
-bounded by summing wrong-acceptance probabilities at the two zone
-endpoints (each wrong acceptance is monotone beyond its own boundary).
-All the endpoints go through one batched pass.
+``verify_risk`` turns the exact evaluations at the zone endpoints into a
+zone-by-zone verdict, assuming each wrong acceptance is monotone beyond
+its own boundary: then one endpoint evaluation settles an edge zone, and
+the wrong-acceptance sum at the two endpoints bounds a middle one.  That
+holds for two-hypothesis plans, whose stage windows are ordered along the
+count: each increment is stochastically increasing in theta, so a coupling
+argument applies (the 1-D case of ``twoprop._monotone``).  A
+plan with more hypotheses can have undecided counts on both sides of a
+middle window; its verdict is then exact at the endpoints but no proof
+over the zones.  All the endpoints go through one batched pass.
 """
 
 from __future__ import annotations
@@ -348,7 +351,9 @@ def verify_risk(plan: MultiHypPlan, deltas) -> RiskReport:
     ones.  Edge zones are settled by one exact evaluation at the inner
     endpoint (rejection there is monotone toward the boundary); middle
     zones by the endpoint sum of wrong-acceptance probabilities, each of
-    which is monotone beyond its own zone boundary.
+    which is monotone beyond its own zone boundary.  That is proved for
+    two-hypothesis plans only (see the module docstring); with more
+    hypotheses "satisfied" is checked at the endpoints, not proved.
     """
     m = plan.m
     deltas = tuple(float(d) for d in deltas)

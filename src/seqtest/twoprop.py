@@ -13,19 +13,17 @@ sizes are given, finds the first and last in one pass over the sizes;
 plan documents whose arms differ in size still load and run.
 
 The exact OC and the risk bounds run the forward recursion of
-``ocexact.propagate`` over the 2-D count grid.  Risk bounds over a
-parameter rectangle take one of two paths, chosen per hypothesis from the
-plan's decision grids.  Where every stage's decision regions are monotone
-in the two counts (``_monotone``), a coupling argument makes each side's
-wrong acceptance monotone in p_x and p_y, so exact values at two opposite
-corners bound the rejection over the rectangle (the paper's use of the
-monotonicity of the OC function).  Otherwise interval dynamic programming
-bounds it: the same recursion over both arms' whole supports, with each
-transition mass replaced by its pointwise minimum or maximum over the
-rectangle (binomial mass is unimodal in p).  Either way the lower/upper
-rejection bounds hold at every point of the rectangle and drive a
+``ocexact.propagate`` over the 2-D count grid, and the bounds rest on
+exact values at single points only.  Per hypothesis, where every stage's
+decision regions are monotone in the two counts (``_monotone``), a
+coupling argument makes each side's wrong acceptance monotone in p_x and
+p_y, so exact values at two opposite rectangle corners bound the
+rejection over the rectangle (the paper's use of the monotonicity of the
+OC function).  Otherwise the exact value at the rectangle's centre bounds
+it, widened by a Fisher-Rao radius (``rejection_prob_bounds``).  Either
+way the bounds hold at every point of the rectangle and drive a
 branch-and-bound certificate over the hypothesis zone.  One certificate
-computes each corner, pmf bound and stage mask once and reuses it across
+computes each point value, pmf and stage mask once and reuses it across
 its rectangles.
 """
 
@@ -307,26 +305,6 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     raise InfeasibleDesignError("closed plan reached its last stage undecided")
 
 
-def _pmf_max(n: int, p_lo: float, p_hi: float) -> np.ndarray:
-    """Pointwise maximum of the binomial pmf over [p_lo, p_hi].
-
-    Each mass is unimodal in p with mode at count/n, so the maximum is at
-    the clipped mode.
-    """
-    ks = np.arange(n + 1)
-    return _BERN.pmf_sum(n, ks, (ks / n).clip(p_lo, p_hi))
-
-
-def _pmf_min(n: int, p_lo: float, p_hi: float) -> np.ndarray:
-    """Pointwise minimum of the binomial pmf over [p_lo, p_hi], at an endpoint."""
-    return np.minimum(_BERN.increment_pmf(n, p_lo)[0], _BERN.increment_pmf(n, p_hi)[0])
-
-
-def _pmf_at(n: int, p: float, _: float) -> np.ndarray:
-    """The binomial pmf at p, for a range that is the point [p, p]."""
-    return _BERN.increment_pmf(n, p)[0]
-
-
 def _propagate(plan: TwoPropPlan, pmf):
     return propagate([((st.n_x, st.n_y), st.decision, None) for st in plan.stages], pmf)
 
@@ -354,17 +332,18 @@ def _monotone(plan: TwoPropPlan, b: int) -> bool:
 class _RejectionBounds:
     """Bounds on Pr{reject ``hyp``} over rectangles for one plan, inputs computed once.
 
+    Every bound comes from exact values at single points (``_masses``).
     ``path`` is "corner" when the boundaries on both sides of ``hyp`` are
     monotone (``_monotone``).  Then Pr{accept below hyp} is largest at the
     rectangle corner B = (px_lo, py_hi) and smallest at A = (px_hi, py_lo),
     Pr{accept above hyp} the reverse, so exact values at the two corners
-    bound the rejection over the whole rectangle.  Each corner is one
-    propagation, cached by point: split children share two corners with
-    their parent.  Otherwise ``path`` is "interval" and every rectangle
-    takes the interval DP, whose pmf bounds per (bound, m, range) are kept
-    for the life of the instance, like the corners and the stage masks.
-    ``certify_risk`` keeps one for its whole search;
-    ``rejection_prob_bounds`` makes a fresh one per call.
+    bound the rejection over the whole rectangle.  Otherwise ``path`` is
+    "radius": the exact rejection at the rectangle's centre in angle
+    coordinates, widened by the Fisher-Rao radius.  Point values (split
+    children share two corners with their parent), pmfs per (m, p) and the
+    stage masks are kept for the life of the instance.  ``certify_risk``
+    keeps one for its whole search; ``rejection_prob_bounds`` makes a fresh
+    one per call.
     """
 
     def __init__(self, plan: TwoPropPlan, hyp: int):
@@ -374,54 +353,51 @@ class _RejectionBounds:
         self._below = [(st.decision != CONTINUE) & (st.decision < hyp) for st in plan.stages]
         self._above = [st.decision > hyp for st in plan.stages]
         self._pmfs: dict = {}
-        self._corners: dict = {}
+        self._points: dict = {}
         self.path = ("corner" if all(_monotone(plan, b) for b in (hyp, hyp + 1) if 0 < b < plan.m)
-                     else "interval")
+                     else "radius")
 
-    def _pmf(self, bound, m: int, lo: float, hi: float) -> np.ndarray:
-        key = (bound, m, lo, hi)
+    def _pmf(self, m: int, p: float) -> np.ndarray:
+        key = (m, p)
         if key not in self._pmfs:
-            self._pmfs[key] = bound(m, lo, hi)
+            self._pmfs[key] = _BERN.increment_pmf(m, p)[0]
         return self._pmfs[key]
 
-    def _masses(self, ranges, pmf_bound) -> tuple[float, float]:
-        """(mass accepting a hypothesis below ``hyp``, mass accepting one above).
-
-        Each arm's increments take the pmf ``pmf_bound(m, lo, hi)`` over its
-        parameter range in ``ranges``, over the arm's whole support.
-        """
-        below = above = 0.0
-        for idx, state, _, _, _ in _propagate(
-                self.plan, lambda axis, m: (self._pmf(pmf_bound, m, *ranges[axis]), 0.0)):
-            below += float(state[self._below[idx]].sum())
-            above += float(state[self._above[idx]].sum())
-        return below, above
-
-    def _corner(self, px: float, py: float) -> tuple[float, float]:
-        """Exact ``_masses`` at one point."""
+    def _masses(self, px: float, py: float) -> tuple[float, float]:
+        """Exact (mass accepting a hypothesis below ``hyp``, mass accepting
+        one above) at the point (px, py)."""
         key = (px, py)
-        if key not in self._corners:
-            self._corners[key] = self._masses(((px, px), (py, py)), _pmf_at)
-        return self._corners[key]
-
-    def interval(self, rect: Rectangle) -> tuple[float, float]:
-        """(lower, upper) from the interval DP: every transition mass
-        replaced by its pointwise minimum or maximum over ``rect``."""
-        ranges = ((rect.px_lo, rect.px_hi), (rect.py_lo, rect.py_hi))
-        lower = sum(self._masses(ranges, _pmf_min))
-        upper = sum(self._masses(ranges, _pmf_max))
-        return min(1.0, lower), min(1.0, upper)
+        if key not in self._points:
+            below = above = 0.0
+            for idx, state, _, _, _ in _propagate(
+                    self.plan, lambda axis, m: (self._pmf(m, key[axis]), 0.0)):
+                below += float(state[self._below[idx]].sum())
+                above += float(state[self._above[idx]].sum())
+            self._points[key] = below, above
+        return self._points[key]
 
     def corner(self, rect: Rectangle) -> tuple[float, float]:
         """(lower, upper) from the exact values at corners A and B; sound
         only on the corner path."""
-        below_a, above_a = self._corner(rect.px_hi, rect.py_lo)
-        below_b, above_b = self._corner(rect.px_lo, rect.py_hi)
+        below_a, above_a = self._masses(rect.px_hi, rect.py_lo)
+        below_b, above_b = self._masses(rect.px_lo, rect.py_hi)
         return min(1.0, below_a + above_b), min(1.0, below_b + above_a)
+
+    def radius(self, rect: Rectangle) -> tuple[float, float]:
+        """(lower, upper) from the exact rejection at the centre of
+        ``rect`` in angle coordinates, widened by the Fisher-Rao radius;
+        sound on every plan."""
+        u0, u1, v0, v1 = (math.asin(math.sqrt(p))
+                          for p in (rect.px_lo, rect.px_hi, rect.py_lo, rect.py_hi))
+        n_x, n_y = self.plan.stage_sizes[-1]
+        r = 0.5 * math.sqrt(n_x * (u1 - u0) ** 2 + n_y * (v1 - v0) ** 2)
+        rej = sum(self._masses(math.sin((u0 + u1) / 2) ** 2, math.sin((v0 + v1) / 2) ** 2))
+        angle = math.asin(math.sqrt(min(1.0, rej)))
+        return math.sin(max(0.0, angle - r)) ** 2, math.sin(min(math.pi / 2, angle + r)) ** 2
 
     def bounds(self, rect: Rectangle) -> tuple[float, float]:
         """(lower, upper) of ``rejection_prob_bounds``."""
-        return self.corner(rect) if self.path == "corner" else self.interval(rect)
+        return self.corner(rect) if self.path == "corner" else self.radius(rect)
 
 
 def rejection_prob_bounds(plan: TwoPropPlan, hyp: int,
@@ -434,12 +410,17 @@ def rejection_prob_bounds(plan: TwoPropPlan, hyp: int,
     acceptance of the hypotheses below ``hyp`` falls with p_x and rises
     with p_y, and of those above it the reverse.  The bounds are then sums
     of exact values at the corners (px_hi, py_lo) and (px_lo, py_hi).
-    Otherwise they come from the interval DP: the exact recursion over
-    both arms' whole supports, with every transition mass replaced by its
-    pointwise minimum (lower) or maximum (upper) over the rectangle; a
-    path's probability is a product of transition masses.  Either way each
-    bound holds at every parameter point inside the rectangle, and at a
-    point rectangle both equal the exact rejection.
+    Otherwise, writing A = arcsin sqrt(P) for the rejection P, they are
+    sin^2(A -/+ r), with A -/+ r clipped to [0, pi/2], from the exact A at
+    the rectangle's centre in the arm angles u = arcsin sqrt(p_x) and
+    v = arcsin sqrt(p_y).  The radius r = sqrt(n_x h_u^2 + n_y h_v^2), with
+    h the half-widths in angle and (n_x, n_y) the last stage's sizes, is
+    how far A can move (sequential Cramer-Rao; Rao, 1945; Wolfowitz,
+    1947): dP is the covariance of the event with the stopped score, whose
+    variance is 4 E[N] per arm angle with E[N] at most the last stage's
+    size, so Cauchy-Schwarz gives |dA| <= sqrt(E[N_x] du^2 + E[N_y] dv^2).
+    Either way each bound holds at every parameter point inside the
+    rectangle, and at a point rectangle both equal the exact rejection.
     """
     return _RejectionBounds(plan, hyp).bounds(rect)
 
@@ -478,7 +459,7 @@ class RiskCertificate:
     # (rectangle, lower, upper, truncation slack) tuples; both bounds hold
     # over the whole rectangle, so the slack is always 0.0
     trace: list
-    bounds: str                       # "corner" | "interval": how rectangles were bounded
+    bounds: str                       # "corner" | "radius": how rectangles were bounded
 
     @property
     def budget_used(self) -> int:
@@ -501,9 +482,10 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
     ``tol`` that still straddle delta end the search as inconclusive.
     Each bound is ``rejection_prob_bounds``'s, from exact values at two
     corners where the plan's boundaries around ``hyp`` are monotone and
-    from the interval DP otherwise; ``bounds`` names the path.  Corner
-    values, pmf bounds and rejection masks are computed once per call:
-    split children share two corners, or an axis range, with their parent.
+    from the exact value at the centre widened by the Fisher-Rao radius
+    otherwise; ``bounds`` names the path.  Point values, pmfs and
+    rejection masks are computed once per call: split children share two
+    corners with their parent.
     """
     if not (0.0 <= delta <= 1.0):
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
@@ -555,6 +537,8 @@ def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,
     deltas = tuple(float(d) for d in deltas)
 
     def verify(plan):
+        if len(deltas) != plan.m:
+            raise DomainError(f"need one rejection budget per hypothesis ({plan.m})")
         certs = []
         for i in range(plan.m):
             cert = certify_risk(plan, i, deltas[i], tol=certify_tol, budget=budget)

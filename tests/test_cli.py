@@ -183,6 +183,18 @@ class TestCertify:
             assert line.startswith(f"hypothesis {i}: proved (")
             assert line.endswith(" rectangles, corner bounds)")
 
+    def test_non_monotone_plan_takes_the_radius_path(self, capsys):
+        # the golden three-hypothesis plan is non-monotone at both boundaries
+        path = GOLDEN / "two_prop_three_hypotheses_3stage.json"
+        for deltas, verdict, code in [("0.7,0.6,0.7", "proved", 0),
+                                      ("0.5,0.5,0.5", "disproved", 1)]:
+            assert run(["certify", "--plan", str(path), "--deltas", deltas]) == code
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 3
+            for i, line in enumerate(lines):
+                assert line.startswith(f"hypothesis {i}: {verdict} (")
+                assert line.endswith(" rectangles, radius bounds)")
+
     def test_proved_lines_report_an_upper_bound_within_budget(self, workdir, capsys):
         assert run(["certify", "--plan", str(workdir / "twoprop.json"),
                     "--deltas", "0.15,0.35"]) == 0

@@ -8,7 +8,6 @@ for operating characteristics, and dense parameter grids for certificates.
 import dataclasses
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -17,7 +16,7 @@ from scipy.stats import binom
 
 from seqtest.errors import (DomainError, InfeasibleDesignError,
                             StreamExhaustedError)
-from seqtest.twoprop import (Rectangle, _monotone, _pmf_max, _RejectionBounds,
+from seqtest.twoprop import (Rectangle, _monotone, _RejectionBounds,
                              build_two_prop_plan, certify_risk, exact_oc, newcombe_limits,
                              rejection_prob_bounds, run_two_prop, truncation_bounds,
                              tune_two_prop)
@@ -166,22 +165,6 @@ class TestTruncationBounds:
             truncation_bounds(0.5, 10, 0.0)
         with pytest.raises(DomainError):
             truncation_bounds(0.5, 0, 0.1)
-
-
-class TestPmfBounds:
-    @pytest.mark.parametrize("n", [1000, 5000])
-    def test_pmf_max_against_mpmath(self, n):
-        """The binomial mass at each count's clipped mode, within 1e-12 relative."""
-        ks = list(range(0, n + 1, 7)) + [n]
-        with mp.workdps(40):
-            for p_lo, p_hi in ((0.2, 0.3), (0.45, 0.55), (0.0, 0.05), (0.9, 1.0), (0.31, 0.3101)):
-                got = _pmf_max(n, p_lo, p_hi)
-                modes = np.clip(np.arange(n + 1) / n, p_lo, p_hi)
-                for k in ks:
-                    p = mp.mpf(float(modes[k]))
-                    want = mp.binomial(n, k) * p**k * (1 - p)**(n - k)
-                    if want >= 1e-290:
-                        assert abs(got[k] - want) <= 1e-12 * want, (p_lo, p_hi, k)
 
 
 class TestBuildPlan:
@@ -451,38 +434,47 @@ class TestCornerBounds:
                 assert lo == up
                 assert lo == pytest.approx(1.0 - acc[hyp], abs=1e-12)
 
-    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS)
-    def test_corner_bounds_lie_inside_the_interval_bounds(self, plan_fn):
+
+class TestRadiusBounds:
+    """Bounds from the exact value at the centre, widened by the Fisher-Rao radius."""
+
+    @pytest.mark.parametrize("plan_fn", MONOTONE_PLANS + [non_monotone_three_hyp_plan, bent_plan])
+    def test_radius_bounds_contain_the_exact_rejection(self, plan_fn):
+        # sound on every plan, monotone or not
         plan = plan_fn()
         rng = np.random.default_rng(32)
         for hyp in range(plan.m):
             dp = _RejectionBounds(plan, hyp)
             for rect in [Rectangle(0.0, 1.0, 0.0, 1.0)] + [random_rect(rng) for _ in range(10)]:
-                clo, cup = dp.corner(rect)
-                ilo, iup = dp.interval(rect)
-                assert ilo - 1e-12 <= clo <= cup <= iup + 1e-12, (hyp, rect)
+                lo, up = dp.radius(rect)
+                assert 0.0 <= lo <= up <= 1.0
+                for px, py in [(rect.px_lo, rect.py_lo), (rect.px_hi, rect.py_hi)] + [
+                        (rng.uniform(rect.px_lo, rect.px_hi), rng.uniform(rect.py_lo, rect.py_hi))
+                        for _ in range(8)]:
+                    rej = 1.0 - exact_oc(plan, px, py)[0][hyp]
+                    assert lo - 1e-12 <= rej <= up + 1e-12, (hyp, rect, px, py)
 
-    def test_non_monotone_three_hyp_plan_keeps_the_interval_dp(self):
+    def test_non_monotone_three_hyp_plan_takes_the_radius_path(self):
         plan = non_monotone_three_hyp_plan()
         assert plan.stage_sizes[1] == (3, 3)
         decision = plan.stages[1].decision
         assert decision[1, 1] == 1 and decision[2, 1] == -1
         assert not _monotone(plan, 1) and not _monotone(plan, 2)
-        # verdicts as the interval DP gave them before the corner path
+        # verdicts as the interval DP gave them before the radius path
         for hyp, delta, want in [(0, 0.5, "disproved"), (0, 0.7, "proved"),
                                  (1, 0.5, "disproved"), (1, 0.6, "proved"),
                                  (2, 0.6, "inconclusive")]:
             cert = certify_risk(plan, hyp, delta)
-            assert (cert.verdict, cert.bounds) == (want, "interval")
+            assert (cert.verdict, cert.bounds) == (want, "radius")
 
-    def test_bent_two_hyp_plan_keeps_the_interval_dp(self):
+    def test_bent_two_hyp_plan_takes_the_radius_path(self):
         plan = bent_plan()
         assert _monotone(small_plan(), 1) and not _monotone(plan, 1)
         for hyp, delta, want in [(0, 0.1, "disproved"), (0, 0.15, "proved"),
                                  (1, 0.2, "disproved"), (1, 0.35, "proved")]:
             cert = certify_risk(plan, hyp, delta)
-            assert (cert.verdict, cert.bounds) == (want, "interval")
-        # the fallback's bounds still hold: sample the trace of a proof
+            assert (cert.verdict, cert.bounds) == (want, "radius")
+        # the radius bounds hold: sample the trace of a proof
         cert = certify_risk(plan, 1, 0.35)
         rng = np.random.default_rng(33)
         for j in rng.choice(len(cert.trace), size=10, replace=False):
@@ -578,3 +570,9 @@ class TestTuning:
         res = tune_two_prop(fam, (0.22, 0.22), tol=0.05)
         assert res.zeta == TUNED_ZETA
         assert res.iterations == 7
+
+    def test_budget_count_must_match_the_hypotheses(self):
+        fam = lambda z: build_two_prop_plan([-0.3], [0.3], z, stage_ns=[4, 8])
+        for deltas in [(0.25,), (0.25, 0.25, 0.25)]:
+            with pytest.raises(DomainError, match="need one rejection budget per hypothesis"):
+                tune_two_prop(fam, deltas, tol=1e-2)
