@@ -44,6 +44,16 @@ overlapping at every boundary.  It makes no rule.  The first size is the
 first at which some crossing count lies on the support and the rule made
 there has a window.  Every rule of the plan is then made from one more
 table over its sizes, which the final ``stage_is_closed`` check reads.
+
+Inside a tuning run (``_size_memo``) the final-size search starts warm.
+For exact and Chernoff limits a crossing predicate compares a level-free
+value (a tail, or n times a log rate) with the level, so ``min_a`` never
+rises as the alpha level grows and ``max_b`` never falls as the beta level
+grows, in floating point too.  A stage closed at some levels is then
+closed at every componentwise larger levels.  So a final size found at
+larger levels bounds the answer from below, one found at smaller levels
+bounds it from above, and the search covers only the sizes between: its
+answer is still the one a scan from 1 gives.
 For fully sequential one-sided plans, ``sample_bound`` gives the analytic
 cap derived from the large-deviation rate at the zone midpoint.
 """
@@ -52,6 +62,8 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Sequence
@@ -103,6 +115,9 @@ _PROBES = 256
 _FIRST_BLOCK = 16
 # Label of an undecided sum cell in a stage's decision array.
 CONTINUE = -1
+# Final stage sizes found in the open tuning run: per search key, a list of
+# ((alphas, betas), final size) records.  None outside a tuning run.
+_SIZE_MEMO: ContextVar[dict | None] = ContextVar("seqtest_size_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -581,29 +596,70 @@ def _levels(base_alphas, base_betas, zeta, nb):
     return base_alphas, base_betas, [zeta * a for a in base_alphas], [zeta * b for b in base_betas]
 
 
-def _size_blocks(horizon: int):
-    """Stage sizes 1..horizon in blocks 1-16, 17-32, 33-64, ..."""
-    lo = 1
+def _size_blocks(start: int, horizon: int):
+    """Stage sizes start..horizon in blocks of 16, 16, 32, 64, ... sizes: from
+    1, the blocks 1-16, 17-32, 33-64, ..."""
+    lo = start
     while lo <= horizon:
-        hi = min(horizon, max(_FIRST_BLOCK, 2 * (lo - 1)))
+        hi = min(horizon, lo - 1 + max(_FIRST_BLOCK, lo - start))
         yield np.arange(lo, hi + 1)
         lo = hi + 1
 
 
-def _first_size(model, family, zone_lo, zone_hi, alphas, betas, horizon, passes):
-    """The smallest stage size n <= horizon that ``passes``, or None.
+def _first_size(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, passes):
+    """The smallest stage size n in start..horizon that ``passes``, or None.
 
     ``passes(ns, min_a, max_b)`` takes a block's crossing-count table and
     returns, column by column in order, whether each size passes; the
-    search stops at the first that does, so its answer is the one a
-    size-by-size scan gives.
+    search stops at the first that does, so when no size below ``start``
+    passes its answer is the one a size-by-size scan from 1 gives.
     """
-    for ns in _size_blocks(horizon):
+    for ns in _size_blocks(start, horizon):
         min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
         for n, ok in zip(ns, passes(ns, min_a, max_b)):
             if ok:
                 return int(n)
     return None
+
+
+@contextmanager
+def _size_memo():
+    """Share the final stage sizes found by the plan builds inside the block.
+
+    ``tune_zeta`` opens one for the span of its probes; the memo ends with
+    the block, on return or on an error.
+    """
+    token = _SIZE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SIZE_MEMO.reset(token)
+
+
+def _size_records(model, family, zone_lo, zone_hi, require_ties):
+    """The open memo's final-size records of this search, or None outside a
+    tuning run and for approximate limits, whose limit is a root formula in
+    the level: there the monotonicity holds only in exact arithmetic."""
+    memo = _SIZE_MEMO.get()
+    if memo is None or type(family) not in (ExactLimits, ChernoffLimits):
+        return None
+    key = (model, family.tag, tuple(zone_lo), tuple(zone_hi), require_ties)
+    return memo.setdefault(key, [])
+
+
+def _size_range(records, levels, horizon):
+    """The final sizes the records leave open at ``levels``: (start, stop).
+
+    No size below a final size found at componentwise larger levels closes
+    at ``levels``, and one found at componentwise smaller levels closes.
+    """
+    start, stop = 1, horizon
+    for seen, last in records:
+        if all(x >= y for x, y in zip(seen, levels)):
+            start = max(start, last)
+        if all(x <= y for x, y in zip(seen, levels)):
+            stop = min(stop, last)
+    return start, stop
 
 
 def _closes(min_a, max_b, require_ties: bool) -> np.ndarray:
@@ -621,10 +677,12 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
                  stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
     """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
     the searches pick.  The final-size search reads the count tables
-    (``_closes``) and makes no rule.  The first-stage search makes a rule
-    wherever some crossing count lies on the support, since that count test
-    is only a necessary condition for a window.  Every rule of the plan is
-    then made once, from one count table over its sizes."""
+    (``_closes``) and makes no rule; inside a tuning run it covers only the
+    sizes that the final sizes of earlier builds leave open (``_size_range``)
+    and records its own.  The first-stage search makes a rule wherever some
+    crossing count lies on the support, since that count test is only a
+    necessary condition for a window.  Every rule of the plan is then made
+    once, from one count table over its sizes."""
     _check_stage_count(stages)
 
     def rule(n, min_a, max_b, j):
@@ -632,13 +690,18 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
                                  c_policy, lr_cut)
 
     if stage_ns is None:
-        last = _first_size(model, family, zone_lo, zone_hi, alphas, betas, horizon,
+        records = _size_records(model, family, zone_lo, zone_hi, require_ties)
+        levels = (*alphas, *betas)
+        start, stop = _size_range(records or (), levels, horizon)
+        last = _first_size(model, family, zone_lo, zone_hi, alphas, betas, start, stop,
                            lambda ns, min_a, max_b: _closes(min_a, max_b, require_ties))
         if last is None:
             raise InfeasibleDesignError(
                 f"no closed final stage within {horizon} samples; "
                 "widen the zones or increase the risk budget"
             )
+        if records is not None:
+            records.append((levels, last))
         if fully_sequential:
             stage_ns = range(1, last + 1)
         else:
@@ -651,7 +714,7 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
                     yield reach[j] and any(w is not None
                                            for w in rule(int(n), min_a, max_b, j).windows)
 
-            first = _first_size(model, family, zone_lo, zone_hi, alphas, betas, last,
+            first = _first_size(model, family, zone_lo, zone_hi, alphas, betas, 1, last,
                                 has_window)
             stage_ns = stage_schedule(first or last, last, stages, schedule)
     else:

@@ -6,6 +6,15 @@ probabilities toward zero.  The tuner treats feasibility as monotone in
 the scale only for bracketing purposes: every candidate is re-verified
 with the exact evaluator before it can become the returned value, so a
 non-monotone pocket can cost iterations but never soundness.
+
+The final stage size, by contrast, is provably monotone in the levels for
+exact and Chernoff limits: each crossing predicate compares a level-free
+value with the level, so a stage that closes at some levels closes at
+every larger ones.  The probes of one run therefore share their final
+sizes (``plans._size_memo``): a probe searches only between the size found
+at the nearest larger levels, below which nothing closes, and the one found
+at the nearest smaller levels, which closes.  Plans, zetas and brackets are
+the ones a cold search from size 1 gives; approximate limits search cold.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleDesignError
 from .ocexact import verify_risk
-from .plans import build_multihyp_plan, build_one_sided_plan
+from .plans import _size_memo, build_multihyp_plan, build_one_sided_plan
+from .twoprop import TwoPropPlan
 
 __all__ = ["TuneResult", "tune_zeta", "tune_one_sided", "tune_multihyp"]
 
@@ -28,6 +38,9 @@ class TuneResult:
     report: object                # feasibility report at .zeta
     iterations: int               # feasibility evaluations spent
     bracket: tuple[float, float]  # (feasible, infeasible-or-cap)
+    # (zeta, final stage size or None where the build failed, feasible) per
+    # probe, in order; a two-sample plan's size is its (n_x, n_y) pair
+    probes: tuple[tuple[float, object, bool], ...]
 
     @property
     def bracket_width(self) -> float:
@@ -54,53 +67,62 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
             rep = verify_risk(plan, requirement)
             return rep.satisfied, rep
 
-    evals = 0
+    probes = []
 
     def feasible(z):
-        nonlocal evals
-        evals += 1
         try:
             plan = plan_family(z)
         except (InfeasibleDesignError, DomainError):
+            probes.append((z, None, False))
             return False, None, None
         ok, rep = verify(plan)
+        probes.append((z, _final_size(plan), ok))
         return ok, plan, rep
 
-    # The cap itself is usually out of the open domain; probe just inside.
-    hi = zeta_max
-    z = zeta_max * (1.0 - tol)
-    ok, plan, rep = feasible(z)
-    if ok:
-        return TuneResult(zeta=z, plan=plan, report=rep,
-                          iterations=evals, bracket=(z, hi))
-    hi = z
+    def result(zeta, plan, rep, bracket):
+        return TuneResult(zeta=zeta, plan=plan, report=rep, iterations=len(probes),
+                          bracket=bracket, probes=tuple(probes))
 
-    # Geometric probing for a feasible low endpoint.
-    lo = None
-    z = 0.5 * hi
-    while z >= ZETA_FLOOR:
+    with _size_memo():
+        # The cap itself is usually out of the open domain; probe just inside.
+        hi = zeta_max
+        z = zeta_max * (1.0 - tol)
         ok, plan, rep = feasible(z)
         if ok:
-            lo = z
-            break
+            return result(z, plan, rep, (z, hi))
         hi = z
-        z *= 0.5
-    if lo is None:
-        raise InfeasibleDesignError(
-            f"no feasible scale above {ZETA_FLOOR:g}; the stage layout cannot "
-            "meet the requirement"
-        )
-    best_plan, best_rep = plan, rep
 
-    while hi - lo > tol * lo:
-        mid = 0.5 * (lo + hi)
-        ok, plan, rep = feasible(mid)
-        if ok:
-            lo, best_plan, best_rep = mid, plan, rep
-        else:
-            hi = mid
-    return TuneResult(zeta=lo, plan=best_plan, report=best_rep,
-                      iterations=evals, bracket=(lo, hi))
+        # Geometric probing for a feasible low endpoint.
+        lo = None
+        z = 0.5 * hi
+        while z >= ZETA_FLOOR:
+            ok, plan, rep = feasible(z)
+            if ok:
+                lo = z
+                break
+            hi = z
+            z *= 0.5
+        if lo is None:
+            raise InfeasibleDesignError(
+                f"no feasible scale above {ZETA_FLOOR:g}; the stage layout cannot "
+                "meet the requirement"
+            )
+        best_plan, best_rep = plan, rep
+
+        while hi - lo > tol * lo:
+            mid = 0.5 * (lo + hi)
+            ok, plan, rep = feasible(mid)
+            if ok:
+                lo, best_plan, best_rep = mid, plan, rep
+            else:
+                hi = mid
+    return result(lo, best_plan, best_rep, (lo, hi))
+
+
+def _final_size(plan):
+    """The last stage's size: n, or (n_x, n_y) for a two-sample plan."""
+    last = plan.stages[-1]
+    return (last.n_x, last.n_y) if isinstance(plan, TwoPropPlan) else last.n
 
 
 def tune_one_sided(model, family, theta0: float, theta1: float,

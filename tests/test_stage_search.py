@@ -14,7 +14,7 @@ from scipy import stats
 
 import seqtest.plans as plans
 from seqtest.conflimits import ApproxLimits, ChernoffLimits, ExactLimits
-from seqtest.errors import DomainError
+from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson, _poisson_isf
 from seqtest.plans import (
     TIEBREAK_ALWAYS_ACCEPT,
@@ -27,6 +27,7 @@ from seqtest.plans import (
     sample_bound,
     stage_is_closed,
 )
+from seqtest.tuning import tune_zeta
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -336,3 +337,139 @@ class TestOneCountTablePerSearch:
         monkeypatch.setattr(plans, "_crossing_counts", counting)
         build()
         assert len(calls) == tables, calls
+
+
+def outcome(build, zeta):
+    """The plan ``build`` makes at ``zeta``, or the text of the error it raises."""
+    try:
+        return build(zeta)
+    except InfeasibleDesignError as exc:
+        return str(exc)
+
+
+class TestWarmFinalSizeSearch:
+    """Inside a tuning run the final-size search covers only the sizes that
+    earlier builds leave open; every plan equals its cold build."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """(start, horizon) of every size search, in order."""
+        calls = []
+        first_size = plans._first_size
+
+        def spying(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, passes):
+            calls.append((start, horizon))
+            return first_size(model, family, zone_lo, zone_hi, alphas, betas, start, horizon,
+                              passes)
+
+        monkeypatch.setattr(plans, "_first_size", spying)
+        return calls
+
+    @staticmethod
+    def assert_warm_equals_cold(build, zeta_max, starts):
+        # the tuner's own probe order, with a verdict that moves the bracket
+        # through failing and passing builds alike
+        built = []
+
+        def family(z):
+            built.append((z, outcome(build, z)))
+            if isinstance(built[-1][1], str):
+                raise InfeasibleDesignError(built[-1][1])
+            return built[-1][1]
+
+        tune_zeta(family, None, tol=1e-2, zeta_max=zeta_max,
+                  verify=lambda plan: (plan.zeta <= 0.37 * zeta_max, None))
+        assert len(built) >= 8
+        assert max(start for start, _ in starts) > 1  # some search started warm
+        assert plans._SIZE_MEMO.get() is None
+        cold = {z: outcome(build, z) for z, _ in built}
+        assert all(plan == cold[z] for z, plan in built)
+        # any order inside one memo
+        order = [z for z, _ in built]
+        np.random.default_rng(17).shuffle(order)
+        with plans._size_memo():
+            assert all(outcome(build, z) == cold[z] for z in order)
+
+    @pytest.mark.parametrize("tiebreak", [TIEBREAK_LIKELIHOOD_RATIO, TIEBREAK_ALWAYS_ACCEPT,
+                                          TIEBREAK_ALWAYS_REJECT])
+    @pytest.mark.parametrize("family", FAMILIES[:2], ids=lambda f: f.tag)
+    @pytest.mark.parametrize("case", ONE_SIDED_CASES, ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
+    def test_one_sided(self, case, family, tiebreak, starts):
+        model, theta0, theta1, alpha, beta = case
+        self.assert_warm_equals_cold(
+            lambda z: build_one_sided_plan(model, family, theta0, theta1, alpha, beta, z,
+                                           stages=3, tiebreak=tiebreak),
+            1.0 / max(alpha, beta), starts)
+
+    @pytest.mark.parametrize("family", FAMILIES[:2], ids=lambda f: f.tag)
+    @pytest.mark.parametrize("case", ONE_SIDED_CASES, ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
+    def test_fully_sequential(self, case, family, starts):
+        model, theta0, theta1, alpha, beta = case
+        self.assert_warm_equals_cold(
+            lambda z: build_one_sided_plan(model, family, theta0, theta1, alpha, beta, z,
+                                           fully_sequential=True),
+            1.0 / max(alpha, beta), starts)
+
+    @pytest.mark.parametrize("family", FAMILIES[:2], ids=lambda f: f.tag)
+    @pytest.mark.parametrize("case", THREE_HYPOTHESIS_CASES, ids=lambda c: f"{c[0].name}-{c[1]}")
+    def test_three_hypotheses(self, case, family, starts):
+        model, zone_lo, zone_hi, base_a, base_b = case
+        self.assert_warm_equals_cold(
+            lambda z: build_multihyp_plan(model, family, zone_lo, zone_hi, z, base_a, base_b,
+                                          stages=3),
+            1.0 / max(base_a + base_b), starts)
+
+    NEIGHBOURS = {
+        "zone": lambda z: build_one_sided_plan(BERN, FAMILIES[0], 0.4, 0.65, 0.05, 0.05, z),
+        "model": lambda z: build_one_sided_plan(POIS, FAMILIES[0], 0.4, 0.6, 0.05, 0.05, z),
+        "family": lambda z: build_one_sided_plan(BERN, FAMILIES[1], 0.4, 0.6, 0.05, 0.05, z),
+        "ties required": lambda z: build_multihyp_plan(BERN, FAMILIES[0], [0.4], [0.6], z,
+                                                       [0.05], [0.05]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NEIGHBOURS))
+    def test_another_search_key_never_narrows(self, name, starts):
+        build = self.NEIGHBOURS[name]
+        cold = build(0.5)
+        with plans._size_memo():
+            # a record of the 0.4/0.6 exact Bernoulli search that pins its
+            # final size to 3 at these very levels
+            plans._size_records(BERN, ExactLimits(), (0.4,), (0.6,), False).append(
+                ((0.025, 0.025), 3))
+            with pytest.raises(InfeasibleDesignError):
+                build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5)
+            assert starts[-1] == (3, 3)
+            del starts[:]
+            assert build(0.5) == cold
+            assert starts[0][0] == 1
+
+    @pytest.mark.parametrize("family", FAMILIES[2:], ids=lambda f: f"w{f.w}")
+    def test_approximate_limits_search_cold(self, family, starts):
+        build = lambda z: build_one_sided_plan(BERN, family, 0.4, 0.6, 0.05, 0.05, z, stages=3)
+        zetas = (0.9, 0.45, 0.675, 0.5, 0.6)
+        cold = [outcome(build, z) for z in zetas]
+        del starts[:]
+        with plans._size_memo():
+            assert [outcome(build, z) for z in zetas] == cold
+            assert plans._SIZE_MEMO.get() == {}
+        assert all(start == 1 for start, _ in starts)
+
+
+@pytest.mark.parametrize("start, horizon", [
+    (1, 1), (1, 16), (1, 17), (1, 200), (5, 4), (7, 7), (30, 31), (433, 441), (100, 1000),
+])
+def test_size_blocks_cover_the_range_once(start, horizon):
+    blocks = list(plans._size_blocks(start, horizon))
+    np.testing.assert_array_equal(np.concatenate(blocks or [np.arange(0)]),
+                                  np.arange(start, horizon + 1))
+    # blocks of 16, 16, 32, 64, ... sizes, the last cut at the horizon
+    full = [16, 16] + [16 * 2**j for j in range(1, len(blocks))]
+    sizes = [len(b) for b in blocks]
+    if sizes:
+        assert sizes[:-1] == full[:len(sizes) - 1]
+        assert 0 < sizes[-1] <= full[len(sizes) - 1]
+
+
+def test_size_blocks_from_one():
+    assert [(int(b[0]), int(b[-1])) for b in plans._size_blocks(1, 128)] == [
+        (1, 16), (17, 32), (33, 64), (65, 128)]

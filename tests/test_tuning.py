@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import seqtest.plans as plans
+
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli
@@ -110,3 +112,70 @@ class TestVerifyHook:
         assert res.zeta == pytest.approx(0.3, rel=2e-3)
         assert res.report == f"seen {res.zeta}"
         assert res.iterations == len(calls)
+
+
+class TestProbes:
+    def test_one_probe_per_evaluation_with_its_final_size(self):
+        res = tune_one_sided(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, stages=5)
+        assert len(res.probes) == res.iterations == 17
+        assert res.probes[-1][0] in res.bracket
+        for zeta, last, ok in res.probes:
+            cold = build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, zeta, stages=5)
+            assert last == cold.stage_ns[-1]
+            assert ok == verify_risk(cold, (0.05, 0.05)).satisfied == (zeta <= res.zeta)
+
+    def test_failed_builds_have_no_size(self):
+        def fixed(zeta):
+            return build_one_sided_plan(BERN, EXACT, 0.3, 0.7, 0.1, 0.1, zeta, stage_ns=[17])
+
+        res = tune_zeta(fixed, (0.1, 0.1), tol=1e-2, zeta_max=20.0)
+        assert len(res.probes) == res.iterations
+        # zeta must stay below 1 / 0.1: above, no plan is built
+        assert res.probes[0] == (20.0 * (1 - 1e-2), None, False)
+        for zeta, last, ok in res.probes:
+            assert (last, ok) == ((None, False) if zeta >= 10.0 else (17, zeta <= res.zeta))
+
+
+class TestSizeMemo:
+    """The final-size memo lives exactly as long as one tune_zeta call."""
+
+    def test_open_during_the_probes_only(self):
+        seen = []
+
+        def spying(zeta):
+            seen.append(plans._SIZE_MEMO.get())
+            return family(zeta)
+
+        assert plans._SIZE_MEMO.get() is None
+        tune_zeta(spying, (0.1, 0.1), tol=1e-2, zeta_max=1.0)
+        assert plans._SIZE_MEMO.get() is None
+        assert all(memo is seen[0] for memo in seen) and isinstance(seen[0], dict)
+        assert seen[0]  # the probes recorded their final sizes
+
+    def test_closed_on_an_error(self):
+        def failing(zeta):
+            raise RuntimeError("no plan")
+
+        with pytest.raises(RuntimeError):
+            tune_zeta(failing, (0.1, 0.1), zeta_max=1.0)
+        assert plans._SIZE_MEMO.get() is None
+
+        def fixed(zeta):
+            return build_one_sided_plan(BERN, EXACT, 0.3, 0.7, 0.1, 0.1, zeta, stage_ns=[17])
+
+        with pytest.raises(InfeasibleDesignError):
+            tune_zeta(fixed, (0.01, 0.01), zeta_max=1.0)
+        assert plans._SIZE_MEMO.get() is None
+
+    def test_nested_runs_keep_their_own_memo(self):
+        inner = []
+
+        def nesting(zeta):
+            outer = plans._SIZE_MEMO.get()
+            inner.append(tune_zeta(family, (0.1, 0.1), tol=1e-1, zeta_max=1.0).zeta)
+            assert plans._SIZE_MEMO.get() is outer
+            return family(zeta)
+
+        res = tune_zeta(nesting, (0.1, 0.1), tol=1e-1, zeta_max=1.0)
+        assert res.zeta == tune_zeta(family, (0.1, 0.1), tol=1e-1, zeta_max=1.0).zeta
+        assert len(set(inner)) == 1

@@ -538,8 +538,8 @@ class TestCertificates:
         assert len(cert.trace) == budget_used
 
     def test_trace_holds_the_cold_bounds(self):
-        # the certificate reuses corner values (pmf bounds on the
-        # interval path) and masks across its rectangles; a fresh call per
+        # the certificate reuses exact point values (corners, or centres for
+        # the radius bound) across its rectangles; a fresh call per
         # rectangle must give the same numbers
         plan = tuned_plan()
         cert = certify_risk(plan, 1, 0.22)
