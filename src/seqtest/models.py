@@ -116,6 +116,12 @@ def _poisson_pmf(mu, top: int, k):
     return np.exp(-_stirlerr(top)[k.astype(np.intp)] - _bd0(k, mu)) / np.sqrt(2.0 * math.pi * k)
 
 
+def _binom_ends(m: int, theta: float) -> tuple[float, float]:
+    """(Pr{S = 0}, Pr{S = m}) for S ~ Binomial(m, theta), 0 < theta < 1, by
+    libm: numpy's ``exp`` and ``log1p`` need not round as libm does."""
+    return math.exp(m * math.log1p(-theta)), math.exp(m * math.log(theta))
+
+
 def _poisson_isf(q: float, mu):
     """Smallest k with Pr{Poisson(mu) > k} <= q, per mean in the array ``mu``.
 
@@ -149,13 +155,20 @@ class Bernoulli:
         return n
 
     def pmf_sum(self, n: int, k, theta):
-        """Pr{sum = k} at integer counts k; k and theta broadcast, theta may be 0 or 1."""
+        """Pr{sum = k} at integer counts k; k and theta broadcast.  Each value is
+        the one ``increment_pmf(n, theta)`` holds at k, so theta may be 0, 1
+        or subnormal (a point mass)."""
         k, theta = np.asarray(k), np.asarray(theta, dtype=float)
+        point = (theta < _NORMAL_MIN) | (theta == 1.0)
         inner = (k > 0) & (k < n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _binom_pmf(n, theta, np.where(inner, k, 0.0))
-            ends = np.exp(np.where(k == 0, xlog1py(n, -theta), xlogy(n, theta)))
-        return np.where(inner, out, np.where((k == 0) | (k == n), ends, 0.0))
+            out = _binom_pmf(n, np.where(point, 0.5, theta), np.where(inner, k, 0.0))
+        # libm raises where numpy gives NaN: past 1, so take NaN there
+        lo, hi = np.frompyfunc(lambda t: _binom_ends(n, t), 1, 2)(
+            np.where(point | (theta > 1.0), np.nan, theta))
+        ends = np.where(k == n, np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+        out = np.where(inner, out, np.where((k == 0) | (k == n), ends, 0.0))
+        return np.where(point, k == np.where(theta < 0.5, 0, n), out)
 
     def log_pmf_sum(self, n: int, k, theta):
         """log of ``pmf_sum``: -inf where the mass underflows."""
@@ -221,8 +234,7 @@ class Bernoulli:
             probs[0 if theta < 0.5 else m] = 1.0
             return probs, 0.0
         probs[1:m] = _binom_pmf(m, theta, np.arange(1.0, m))
-        probs[0] = math.exp(m * math.log1p(-theta))
-        probs[m] = math.exp(m * math.log(theta))
+        probs[0], probs[m] = _binom_ends(m, theta)
         return probs, 0.0
 
     def draw(self, rng: np.random.Generator, size: int, theta: float):
@@ -249,7 +261,9 @@ class Poisson:
         pos = k > 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _poisson_pmf(mu, int(k.max(initial=1)), np.where(pos, k, 1.0))
-        return np.where(pos, out, np.where(k == 0, np.exp(-mu), 0.0))
+        # Pr{sum = 0} by libm, as ``increment_pmf`` takes it
+        zero = np.asarray(np.frompyfunc(math.exp, 1, 1)(-mu), dtype=float)
+        return np.where(pos, out, np.where(k == 0, zero, 0.0))
 
     def log_pmf_sum(self, n: int, k, theta):
         """log of ``pmf_sum``: -inf where the mass underflows."""

@@ -26,6 +26,14 @@ __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compa
 _SPRT_CHUNK = 64
 
 
+def _check_run(trials, seed) -> None:
+    """Raise unless ``trials`` is a positive and ``seed`` a nonnegative integer."""
+    if not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     return np.random.Generator(np.random.PCG64(ss))
@@ -94,8 +102,7 @@ def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
 def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
                       seed: int) -> SimReport:
     """Empirical summary for a two-sample plan; ``theta`` is p_x - p_y."""
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    _check_run(trials, seed)
     _check_point(p_x, p_y)
     last = plan.stages[-1]
     accepted = np.empty(trials, dtype=np.int64)
@@ -117,8 +124,7 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
 
 def simulate(runner, theta: float, trials: int, seed: int) -> SimReport:
     """Empirical acceptance, sample-count, and stopping summary for one mean."""
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
+    _check_run(trials, seed)
     if isinstance(runner, MultiHypPlan):
         return _simulate_plan(runner, theta, trials, seed)
     if isinstance(runner, SprtSpec):
@@ -162,6 +168,7 @@ def compare(runners, theta_grid, trials: int, seed: int, names=None) -> CompareR
     Every runner replays the same per-trial substreams, so at each grid
     point the runners face identical observation sequences.
     """
+    _check_run(trials, seed)
     runners = list(runners)
     if names is None:
         names = [f"runner_{i+1}" for i in range(len(runners))]

@@ -82,6 +82,7 @@ def brute_force_oc(plan, theta):
 
 
 class TestAcceptance:
+    @pytest.mark.slow
     def test_criterion_1_exact_coverage(self):
         # both one-sided limits miss the parameter with probability at
         # most delta, computed by exact tails over the whole support
@@ -146,6 +147,7 @@ class TestAcceptance:
             assert np.all(np.diff(above) <= slack)
         print("criterion 2 (large-deviation bound and monotonicity): PASS")
 
+    @pytest.mark.slow
     def test_criterion_3_sample_bound(self):
         rng = np.random.default_rng(2601)
         for i in range(20):
@@ -296,6 +298,7 @@ class TestAcceptance:
                     assert lost <= eta + 1e-12, (n, eta, theta)
         print("criterion 8 (truncation guarantee): PASS")
 
+    @pytest.mark.slow
     def test_criterion_9_efficiency_report(self):
         tol = 1e-3
 

@@ -197,7 +197,9 @@ class TestCrossing:
         assert EXACT.support_lower_crossed(BERN, 1, 1, 0.4, 0.5)
         assert not EXACT.support_lower_crossed(BERN, 1, 1, 0.6, 0.5)
 
-    @pytest.mark.parametrize("family", [EXACT, CHER, ApproxLimits(0.3)])
+    @pytest.mark.parametrize("family", [pytest.param(EXACT, marks=pytest.mark.slow),
+                                        pytest.param(CHER, marks=pytest.mark.slow),
+                                        ApproxLimits(0.3)])
     def test_agrees_with_direct_comparison(self, family):
         """Crossing answers equal the direct limit comparison on every support
         point, every n up to 50."""

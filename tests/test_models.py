@@ -62,6 +62,25 @@ class TestPmfSum:
         # zero samples sum to 0 surely, also at the closed ends of the mean range
         np.testing.assert_array_equal(BERN.pmf_sum(0, [0, 0, 1, 1], [0.0, 1.0, 0.0, 1.0]), [1, 1, 0, 0])
 
+    @pytest.mark.parametrize("model, ns, thetas", [
+        (BERN, [0, 1, 2, 5, 17, 100, 999, 5000],
+         [0.0, 5e-324, 1e-310, 2.3e-308, 1e-300, 1e-9, 0.001, 0.3, 0.5, 0.77, 0.999,
+          1.0 - 2.0**-53, 1.0]),
+        (POIS, [0, 1, 2, 7, 50, 200], [0.0, 5e-324, 1e-300, 1e-9, 0.001, 0.5, 1.9, 7.3]),
+    ], ids=["bernoulli", "poisson"])
+    def test_mass_equals_the_increment_pmf(self, model, ns, thetas):
+        # bit for bit, end cells included: both take them from libm
+        for n in ns:
+            rows = [model.increment_pmf(n, t)[0] for t in thetas]
+            for theta, probs in zip(thetas, rows):
+                np.testing.assert_array_equal(
+                    model.pmf_sum(n, np.arange(len(probs)), theta), probs, err_msg=f"{n}, {theta}")
+            # broadcast over a theta column gives the same rows
+            width = min(len(p) for p in rows)
+            np.testing.assert_array_equal(
+                model.pmf_sum(n, np.arange(width), np.array(thetas)[:, None]),
+                [p[:width] for p in rows])
+
     def test_log_mass_against_scipy(self):
         ks = np.arange(-1, 42)
         np.testing.assert_allclose(BERN.log_pmf_sum(40, ks, 0.3)[1:],

@@ -203,6 +203,26 @@ class TestCompare:
         with pytest.raises(DomainError):
             compare([plan], [0.5], 10, 1, names=["a", "b"])
 
+    @pytest.mark.parametrize("trials, seed, what", [
+        (10, -1, "seed"), (10, 1.5, "seed"), (10, "1", "seed"), (10, None, "seed"),
+        (2.5, 1, "trials"), (0, 1, "trials"), (-3, 1, "trials"), (10.0, 1, "trials"),
+    ])
+    def test_trials_and_seed_must_be_integers(self, trials, seed, what):
+        plan = classic_plan()
+        tp = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
+        spec = SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05)
+        for call in (lambda: simulate(plan, 0.5, trials, seed),
+                     lambda: simulate(spec, 0.5, trials, seed),
+                     lambda: simulate_two_prop(tp, 0.5, 0.5, trials, seed),
+                     lambda: compare([plan], [0.5], trials, seed),
+                     lambda: compare([plan], [], trials, seed)):
+            with pytest.raises(DomainError, match=f"{what} must be a"):
+                call()
+
+    def test_numpy_integers_are_accepted(self):
+        plan = classic_plan()
+        assert simulate(plan, 0.5, np.int64(5), np.uint32(3)) == simulate(plan, 0.5, 5, 3)
+
     @pytest.mark.parametrize("p_x, p_y", [(1.5, -0.2), (0.5, 1.01), (-0.1, 0.5)])
     def test_two_prop_points_outside_the_unit_square(self, p_x, p_y):
         plan = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
