@@ -23,17 +23,15 @@ from . import __version__
 from .conflimits import family_by_tag
 from .errors import SeqTestError
 from .models import model_by_name
-from .plans import (_SCHEDULES, _TIEBREAKS, TIEBREAK_LIKELIHOOD_RATIO, build_multihyp_plan,
-                    build_one_sided_plan)
+from .plans import _SCHEDULES, _TIEBREAKS, TIEBREAK_LIKELIHOOD_RATIO
 from .ocexact import _csv_text, oc_curve
 from .plandoc import load_plan, plan_to_doc, dump_doc
 from .sim import compare as sim_compare
 from .sim import reports_csv, simulate_two_prop
 from .sim import simulate as sim_simulate
 from .sprt import SprtSpec
-from .tuning import tune_zeta
-from .twoprop import (TwoPropPlan, build_two_prop_plan, certify_risk,
-                      exact_oc, tune_two_prop)
+from .tuning import _plan_family, tune_zeta
+from .twoprop import TwoPropPlan, certify_risk, exact_oc, tune_two_prop
 
 _FMT = repr  # shortest round-trip decimals in reports
 
@@ -53,16 +51,13 @@ def _parse_grid(text: str, what: str):
     return np.round(a + step * np.arange(count), 12)
 
 
-def _parse_floats(text: str, what: str):
+def _parse_list(text: str, what: str, cast=float):
     try:
-        vals = tuple(float(x) for x in text.split(","))
+        return tuple(cast(x) for x in text.split(","))
     except ValueError:
+        noun = "numbers" if cast is float else "integers"
         raise argparse.ArgumentTypeError(
-            f"{what} must be a comma-separated list of numbers, got {text!r}"
-        ) from None
-    if not vals:
-        raise argparse.ArgumentTypeError(f"{what} must be nonempty")
-    return vals
+            f"{what} must be a comma-separated list of {noun}, got {text!r}") from None
 
 
 def _parse_zones(text: str):
@@ -79,15 +74,6 @@ def _parse_zones(text: str):
         los.append(lo)
         his.append(hi)
     return tuple(los), tuple(his)
-
-
-def _parse_ints(text: str, what: str):
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{what} must be a comma-separated list of integers, got {text!r}"
-        ) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -121,36 +107,20 @@ def _cmd_design(args, parser) -> int:
         for flag in ("theta0", "theta1", "alpha", "beta"):
             if getattr(args, flag) is None:
                 parser.error(f"design --kind one-sided requires --{flag}")
-        plan = build_one_sided_plan(
-            model_by_name(args.model), _family_from_args(args),
-            args.theta0, args.theta1, args.alpha, args.beta, args.zeta,
-            stage_ns=args.stage_ns, stages=args.stages, schedule=args.schedule,
-            fully_sequential=args.fully_sequential, tiebreak=args.tiebreak,
-        )
-        extra = f", sample cap {plan.sample_cap}" if plan.sample_cap else ""
-    elif args.kind == "multi":
-        if args.zones is None:
-            parser.error("design --kind multi requires --zones")
-        lo, hi = args.zones
-        plan = build_multihyp_plan(
-            model_by_name(args.model), _family_from_args(args), lo, hi,
-            args.zeta, base_alphas=args.alphas, base_betas=args.betas,
-            stage_ns=args.stage_ns, stages=args.stages, schedule=args.schedule,
-        )
-        extra = ""
+        spec = (args.theta0,), (args.theta1,), (args.alpha,), (args.beta,)
+        kwargs = {"tiebreak": args.tiebreak}
+    elif args.zones is None:
+        parser.error(f"design --kind {args.kind} requires --zones")
     else:
-        if args.zones is None:
-            parser.error("design --kind two-prop requires --zones")
-        lo, hi = args.zones
-        plan = build_two_prop_plan(
-            lo, hi, args.zeta, base_alphas=args.alphas, base_betas=args.betas,
-            stage_ns=args.stage_ns, stages=args.stages, schedule=args.schedule,
-        )
-        extra = ""
-    doc = plan_to_doc(plan, build=_sizing_from_args(args))
-    _write_text(args.out, dump_doc(doc))
-    sizes = (plan.stage_sizes if isinstance(plan, TwoPropPlan)
-             else plan.stage_ns)
+        spec, kwargs = (*args.zones, args.alphas, args.betas), {}
+    model, family = ((None, None) if args.kind == "two-prop"
+                     else (model_by_name(args.model), _family_from_args(args)))
+    build = _sizing_from_args(args)
+    plan = _plan_family(args.kind, *spec, model, family, **kwargs, **build)(args.zeta)
+    _write_text(args.out, dump_doc(plan_to_doc(plan, build=build)))
+    sizes = plan.stage_sizes if isinstance(plan, TwoPropPlan) else plan.stage_ns
+    cap = getattr(plan, "sample_cap", None)
+    extra = f", sample cap {cap}" if cap else ""
     print(f"{args.kind} plan, stage sizes {list(sizes)}{extra} -> {args.out}")
     return 0
 
@@ -181,59 +151,42 @@ def _cmd_oc(args, parser) -> int:
     return 0
 
 
+def _doc_family(plan, build: dict):
+    """z -> the loaded ``plan`` rebuilt at scale z from its ``build`` sizing block."""
+    # a false fully_sequential is every builder's default; only the one-sided one takes it
+    kwargs = {k: v for k, v in build.items()
+              if k in ("stage_ns", "stages", "schedule", "fully_sequential") and v is not False}
+    if plan.kind == "one-sided":
+        kwargs["tiebreak"] = plan.tiebreak
+    elif plan.kind == "multi":
+        kwargs["c_policy"] = plan.c_policy
+    return _plan_family(plan.kind, plan.zone_lo, plan.zone_hi, plan.base_alphas,
+                        plan.base_betas, getattr(plan, "model", None),
+                        getattr(plan, "family", None), **kwargs)
+
+
 def _cmd_tune(args, parser) -> int:
     plan, doc = load_plan(args.plan)
     build = doc.get("build") or {"stage_ns": [st["n_x"] if "n_x" in st else st["n"]
                                               for st in doc["stages"]]}
-    sizing = {k: v for k, v in build.items()
-              if k in ("stage_ns", "stages", "schedule", "fully_sequential")}
     deltas = args.deltas
+    if deltas is None:
+        if plan.kind != "one-sided":
+            what = "multi-hypothesis" if plan.kind == "multi" else plan.kind
+            parser.error(f"tune on a {what} document requires --deltas")
+        deltas = (plan.alpha, plan.beta)
+    if len(deltas) != plan.m:
+        parser.error(f"need {plan.m} risk budgets, got {len(deltas)}")
+    fam = _doc_family(plan, build)
+    zeta_max = args.zeta_max or 1.0 / max(*plan.base_alphas, *plan.base_betas)
     if isinstance(plan, TwoPropPlan):
-        if deltas is None:
-            parser.error("tune on a two-prop document requires --deltas")
-        if len(deltas) != plan.m:
-            parser.error(f"need {plan.m} risk budgets, got {len(deltas)}")
-
-        def fam(z):
-            return build_two_prop_plan(plan.zone_lo, plan.zone_hi, z,
-                                       base_alphas=plan.base_alphas,
-                                       base_betas=plan.base_betas, **sizing)
-
-        top = max(max(plan.base_alphas), max(plan.base_betas))
-        res = tune_two_prop(fam, deltas, tol=args.tol,
-                            zeta_max=args.zeta_max or 1.0 / top,
+        res = tune_two_prop(fam, deltas, tol=args.tol, zeta_max=zeta_max,
                             certify_tol=args.certify_tol, budget=args.budget)
-        trace_req = list(deltas)
     else:
-        if plan.kind == "one-sided":
-            if deltas is None:
-                deltas = (plan.alpha, plan.beta)
-
-            def fam(z):
-                return build_one_sided_plan(plan.model, plan.family,
-                                            plan.theta0, plan.theta1,
-                                            plan.alpha, plan.beta, z,
-                                            tiebreak=plan.tiebreak, **sizing)
-        else:
-            if deltas is None:
-                parser.error("tune on a multi-hypothesis document requires --deltas")
-
-            def fam(z):
-                return build_multihyp_plan(plan.model, plan.family,
-                                           plan.zone_lo, plan.zone_hi, z,
-                                           base_alphas=plan.base_alphas,
-                                           base_betas=plan.base_betas,
-                                           c_policy=plan.c_policy, **sizing)
-
-        if len(deltas) != plan.m:
-            parser.error(f"need {plan.m} risk budgets, got {len(deltas)}")
-        top = max(max(plan.base_alphas), max(plan.base_betas))
-        res = tune_zeta(fam, deltas, tol=args.tol,
-                        zeta_max=args.zeta_max or 1.0 / top)
-        trace_req = list(deltas)
+        res = tune_zeta(fam, deltas, tol=args.tol, zeta_max=zeta_max)
     trace = {"zeta": res.zeta, "bracket": list(res.bracket),
              "iterations": res.iterations, "tol": args.tol,
-             "deltas": trace_req}
+             "deltas": list(deltas)}
     out = args.out or args.plan
     _write_text(out, dump_doc(plan_to_doc(res.plan, build=build, tuning=trace)))
     print(f"tuned zeta {_FMT(res.zeta)} (bracket {_FMT(res.bracket[0])}.."
@@ -324,14 +277,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--beta", type=float)
     d.add_argument("--zones", type=_parse_zones,
                    help="indifference zones as lo:hi[,lo:hi...]")
-    d.add_argument("--alphas", type=lambda s: _parse_floats(s, "--alphas"),
+    d.add_argument("--alphas", type=lambda s: _parse_list(s, "--alphas"),
                    help="base risk coefficients per zone boundary")
-    d.add_argument("--betas", type=lambda s: _parse_floats(s, "--betas"))
+    d.add_argument("--betas", type=lambda s: _parse_list(s, "--betas"))
     d.add_argument("--zeta", type=float, required=True)
     d.add_argument("--stages", type=int, default=1)
     d.add_argument("--schedule", choices=_SCHEDULES,
                    default="geometric")
-    d.add_argument("--stage-ns", type=lambda s: _parse_ints(s, "--stage-ns"),
+    d.add_argument("--stage-ns", type=lambda s: _parse_list(s, "--stage-ns", int),
                    help="explicit stage sizes, overriding --stages/--schedule")
     d.add_argument("--fully-sequential", action="store_true")
     d.add_argument("--tiebreak", default=TIEBREAK_LIKELIHOOD_RATIO, choices=_TIEBREAKS)
@@ -350,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tune", help="bisect the risk scale, update the document")
     t.add_argument("--plan", required=True)
     t.add_argument("--tol", type=float, default=1e-3)
-    t.add_argument("--deltas", type=lambda s: _parse_floats(s, "--deltas"),
+    t.add_argument("--deltas", type=lambda s: _parse_list(s, "--deltas"),
                    help="risk budget per hypothesis")
     t.add_argument("--zeta-max", type=float)
     t.add_argument("--certify-tol", type=float, default=1e-3)
@@ -361,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="branch-and-bound risk certificates")
     c.add_argument("--plan", required=True)
     c.add_argument("--deltas", required=True,
-                   type=lambda s: _parse_floats(s, "--deltas"))
+                   type=lambda s: _parse_list(s, "--deltas"))
     c.add_argument("--tol", type=float, default=1e-3)
     c.add_argument("--budget", type=int, default=20_000)
     c.set_defaults(fn=_cmd_certify)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InfeasibleDesignError
 from .ocexact import verify_risk
 from .plans import _size_memo, build_multihyp_plan, build_one_sided_plan
-from .twoprop import TwoPropPlan
+from .twoprop import TwoPropPlan, build_two_prop_plan
 
 __all__ = ["TuneResult", "tune_zeta", "tune_one_sided", "tune_multihyp"]
 
@@ -125,6 +125,26 @@ def _final_size(plan):
     return (last.n_x, last.n_y) if isinstance(plan, TwoPropPlan) else last.n
 
 
+def _plan_family(kind, zone_lo, zone_hi, base_alphas, base_betas, model=None, family=None,
+                 **build_kwargs):
+    """z -> the plan of ``kind`` ("one-sided", "multi" or "two-prop") at scale z,
+    built with ``build_kwargs``.
+
+    The one place the three plan builders are called.  A one-sided plan's
+    zone and risks are the one-element sequences (theta0,), (theta1,),
+    (alpha,) and (beta,); a two-prop plan takes no model or family.
+    """
+    if kind == "one-sided":
+        (theta0,), (theta1,), (alpha,), (beta,) = zone_lo, zone_hi, base_alphas, base_betas
+        return lambda z: build_one_sided_plan(model, family, theta0, theta1, alpha, beta, z,
+                                              **build_kwargs)
+    if kind == "multi":
+        return lambda z: build_multihyp_plan(model, family, zone_lo, zone_hi, z, base_alphas,
+                                             base_betas, **build_kwargs)
+    return lambda z: build_two_prop_plan(zone_lo, zone_hi, z, base_alphas, base_betas,
+                                         **build_kwargs)
+
+
 def tune_one_sided(model, family, theta0: float, theta1: float,
                    alpha: float, beta: float, tol: float = 1e-3,
                    **build_kwargs) -> TuneResult:
@@ -134,12 +154,9 @@ def tune_one_sided(model, family, theta0: float, theta1: float,
     policy and so on).  The requirement is alpha at the lower zone
     endpoint and beta at the upper one.
     """
-    zeta_max = 1.0 / max(alpha, beta)
-    return tune_zeta(
-        lambda z: build_one_sided_plan(model, family, theta0, theta1,
-                                       alpha, beta, zeta=z, **build_kwargs),
-        requirement=(alpha, beta), tol=tol, zeta_max=zeta_max,
-    )
+    return tune_zeta(_plan_family("one-sided", (theta0,), (theta1,), (alpha,), (beta,), model,
+                                  family, **build_kwargs),
+                     requirement=(alpha, beta), tol=tol, zeta_max=1.0 / max(alpha, beta))
 
 
 def tune_multihyp(model, family, zone_lo, zone_hi, deltas,
@@ -149,10 +166,6 @@ def tune_multihyp(model, family, zone_lo, zone_hi, deltas,
     nb = len(zone_lo)
     ba = tuple(base_alphas) if base_alphas is not None else (1.0,) * nb
     bb = tuple(base_betas) if base_betas is not None else (1.0,) * nb
-    zeta_max = 1.0 / max(max(ba), max(bb))
-    return tune_zeta(
-        lambda z: build_multihyp_plan(model, family, zone_lo, zone_hi, zeta=z,
-                                      base_alphas=ba, base_betas=bb,
-                                      **build_kwargs),
-        requirement=deltas, tol=tol, zeta_max=zeta_max,
-    )
+    return tune_zeta(_plan_family("multi", zone_lo, zone_hi, ba, bb, model, family,
+                                  **build_kwargs),
+                     requirement=deltas, tol=tol, zeta_max=1.0 / max(*ba, *bb))

@@ -7,9 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from seqtest.cli import main
+from seqtest.cli import _doc_family, main
+from seqtest.conflimits import ExactLimits
+from seqtest.models import Bernoulli
 from seqtest.ocexact import oc_curve
-from seqtest.plandoc import load_plan
+from seqtest.plandoc import dump_doc, load_plan, plan_to_doc, save_plan
+from seqtest.plans import build_multihyp_plan
 from seqtest.sim import compare as sim_compare
 from seqtest.sim import simulate as sim_simulate
 
@@ -223,6 +226,21 @@ class TestSimulate:
                     "--theta", "0.5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--plan", "twoprop.json", "--theta-x", "0.5", "--theta-y", "0.5",
+         "--trials", "10", "--seed", "-1"],
+        ["simulate", "--plan", "plan.json", "--theta", "0.5", "--trials", "10", "--seed", "-1"],
+        ["simulate", "--plan", "plan.json", "--theta", "0.5", "--trials", "0", "--seed", "1"],
+        ["compare", "--plan", "plan.json", "--grid", "0.4:0.6:0.1", "--trials", "10",
+         "--seed", "-2"],
+    ], ids=["two-prop seed", "seed", "trials", "compare seed"])
+    def test_bad_seed_or_trials_exits_one(self, argv, workdir, capsys):
+        argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a" in err
+
     def test_csv_matches_library(self, workdir, capsys):
         out = workdir / "sim.csv"
         code = run(["simulate", "--plan", str(workdir / "plan.json"),
@@ -398,6 +416,76 @@ class TestDesignSizing:
                     "--beta", "0.05", "--zeta", "0.5", *argv, "--out", str(path)])
         assert code == 2
         assert not path.exists()
+        capsys.readouterr()
+
+
+ONE_SIDED = ["--theta0", "0.4", "--theta1", "0.6", "--alpha", "0.05", "--beta", "0.05",
+             "--zeta", "0.5"]
+TIED = ["--theta0", "0.4", "--theta1", "0.6", "--alpha", "0.1", "--beta", "0.05",
+        "--zeta", "0.5", "--stage-ns", "120,150"]
+MULTI = ["--kind", "multi", "--zones", "0.1:0.45,0.55:0.9", "--alphas", "0.1,0.1",
+         "--betas", "0.1,0.1", "--zeta", "0.2755"]
+
+
+class TestDesignTuneRoundTrip:
+    """``seqtest tune`` rebuilds a document's plan family from its fields and
+    ``build`` block; at the document's own zeta that family must give back
+    the document ``seqtest design`` wrote, byte for byte."""
+
+    @staticmethod
+    def rebuilt(path):
+        plan, doc = load_plan(path)
+        return dump_doc(plan_to_doc(_doc_family(plan, doc["build"])(plan.zeta),
+                                    build=doc["build"]))
+
+    @pytest.mark.parametrize("argv", [
+        [*ONE_SIDED, "--stages", "5"],
+        [*ONE_SIDED, "--stages", "4", "--schedule", "arithmetic"],
+        [*ONE_SIDED, "--stage-ns", "20,60,120"],
+        [*ONE_SIDED, "--fully-sequential"],
+        [*TIED, "--tiebreak", "likelihood-ratio"],
+        [*TIED, "--tiebreak", "always-accept"],
+        [*TIED, "--tiebreak", "always-reject"],
+        ["--model", "poisson", "--limits", "chernoff", "--theta0", "1.0", "--theta1", "1.5",
+         "--alpha", "0.05", "--beta", "0.05", "--zeta", "0.5", "--fully-sequential",
+         "--tiebreak", "always-accept"],
+        ["--limits", "approx", "--approx-width", "0.3", *ONE_SIDED, "--stage-ns", "10,30,200"],
+        [*MULTI, "--stages", "3"],
+        [*MULTI, "--stage-ns", "6,13,28"],
+        ["--kind", "two-prop", "--zones=-0.3:0.3", "--zeta", "0.5", "--stage-ns", "4,8"],
+        ["--kind", "two-prop", "--zones=-0.2:0.2", "--zeta", "0.5", "--stages", "3"],
+    ], ids=["stages", "arithmetic schedule", "stage_ns", "fully sequential",
+            "tiebreak likelihood-ratio", "tiebreak always-accept", "tiebreak always-reject",
+            "poisson chernoff", "approx", "multi stages", "multi stage_ns",
+            "two-prop stage_ns", "two-prop stages"])
+    def test_design_document_is_its_family_at_its_zeta(self, argv, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        assert run(["design", *argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_text() == self.rebuilt(path)
+
+    def test_zone_midpoint_c_policy(self, tmp_path):
+        # ``seqtest design`` has no c-policy option: the library writes this one
+        path = tmp_path / "plan.json"
+        build = {"stages": 3, "schedule": "geometric"}
+        save_plan(build_multihyp_plan(Bernoulli(), ExactLimits(), [0.1, 0.55], [0.45, 0.9],
+                                      0.2755, [0.1, 0.1], [0.1, 0.1], stages=3,
+                                      c_policy="zone-midpoint"), path, build=build)
+        assert '"c_policy": "zone-midpoint"' in path.read_text()
+        assert path.read_text() == self.rebuilt(path)
+
+    def test_false_fully_sequential_tunes_a_multi_document(self, tmp_path, capsys):
+        path = tmp_path / "multi.json"
+        assert run(["design", *MULTI, "--stages", "3", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["build"]["fully_sequential"] = False
+        flagged = tmp_path / "flagged.json"
+        flagged.write_text(json.dumps(doc))
+        for src in (path, flagged):
+            assert run(["tune", "--plan", str(src), "--deltas", "0.1,0.1,0.1"]) == 0
+        plain, tuned = json.loads(path.read_text()), json.loads(flagged.read_text())
+        assert tuned["stages"] == plain["stages"]
+        assert tuned["provenance"] == plain["provenance"]
         capsys.readouterr()
 
 
