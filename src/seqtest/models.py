@@ -6,7 +6,10 @@ n-sample sum is a sufficient statistic (Binomial(n, theta) respectively
 Poisson(n*theta)), so every exact computation in the package works on integer
 sum counts.  Every mass comes from Loader's (2000) saddle-point form, as in
 R's ``dbinom``/``dpois`` (``_binom_pmf``, ``_poisson_pmf``), which keeps
-full relative accuracy for sums of thousands of samples.  ``log_lr_line``
+full relative accuracy for sums of thousands of samples.  ``increment_pmf``
+gives the pmf of an m-sample increment at a scalar theta, or its rows at a
+1-D array of thetas from one vectorized call, zero-padded to the widest
+row; either way a row holds the same bits.  ``log_lr_line``
 is the log likelihood ratio of two means as a line in the observation,
 read by the SPRT and by the one-sided tie rule.  Tail
 probabilities come in closed form from the regularized incomplete beta
@@ -221,13 +224,26 @@ class Bernoulli:
         out = np.minimum(val, 1.0)
         return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
-    def increment_pmf(self, m: int, theta: float):
+    def increment_pmf(self, m: int, theta):
         """Distribution of a stage increment of m samples.
 
-        Returns (probs, deficit): probs[d] = Pr{increment sum = d} and the
-        mass discarded by truncation (always 0 here; the support is finite).
-        Theta may be 0 or 1, giving a point mass.
+        For a scalar theta, returns (probs, deficit): probs[d] = Pr{increment
+        sum = d} and the mass discarded by truncation (always 0 here; the
+        support is finite).  For a 1-D array of thetas, returns a (rows,
+        m + 1) array, one row per theta, and a (rows,) array of deficits;
+        each row equals the scalar call's bit for bit.  Theta may be 0 or 1,
+        giving a point mass.
         """
+        if isinstance(theta, np.ndarray) and theta.ndim:
+            point = (theta < _NORMAL_MIN) | (theta == 1.0)
+            probs = np.zeros((len(theta), m + 1))
+            probs[:, 1:m] = _binom_pmf(m, np.where(point, 0.5, theta)[:, None], np.arange(1.0, m))
+            probs[point] = 0.0
+            # the end masses by libm, row by row, as the scalar call takes them
+            probs[:, 0], probs[:, m] = zip(*[(float(t < 0.5), float(t >= 0.5)) if at
+                                             else _binom_ends(m, t)
+                                             for t, at in zip(theta.tolist(), point.tolist())])
+            return probs, np.zeros(len(theta))
         probs = np.zeros(m + 1)
         if theta < _NORMAL_MIN or theta == 1.0:
             # a point mass; a subnormal theta would overflow bd0's ratio
@@ -307,11 +323,28 @@ class Poisson:
         out = np.minimum(val, 1.0)
         return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
-    def increment_pmf(self, m: int, theta: float):
+    def increment_pmf(self, m: int, theta):
+        """Distribution of a stage increment of m samples, truncated at the
+        smallest count whose upper tail is at most 1e-15.
+
+        For a scalar theta, returns (probs, deficit): probs[d] = Pr{increment
+        sum = d} up to the cut-off and the discarded upper-tail mass, given
+        analytically so the truncation slack is certified rather than
+        inferred from a float sum.  For a 1-D array of thetas, returns a
+        (rows, taps) array, one row per theta zero-padded past its own
+        cut-off to the widest row, and a (rows,) array of deficits; each row
+        equals the scalar call's bit for bit.
+        """
+        if isinstance(theta, np.ndarray) and theta.ndim:
+            mus = m * theta
+            k_his = _poisson_isf(_TAIL_MASS, mus)
+            top = int(k_his.max())
+            ks = np.arange(1.0, top + 1)
+            probs = np.empty((len(mus), top + 1))
+            probs[:, 0] = [math.exp(-mu) for mu in mus.tolist()]
+            probs[:, 1:] = np.where(ks <= k_his[:, None], _poisson_pmf(mus[:, None], top, ks), 0.0)
+            return probs, pdtrc(k_his, mus)
         mu = m * theta
-        # Smallest cutoff whose upper tail is at most _TAIL_MASS; the
-        # discarded mass is reported analytically so the truncation slack
-        # is certified rather than inferred from a float sum.
         k_hi = int(_poisson_isf(_TAIL_MASS, mu))
         probs = np.empty(k_hi + 1)
         probs[0] = math.exp(-mu)

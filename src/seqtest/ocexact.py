@@ -14,7 +14,9 @@ theta grid goes through together, over the counts from an offset.  After
 each stage only the stage's undecided span is kept, from the first to the
 last ``CONTINUE`` count its model can reach (``MultiHypPlan.continue_spans``,
 computed once per plan), so a stage costs span x increment rather than
-every count x increment.  Each row is convolved with its own pmf row,
+every count x increment.  The pmf rows of a batch come from one
+``increment_pmf`` call per distinct increment, with every theta of the
+batch at once.  Each row is convolved with its own pmf row,
 every output cell adding its products in state-cell order, and masses are
 summed cell by cell, so a row's result does not depend on the other rows
 of its batch: ``oc_curve`` rows equal ``oc_single`` bit for bit.  Two
@@ -140,7 +142,8 @@ def propagate(stages, pmf):
     m-sample increment on one axis, asked once per distinct (axis, m).  For
     one sample these may be a (rows, taps) array and a (rows,) array, one
     row per parameter point of a batch, rows shorter than the widest
-    padded with zeros.
+    padded with zeros, as one ``increment_pmf`` call over the batch's
+    thetas returns them.
 
     One sample, the state is (rows, cells) over the counts offset, offset
     + 1, ...; after each stage it keeps only the span's cells (decided
@@ -222,15 +225,12 @@ def _label_mass(states, labels, m: int) -> np.ndarray:
 
 
 def _one_sample(plan: MultiHypPlan, thetas):
-    model = plan.model
+    # one theta takes the scalar call, which skips the padding a batch needs
+    thetas = thetas[0] if len(thetas) == 1 else np.asarray(thetas, dtype=float)
 
     def pmf(_, m):
-        rows = [model.increment_pmf(m, theta) for theta in thetas]
-        taps = max(len(p) for p, _ in rows)
-        probs = np.array([p if len(p) == taps else np.concatenate((p, np.zeros(taps - len(p))))
-                          for p, _ in rows])
-        lost = [lost for _, lost in rows]
-        return probs, np.array(lost) if any(lost) else 0.0
+        probs, lost = plan.model.increment_pmf(m, thetas)
+        return probs, lost if isinstance(lost, float) or lost.any() else 0.0
 
     return propagate([((rule.n,), rule.labels, span)
                       for rule, span in zip(plan.stages, plan.continue_spans)], pmf)

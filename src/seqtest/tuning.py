@@ -56,7 +56,9 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
     defaults to the exact zone-endpoint verdict against ``requirement``.
     The bracket starts by geometric probing downward from ``zeta_max`` and
     is then bisected to relative width ``tol``; the feasible endpoint is
-    returned.  No feasible scale above ``ZETA_FLOOR`` raises an error.
+    returned.  No feasible scale above ``ZETA_FLOOR`` raises an error: the
+    family's first ``DomainError`` where every probe raised one (a zone or
+    option no scale can mend), ``InfeasibleDesignError`` otherwise.
     """
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
@@ -68,11 +70,14 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
             return rep.satisfied, rep
 
     probes = []
+    domain_errors = []
 
     def feasible(z):
         try:
             plan = plan_family(z)
-        except (InfeasibleDesignError, DomainError):
+        except (InfeasibleDesignError, DomainError) as err:
+            if isinstance(err, DomainError):
+                domain_errors.append(err)
             probes.append((z, None, False))
             return False, None, None
         ok, rep = verify(plan)
@@ -103,6 +108,8 @@ def tune_zeta(plan_family, requirement, tol: float = 1e-3,
             hi = z
             z *= 0.5
         if lo is None:
+            if len(domain_errors) == len(probes):
+                raise domain_errors[0]
             raise InfeasibleDesignError(
                 f"no feasible scale above {ZETA_FLOOR:g}; the stage layout cannot "
                 "meet the requirement"

@@ -327,6 +327,33 @@ class TestIncrementAndDraw:
                 assert k_hi == int(stats.poisson.isf(1e-15, mu))
                 assert deficit == stats.poisson.sf(k_hi, mu)
 
+    @staticmethod
+    def assert_rows_are_the_scalar_rows(model, m, thetas):
+        probs, deficits = model.increment_pmf(m, np.asarray(thetas))
+        rows = [model.increment_pmf(m, theta) for theta in thetas]
+        taps = max(len(p) for p, _ in rows)
+        assert probs.shape == (len(thetas), taps) and deficits.shape == (len(thetas),)
+        for row, deficit, (p, lost) in zip(probs, deficits, rows):
+            assert row[:len(p)].tobytes() == p.tobytes()
+            assert not row[len(p):].any()
+            assert deficit == lost
+        return [len(p) for p, _ in rows]
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 95, 383, 2399, 4096, 8085])
+    def test_bernoulli_rows_are_the_scalar_rows(self, m):
+        thetas = [0.3, 0.0, 1.0, 5e-324, 0.5, 1e-310, 1.0 - 2.0**-53, 2.3e-308]
+        self.assert_rows_are_the_scalar_rows(BERN, m, thetas)
+
+    def test_poisson_rows_are_the_scalar_rows(self):
+        # means m * theta from 1e-4 to 1e3 at every m, to 1e5 at some, in a
+        # new order each time
+        rng = np.random.default_rng(19)
+        for m, top, least in [(m, 1e3, 1_000) for m in range(1, 201)] + [
+                (m, 1e5, 100_000) for m in (1, 2, 17, 100, 200)]:
+            mus = rng.permutation(np.geomspace(1e-4, top, 10))
+            widths = self.assert_rows_are_the_scalar_rows(POIS, m, mus / m)
+            assert min(widths) < 10 and max(widths) > least
+
     def test_draw_matches_model_distribution(self):
         rng = np.random.default_rng(11)
         xs = BERN.draw(rng, 20000, 0.3)

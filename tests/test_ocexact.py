@@ -361,6 +361,41 @@ class TestBatchedRows:
             for i in range(parts):
                 assert same_rows(rep, oc_curve(plan, grid[i::parts]), slice(i, None, parts))
 
+    def test_one_pmf_call_per_increment_per_batch(self, monkeypatch):
+        plan = poisson_plan()
+        grid = np.linspace(0.5, 2.0, 201)
+        calls = []
+        pmf = Poisson.increment_pmf
+
+        def spy(model, m, theta):
+            calls.append((m, np.array(theta)))
+            return pmf(model, m, theta)
+
+        monkeypatch.setattr(Poisson, "increment_pmf", spy)
+        oc_curve(plan, grid)
+        increments = sorted(set(np.diff((0, *plan.stage_ns))))
+        batches = {}
+        for m, thetas in calls:
+            assert thetas.ndim == 1
+            batches.setdefault(thetas.tobytes(), []).append(m)
+        assert all(sorted(ms) == increments for ms in batches.values())
+        # 1,005 calls when each theta made its own
+        assert len(calls) == len(batches) * len(increments) == 3 * 5
+        together = np.concatenate([np.frombuffer(key) for key in batches])
+        assert np.array_equal(together, grid)
+
+    def test_poisson_rows_equal_single_points_over_a_wide_grid(self):
+        """Means from 1e-3 to 50: cut-offs that differ by hundreds of counts in one batch."""
+        plan = poisson_plan()
+        grid = np.geomspace(1e-3, 50.0, 300)
+        rep = oc_curve(plan, grid)
+        for t, theta in enumerate(grid):
+            acc, asn, stop, bound = oc_single(plan, theta)
+            assert np.array_equal(rep.accept[t], acc)
+            assert rep.asn[t] == asn
+            assert np.array_equal(rep.stage_stop[t], stop)
+            assert rep.truncation_bound[t] == bound
+
     def test_verify_risk_bounds_are_the_single_point_values(self):
         plan = wide_three_zone_plan()
         rep = verify_risk(plan, (0.1, 0.1, 0.1))

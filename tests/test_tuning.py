@@ -46,6 +46,23 @@ class TestBracketing:
         with pytest.raises(InfeasibleDesignError):
             tune_zeta(fixed, (0.01, 0.01), zeta_max=1.0)
 
+    @pytest.mark.parametrize("lo, hi, kwargs, message", [
+        (0.6, 0.4, {}, "zone must be a nonempty open interval"),
+        (0.4, 0.6, {"tiebreak": "nope"}, "unknown tiebreak 'nope'"),
+    ], ids=["swapped-zone", "unknown-tiebreak"])
+    def test_a_family_that_never_builds_raises_its_own_error(self, lo, hi, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            tune_one_sided(BERN, EXACT, lo, hi, 0.05, 0.05, stages=3, **kwargs)
+
+    def test_a_family_failing_both_ways_is_infeasible(self):
+        def mixed(zeta):
+            if zeta > 0.5:
+                raise DomainError("scale out of range")
+            raise InfeasibleDesignError("layout cannot close")
+
+        with pytest.raises(InfeasibleDesignError, match="no feasible scale"):
+            tune_zeta(mixed, (0.1, 0.1), zeta_max=1.0)
+
     def test_argument_validation(self):
         with pytest.raises(DomainError):
             tune_zeta(family, (0.1, 0.1), tol=1.5)
