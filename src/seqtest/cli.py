@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .conflimits import family_by_tag
-from .errors import SeqTestError
+from .errors import PlanDocumentError, SeqTestError
 from .models import model_by_name
 from .plans import _SCHEDULES, _TIEBREAKS, TIEBREAK_LIKELIHOOD_RATIO
 from .ocexact import _csv_text, oc_curve
@@ -120,7 +120,7 @@ def _cmd_design(args, parser) -> int:
     _write_text(args.out, dump_doc(plan_to_doc(plan, build=build)))
     sizes = plan.stage_sizes if isinstance(plan, TwoPropPlan) else plan.stage_ns
     cap = getattr(plan, "sample_cap", None)
-    extra = f", sample cap {cap}" if cap else ""
+    extra = f", fully sequential bound {cap}" if cap else ""
     print(f"{args.kind} plan, stage sizes {list(sizes)}{extra} -> {args.out}")
     return 0
 
@@ -165,10 +165,21 @@ def _doc_family(plan, build: dict):
                         getattr(plan, "family", None), **kwargs)
 
 
+def _fixed_sizes(plan) -> list[int]:
+    """The stage sizes a plan is rebuilt at when its document keeps no sizing."""
+    if not isinstance(plan, TwoPropPlan):
+        return list(plan.stage_ns)
+    for i, (n_x, n_y) in enumerate(plan.stage_sizes):
+        if n_x != n_y:
+            raise PlanDocumentError(f"tune rebuilds two-prop plans with equal arms only, "
+                                    f"but stage {i + 1} has sizes ({n_x}, {n_y})",
+                                    f"stages[{i}].n_y")
+    return [n_x for n_x, _ in plan.stage_sizes]
+
+
 def _cmd_tune(args, parser) -> int:
     plan, doc = load_plan(args.plan)
-    build = doc.get("build") or {"stage_ns": [st["n_x"] if "n_x" in st else st["n"]
-                                              for st in doc["stages"]]}
+    build = doc.get("build") or {"stage_ns": _fixed_sizes(plan)}
     deltas = args.deltas
     if deltas is None:
         if plan.kind != "one-sided":

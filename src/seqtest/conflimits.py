@@ -1,37 +1,32 @@
 """One-sided confidence limits for the sample mean, in three families.
 
-``ExactLimits`` inverts the exact tail probabilities of the sum statistic:
-the lower limit at confidence level ``1 - delta`` is the largest parameter
-value whose upper tail at the observed mean does not exceed ``delta``, and
-symmetrically for the upper limit.  For Bernoulli data these are the
-classical exact (Clopper-Pearson style) limits; for Poisson data the exact
-gamma-type limits.
+Each family defines its limits and its crossing predicates from one test:
+at an observed sum count k out of n, does the lower limit at level
+``1 - delta`` reach a parameter value theta, or the upper limit stay at or
+below it?  ``support_lower_crossed`` and ``support_upper_crossed`` apply the
+test at ``theta_ref`` to an array of counts (n a scalar or an array
+broadcast against them); the plan builders search on them over the counts
+of many stage sizes at once to find where each crossing set begins or ends.
 
-``ChernoffLimits`` replaces the exact tails by the n-th power of the
-large-deviation bound ``chernoff(z, theta)``; the resulting limits are
-slightly wider but cost only a closed-form evaluation per bisection probe,
-with no tail summation.
+``ExactLimits`` tests an exact tail of the sum: the lower limit reaches
+theta when Pr{S >= k} at theta is at most delta, and symmetrically for the
+upper limit.  For Bernoulli data these are the exact limits of Clopper &
+Pearson (1934); for Poisson data the exact gamma-type limits.
+``ChernoffLimits`` tests the n-th power of the large-deviation bound
+``chernoff(k / n, theta)`` instead, with a condition on which flank of
+theta the mean lies; its limits are slightly wider and sum no tails.  The
+scalar limits of these two families, ``lower_detail``/``upper_detail``, are
+the edge in theta of the same test at the observed mean z (the exact test
+at the count z maps to, ceil(n z) below and floor(n z) above), bisected by
+``_edge`` to absolute tolerance 1e-12 and rounded to the conservative side:
+lower limits down, upper limits up.  When a defining set is empty (e.g. the
+lower limit at an observed mean of zero) the boundary of the parameter
+space is returned and flagged.
 
 ``ApproxLimits(w)`` is the normal-approximation family with a variance
 blend: the variance is evaluated at ``z + w*(theta - z)``, so ``w = 0``
 gives the Wald limits and ``w = 1`` the score (Wilson-type) limits.  Both
-Bernoulli and Poisson variance models admit closed-form roots.
-
-Every family also exposes crossing predicates, ``support_lower_crossed``
-and ``support_upper_crossed``, that decide ``lower(k / n) >= theta_ref``
-and ``upper(k / n) <= theta_ref`` for an array of sum counts ``k`` (n a
-scalar or an array broadcast against them) without computing the limit:
-for the exact family a single tail evaluation at ``theta_ref``, for the
-Chernoff family a rate-function comparison plus a side condition on which
-flank of ``theta_ref`` the mean lies.  They agree exactly with direct
-limit comparison; the plan builders search on them over the counts of
-many stage sizes at once to find where each crossing set begins or ends.
-
-All bisections run to absolute tolerance 1e-12 and round to the
-conservative side: lower limits round down, upper limits round up.  When a
-defining set is empty (e.g. the lower limit at an observed mean of zero)
-the corresponding boundary of the parameter space is returned and the
-``*_detail`` variants flag it.
+models admit closed-form roots, which its predicates compare with theta.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError
-from .models import Bernoulli, Poisson
+from .models import Bernoulli, Poisson, _count_ceil, _count_floor
 
 __all__ = [
     "ExactLimits",
@@ -68,17 +63,41 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"confidence coefficient delta must lie in (0, 1), got {delta}")
 
 
-def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with pred(lo) true, pred(hi) false; return the bracket."""
+def _edge(low_side, model, z: float, lo: float = 0.0, hi: float | None = None,
+          upper: bool = False) -> LimitValue:
+    """The limit where ``low_side(theta)``, true at ``lo``, turns false.  A
+    Bernoulli bracket ends at 1 by default; a Poisson one at 2 max(z, 1),
+    doubled while ``low_side`` holds there.  Bisection probes midpoints only
+    and returns the conservative end: the upper end for an upper limit."""
+    if hi is None and isinstance(model, Bernoulli):
+        hi = 1.0
+    elif hi is None:
+        hi = 2.0 * max(z, 1.0)
+        while low_side(hi):
+            hi *= 2.0
     it = 0
     while hi - lo > BISECT_TOL and it < _MAX_ITER:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if low_side(mid):
             lo = mid
         else:
             hi = mid
         it += 1
-    return lo, hi
+    return LimitValue(hi if upper else lo, False)
+
+
+def _tail_crossed(model, n, ks, theta, delta: float, lower: bool):
+    """Exact test: the lower limit at count k clears theta when Pr{S >= k}
+    at theta is at most delta, the upper limit when Pr{S <= k} is."""
+    return model.sum_tail(n, ks, theta, upper=lower) <= delta
+
+
+def _rate_crossed(model, n, z, theta, delta: float, lower: bool):
+    """Chernoff test: n log chernoff(z, theta) <= log delta, with the mean z
+    on theta's upper flank for a lower limit and its lower flank for an
+    upper limit."""
+    flank = z >= theta if lower else z <= theta
+    return flank & (n * model.log_chernoff(z, theta) <= math.log(delta))
 
 
 class _FamilyBase:
@@ -99,42 +118,30 @@ class ExactLimits(_FamilyBase):
 
     def lower_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
-        g = lambda th: model.tail_upper(n, z, th)
-        if g(0.0) > delta:
+        k = _count_ceil(n * z)
+        crossed = lambda th: _tail_crossed(model, n, k, th, delta, lower=True)
+        if not crossed(0.0):
             # The observed mean sits at the bottom of the support: no
             # parameter makes the upper tail small, so the defining set is
             # empty and the lower boundary is returned.
             return LimitValue(0.0, True)
-        if isinstance(model, Bernoulli):
-            hi = 1.0
-        else:
-            hi = max(2.0 * max(z, 1.0), 1.0)
-            while g(hi) <= delta:
-                hi *= 2.0
-        lo, _ = _bisect(lambda th: g(th) <= delta, 0.0, hi)
-        return LimitValue(lo, False)
+        return _edge(crossed, model, z)
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
-        f = lambda th: model.tail_lower(n, z, th)
-        if isinstance(model, Bernoulli):
-            hi = 1.0
-            if f(hi) > delta:
-                # z at the top of the support: the set is empty.
-                return LimitValue(1.0, True)
-        else:
-            hi = max(2.0 * max(z, 1.0), 1.0)
-            while f(hi) > delta:
-                hi *= 2.0
-        _, up = _bisect(lambda th: f(th) > delta, 0.0, hi)
-        return LimitValue(up, False)
+        k = _count_floor(n * z)
+        below = lambda th: not _tail_crossed(model, n, k, th, delta, lower=False)
+        if isinstance(model, Bernoulli) and below(1.0):
+            # z at the top of the support: the set is empty.
+            return LimitValue(1.0, True)
+        return _edge(below, model, z, upper=True)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
         """Lower crossing at each sum count; n and ks broadcast."""
-        return model.sum_tail(n, ks, theta_ref, upper=True) <= delta
+        return _tail_crossed(model, n, ks, theta_ref, delta, lower=True)
 
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
-        return model.sum_tail(n, ks, theta_ref) <= delta
+        return _tail_crossed(model, n, ks, theta_ref, delta, lower=False)
 
 
 class ChernoffLimits(_FamilyBase):
@@ -147,37 +154,23 @@ class ChernoffLimits(_FamilyBase):
         _check_delta(delta)
         if z <= 0.0:
             return LimitValue(0.0, True)
-        log_delta = math.log(delta)
-        ok = lambda th: n * float(model.log_chernoff(z, th)) <= log_delta if th > 0.0 else True
-        hi = min(z, 1.0) if isinstance(model, Bernoulli) else z
-        lo, _ = _bisect(ok, 0.0, hi)
-        return LimitValue(lo, False)
+        crossed = lambda th: _rate_crossed(model, n, z, th, delta, lower=True)
+        return _edge(crossed, model, z, hi=min(z, 1.0) if isinstance(model, Bernoulli) else z)
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
-        log_delta = math.log(delta)
-        if isinstance(model, Bernoulli):
-            if z >= 1.0:
-                return LimitValue(1.0, True)
-            ok = lambda th: (n * float(model.log_chernoff(z, th)) <= log_delta) if th < 1.0 else True
-            hi = 1.0
-        else:
-            ok = lambda th: n * float(model.log_chernoff(z, th)) <= log_delta
-            hi = max(2.0 * max(z, 1.0), 1.0)
-            while not ok(hi):
-                hi *= 2.0
-        _, up = _bisect(lambda th: not ok(th), max(z, 0.0), hi)
-        return LimitValue(up, False)
+        if isinstance(model, Bernoulli) and z >= 1.0:
+            return LimitValue(1.0, True)
+        below = lambda th: not _rate_crossed(model, n, z, th, delta, lower=False)
+        return _edge(below, model, z, lo=max(z, 0.0), upper=True)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
         z = np.asarray(ks, dtype=float) / n
-        lc = n * model.log_chernoff(z, theta_ref)
-        return (z >= theta_ref) & (lc <= math.log(delta))
+        return _rate_crossed(model, n, z, theta_ref, delta, lower=True)
 
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
         z = np.asarray(ks, dtype=float) / n
-        lc = n * model.log_chernoff(z, theta_ref)
-        return (z <= theta_ref) & (lc <= math.log(delta))
+        return _rate_crossed(model, n, z, theta_ref, delta, lower=False)
 
 
 @dataclass(frozen=True)

@@ -197,11 +197,14 @@ class Bernoulli:
         return np.where(k < 0, 0.0, bdtr(np.minimum(np.maximum(k, 0), n), n, theta))
 
     def tail_lower(self, n: int, z: float, theta: float) -> float:
-        """Pr{sample mean <= z} evaluated exactly."""
+        """Pr{sample mean <= z} evaluated exactly.  The library no longer
+        calls it (the limits test ``sum_tail`` at the count z maps to); it
+        stays for tests and the benchmark's tracer."""
         return float(self.sum_tail(n, _count_floor(n * z), theta))
 
     def tail_upper(self, n: int, z: float, theta: float) -> float:
-        """Pr{sample mean >= z} evaluated exactly."""
+        """Pr{sample mean >= z} evaluated exactly; no longer called by the
+        library, kept like ``tail_lower``."""
         return float(self.sum_tail(n, _count_ceil(n * z), theta, upper=True))
 
     def log_chernoff(self, z, theta: float):
@@ -304,9 +307,13 @@ class Poisson:
         return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0), mu))
 
     def tail_lower(self, n: int, z: float, theta: float) -> float:
+        """Pr{sample mean <= z}; no longer called by the library, kept like
+        ``Bernoulli.tail_lower``."""
         return float(self.sum_tail(n, _count_floor(n * z), theta))
 
     def tail_upper(self, n: int, z: float, theta: float) -> float:
+        """Pr{sample mean >= z}; no longer called by the library, kept like
+        ``Bernoulli.tail_lower``."""
         return float(self.sum_tail(n, _count_ceil(n * z), theta, upper=True))
 
     def log_chernoff(self, z, theta: float):

@@ -51,7 +51,7 @@ class TestDesign:
         out = capsys.readouterr().out
         assert code == 0
         assert "stage sizes [5, 10, 22, 46, 95]" in out
-        assert "sample cap 180" in out
+        assert "fully sequential bound 180" in out
         doc = json.loads(path.read_text())
         assert [s["n"] for s in doc["stages"]] == [5, 10, 22, 46, 95]
         assert doc["sample_cap"] == 180
@@ -165,6 +165,36 @@ class TestTune:
         assert code == 1
         assert err.startswith("error: ")
         assert "cannot meet the requirement" in err
+
+
+    def test_sizes_without_a_build_block_come_from_the_plan(self, tmp_path, capsys):
+        path = tmp_path / "golden.json"
+        path.write_text((GOLDEN / "two_prop_0.2_3stage.json").read_text())
+        assert json.loads(path.read_text())["build"] is None
+        assert run(["tune", "--plan", str(path), "--deltas", "0.4,0.4", "--tol", "0.05"]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        assert [(s["n_x"], s["n_y"]) for s in doc["stages"]] == [(1, 1), (2, 2), (6, 6)]
+        assert doc["build"] == {"stage_ns": [1, 2, 6]}
+
+    def test_unequal_arms_without_a_build_block_exit_one(self, workdir, tmp_path, capsys):
+        """The builder makes equal arms only, so tune would write another design."""
+        doc = json.loads((workdir / "twoprop.json").read_text())
+        doc["build"] = None
+        last = doc["stages"][-1]
+        last["n_y"] += 1
+        last["decision"] = [row + row[-1] for row in last["decision"]]
+        last["midpoint"] = [row + "." for row in last["midpoint"]]
+        path = tmp_path / "unequal.json"
+        path.write_text(json.dumps(doc))
+        assert load_plan(path)[0].stage_sizes == ((4, 4), (8, 9))
+        before = path.read_text()
+        code = run(["tune", "--plan", str(path), "--deltas", "0.3,0.3", "--tol", "0.05"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(8, 9)" in err and "(at stages[1].n_y)" in err
+        assert path.read_text() == before
 
 
 class TestCertify:

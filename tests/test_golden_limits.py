@@ -50,11 +50,7 @@ def _cases(family, model):
                        up.value.hex(), up.at_boundary]
 
 
-def _key(tag, name):
-    return f"{tag}/{name}"
-
-
-KEYS = [_key(t, m) for t in FAMILIES for m in MODELS]
+KEYS = [f"{tag}/{name}" for tag in FAMILIES for name in MODELS]
 
 
 def _fresh(key):
