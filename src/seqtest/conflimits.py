@@ -23,6 +23,32 @@ lower limits down, upper limits up.  When a defining set is empty (e.g. the
 lower limit at an observed mean of zero) the boundary of the parameter
 space is returned and flagged.
 
+The exact limits have closed forms in the inverse incomplete beta and gamma
+functions: at count k, ``betaincinv(k, n - k + 1, delta)`` is the Bernoulli
+lower limit and ``gammaincinv(k, delta) / n`` the Poisson one.  They are not
+the bisection's bits, and at extreme delta not even near them
+(``betaincinv(2, 49, 1e-300)`` is NaN, ``betaincinv(170, 31, 1e-300)`` lies
+1.3e-3 off the root), so they serve only as a guess.  ``_edge`` evaluates
+the unchanged test at the guess and at a few capped steps from it, which
+brackets the edge, then runs the bisection's own midpoints and evaluates
+only those inside the bracket widened by a margin: plain bisection's
+result, bit for bit, in about four tail evaluations instead of about
+forty.  A NaN or out-of-range guess leaves plain bisection; a far one
+costs at most nine evaluations more.  The margin is there because the
+floating-point tail test is not monotone either, though only within a few
+ulps of its edge: about one root in ten has such a band, the widest of
+12,500 random roots spanned 2.4e-14, and without the margin 26 of 960,000
+random limits moved.  It is ``_GUESS_MARGIN`` = 2.5e-13.
+
+The Chernoff limits take no guess.  Their floating-point rate test is not
+monotone near its root at about one root in three, over bands up to
+4.4e-12 wide, more than the bisection's tolerance, so no margin would be
+cheap.  Guesses within 2e-13 of the bisection's own results moved 770 of
+15,478 random Chernoff limits, by up to 4.1e-11.  Their probes are cheap
+instead.  The mean is checked against its hull once per limit (a mean
+outside it raises ``DomainError`` on either side), and each probe
+evaluates the rate alone.
+
 ``ApproxLimits(w)`` is the normal-approximation family with a variance
 blend: the variance is evaluated at ``z + w*(theta - z)``, so ``w = 0``
 gives the Wald limits and ``w = 1`` the score (Wilson-type) limits.  Both
@@ -36,7 +62,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import betaincinv, gammainccinv, gammaincinv, ndtri
 
 from .errors import DomainError
 from .models import Bernoulli, Poisson, _count_ceil, _count_floor
@@ -51,6 +77,13 @@ __all__ = [
 
 BISECT_TOL = 1e-12
 _MAX_ITER = 200
+# First step from a closed-form guess, and the most steps taken from it.
+_GUESS_STEP = BISECT_TOL / 4
+_GUESS_STEPS = 8
+# How far past the points tested near the edge an answer is taken as
+# known: ten times the widest band seen where the exact tail test is not
+# monotone in floating point (see the module docstring).
+_GUESS_MARGIN = BISECT_TOL / 4
 
 
 class LimitValue(NamedTuple):
@@ -64,26 +97,73 @@ def _check_delta(delta: float) -> None:
 
 
 def _edge(low_side, model, z: float, lo: float = 0.0, hi: float | None = None,
-          upper: bool = False) -> LimitValue:
-    """The limit where ``low_side(theta)``, true at ``lo``, turns false.  A
-    Bernoulli bracket ends at 1 by default; a Poisson one at 2 max(z, 1),
+          upper: bool = False, guess: float = math.nan) -> LimitValue:
+    """The limit where ``low_side(theta)``, true at ``lo``, turns false.
+
+    A Bernoulli bracket ends at 1 by default; a Poisson one at 2 max(z, 1),
     doubled while ``low_side`` holds there.  Bisection probes midpoints only
-    and returns the conservative end: the upper end for an upper limit."""
+    and returns the conservative end: the upper end for an upper limit.
+
+    A finite ``guess`` inside the bracket only saves probes: ``_bracket``
+    steps from it to a point where the test holds and a point where it
+    fails, and ``yes`` and ``no`` lie ``_GUESS_MARGIN`` beyond these.  The
+    doubling and the bisection then run as without a guess, but take the
+    answer at or below ``yes`` (at or above ``no``) as known rather than
+    evaluate the test there.  For a test monotone in theta outside a band
+    narrower than the margin, that gives the same bracket and the same end,
+    bit for bit; only points strictly between ``yes`` and ``no`` are
+    evaluated, and each narrows the bracket.  A NaN guess, or one outside
+    the bracket, is plain bisection.  The exact tails meet that condition,
+    the Chernoff rate does not (see the module docstring).
+    """
+    yes, no = lo, math.inf if hi is None else hi
+    if lo < guess < no:
+        yes, no = _bracket(low_side, guess, yes, no)
+        yes, no = yes - _GUESS_MARGIN, no + _GUESS_MARGIN
     if hi is None and isinstance(model, Bernoulli):
         hi = 1.0
     elif hi is None:
         hi = 2.0 * max(z, 1.0)
-        while low_side(hi):
+        while hi <= yes or (hi < no and low_side(hi)):
+            yes = max(yes, hi)
             hi *= 2.0
     it = 0
     while hi - lo > BISECT_TOL and it < _MAX_ITER:
         mid = 0.5 * (lo + hi)
-        if low_side(mid):
+        if mid <= yes or (mid < no and low_side(mid)):
             lo = mid
         else:
             hi = mid
         it += 1
     return LimitValue(hi if upper else lo, False)
+
+
+def _bracket(low_side, guess: float, yes: float, no: float) -> tuple[float, float]:
+    """Narrow (yes, no), where ``low_side`` holds at ``yes`` and fails at
+    ``no``, by testing ``guess`` and then points stepping away from it
+    toward the other side, ``_GUESS_STEP`` first and doubling, until the
+    test flips, a step leaves (yes, no) or ``_GUESS_STEPS`` steps are
+    spent."""
+    holds = low_side(guess)
+    if holds:
+        yes = guess
+    else:
+        no = guess
+    step = _GUESS_STEP if holds else -_GUESS_STEP
+    for _ in range(_GUESS_STEPS):
+        probe = guess + step
+        if not yes < probe < no:
+            break
+        if low_side(probe):
+            yes = probe
+            if not holds:
+                break
+        else:
+            no = probe
+            if holds:
+                break
+        step *= 2.0
+    return yes, no
 
 
 def _tail_crossed(model, n, ks, theta, delta: float, lower: bool):
@@ -92,12 +172,22 @@ def _tail_crossed(model, n, ks, theta, delta: float, lower: bool):
     return model.sum_tail(n, ks, theta, upper=lower) <= delta
 
 
-def _rate_crossed(model, n, z, theta, delta: float, lower: bool):
-    """Chernoff test: n log chernoff(z, theta) <= log delta, with the mean z
-    on theta's upper flank for a lower limit and its lower flank for an
-    upper limit."""
+def _rate_crossed(model, n, z, theta, log_delta: float):
+    """Chernoff test: n log chernoff(z, theta) <= log delta, for a mean z
+    already in the hull (``model._hull``) and a valid theta.  The scalar
+    limits apply it without the flank condition: their brackets, below z
+    for a lower limit and above it for an upper one, keep every probe on
+    the right flank."""
+    return n * model._log_rate(z, theta) <= log_delta
+
+
+def _rate_table(model, n, ks, theta, delta: float, lower: bool):
+    """The Chernoff test at counts ks, with the mean k / n on theta's upper
+    flank for a lower limit and its lower flank for an upper limit."""
+    model.validate_theta(theta)
+    z = model._hull(np.asarray(ks, dtype=float) / n)
     flank = z >= theta if lower else z <= theta
-    return flank & (n * model.log_chernoff(z, theta) <= math.log(delta))
+    return flank & _rate_crossed(model, n, z, theta, math.log(delta))
 
 
 class _FamilyBase:
@@ -125,16 +215,25 @@ class ExactLimits(_FamilyBase):
             # parameter makes the upper tail small, so the defining set is
             # empty and the lower boundary is returned.
             return LimitValue(0.0, True)
-        return _edge(crossed, model, z)
+        if isinstance(model, Bernoulli):
+            guess = float(betaincinv(k, n - k + 1, delta))
+        else:
+            guess = float(gammaincinv(k, delta)) / n
+        return _edge(crossed, model, z, guess=guess)
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
         k = _count_floor(n * z)
         below = lambda th: not _tail_crossed(model, n, k, th, delta, lower=False)
-        if isinstance(model, Bernoulli) and below(1.0):
-            # z at the top of the support: the set is empty.
-            return LimitValue(1.0, True)
-        return _edge(below, model, z, upper=True)
+        if isinstance(model, Bernoulli):
+            if below(1.0):
+                # z at the top of the support: the set is empty.
+                return LimitValue(1.0, True)
+            # not betainccinv(k + 1, n - k, delta), which needs scipy 1.11
+            guess = 1.0 - float(betaincinv(n - k, k + 1, delta))
+        else:
+            guess = float(gammainccinv(k + 1, delta)) / n
+        return _edge(below, model, z, upper=True, guess=guess)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
         """Lower crossing at each sum count; n and ks broadcast."""
@@ -152,25 +251,27 @@ class ChernoffLimits(_FamilyBase):
 
     def lower_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
-        if z <= 0.0:
+        z = float(model._hull(z))
+        if z == 0.0:
             return LimitValue(0.0, True)
-        crossed = lambda th: _rate_crossed(model, n, z, th, delta, lower=True)
-        return _edge(crossed, model, z, hi=min(z, 1.0) if isinstance(model, Bernoulli) else z)
+        log_delta = math.log(delta)
+        crossed = lambda th: _rate_crossed(model, n, z, th, log_delta)
+        return _edge(crossed, model, z, hi=z)
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
-        if isinstance(model, Bernoulli) and z >= 1.0:
+        z = float(model._hull(z))
+        if isinstance(model, Bernoulli) and z == 1.0:
             return LimitValue(1.0, True)
-        below = lambda th: not _rate_crossed(model, n, z, th, delta, lower=False)
-        return _edge(below, model, z, lo=max(z, 0.0), upper=True)
+        log_delta = math.log(delta)
+        below = lambda th: not _rate_crossed(model, n, z, th, log_delta)
+        return _edge(below, model, z, lo=z, upper=True)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):
-        z = np.asarray(ks, dtype=float) / n
-        return _rate_crossed(model, n, z, theta_ref, delta, lower=True)
+        return _rate_table(model, n, ks, theta_ref, delta, lower=True)
 
     def support_upper_crossed(self, model, n, ks, theta_ref, delta):
-        z = np.asarray(ks, dtype=float) / n
-        return _rate_crossed(model, n, z, theta_ref, delta, lower=False)
+        return _rate_table(model, n, ks, theta_ref, delta, lower=False)
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,8 @@ class Bernoulli:
                 math.log1p(-theta1) - math.log1p(-theta0))
 
     def sum_tail(self, n, k, theta: float, upper: bool = False):
-        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
+        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast,
+        and scalar n and k give a float64 scalar.
 
         ``bdtr``/``bdtrc`` return NaN off the support, so counts below 0 and
         above n are clamped or settled here.
@@ -194,7 +195,8 @@ class Bernoulli:
             # Pr{S >= k} = Pr{S > k - 1}, which ``bdtrc`` puts at 1 for
             # k - 1 = -1 and at 0 for k - 1 = n
             return bdtrc(np.minimum(np.maximum(k - 1, -1), n), n, theta)
-        return np.where(k < 0, 0.0, bdtr(np.minimum(np.maximum(k, 0), n), n, theta))
+        # [()] turns a 0-d result into a scalar and leaves arrays as they are
+        return np.where(k < 0, 0.0, bdtr(np.minimum(np.maximum(k, 0), n), n, theta))[()]
 
     def tail_lower(self, n: int, z: float, theta: float) -> float:
         """Pr{sample mean <= z} evaluated exactly.  The library no longer
@@ -210,17 +212,25 @@ class Bernoulli:
     def log_chernoff(self, z, theta: float):
         """log of the tilted-MGF infimum; vectorized over z in [0, 1]."""
         self.validate_theta(theta)
+        return self._log_rate(self._hull(z), theta)
+
+    def _hull(self, z):
+        """z clipped to the mean hull [0, 1], a float64 scalar for a scalar
+        z; a DomainError past the float noise of a count over n."""
         z = np.asarray(z, dtype=float)
         if np.any((z < -_COUNT_EPS) | (z > 1.0 + _COUNT_EPS)):
             raise DomainError("z must lie in the mean hull [0, 1]")
-        z = np.clip(z, 0.0, 1.0)
-        out = (
+        return np.clip(z, 0.0, 1.0)[()]
+
+    @staticmethod
+    def _log_rate(z, theta: float):
+        """``log_chernoff`` without its checks: z in the hull, 0 < theta < 1."""
+        return (
             xlogy(z, theta)
             - xlogy(z, z)
             + xlogy(1.0 - z, 1.0 - theta)
             - xlogy(1.0 - z, 1.0 - z)
         )
-        return out
 
     def chernoff(self, z, theta: float):
         val = np.exp(self.log_chernoff(z, theta))
@@ -294,7 +304,8 @@ class Poisson:
         return math.log(theta1) - math.log(theta0), theta0 - theta1
 
     def sum_tail(self, n, k, theta: float, upper: bool = False):
-        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast.
+        """Pr{sum <= k}, or Pr{sum >= k} when ``upper``; n and k broadcast,
+        and scalar n and k give a float64 scalar.
 
         ``pdtr``/``pdtrc`` return NaN at negative counts, so those are
         settled here.
@@ -303,8 +314,8 @@ class Poisson:
         mu = np.asarray(n) * theta
         if upper:
             # Pr{S >= k} = Pr{S > k - 1}
-            return np.where(k <= 0, 1.0, pdtrc(np.maximum(k - 1, 0), mu))
-        return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0), mu))
+            return np.where(k <= 0, 1.0, pdtrc(np.maximum(k - 1, 0), mu))[()]
+        return np.where(k < 0, 0.0, pdtr(np.maximum(k, 0), mu))[()]
 
     def tail_lower(self, n: int, z: float, theta: float) -> float:
         """Pr{sample mean <= z}; no longer called by the library, kept like
@@ -318,12 +329,19 @@ class Poisson:
 
     def log_chernoff(self, z, theta: float):
         self.validate_theta(theta)
+        return self._log_rate(self._hull(z), theta)
+
+    def _hull(self, z):
+        """z clipped to the mean hull [0, inf), like ``Bernoulli._hull``."""
         z = np.asarray(z, dtype=float)
         if np.any(z < -_COUNT_EPS):
             raise DomainError("z must lie in the mean hull [0, inf)")
-        z = np.maximum(z, 0.0)
-        out = z - theta + xlogy(z, theta) - xlogy(z, z)
-        return out
+        return np.maximum(z, 0.0)[()]
+
+    @staticmethod
+    def _log_rate(z, theta: float):
+        """``log_chernoff`` without its checks: z in the hull, theta > 0."""
+        return z - theta + xlogy(z, theta) - xlogy(z, z)
 
     def chernoff(self, z, theta: float):
         val = np.exp(self.log_chernoff(z, theta))

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import betaincinv, ndtri
 
 from seqtest.conflimits import (
+    BISECT_TOL,
     ApproxLimits,
     ChernoffLimits,
     ExactLimits,
+    LimitValue,
     family_by_tag,
 )
 from seqtest.errors import DomainError
-from seqtest.models import Bernoulli, Poisson
+from seqtest.models import Bernoulli, Poisson, _count_ceil, _count_floor
 from seqtest.plans import build_stage_rule
 
 BERN = Bernoulli()
@@ -112,6 +114,177 @@ class TestChernoffLimits:
     def test_empty_side_returns_flagged_boundary(self):
         lo = CHER.lower_detail(BERN, 5, 0.0, 0.1)
         assert (lo.value, lo.at_boundary) == (0.0, True)
+
+    def test_mean_outside_the_hull_raises_on_both_sides(self):
+        """Bernoulli 1.5 once gave (1.0, True) as its upper limit and Poisson
+        -0.5 (0.0, True) as its lower one, while the other side raised."""
+        for model, z in ((BERN, 1.5), (BERN, -0.5), (POIS, -0.5)):
+            with pytest.raises(DomainError):
+                CHER.lower_detail(model, 4, z, 0.1)
+            with pytest.raises(DomainError):
+                CHER.upper_detail(model, 4, z, 0.1)
+        # float noise of a count over n is no reason to refuse a mean
+        assert CHER.upper_detail(BERN, 3, 1.0 + 1e-12, 0.1) == (1.0, True)
+        assert CHER.lower_detail(POIS, 3, -1e-12, 0.1) == (0.0, True)
+
+
+def plain_edge(low_side, model, z, lo=0.0, hi=None, upper=False):
+    """Bisection from the whole bracket, as the limits ran before they
+    started from a closed-form guess: every doubling point and every
+    midpoint is evaluated."""
+    if hi is None and isinstance(model, Bernoulli):
+        hi = 1.0
+    elif hi is None:
+        hi = 2.0 * max(z, 1.0)
+        while low_side(hi):
+            hi *= 2.0
+    it = 0
+    while hi - lo > BISECT_TOL and it < 200:
+        mid = 0.5 * (lo + hi)
+        if low_side(mid):
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    return LimitValue(hi if upper else lo, False)
+
+
+def plain_limit(family, model, n, z, delta, lower):
+    """The oracle limit: each family's test bisected by ``plain_edge``, the
+    Chernoff test through the checked ``log_chernoff`` with its flank."""
+    bounded = isinstance(model, Bernoulli)
+    if isinstance(family, ExactLimits):
+        if lower:
+            k = _count_ceil(n * z)
+            crossed = lambda th: model.sum_tail(n, k, th, upper=True) <= delta
+            if not crossed(0.0):
+                return LimitValue(0.0, True)
+            return plain_edge(crossed, model, z)
+        k = _count_floor(n * z)
+        below = lambda th: not model.sum_tail(n, k, th) <= delta
+        if bounded and below(1.0):
+            return LimitValue(1.0, True)
+        return plain_edge(below, model, z, upper=True)
+    if lower:
+        if z <= 0.0:
+            return LimitValue(0.0, True)
+        crossed = lambda th: z >= th and n * model.log_chernoff(z, th) <= math.log(delta)
+        return plain_edge(crossed, model, z, hi=min(z, 1.0) if bounded else z)
+    if bounded and z >= 1.0:
+        return LimitValue(1.0, True)
+    below = lambda th: not (z <= th and n * model.log_chernoff(z, th) <= math.log(delta))
+    return plain_edge(below, model, z, lo=max(z, 0.0), upper=True)
+
+
+DENSE_DELTAS = (1e-300, 1e-15, 1e-12, 0.05, 0.5, 0.999999)
+
+
+def dense_cases(model, count, seed):
+    """(n, mean, delta): n up to 20,000, means on support atoms and between
+    them, both ends of the support included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 20_001)) if rng.random() < 0.5 else int(
+            rng.choice([1, 2, 3, 5, 17, 60, 400, 3000, 20_000]))
+        top = n if isinstance(model, Bernoulli) else 4 * n + 3
+        k = int(rng.integers(0, top + 1))
+        z = k / n if k == top or rng.random() < 0.5 else (k + rng.random()) / n
+        yield n, z, float(rng.choice(DENSE_DELTAS))
+
+
+class TestSameBitsAsPlainBisection:
+    """The closed-form bracket of the exact family and the cheap probe of
+    the Chernoff family leave every limit where plain bisection puts it."""
+
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    @pytest.mark.parametrize("family", [EXACT, CHER], ids=["exact", "chernoff"])
+    def test_dense_random_cases(self, family, model):
+        moved = []
+        for n, z, delta in dense_cases(model, 2000, seed=20 + 2 * (family is CHER)):
+            for lower, detail in ((True, family.lower_detail), (False, family.upper_detail)):
+                got, want = detail(model, n, z, delta), plain_limit(family, model, n, z,
+                                                                    delta, lower)
+                if (got.value.hex(), got.at_boundary) != (want.value.hex(), want.at_boundary):
+                    moved.append((n, z, delta, lower, got, want))
+        assert moved == []
+
+    # The exact tail test flips back and forth within a few ulps of its
+    # edge at about one root in ten.  Each of these limits moved when the
+    # answers past the points tested near the guess were taken as known
+    # with no margin.
+    NOISY_EDGES = [
+        (BERN, False, 2956, 0.38227334235453314, 0.46639594307960874),
+        (BERN, False, 20000, 0.4786, 0.02726422104899573),
+        (BERN, True, 17663, 0.6934269376663081, 2.5102414220942315e-07),
+        (POIS, False, 5, 10.576325994971526, 1.003282869243576e-06),
+        (POIS, True, 5, 3.0, 0.2495491075709031),
+        (POIS, False, 3000, 1.1966666666666668, 1.4918970839362485e-272),
+        (POIS, True, 2, 5.5, 0.9142994228297637),
+        (POIS, True, 8931, 0.1821744485499944, 1.0351503964004657e-220),
+    ]
+
+    @pytest.mark.parametrize("model, lower, n, z, delta", NOISY_EDGES)
+    def test_exact_edges_with_a_noisy_test(self, model, lower, n, z, delta):
+        detail = EXACT.lower_detail if lower else EXACT.upper_detail
+        got, want = detail(model, n, z, delta), plain_limit(EXACT, model, n, z, delta, lower)
+        assert (got.value.hex(), got.at_boundary) == (want.value.hex(), want.at_boundary)
+
+
+def counting_tails(monkeypatch, model):
+    """Count ``sum_tail`` calls on the model's class from here on."""
+    calls = [0]
+    inner = type(model).sum_tail
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(model), "sum_tail", counted)
+    return calls
+
+
+class TestProbeBudget:
+    """Tail probes per exact limit, counted as ``sum_tail`` calls."""
+
+    # The guess and at most eight steps from it.
+    CAP = 9
+
+    def probes(self, calls, run):
+        calls[0] = 0
+        value = run()
+        return calls[0], value
+
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    def test_small_grid_mean(self, monkeypatch, model):
+        calls = counting_tails(monkeypatch, model)
+        counts = []
+        for n in (1, 2, 5, 10, 20, 50, 100):
+            for k in range(0, n + 1, max(1, n // 5)):
+                for delta in (1e-12, 0.05, 0.5):
+                    for detail in (EXACT.lower_detail, EXACT.upper_detail):
+                        count, limit = self.probes(calls, lambda: detail(model, n, k / n, delta))
+                        if not limit.at_boundary:
+                            counts.append(count)
+        assert np.mean(counts) <= 6
+
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    def test_never_far_above_plain_bisection(self, monkeypatch, model):
+        calls = counting_tails(monkeypatch, model)
+        for n, z, delta in dense_cases(model, 300, seed=7):
+            for lower, detail in ((True, EXACT.lower_detail), (False, EXACT.upper_detail)):
+                new, _ = self.probes(calls, lambda: detail(model, n, z, delta))
+                old, _ = self.probes(calls, lambda: plain_limit(EXACT, model, n, z, delta, lower))
+                assert new <= old + self.CAP, (n, z, delta, lower)
+
+    def test_nan_and_far_guesses(self, monkeypatch):
+        """betaincinv(2, 49, 1e-300) is NaN, so that limit bisects as plain
+        bisection does; betaincinv(170, 31, 1e-300) lies 1.3e-3 off the root."""
+        calls = counting_tails(monkeypatch, BERN)
+        for n, k in ((50, 2), (200, 170)):
+            new, _ = self.probes(calls, lambda: EXACT.lower_detail(BERN, n, k / n, 1e-300))
+            old, _ = self.probes(calls, lambda: plain_limit(EXACT, BERN, n, k / n, 1e-300, True))
+            nan_guess = math.isnan(betaincinv(k, n - k + 1, 1e-300))
+            assert new <= old + (0 if nan_guess else self.CAP)
 
 
 class TestApproxLimits:

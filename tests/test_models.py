@@ -167,6 +167,19 @@ class TestTails:
         np.testing.assert_allclose(POIS.sum_tail(ns, ks, 1.3, upper=True),
                                    stats.poisson.sf(ks - 1, 1.3 * ns), rtol=1e-12)
 
+    @pytest.mark.parametrize("model", [BERN, POIS])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_sum_tail_of_scalar_counts_is_a_scalar(self, model, upper):
+        """A scalar count gives a float64 scalar, not a 0-d array, holding
+        the value the array call holds at that count."""
+        ks = np.array([-1, 0, 3, 5, 6])
+        row = model.sum_tail(5, ks, 0.3, upper=upper)
+        assert isinstance(row, np.ndarray) and row.shape == ks.shape
+        for k, want in zip(ks.tolist(), row.tolist()):
+            got = model.sum_tail(5, k, 0.3, upper=upper)
+            assert type(got) is np.float64
+            assert got == want
+
 
 class TestChernoff:
     def test_value_one_at_the_mean(self):
