@@ -45,9 +45,8 @@ monotone near its root at about one root in three, over bands up to
 4.4e-12 wide, more than the bisection's tolerance, so no margin would be
 cheap.  Guesses within 2e-13 of the bisection's own results moved 770 of
 15,478 random Chernoff limits, by up to 4.1e-11.  Their probes are cheap
-instead.  The mean is checked against its hull once per limit (a mean
-outside it raises ``DomainError`` on either side), and each probe
-evaluates the rate alone.
+instead: each evaluates the rate alone.  In every family a scalar limit at
+a mean off the model's hull raises ``DomainError`` on either side.
 
 ``ApproxLimits(w)`` is the normal-approximation family with a variance
 blend: the variance is evaluated at ``z + w*(theta - z)``, so ``w = 0``
@@ -65,7 +64,7 @@ import numpy as np
 from scipy.special import betaincinv, gammainccinv, gammaincinv, ndtri
 
 from .errors import DomainError
-from .models import Bernoulli, Poisson, _count_ceil, _count_floor
+from .models import _COUNT_EPS, Bernoulli, Poisson, _count_ceil, _count_floor
 
 __all__ = [
     "ExactLimits",
@@ -94,6 +93,13 @@ class LimitValue(NamedTuple):
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"confidence coefficient delta must lie in (0, 1), got {delta}")
+
+
+def _check_mean(model, z: float) -> None:
+    """``model._hull``'s refusal of a mean off the hull, by float compares."""
+    top = model.sum_upper(1)
+    if z < -_COUNT_EPS or (top is not None and z > top + _COUNT_EPS):
+        model._hull(z)  # raises
 
 
 def _edge(low_side, model, z: float, lo: float = 0.0, hi: float | None = None,
@@ -208,6 +214,7 @@ class ExactLimits(_FamilyBase):
 
     def lower_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
+        _check_mean(model, z)
         k = _count_ceil(n * z)
         crossed = lambda th: _tail_crossed(model, n, k, th, delta, lower=True)
         if not crossed(0.0):
@@ -223,6 +230,7 @@ class ExactLimits(_FamilyBase):
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
         _check_delta(delta)
+        _check_mean(model, z)
         k = _count_floor(n * z)
         below = lambda th: not _tail_crossed(model, n, k, th, delta, lower=False)
         if isinstance(model, Bernoulli):
@@ -312,10 +320,12 @@ class ApproxLimits(_FamilyBase):
         return lo, hi
 
     def lower_detail(self, model, n, z, delta) -> LimitValue:
+        _check_mean(model, z)
         lo, _ = self.pair(model, n, z, delta)
         return LimitValue(float(lo), False)
 
     def upper_detail(self, model, n, z, delta) -> LimitValue:
+        _check_mean(model, z)
         _, hi = self.pair(model, n, z, delta)
         return LimitValue(float(hi), False)
 

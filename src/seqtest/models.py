@@ -10,8 +10,9 @@ full relative accuracy for sums of thousands of samples.  ``increment_pmf``
 gives the pmf of an m-sample increment at a scalar theta, or its rows at a
 1-D array of thetas from one vectorized call, zero-padded to the widest
 row; either way a row holds the same bits.  ``log_lr_line``
-is the log likelihood ratio of two means as a line in the observation,
-read by the SPRT and by the one-sided tie rule.  Tail
+is the log likelihood ratio of two means as a line in the observation;
+``lr_count`` rounds it to counts, for the SPRT and the one-sided tie rule
+alike.  Tail
 probabilities come in closed form from the regularized incomplete beta
 and gamma functions (``bdtr``/``bdtrc`` and ``pdtr``/``pdtrc``), the
 functions behind the Clopper-Pearson (1934) and Garwood (1936) limits:
@@ -35,7 +36,7 @@ from scipy.special import bdtr, bdtrc, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 from .errors import DomainError
 
-__all__ = ["Bernoulli", "Poisson", "model_by_name"]
+__all__ = ["Bernoulli", "Poisson", "lr_count", "model_by_name"]
 
 # Slack used when mapping a mean-scale threshold z onto integer sum counts.
 # Support atoms arrive as k/n floats; n*(k/n) can miss k by a few ulp.
@@ -56,6 +57,17 @@ def _count_ceil(x: float) -> int:
     if math.isinf(x):
         raise DomainError("threshold must be finite")
     return math.ceil(x - _COUNT_EPS)
+
+
+def lr_count(line: tuple[float, float], n, t: float, at_least: bool = False):
+    """The largest count k whose ratio ``k * slope + n * offset`` is at most
+    t or, ``at_least``, the smallest at least t, with the ``_COUNT_EPS``
+    slack; (slope, offset) = ``line`` from ``log_lr_line``, n an int or an
+    int array."""
+    slope, offset = line
+    x = (t - n * offset) / slope
+    k = np.ceil(x - _COUNT_EPS) if at_least else np.floor(x + _COUNT_EPS)
+    return k.astype(np.int64)
 
 
 # stirlerr(k) = log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15, exact to
@@ -151,7 +163,8 @@ class Bernoulli:
         lo_ok = theta >= 0.0 if closed else theta > 0.0
         hi_ok = theta <= 1.0 if closed else theta < 1.0
         if not (lo_ok and hi_ok):
-            raise DomainError(f"Bernoulli mean must lie in (0, 1), got {theta}")
+            hull = "[0, 1]" if closed else "(0, 1)"
+            raise DomainError(f"Bernoulli mean must lie in {hull}, got {theta}")
 
     def sum_upper(self, n: int) -> int:
         """Largest sum count (the support is {0, ..., n})."""
@@ -279,7 +292,8 @@ class Poisson:
     def validate_theta(self, theta: float, closed: bool = False) -> None:
         ok = theta >= 0.0 if closed else theta > 0.0
         if not ok or math.isinf(theta):
-            raise DomainError(f"Poisson mean must lie in (0, inf), got {theta}")
+            hull = "[0, inf)" if closed else "(0, inf)"
+            raise DomainError(f"Poisson mean must lie in {hull}, got {theta}")
 
     def sum_upper(self, n: int) -> None:
         return None  # unbounded support

@@ -175,7 +175,8 @@ def propagate(stages, pmf):
                     probs, lost = pmf(axis, m)
                     entry = pmfs[axis, m] = (
                         probs[None] if dims == 1 and probs.ndim == 1 else probs,
-                        lost if isinstance(lost, np.ndarray) or lost else None)
+                        lost if (lost.any() if isinstance(lost, np.ndarray) else lost)
+                        else None)
                 probs, lost = entry
                 if dims == 1:
                     if lost is not None:
@@ -228,12 +229,9 @@ def _one_sample(plan: MultiHypPlan, thetas):
     # one theta takes the scalar call, which skips the padding a batch needs
     thetas = thetas[0] if len(thetas) == 1 else np.asarray(thetas, dtype=float)
 
-    def pmf(_, m):
-        probs, lost = plan.model.increment_pmf(m, thetas)
-        return probs, lost if isinstance(lost, float) or lost.any() else 0.0
-
     return propagate([((rule.n,), rule.labels, span)
-                      for rule, span in zip(plan.stages, plan.continue_spans)], pmf)
+                      for rule, span in zip(plan.stages, plan.continue_spans)],
+                     lambda _, m: plan.model.increment_pmf(m, thetas))
 
 
 def _row_cells(plan: MultiHypPlan, theta: float) -> float:

@@ -20,7 +20,8 @@ Window edges come from three support sets per zone boundary ``i``:
 The one-sided two-hypothesis case recovers the classical sequential rule:
 continue until the lower limit clears ``theta0`` (reject) or the upper
 limit drops below ``theta1`` (accept), with the likelihood-ratio tie rule
-by default.
+by default.  That rule cuts a tie region on the SPRT's count line,
+``models.lr_count``, where the endpoints' log ratio meets log(beta / alpha).
 
 Both crossing sets are intervals of the support, so a stage is fixed by
 two counts per boundary: the first reject count ``min_a(n)`` and the last
@@ -69,9 +70,9 @@ from functools import cached_property
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
-from .conflimits import ExactLimits, ChernoffLimits, ApproxLimits, family_by_tag
+from .conflimits import ExactLimits, ChernoffLimits
 from .errors import DomainError, InfeasibleDesignError, StreamExhaustedError
-from .models import _COUNT_EPS, Bernoulli, Poisson, _count_floor, _poisson_isf
+from .models import Bernoulli, Poisson, _count_floor, _poisson_isf, lr_count
 
 __all__ = [
     "TIEBREAK_LIKELIHOOD_RATIO",
@@ -137,10 +138,6 @@ class StageRule:
     g: tuple[float, ...]
     windows: tuple[tuple[int, int | None] | None, ...]
     ties: tuple[tuple[int, int] | None, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.windows)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -420,21 +417,6 @@ def _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas):
     return min_a, max_b
 
 
-def _log_lr_cut(model, n, c_interval, theta0, theta1, log_ratio):
-    """Largest accepting count in the tie region under the likelihood-ratio rule.
-
-    The log likelihood ratio of theta1 against theta0 is the line
-    ``k * slope + n * offset`` in the sum k (``model.log_lr_line``), as in
-    the SPRT, so the rule is a threshold: accept H0 for counts up to where
-    the line meets -log_ratio, with the SPRT's ``_COUNT_EPS`` rounding
-    (None when the whole region rejects).
-    """
-    lo, hi = c_interval
-    slope, offset = model.log_lr_line(theta0, theta1)
-    k_acc = min(math.floor((-log_ratio - n * offset) / slope + _COUNT_EPS), hi)
-    return k_acc if k_acc >= lo else None
-
-
 def build_stage_rule(
     model,
     family,
@@ -479,8 +461,9 @@ def _rule_from_counts(model, n, first_a, last_b, zone_lo, zone_hi, c_policy, lr_
             # the support) overlap, and the cut c splits it.
             if lr_cut is not None:
                 theta0, theta1, log_ratio = lr_cut
-                k_acc = _log_lr_cut(model, n, (a, b), theta0, theta1, log_ratio)
-                c = (k_acc + 0.5) / n if k_acc is not None else (a - 0.5) / n
+                line = model.log_lr_line(theta0, theta1)
+                k_acc = min(int(lr_count(line, n, -log_ratio)), b)
+                c = (k_acc + 0.5) / n if k_acc >= a else (a - 0.5) / n
             elif c_policy == C_POLICY_SUPPORT_MIDPOINT:
                 c = (a + b) / (2.0 * n)
             elif c_policy == C_POLICY_ZONE_MIDPOINT:
@@ -751,8 +734,6 @@ def build_multihyp_plan(
     and the first size the smallest at which any decision is reachable;
     ``stages`` sizes are then spread on the requested ``schedule``.
     """
-    if isinstance(family, str):
-        family = family_by_tag(family)
     _check_zones(model, zone_lo, zone_hi)
     base_alphas, base_betas, alphas, betas = _levels(base_alphas, base_betas, zeta,
                                                      len(zone_lo))
@@ -790,8 +771,6 @@ def build_one_sided_plan(
     default accepts H0 exactly when the likelihood ratio of the two zone
     endpoints is at least alpha/beta.
     """
-    if isinstance(family, str):
-        family = family_by_tag(family)
     _check_zones(model, (theta0,), (theta1,))
     if tiebreak not in _TIEBREAKS:
         raise DomainError(f"unknown tiebreak {tiebreak!r}")

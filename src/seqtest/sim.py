@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
 from .plans import CONTINUE, MultiHypPlan
 from .sprt import SprtSpec, _Walk
@@ -86,7 +86,7 @@ def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
                 nstop[t] = rule.n
                 break
         else:
-            raise DomainError("closed plan reached its last stage undecided")
+            raise InfeasibleDesignError("plan is not closed: no decision at the final stage")
     return _summarize(theta, trials, seed, accepted, nstop, plan.m, None)
 
 
@@ -118,7 +118,7 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
                 nstop[t] = stage.n_x + stage.n_y
                 break
         else:
-            raise DomainError("closed plan reached its last stage undecided")
+            raise InfeasibleDesignError("plan is not closed: no decision at the final stage")
     return _summarize(p_x - p_y, trials, seed, accepted, nstop, plan.m, None)
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StreamExhaustedError
-from .models import Bernoulli, Poisson, _COUNT_EPS
+from .models import Bernoulli, Poisson, lr_count
 from .plans import TestOutcome, _take
 
 __all__ = ["SprtSpec", "run_sprt", "sprt_oc_asn"]
@@ -69,24 +69,21 @@ class SprtSpec:
 
     def _crossings(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Uncapped count windows: (largest k <= log B, smallest k >= log A) per n."""
-        slope, offset = self.line
-        ns = np.asarray(ns, dtype=float)
-        accept = np.floor((self.log_b - ns * offset) / slope + _COUNT_EPS)
-        reject = np.ceil((self.log_a - ns * offset) / slope - _COUNT_EPS)
-        return accept.astype(np.int64), reject.astype(np.int64)
+        return (lr_count(self.line, ns, self.log_b),
+                lr_count(self.line, ns, self.log_a, at_least=True))
 
     def count_bounds(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Per sample size in the 1-D array ``ns``: (b_n, a_n).
 
-        A running sum k <= b_n accepts the null, k >= a_n rejects it, and
-        both are inclusive up to the ``_COUNT_EPS`` count slack.  At the cap
-        a ratio at most 0 accepts and a_n = b_n + 1.
+        A running sum k <= b_n accepts the null, k >= a_n rejects it, both
+        read off ``models.lr_count`` as the one-sided tie cut is.  At the
+        cap a ratio at most 0 accepts and a_n = b_n + 1.
         """
+        ns = np.asarray(ns)
         accept, reject = self._crossings(ns)
         if self.cap is not None:
-            slope, offset = self.line
-            at_cap = np.asarray(ns) == self.cap
-            accept[at_cap] = math.floor(-self.cap * offset / slope + _COUNT_EPS)
+            at_cap = ns == self.cap
+            accept[at_cap] = lr_count(self.line, self.cap, 0.0)
             reject[at_cap] = accept[at_cap] + 1
         return accept, reject
 
@@ -134,8 +131,8 @@ class _Walk:
                 count, k = used + j + 1, int(sums[j])
                 forced = False
                 if count == spec.cap:  # did the sign rule decide a sum no crossing reaches?
-                    low, high = spec._crossings([count])
-                    forced = bool(low[0] < k < high[0])
+                    low, high = spec._crossings(count)
+                    forced = bool(low < k < high)
                 return count, k, int(k >= rej[j]), forced
             total, used = int(sums[-1]), used + n
         raise DomainError(f"sequential walk still undecided after {used} draws")

@@ -115,17 +115,29 @@ class TestChernoffLimits:
         lo = CHER.lower_detail(BERN, 5, 0.0, 0.1)
         assert (lo.value, lo.at_boundary) == (0.0, True)
 
-    def test_mean_outside_the_hull_raises_on_both_sides(self):
-        """Bernoulli 1.5 once gave (1.0, True) as its upper limit and Poisson
-        -0.5 (0.0, True) as its lower one, while the other side raised."""
-        for model, z in ((BERN, 1.5), (BERN, -0.5), (POIS, -0.5)):
-            with pytest.raises(DomainError):
-                CHER.lower_detail(model, 4, z, 0.1)
-            with pytest.raises(DomainError):
-                CHER.upper_detail(model, 4, z, 0.1)
-        # float noise of a count over n is no reason to refuse a mean
-        assert CHER.upper_detail(BERN, 3, 1.0 + 1e-12, 0.1) == (1.0, True)
-        assert CHER.lower_detail(POIS, 3, -1e-12, 0.1) == (0.0, True)
+@pytest.mark.parametrize("side", ["lower_detail", "upper_detail"])
+@pytest.mark.parametrize("family", [EXACT, CHER, ApproxLimits(0.5)], ids=lambda f: f.tag)
+class TestMeanOffTheHull:
+    """Every family refuses a mean off the model's hull on either side.
+    Chernoff once answered one side with a flagged boundary; the exact
+    family gave unflagged values (a Bernoulli 1.5 lower limit of
+    0.9999999999990905, a -0.5 upper one of 9.09e-13) and the approximate
+    one NaN."""
+
+    @pytest.mark.parametrize("model, z", [(BERN, 1.5), (BERN, -0.5), (POIS, -0.5)],
+                             ids=["bernoulli-above", "bernoulli-below", "poisson-below"])
+    def test_raises(self, family, side, model, z):
+        with pytest.raises(DomainError, match="mean hull"):
+            getattr(family, side)(model, 4, z, 0.1)
+
+    def test_float_noise_of_a_count_over_n_is_on_the_hull(self, family, side):
+        for model, z in ((BERN, 1.0 + 1e-12), (BERN, -1e-12), (POIS, -1e-12)):
+            value, flagged = getattr(family, side)(model, 3, z, 0.1)
+            assert math.isfinite(value)
+            # the exact and Chernoff limits toward the end the mean sits at
+            # return that end, flagged
+            if family.tag != "approx" and (side == "upper_detail") == (z > 0.5):
+                assert (value, flagged) == (float(z > 0.5), True)
 
 
 def plain_edge(low_side, model, z, lo=0.0, hi=None, upper=False):

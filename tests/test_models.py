@@ -36,6 +36,16 @@ class TestPmfSum:
         with pytest.raises(DomainError):
             POIS.validate_theta(0.0)
 
+    def test_refusals_name_the_interval_checked(self):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\), got 1.0"):
+            BERN.validate_theta(1.0)
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\], got 1.5"):
+            BERN.validate_theta(1.5, closed=True)
+        with pytest.raises(DomainError, match=r"must lie in \(0, inf\), got 0.0"):
+            POIS.validate_theta(0.0)
+        with pytest.raises(DomainError, match=r"must lie in \[0, inf\), got -0.5"):
+            POIS.validate_theta(-0.5, closed=True)
+
     def test_vectorized_mass_sums_to_one(self):
         ks = np.arange(26)
         assert BERN.pmf_sum(25, ks, 0.37).sum() == pytest.approx(1.0, abs=1e-14)

@@ -9,7 +9,7 @@ import pytest
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, StreamExhaustedError
 from seqtest import plans
-from seqtest.models import Bernoulli, Poisson
+from seqtest.models import Bernoulli, Poisson, lr_count
 from seqtest.plans import (
     CONTINUE,
     MultiHypPlan,
@@ -28,6 +28,7 @@ from seqtest.plans import (
     stage_is_closed,
     stage_schedule,
 )
+from seqtest.sprt import SprtSpec
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -152,25 +153,55 @@ class TestLikelihoodRatioTie:
 
     @pytest.mark.parametrize("model, top", [(BERN, 1.0), (POIS, 20.0)])
     def test_cut_is_where_the_exact_ratio_line_meets_the_level(self, model, top):
+        """``lr_count``, which the tie cut and the SPRT read, against the exact
+        line: the largest count whose ratio is at most the level and the
+        smallest whose ratio is at least it, for a scalar n and an array."""
         rng = np.random.default_rng(17)
         with mp.workdps(40):
             for _ in range(300):
                 t0, t1 = sorted(float(x) for x in rng.uniform(0.0, top, 2))
-                n = int(rng.integers(1, 5000))
-                log_ratio = math.log(rng.uniform(0.001, 0.3) / rng.uniform(0.001, 0.3))
+                ns = rng.integers(1, 5000, 4)
+                level = math.log(rng.uniform(0.001, 0.3) / rng.uniform(0.001, 0.3))
                 m0, m1 = mp.mpf(t0), mp.mpf(t1)
                 if model is BERN:
                     offset = mp.log((1 - m1) / (1 - m0))
                     slope = mp.log(m1 / m0) - offset
                 else:
                     slope, offset = mp.log(m1 / m0), m0 - m1
-                # the largest count whose exact ratio k slope + n offset is at
-                # most -log_ratio, clipped to a tie region drawn around it
-                cross = int(mp.floor((-log_ratio - n * offset) / slope))
-                lo = max(cross - int(rng.integers(-3, 4)), 0)
-                hi = lo + int(rng.integers(0, 6))
-                want = min(cross, hi) if cross >= lo else None
-                assert plans._log_lr_cut(model, n, (lo, hi), t0, t1, log_ratio) == want
+                crossings = [(level - int(n) * offset) / slope for n in ns]
+                line = model.log_lr_line(t0, t1)
+                for at_least, rounding in ((False, mp.floor), (True, mp.ceil)):
+                    want = [int(rounding(x)) for x in crossings]
+                    got = lr_count(line, int(ns[0]), level, at_least)
+                    assert np.ndim(got) == 0 and got == want[0]
+                    assert lr_count(line, ns, level, at_least).tolist() == want
+
+    def test_a_count_on_the_line_survives_float_noise(self):
+        """0.4 against 0.6 has ratio (2k - n) log 1.5, so level 0 lies on the
+        count n / 2; without the count slack about 100 of these even sizes
+        would round off it on either side."""
+        ns = np.arange(2, 3001, 2)
+        line = BERN.log_lr_line(0.4, 0.6)
+        assert (lr_count(line, ns, 0.0) == ns // 2).all()
+        assert (lr_count(line, ns, 0.0, at_least=True) == ns // 2).all()
+
+    @pytest.mark.parametrize("model, t0, t1", [(BERN, 0.4, 0.6), (POIS, 1.0, 1.5)])
+    def test_alpha_equal_beta_cuts_ties_at_the_capped_sprt_accept_count(self, model, t0, t1):
+        """With alpha = beta the tie rule reads the same count line as an SPRT
+        capped at the stage: each tied stage accepts exactly the counts up
+        to that SPRT's accept count at its cap."""
+        plan = build_one_sided_plan(model, EXACT, t0, t1, 0.05, 0.05, 0.5,
+                                    stage_ns=range(50, 251))
+        tied = [rule for rule in plan.stages if rule.ties[0] is not None]
+        split = 0
+        for rule in tied:
+            spec = SprtSpec(model, t0, t1, 0.05, 0.05, cap=rule.n)
+            accept = int(spec.count_bounds(np.array([rule.n]))[0][0])
+            lo, hi = rule.ties[0]
+            assert ([rule.decision_for_sum(k) for k in range(lo, hi + 1)]
+                    == [1 if k <= accept else 2 for k in range(lo, hi + 1)])
+            split += lo <= accept < hi
+        assert len(tied) > 10 and split > 0
 
 
 class TestSchedules:

@@ -1,5 +1,6 @@
 """Monte Carlo runner tests: determinism, substreams, and exact cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
 from seqtest.conflimits import ExactLimits
-from seqtest.errors import DomainError, UnsupportedModelError
+from seqtest.errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from seqtest.models import Bernoulli
 from seqtest.ocexact import oc_single
 from seqtest.plans import build_multihyp_plan, build_one_sided_plan, run_plan
 from seqtest.sim import compare, simulate, simulate_two_prop
 from seqtest.sprt import SprtSpec
-from seqtest.twoprop import build_two_prop_plan
+from seqtest.twoprop import build_two_prop_plan, run_two_prop
 
 
 def classic_plan():
@@ -228,3 +229,24 @@ class TestCompare:
         plan = build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8])
         with pytest.raises(DomainError):
             simulate_two_prop(plan, p_x, p_y, 10, 1)
+
+
+class TestUnclosedPlans:
+    """A hand-built plan whose last stage leaves counts undecided is refused
+    as the runners and the exact OC refuse it."""
+
+    def test_one_sample(self):
+        plan = classic_plan()
+        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        with pytest.raises(InfeasibleDesignError):
+            run_plan(cut, [1, 0] * (cut.stage_ns[-1] // 2 + 1))
+        with pytest.raises(InfeasibleDesignError):
+            simulate(cut, 0.5, 200, 3)
+
+    def test_two_sample(self):
+        plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23])
+        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        with pytest.raises(InfeasibleDesignError):
+            run_two_prop(cut, [0, 1], [0, 1])
+        with pytest.raises(InfeasibleDesignError):
+            simulate_two_prop(cut, 0.5, 0.5, 200, 3)
