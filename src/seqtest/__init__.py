@@ -38,7 +38,6 @@ from .twoprop import (
     TwoPropPlan,
     RiskCertificate,
     newcombe_limits,
-    truncation_bounds,
     build_two_prop_plan,
     run_two_prop,
     rejection_prob_bounds,
@@ -61,7 +60,7 @@ __all__ = [
     "SprtSpec", "run_sprt", "sprt_oc_asn",
     "SimReport", "CompareReport", "simulate", "compare",
     "Rectangle", "TwoPropPlan", "RiskCertificate",
-    "newcombe_limits", "truncation_bounds", "build_two_prop_plan",
+    "newcombe_limits", "build_two_prop_plan",
     "run_two_prop", "rejection_prob_bounds", "certify_risk", "tune_two_prop",
     "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
     "save_plan", "load_plan",

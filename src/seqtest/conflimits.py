@@ -181,13 +181,14 @@ def _tail_crossed(model, n, ks, theta, delta: float, lower: bool):
     return model.sum_tail(n, ks, theta, upper=lower) <= delta
 
 
-def _rate_crossed(model, n, z, theta, log_delta: float):
+def _rate_crossed(model, n, z, theta, log_delta: float, own=None):
     """Chernoff test: n log chernoff(z, theta) <= log delta, for a mean z
-    already in the hull (``model._hull``) and a valid theta.  The scalar
-    limits apply it without the flank condition: their brackets, below z
-    for a lower limit and above it for an upper one, keep every probe on
-    the right flank."""
-    return n * model._log_rate(z, theta) <= log_delta
+    already in the hull (``model._hull``) and a valid theta; ``own`` is
+    ``model._own_terms(z)`` when the caller holds it.  The scalar limits
+    take those terms once per limit and apply the test without the flank
+    condition: their brackets, below z for a lower limit and above it for
+    an upper one, keep every probe on the right flank."""
+    return n * model._log_rate(z, theta, own) <= log_delta
 
 
 def _rate_table(model, n, ks, theta, delta: float, lower: bool):
@@ -265,8 +266,8 @@ class ChernoffLimits(_FamilyBase):
         z = float(model._hull(z))
         if z == 0.0:
             return LimitValue(0.0, True)
-        log_delta = math.log(delta)
-        crossed = lambda th: _rate_crossed(model, n, z, th, log_delta)
+        log_delta, own = math.log(delta), model._own_terms(z)
+        crossed = lambda th: _rate_crossed(model, n, z, th, log_delta, own)
         return _edge(crossed, model, z, hi=z)
 
     def upper_detail(self, model, n: int, z: float, delta: float) -> LimitValue:
@@ -274,8 +275,8 @@ class ChernoffLimits(_FamilyBase):
         z = float(model._hull(z))
         if isinstance(model, Bernoulli) and z == 1.0:
             return LimitValue(1.0, True)
-        log_delta = math.log(delta)
-        below = lambda th: not _rate_crossed(model, n, z, th, log_delta)
+        log_delta, own = math.log(delta), model._own_terms(z)
+        below = lambda th: not _rate_crossed(model, n, z, th, log_delta, own)
         return _edge(below, model, z, lo=z, upper=True)
 
     def support_lower_crossed(self, model, n, ks, theta_ref, delta):

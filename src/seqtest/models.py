@@ -236,14 +236,16 @@ class Bernoulli:
         return np.clip(z, 0.0, 1.0)[()]
 
     @staticmethod
-    def _log_rate(z, theta: float):
-        """``log_chernoff`` without its checks: z in the hull, 0 < theta < 1."""
-        return (
-            xlogy(z, theta)
-            - xlogy(z, z)
-            + xlogy(1.0 - z, 1.0 - theta)
-            - xlogy(1.0 - z, 1.0 - z)
-        )
+    def _own_terms(z):
+        """The terms of ``_log_rate`` that depend on z alone."""
+        return xlogy(z, z), xlogy(1.0 - z, 1.0 - z)
+
+    @classmethod
+    def _log_rate(cls, z, theta: float, own=None):
+        """``log_chernoff`` without its checks: z in the hull, 0 < theta < 1;
+        ``own`` is ``_own_terms(z)`` when the caller already holds it."""
+        zz, ww = cls._own_terms(z) if own is None else own
+        return xlogy(z, theta) - zz + xlogy(1.0 - z, 1.0 - theta) - ww
 
     def chernoff(self, z, theta: float):
         val = np.exp(self.log_chernoff(z, theta))
@@ -353,9 +355,16 @@ class Poisson:
         return np.maximum(z, 0.0)[()]
 
     @staticmethod
-    def _log_rate(z, theta: float):
-        """``log_chernoff`` without its checks: z in the hull, theta > 0."""
-        return z - theta + xlogy(z, theta) - xlogy(z, z)
+    def _own_terms(z):
+        """The term of ``_log_rate`` that depends on z alone, in a tuple."""
+        return (xlogy(z, z),)
+
+    @classmethod
+    def _log_rate(cls, z, theta: float, own=None):
+        """``log_chernoff`` without its checks: z in the hull, theta > 0;
+        ``own`` as for ``Bernoulli._log_rate``."""
+        (zz,) = cls._own_terms(z) if own is None else own
+        return z - theta + xlogy(z, theta) - zz
 
     def chernoff(self, z, theta: float):
         val = np.exp(self.log_chernoff(z, theta))

@@ -13,9 +13,16 @@ trial, so ``_trial_rngs`` derives the same states in bulk: it runs numpy's
 SeedSequence hash (``mix_entropy`` and ``generate_state``, in uint32
 arithmetic) over a chunk of trial indices at once, applies PCG64's
 two-step seeding (``pcg64_set_seed``) in Python integers and loads each
-state into one reused generator.  Plan simulations then hold at most
-``_BLOCK_CELLS`` draws at once: a block of trials, each trial's final
-stage one row, is summed along its rows and decided a stage at a time.
+state into one reused generator.  Simulations then hold at most
+``_BLOCK_CELLS`` draws at once.  For a plan, a block of trials, each
+trial's final stage one row, is summed along its rows and decided a stage
+at a time.  An SPRT trial has no final stage, so its trials go in rounds
+of widening rows: every undecided trial draws its first ``width`` values
+again from the start of its stream, which reads the same values the walk
+would, and stops at its first running sum outside the count windows.  The
+rows start at ``_SPRT_CHUNK`` draws and widen ``_SPRT_GROWTH``-fold up to
+``_BLOCK_CELLS``; a trial undecided there walks on through ``sprt._Walk``,
+as ``run_sprt`` does, on a fresh copy of its generator.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ from .twoprop import _BERN, TwoPropPlan, _check_point
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
 
-_SPRT_CHUNK = 64
-_BLOCK_CELLS = 1 << 16  # draws a plan simulation holds at once
+_SPRT_CHUNK = 64        # draws in an SPRT trial's first round, and per walk step
+_SPRT_GROWTH = 4        # width factor between SPRT rounds
+_BLOCK_CELLS = 1 << 16  # draws a simulation holds at once
 _SEED_CHUNK = 1 << 12   # trial states hashed per numpy pass
 _MAX_TRIALS = 1 << 32   # trial indices fit the one-word spawn key hashed below
 
@@ -105,8 +113,8 @@ def _seed_states(seed: int, ts: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _trial_rngs(seed: int, trials: int):
-    """Yield trial t's generator, for t = 0, 1, ..., trials - 1.
+def _trial_rngs(seed: int, ts: np.ndarray):
+    """Yield trial t's generator for each trial index t of ``ts``, in order.
 
     Each is in the state of ``Generator(PCG64(SeedSequence(entropy=seed,
     spawn_key=(t,))))``, but one generator is reloaded for every trial:
@@ -114,9 +122,8 @@ def _trial_rngs(seed: int, trials: int):
     """
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for start in range(0, trials, _SEED_CHUNK):
-        ts = np.arange(start, min(start + _SEED_CHUNK, trials))
-        for s_hi, s_lo, i_hi, i_lo in _seed_states(seed, ts).tolist():
+    for start in range(0, len(ts), _SEED_CHUNK):
+        for s_hi, s_lo, i_hi, i_lo in _seed_states(seed, ts[start:start + _SEED_CHUNK]).tolist():
             # pcg64_set_seed: the increment is 2 * initseq + 1, and the state
             # is one LCG step from 0, plus initstate, then one more step
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
@@ -126,17 +133,17 @@ def _trial_rngs(seed: int, trials: int):
             yield rng
 
 
-def _blocks(seed: int, trials: int, width: int, fill):
-    """(trials slice, block) for each block of trials, in order.
+def _blocks(seed: int, ts: np.ndarray, width: int, fill):
+    """(slice of ``ts``, block) for each block of the trials ``ts``, in order.
 
     A block holds one int64 row of ``width`` per trial, at most
     ``_BLOCK_CELLS`` cells unless one row is wider; ``fill(rng, row)``
     writes a trial's draws from its generator.
     """
     rows = max(1, _BLOCK_CELLS // width)
-    rngs = _trial_rngs(seed, trials)
-    for start in range(0, trials, rows):
-        block = np.empty((min(rows, trials - start), width), dtype=np.int64)
+    rngs = _trial_rngs(seed, ts)
+    for start in range(0, len(ts), rows):
+        block = np.empty((min(rows, len(ts) - start), width), dtype=np.int64)
         for row, rng in zip(block, rngs):
             fill(rng, row)
         yield slice(start, start + len(block)), block
@@ -193,7 +200,7 @@ def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
     def fill(rng, row):
         row[:] = model.draw(rng, n_last, theta)
 
-    for rows, block in _blocks(seed, trials, n_last, fill):
+    for rows, block in _blocks(seed, np.arange(trials), n_last, fill):
         sums = np.cumsum(block, axis=1, out=block)
         # a count past the labels array takes its last entry
         _decide(accepted[rows], nstop[rows],
@@ -203,11 +210,38 @@ def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
 
 
 def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
-    spec.model.validate_theta(theta)
+    model, cap = spec.model, spec.cap
+    model.validate_theta(theta)
+    nstop = np.empty(trials, dtype=np.int64)
+    accepted = np.empty(trials, dtype=np.int64)
+    forced = np.zeros(trials, dtype=bool)
+
+    def fill(rng, row):
+        row[:] = model.draw(rng, len(row), theta)
+
+    pending, width = np.arange(trials), _SPRT_CHUNK
+    while len(pending) and width <= _BLOCK_CELLS:
+        n = width if cap is None else min(width, cap)
+        acc, rej = spec.count_bounds(np.arange(1, n + 1))
+        undecided = []
+        for rows, block in _blocks(seed, pending, n, fill):
+            sums = np.cumsum(block, axis=1, out=block)
+            hit = (sums <= acc) | (sums >= rej)
+            done, part = hit.any(axis=1), pending[rows]
+            ts, j = part[done], hit[done].argmax(axis=1)
+            k = sums[done, j]
+            nstop[ts], accepted[ts] = j + 1, k >= rej[j]
+            if n == cap:  # did the sign rule decide a sum no crossing reaches?
+                low, high = spec._crossings(cap)
+                forced[ts] = (j + 1 == cap) & (low < k) & (k < high)
+            undecided.append(part[~done])
+        pending, width = np.concatenate(undecided), width * _SPRT_GROWTH
+
+    # trials undecided at the widest round walk on, each from its start
     walk = _Walk(spec)
-    nstop, _, accepted, forced = np.array([
-        walk.run(lambda used, n: spec.model.draw(rng, n, theta), _SPRT_CHUNK)
-        for rng in _trial_rngs(seed, trials)]).T
+    for t, rng in zip(pending.tolist(), _trial_rngs(seed, pending)):
+        nstop[t], _, accepted[t], forced[t] = walk.run(
+            lambda used, n: model.draw(rng, n, theta), _SPRT_CHUNK)
     return _summarize(theta, trials, seed, accepted, nstop, 2, forced)
 
 
@@ -225,7 +259,7 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
         row[n_x:] = _BERN.draw(rng, len(row) - n_x, p_y)
 
     width = n_x + plan.stages[-1].n_y
-    for rows, block in _blocks(seed, trials, width, fill):
+    for rows, block in _blocks(seed, np.arange(trials), width, fill):
         kx = np.cumsum(block[:, :n_x], axis=1)
         ky = np.cumsum(block[:, n_x:], axis=1)
         _decide(accepted[rows], nstop[rows],

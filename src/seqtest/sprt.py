@@ -6,11 +6,12 @@ against the lower one.  After n observations summing to k it is the line
 integer count windows, as in a plan stage: the sum k accepts the null at
 k <= b_n (ratio <= log B) and rejects it at k >= a_n (ratio >= log A).  A
 sample cap closes its stage by the sign of the ratio.  The stream runner
-and the simulator share one walk, which compares integer running sums with
-these windows, so a path that reaches a boundary exactly stops there
-whatever the order of its samples.  The closed-form
-OC and ASN are Wald's approximations: they ignore overshoot and any cap
-and are labeled approximate wherever they surface.
+walks the integer running sums through these windows, so a path that
+reaches a boundary exactly stops there whatever the order of its samples.
+The simulator compares blocks of running sums with the same windows and
+hands the walk only the trials still undecided after its widest block.
+The closed-form OC and ASN are Wald's approximations: they ignore
+overshoot and any cap and are labeled approximate wherever they surface.
 """
 
 from __future__ import annotations

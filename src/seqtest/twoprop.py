@@ -45,7 +45,7 @@ from .plans import (CONTINUE, TestOutcome, _ZonedPlan, _check_stage_count, _leve
 
 __all__ = [
     "Rectangle", "TwoPropStage", "TwoPropPlan", "RiskCertificate",
-    "newcombe_limits", "truncation_bounds", "build_two_prop_plan",
+    "newcombe_limits", "build_two_prop_plan",
     "run_two_prop", "exact_oc", "rejection_prob_bounds", "certify_risk",
     "tune_two_prop",
 ]
@@ -81,26 +81,6 @@ def newcombe_limits(phat_x, phat_y, n_x: int, n_y: int, delta: float):
     lower = diff - z * np.sqrt(lx * (1.0 - lx) / n_x + uy * (1.0 - uy) / n_y)
     upper = diff + z * np.sqrt(ux * (1.0 - ux) / n_x + ly * (1.0 - ly) / n_y)
     return lower, upper
-
-
-def truncation_bounds(theta: float, n: int, eta: float) -> tuple[float, float]:
-    """Mean-range window [T_lb, T_ub] losing at most eta of mass per side.
-
-    Both ends are multiples of 1/n by construction (the inner adjustment
-    is rounded toward the center before scaling).
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
-    if not (0.0 < eta < 1.0):
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    log_term = math.log(2.0 / eta)
-    denom = 2.0 / (3.0 * n) + 3.0 / log_term
-    root = math.sqrt(1.0 + 18.0 * n * theta * (1.0 - theta) / log_term)
-    lb = max(0.0, math.ceil(n * theta + (1.0 - 2.0 * theta - root) / denom) / n)
-    ub = min(1.0, math.floor(n * theta + (1.0 - 2.0 * theta + root) / denom) / n)
-    return lb, ub
 
 
 @dataclass(frozen=True)

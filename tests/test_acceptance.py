@@ -22,13 +22,25 @@ from seqtest.sim import compare, simulate
 from seqtest.sprt import SprtSpec
 from seqtest.tuning import tune_zeta
 from seqtest.twoprop import (Rectangle, build_two_prop_plan, certify_risk,
-                             exact_oc, rejection_prob_bounds,
-                             truncation_bounds)
+                             exact_oc, rejection_prob_bounds)
 
 BERN = Bernoulli()
 POIS = Poisson()
 EXACT = ExactLimits()
 CHER = ChernoffLimits()
+
+
+def truncation_bounds(theta: float, n: int, eta: float) -> tuple[float, float]:
+    """The paper's mean-range window [T_lb, T_ub] for n samples at theta,
+    both ends multiples of 1/n, claimed to lose at most eta of the sample
+    mean's mass per side.  The library's two-sample evaluation is exact and
+    no longer truncates, so criterion 8 checks the claim on the formula."""
+    log_term = math.log(2.0 / eta)
+    denom = 2.0 / (3.0 * n) + 3.0 / log_term
+    root = math.sqrt(1.0 + 18.0 * n * theta * (1.0 - theta) / log_term)
+    lb = max(0.0, math.ceil(n * theta + (1.0 - 2.0 * theta - root) / denom) / n)
+    ub = min(1.0, math.floor(n * theta + (1.0 - 2.0 * theta + root) / denom) / n)
+    return lb, ub
 
 
 def one_sided_test_set():

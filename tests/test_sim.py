@@ -3,13 +3,13 @@
 import dataclasses
 import math
 import tracemalloc
-from itertools import chain
+from itertools import chain, cycle
 
 import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
 
-from seqtest import sim
+from seqtest import sim, sprt
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from seqtest.models import Bernoulli, Poisson
@@ -35,10 +35,9 @@ def numpy_rng(seed, t):
     return Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(t,))))
 
 
-def oracle_report(runner, theta, trials, seed, p_y=None):
-    """``simulate`` (``simulate_two_prop`` when ``p_y`` is given) one trial at
-    a time: numpy's own generator per trial and the runners' own loops."""
-    accepted, nstop, forced = [], [], []
+def oracle_outcomes(runner, theta, trials, seed, p_y=None):
+    """Per trial (accepted index, samples, forced) of ``oracle_report``."""
+    outs = []
     for t in range(trials):
         rng = numpy_rng(seed, t)
         if p_y is not None:
@@ -51,13 +50,17 @@ def oracle_report(runner, theta, trials, seed, p_y=None):
             out = run_sprt(runner, chain.from_iterable(chunks))
         else:
             out = run_plan(runner, runner.model.draw(rng, runner.stage_ns[-1], theta).tolist())
-        accepted.append(out.accepted_index)
-        nstop.append(out.sample_count)
-        forced.append(out.forced)
+        outs.append((out.accepted_index, out.sample_count, out.forced))
+    return tuple(np.array(col) for col in zip(*outs))
+
+
+def oracle_report(runner, theta, trials, seed, p_y=None):
+    """``simulate`` (``simulate_two_prop`` when ``p_y`` is given) one trial at
+    a time: numpy's own generator per trial and the runners' own loops."""
+    accepted, nstop, forced = oracle_outcomes(runner, theta, trials, seed, p_y)
     m = 2 if isinstance(runner, SprtSpec) else runner.m
     return sim._summarize(theta if p_y is None else theta - p_y, trials, seed,
-                          np.array(accepted), np.array(nstop), m,
-                          np.array(forced) if isinstance(runner, SprtSpec) else None)
+                          accepted, nstop, m, forced if isinstance(runner, SprtSpec) else None)
 
 
 class TestDeterminism:
@@ -100,12 +103,16 @@ class TestSubstreamContract:
     def test_bulk_states_are_numpy_seeding(self, seed):
         edge = sim._SEED_CHUNK  # the trial indices hashed in one pass end here
         checked = {0, 1, 2, 777, edge - 1, edge, edge + 1}
-        for t, rng in enumerate(sim._trial_rngs(seed, edge + 2)):
+        for t, rng in enumerate(sim._trial_rngs(seed, np.arange(edge + 2))):
             if t in checked:
                 ref = numpy_rng(seed, t)
                 assert rng.bit_generator.state == ref.bit_generator.state, t
                 np.testing.assert_array_equal(rng.random(4), ref.random(4))
                 np.testing.assert_array_equal(rng.poisson(3.0, 4), ref.poisson(3.0, 4))
+        # any index array, as the SPRT rounds pass their undecided trials
+        ts = [edge + 1, 7, 2**32 - 1, 0, 7]
+        for t, rng in zip(ts, sim._trial_rngs(seed, np.array(ts)), strict=True):
+            assert rng.bit_generator.state == numpy_rng(seed, t).bit_generator.state, t
 
     @pytest.mark.parametrize("make, thetas", [
         (classic_plan, (0.4, 0.5, 0.6)),
@@ -123,11 +130,50 @@ class TestSubstreamContract:
     @pytest.mark.parametrize("spec", [
         SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05),
         SprtSpec(Bernoulli(), 0.3, 0.5, 0.01, 0.2, cap=70),
+        SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05, cap=30),  # inside the first round
+        SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2, cap=700),  # between round widths
+        SprtSpec(Poisson(), 1.0, 1.5, 0.05, 0.05),
         SprtSpec(Poisson(), 1.0, 1.5, 0.05, 0.05, cap=150),
-    ], ids=["bernoulli", "bernoulli-capped", "poisson-capped"])
+    ], ids=["bernoulli", "bernoulli-capped", "bernoulli-cap-30", "bernoulli-cap-700",
+            "poisson", "poisson-capped"])
     def test_sprt_matches_one_generator_per_trial(self, spec):
         for theta in (spec.theta0, spec.theta1):
             assert simulate(spec, theta, 300, 11) == oracle_report(spec, theta, 300, 11)
+
+    def test_sprt_rounds_end_where_walks_stop(self):
+        # walks that stop on the last draw of a round's width, and past the
+        # third round, are decided where they stop
+        spec = SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2)
+        _, nstop, _ = oracle_outcomes(spec, 0.5, 400, 0)
+        width = sim._SPRT_CHUNK
+        assert {width, sim._SPRT_GROWTH * width} <= set(nstop.tolist())
+        assert nstop.max() > sim._SPRT_GROWTH ** 2 * width
+        assert simulate(spec, 0.5, 400, 0) == oracle_report(spec, 0.5, 400, 0)
+
+    def test_sprt_rounds_span_several_blocks(self):
+        spec = SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05)
+        trials = 2 * (sim._BLOCK_CELLS // sim._SPRT_CHUNK) + 3  # three blocks at first
+        assert simulate(spec, 0.5, trials, 2**64 + 3) == \
+            oracle_report(spec, 0.5, trials, 2**64 + 3)
+
+    @pytest.mark.parametrize("cap", [None, 700])
+    def test_sprt_stragglers_walk_from_their_start(self, monkeypatch, cap):
+        # with narrow blocks the rounds end at 256 draws and longer trials
+        # finish through the stream runner's walk on a fresh generator
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 256)
+        spec = SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2, cap=cap)
+        rep = simulate(spec, 0.5, 200, 0)
+        assert rep.max_samples > sim._BLOCK_CELLS
+        assert rep == oracle_report(spec, 0.5, 200, 0)
+
+    def test_runaway_walk_is_an_error(self, monkeypatch):
+        # a drift-free walk between far boundaries outlasts the draw limit
+        monkeypatch.setattr(sprt, "_MAX_DRAWS", 1000)
+        spec = SprtSpec(Bernoulli(), 0.499, 0.501, 0.001, 0.001)
+        with pytest.raises(DomainError, match="still undecided after"):
+            simulate(spec, 0.5, 1, 0)
+        with pytest.raises(DomainError, match="still undecided after"):
+            run_sprt(spec, cycle([0, 1]))
 
     def test_two_prop_matches_one_generator_per_trial(self):
         plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23, 400])
@@ -144,6 +190,18 @@ class TestSubstreamContract:
         tracemalloc.start()
         try:
             simulate(plan, 0.5, trials, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_sprt_memory_stays_in_one_block(self):
+        spec = SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05)
+        trials = 10_000
+        assert trials * sim._SPRT_CHUNK * 8 > 5e6  # the first round's whole draw matrix
+        tracemalloc.start()
+        try:
+            simulate(spec, 0.5, trials, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -18,8 +18,7 @@ from seqtest.errors import (DomainError, InfeasibleDesignError,
                             StreamExhaustedError)
 from seqtest.twoprop import (Rectangle, _monotone, _RejectionBounds,
                              build_two_prop_plan, certify_risk, exact_oc, newcombe_limits,
-                             rejection_prob_bounds, run_two_prop, truncation_bounds,
-                             tune_two_prop)
+                             rejection_prob_bounds, run_two_prop, tune_two_prop)
 
 
 def small_plan():
@@ -124,47 +123,6 @@ class TestNewcombeLimits:
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(DomainError):
                 newcombe_limits(0.5, 0.5, 5, 5, bad)
-
-
-class TestTruncationBounds:
-    def test_degenerate_ends(self):
-        assert truncation_bounds(0.0, 50, 0.1)[0] == 0.0
-        assert truncation_bounds(1.0, 50, 0.1)[1] == 1.0
-
-    def test_central_window_value(self):
-        # independent arithmetic evaluation of the window formula
-        eta = 0.01
-        lt = math.log(2.0 / eta)
-        denom = 2.0 / 300.0 + 3.0 / lt
-        root = math.sqrt(1.0 + 18.0 * 100.0 * 0.25 / lt)
-        want = (math.ceil(50.0 - root / denom) / 100,
-                math.floor(50.0 + root / denom) / 100)
-        assert truncation_bounds(0.5, 100, 0.01) == want == (0.34, 0.66)
-
-    def test_grid_alignment(self):
-        for theta in (0.13, 0.5, 0.77):
-            for n in (7, 31):
-                lb, ub = truncation_bounds(theta, n, 0.05)
-                assert lb == round(lb * n) / n
-                assert ub == round(ub * n) / n
-
-    def test_mass_guarantee(self):
-        # the window keeps all but eta of the mean's distribution
-        for n in (10, 50, 200):
-            for eta in (0.1, 0.01):
-                for theta in np.arange(0.0, 1.0001, 0.05):
-                    lb, ub = truncation_bounds(float(theta), n, eta)
-                    lost = (binom.cdf(math.ceil(lb * n) - 1, n, theta)
-                            + binom.sf(math.floor(ub * n), n, theta))
-                    assert lost <= eta + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            truncation_bounds(1.5, 10, 0.1)
-        with pytest.raises(DomainError):
-            truncation_bounds(0.5, 10, 0.0)
-        with pytest.raises(DomainError):
-            truncation_bounds(0.5, 0, 0.1)
 
 
 class TestBuildPlan:
