@@ -12,6 +12,12 @@ the evaluators.  Floats are stored as ``float.hex`` strings.
   risk budgets ``tests/test_twoprop.py`` certifies.
 - One seeded ``SimReport`` per plan kind.
 
+Seeded SPRT ``SimReport``s are recorded apart, in
+``tests/data/sprt_outputs.json``, since an SPRT has no plan document: one
+record per spec in ``SPRT_SIMULATIONS``.  Among them are a capped walk
+that forces some calls and a drift-free one whose longest walk passes
+2**16 draws.
+
 One-sample values and every ``SimReport`` are compared bit for bit: they
 come from elementwise numpy and sums taken in a fixed order.  Two-sample
 exact values are compared within ``TWO_SAMPLE_ULPS`` units in the last
@@ -24,6 +30,8 @@ A change that means to move outputs rewrites the records and names each
 value that moved:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+rewrites the plan records and the SPRT one alike.
 """
 
 import json
@@ -33,12 +41,15 @@ import numpy as np
 import pytest
 
 from seqtest.ocexact import oc_curve, verify_risk
+from seqtest.models import Bernoulli, Poisson
 from seqtest.plandoc import load_plan
 from seqtest.sim import simulate, simulate_two_prop
+from seqtest.sprt import SprtSpec
 from seqtest.twoprop import TwoPropPlan, certify_risk, exact_oc
 
 PLANS = pathlib.Path(__file__).parent / "data" / "plans"
 DATA = pathlib.Path(__file__).parent / "data" / "outputs"
+SPRT_DATA = pathlib.Path(__file__).parent / "data" / "sprt_outputs.json"
 NAMES = sorted(p.stem for p in PLANS.glob("*.json"))
 TWO_SAMPLE_ULPS = 64
 
@@ -47,6 +58,17 @@ SIMULATIONS = {
     "exact_0.4_0.6_5stage": ((0.5,), 400, 11),
     "three_hypotheses_3stage": ((0.5,), 400, 12),
     "two_prop_0.2_3stage": ((0.6, 0.5), 400, 13),
+}
+# seeded SPRT simulations: spec, means, trials, seed
+SPRT_SIMULATIONS = {
+    "bernoulli_0.4_0.6": (SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05), (0.4, 0.5, 0.6), 400, 3),
+    # forces 4 of 400 calls at the cap
+    "bernoulli_0.45_0.55_cap700": (SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2, cap=700),
+                                   (0.5,), 400, 7),
+    "poisson_1.0_1.5_cap150": (SprtSpec(Poisson(), 1.0, 1.5, 0.05, 0.05, cap=150),
+                               (1.0, 1.25, 1.5), 400, 5),
+    # the longest walk takes 119,386 draws
+    "bernoulli_0.495_0.505": (SprtSpec(Bernoulli(), 0.495, 0.505, 0.05, 0.05), (0.5,), 400, 1),
 }
 # risk budgets per hypothesis at which each two-sample plan is certified
 CERTIFY_DELTAS = {
@@ -120,8 +142,13 @@ def _record(name):
     return out
 
 
-def _text(name):
-    return json.dumps(_record(name), indent=1, sort_keys=True) + "\n"
+def _sprt_records():
+    return {name: [_sim_record(simulate(spec, theta, trials, seed)) for theta in thetas]
+            for name, (spec, thetas, trials, seed) in SPRT_SIMULATIONS.items()}
+
+
+def _text(record):
+    return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
 def _floats(hexes):
@@ -153,8 +180,15 @@ def test_outputs_match_their_record(name):
         assert got == want
 
 
+def test_sprt_outputs_match_their_record():
+    assert _sprt_records() == json.loads(SPRT_DATA.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name in NAMES:
-        (DATA / f"{name}.json").write_text(_text(name), encoding="utf-8", newline="\n")
+        (DATA / f"{name}.json").write_text(_text(_record(name)), encoding="utf-8",
+                                           newline="\n")
         print(DATA / f"{name}.json")
+    SPRT_DATA.write_text(_text(_sprt_records()), encoding="utf-8", newline="\n")
+    print(SPRT_DATA)

@@ -403,3 +403,51 @@ class TestStreamValidation:
         assert run_sprt(SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05),
                         iter([top] * 100)).terminal_estimate == sys.float_info.max
         assert run_plan(plan, iter([top] * 100)).terminal_estimate == sys.float_info.max
+
+
+class TestStreamReads:
+    """Each runner reads exactly the values its outcome counts: the stream's
+    next value is the one at index ``sample_count`` (per arm, the reached
+    stage's size)."""
+
+    @pytest.mark.parametrize("spec", [
+        classic_spec(), classic_spec(cap=40),
+        SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05), SprtSpec(POIS, 1.0, 1.5, 0.05, 0.05, cap=30),
+    ], ids=["bernoulli", "bernoulli-capped", "poisson", "poisson-capped"])
+    def test_run_sprt(self, spec):
+        rng = np.random.default_rng(41)
+        stops = set()
+        for _ in range(100):
+            draws = spec.model.draw(rng, 400, 0.5 * (spec.theta0 + spec.theta1)).tolist()
+            it = iter(draws)
+            out = run_sprt(spec, it)
+            assert list(it) == draws[out.sample_count:]
+            stops.add(out.sample_count)
+        if spec.cap is not None:
+            assert spec.cap in stops
+
+    def test_run_plan(self):
+        plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5, stages=5)
+        rng = np.random.default_rng(43)
+        stops = set()
+        for _ in range(100):
+            draws = BERN.draw(rng, plan.stage_ns[-1] + 20, 0.5).tolist()
+            it = iter(draws)
+            out = run_plan(plan, it)
+            assert list(it) == draws[out.sample_count:]
+            stops.add(out.sample_count)
+        assert len(stops) > 1
+
+    def test_run_two_prop(self):
+        plan = build_two_prop_plan([-0.15], [0.15], 0.5, stage_ns=[5, 20, 60])
+        rng = np.random.default_rng(47)
+        stages = set()
+        for _ in range(100):
+            xs, ys = (BERN.draw(rng, 70, p).tolist() for p in (0.5, 0.4))
+            it_x, it_y = iter(xs), iter(ys)
+            out = run_two_prop(plan, it_x, it_y)
+            stage = plan.stages[out.stage_index - 1]
+            assert list(it_x) == xs[stage.n_x:]
+            assert list(it_y) == ys[stage.n_y:]
+            stages.add(out.stage_index)
+        assert len(stages) > 1
