@@ -12,16 +12,16 @@ of many stage sizes at once to find where each crossing set begins or ends.
 theta when Pr{S >= k} at theta is at most delta, and symmetrically for the
 upper limit.  For Bernoulli data these are the exact limits of Clopper &
 Pearson (1934); for Poisson data the exact gamma-type limits.
-``ChernoffLimits`` tests the n-th power of the large-deviation bound
-``chernoff(k / n, theta)`` instead, with a condition on which flank of
-theta the mean lies; its limits are slightly wider and sum no tails.  The
-scalar limits of these two families, ``lower_detail``/``upper_detail``, are
-the edge in theta of the same test at the observed mean z (the exact test
-at the count z maps to, ceil(n z) below and floor(n z) above), bisected by
-``_edge`` to absolute tolerance 1e-12 and rounded to the conservative side:
-lower limits down, upper limits up.  When a defining set is empty (e.g. the
-lower limit at an observed mean of zero) the boundary of the parameter
-space is returned and flagged.
+``ChernoffLimits`` tests the large-deviation bound instead, n times
+``log_chernoff(k / n, theta)`` against log delta, with a condition on which
+flank of theta the mean lies; its limits are slightly wider and sum no
+tails.  The scalar limits of these two families, ``lower_detail`` and
+``upper_detail``, are the edge in theta of the same test at the observed
+mean z (the exact test at the count z maps to, ceil(n z) below and
+floor(n z) above), bisected by ``_edge`` to absolute tolerance 1e-12 and
+rounded to the conservative side: lower limits down, upper limits up.
+When a defining set is empty (e.g. the lower limit at an observed mean of
+zero) the boundary of the parameter space is returned and flagged.
 
 The exact limits have closed forms in the inverse incomplete beta and gamma
 functions: at count k, ``betaincinv(k, n - k + 1, delta)`` is the Bernoulli
@@ -182,7 +182,7 @@ def _tail_crossed(model, n, ks, theta, delta: float, lower: bool):
 
 
 def _rate_crossed(model, n, z, theta, log_delta: float, own=None):
-    """Chernoff test: n log chernoff(z, theta) <= log delta, for a mean z
+    """Chernoff test: n log_chernoff(z, theta) <= log delta, for a mean z
     already in the hull (``model._hull``) and a valid theta; ``own`` is
     ``model._own_terms(z)`` when the caller holds it.  The scalar limits
     take those terms once per limit and apply the test without the flank

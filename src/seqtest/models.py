@@ -20,10 +20,10 @@ functions behind the Clopper-Pearson (1934) and Garwood (1936) limits:
 of n and k, accurate in relative terms far into either tail, so no upper
 tail is ever formed as one minus a lower sum.
 
-The large-deviation rate function appears here as ``chernoff(z, theta)``:
-the infimum over the exponential tilt of the moment generating function,
-evaluated in closed form for both families.  It lies in (0, 1] and equals 1
-exactly when ``z == theta``.
+The large-deviation rate function appears here as ``log_chernoff(z, theta)``:
+the log of the infimum over the exponential tilt of the moment generating
+function, evaluated in closed form for both families.  It is at most 0 and
+equals 0 exactly when ``z == theta``.
 """
 
 from __future__ import annotations
@@ -247,11 +247,6 @@ class Bernoulli:
         zz, ww = cls._own_terms(z) if own is None else own
         return xlogy(z, theta) - zz + xlogy(1.0 - z, 1.0 - theta) - ww
 
-    def chernoff(self, z, theta: float):
-        val = np.exp(self.log_chernoff(z, theta))
-        out = np.minimum(val, 1.0)
-        return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
-
     def increment_pmf(self, m: int, theta):
         """Distribution of a stage increment of m samples.
 
@@ -365,11 +360,6 @@ class Poisson:
         ``own`` as for ``Bernoulli._log_rate``."""
         (zz,) = cls._own_terms(z) if own is None else own
         return z - theta + xlogy(z, theta) - zz
-
-    def chernoff(self, z, theta: float):
-        val = np.exp(self.log_chernoff(z, theta))
-        out = np.minimum(val, 1.0)
-        return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
     def increment_pmf(self, m: int, theta):
         """Distribution of a stage increment of m samples, truncated at the

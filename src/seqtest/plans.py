@@ -89,7 +89,6 @@ __all__ = [
     "build_multihyp_plan",
     "build_one_sided_plan",
     "stage_schedule",
-    "decision_variable",
     "run_plan",
 ]
 
@@ -787,17 +786,6 @@ def build_one_sided_plan(
         base_alphas=(alpha,), base_betas=(beta,), zeta=zeta,
         stages=rules, tiebreak=tiebreak,
     )
-
-
-def decision_variable(plan: MultiHypPlan, stage_index: int, theta_hat: float) -> int:
-    """Decision variable at 1-based stage ``stage_index`` for mean ``theta_hat``."""
-    if not 1 <= stage_index <= plan.s:
-        raise DomainError(f"stage index must lie in 1..{plan.s}, got {stage_index}")
-    rule = plan.stages[stage_index - 1]
-    k = int(round(theta_hat * rule.n))
-    if abs(theta_hat * rule.n - k) > 1e-6:
-        raise DomainError(f"{theta_hat} is not a support point of a size-{rule.n} mean")
-    return rule.decision_for_sum(k)
 
 
 def _take(it: Iterator, count: int, model, label: str = "observation") -> int:

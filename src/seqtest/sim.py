@@ -20,9 +20,10 @@ at a time.  An SPRT trial has no final stage, so its trials go in rounds
 of widening rows: every undecided trial draws its first ``width`` values
 again from the start of its stream, which reads the same values the walk
 would, and stops at its first running sum outside the count windows.  The
-rows start at ``_SPRT_CHUNK`` draws and widen ``_SPRT_GROWTH``-fold up to
-``_BLOCK_CELLS``; a trial undecided there walks on through ``sprt._Walk``,
-as ``run_sprt`` does, on a fresh copy of its generator.
+rows start at ``_SPRT_CHUNK`` draws and widen ``_SPRT_GROWTH``-fold until
+every trial is decided; a row wider than ``_BLOCK_CELLS`` is a block of
+its own.  The widest row is the cap, or ``sprt._MAX_DRAWS`` for a walk
+that would otherwise run away.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sprt
 from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
 from .plans import CONTINUE, MultiHypPlan
-from .sprt import SprtSpec, _Walk
+from .sprt import SprtSpec
 from .twoprop import _BERN, TwoPropPlan, _check_point
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
 
-_SPRT_CHUNK = 64        # draws in an SPRT trial's first round, and per walk step
+_SPRT_CHUNK = 64        # draws in an SPRT trial's first round
 _SPRT_GROWTH = 4        # width factor between SPRT rounds
 _BLOCK_CELLS = 1 << 16  # draws a simulation holds at once
 _SEED_CHUNK = 1 << 12   # trial states hashed per numpy pass
@@ -219,9 +221,11 @@ def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
     def fill(rng, row):
         row[:] = model.draw(rng, len(row), theta)
 
+    # the rounds end at the cap or at the draw limit run_sprt keeps
+    top = sprt._MAX_DRAWS if cap is None else min(cap, sprt._MAX_DRAWS)
     pending, width = np.arange(trials), _SPRT_CHUNK
-    while len(pending) and width <= _BLOCK_CELLS:
-        n = width if cap is None else min(width, cap)
+    while len(pending):
+        n = min(width, top)
         acc, rej = spec.count_bounds(np.arange(1, n + 1))
         undecided = []
         for rows, block in _blocks(seed, pending, n, fill):
@@ -230,18 +234,11 @@ def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
             done, part = hit.any(axis=1), pending[rows]
             ts, j = part[done], hit[done].argmax(axis=1)
             k = sums[done, j]
-            nstop[ts], accepted[ts] = j + 1, k >= rej[j]
-            if n == cap:  # did the sign rule decide a sum no crossing reaches?
-                low, high = spec._crossings(cap)
-                forced[ts] = (j + 1 == cap) & (low < k) & (k < high)
+            nstop[ts], accepted[ts], forced[ts] = j + 1, k >= rej[j], spec._forced(j + 1, k)
             undecided.append(part[~done])
         pending, width = np.concatenate(undecided), width * _SPRT_GROWTH
-
-    # trials undecided at the widest round walk on, each from its start
-    walk = _Walk(spec)
-    for t, rng in zip(pending.tolist(), _trial_rngs(seed, pending)):
-        nstop[t], _, accepted[t], forced[t] = walk.run(
-            lambda used, n: model.draw(rng, n, theta), _SPRT_CHUNK)
+        if len(pending) and n == top:
+            raise DomainError(f"sequential walk still undecided after {n} draws")
     return _summarize(theta, trials, seed, accepted, nstop, 2, forced)
 
 

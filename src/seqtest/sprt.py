@@ -6,10 +6,10 @@ against the lower one.  After n observations summing to k it is the line
 integer count windows, as in a plan stage: the sum k accepts the null at
 k <= b_n (ratio <= log B) and rejects it at k >= a_n (ratio >= log A).  A
 sample cap closes its stage by the sign of the ratio.  The stream runner
-walks the integer running sums through these windows, so a path that
-reaches a boundary exactly stops there whatever the order of its samples.
-The simulator compares blocks of running sums with the same windows and
-hands the walk only the trials still undecided after its widest block.
+walks the integer running sum through these windows one value at a time,
+so a path that reaches a boundary exactly stops there whatever the order
+of its samples; the simulator compares blocks of running sums with the
+same windows.
 The closed-form OC and ASN are Wald's approximations: they ignore
 overshoot and any cap and are labeled approximate wherever they surface.
 """
@@ -73,6 +73,15 @@ class SprtSpec:
         return (lr_count(self.line, ns, self.log_b),
                 lr_count(self.line, ns, self.log_a, at_least=True))
 
+    def _forced(self, n, k):
+        """Whether the sign rule at the cap, not a boundary crossing, decided
+        the running sum k at size n (ints or arrays alike): n is the cap and
+        k lies strictly inside the uncapped windows."""
+        if self.cap is None:
+            return False
+        low, high = self._crossings(self.cap)
+        return (n == self.cap) & (low < k) & (k < high)
+
     def count_bounds(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Per sample size in the 1-D array ``ns``: (b_n, a_n).
 
@@ -97,48 +106,6 @@ class SprtSpec:
 _MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
 
 
-class _Walk:
-    """The test's random walk for one spec, over its ``count_bounds`` table.
-
-    The table covers sizes 1..N and N doubles, up to the cap, as walks
-    need more, so the runs of one instance share it.
-    """
-
-    def __init__(self, spec: SprtSpec):
-        self.spec = spec
-        self.accept = self.reject = np.empty(0, dtype=np.int64)
-
-    def run(self, read, chunk: int) -> tuple[int, int, int, bool]:
-        """(samples, sum, accepted index, forced) of the walk whose values
-        ``read(used, n)`` hands over, n at a time.
-
-        ``n`` is ``chunk``, or less to stop at the cap; ``used`` counts the
-        values read before.  The running sum stays exact when ``read``
-        returns Python integers in an object array.
-        """
-        spec = self.spec
-        total = used = 0
-        while used < _MAX_DRAWS:
-            n = chunk if spec.cap is None else min(chunk, spec.cap - used)
-            if used + n > len(self.accept):
-                size = max(used + n, 2 * len(self.accept), 64)
-                size = size if spec.cap is None else min(size, spec.cap)
-                self.accept, self.reject = spec.count_bounds(np.arange(1, size + 1))
-            acc, rej = self.accept[used:used + n], self.reject[used:used + n]
-            sums = total + np.cumsum(read(used, n))
-            hit = (sums <= acc) | (sums >= rej)
-            if hit.any():
-                j = int(np.argmax(hit))
-                count, k = used + j + 1, int(sums[j])
-                forced = False
-                if count == spec.cap:  # did the sign rule decide a sum no crossing reaches?
-                    low, high = spec._crossings(count)
-                    forced = bool(low < k < high)
-                return count, k, int(k >= rej[j]), forced
-            total, used = int(sums[-1]), used + n
-        raise DomainError(f"sequential walk still undecided after {used} draws")
-
-
 def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
     """Consume observations until a boundary is crossed or the cap is hit.
 
@@ -146,18 +113,25 @@ def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
     (nonpositive accepts the null); the outcome is flagged as forced.
     """
     it = iter(stream)
-
-    def read(used, n):
+    top = _MAX_DRAWS if spec.cap is None else min(spec.cap, _MAX_DRAWS)
+    accept = reject = []
+    k = 0
+    for n in range(1, top + 1):
+        if n > len(accept):  # the windows of sizes 1..64, 1..128, ...
+            bounds = spec.count_bounds(np.arange(1, min(max(64, 2 * len(accept)), top) + 1))
+            accept, reject = (b.tolist() for b in bounds)
         try:
-            return np.array([_take(it, n, spec.model)], dtype=object)
+            k += _take(it, 1, spec.model)
         except StreamExhaustedError:
             raise StreamExhaustedError(
-                f"observation stream ended after {used} samples with no decision"
+                f"observation stream ended after {n - 1} samples with no decision"
             ) from None
-
-    count, k, accepted, forced = _Walk(spec).run(read, 1)
-    return TestOutcome(stage_index=count, sample_count=count, accepted_index=accepted,
-                       terminal_estimate=k / count, tie_occurred=False, forced=forced)
+        if k <= accept[n - 1] or k >= reject[n - 1]:
+            return TestOutcome(stage_index=n, sample_count=n,
+                               accepted_index=int(k >= reject[n - 1]),
+                               terminal_estimate=k / n, tie_occurred=False,
+                               forced=bool(spec._forced(n, k)))
+    raise DomainError(f"sequential walk still undecided after {top} draws")
 
 
 def _log_mgf(spec: SprtSpec, theta: float, h: float) -> float:

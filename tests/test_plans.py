@@ -22,7 +22,6 @@ from seqtest.plans import (
     build_one_sided_plan,
     build_stage_rule,
     check_stage_sizes,
-    decision_variable,
     run_plan,
     sample_bound,
     stage_is_closed,
@@ -52,8 +51,8 @@ class TestSampleBound:
 
     def test_symmetric_risks_give_equal_log_ratios(self):
         mid = 0.5
-        a = math.log(0.025) / math.log(BERN.chernoff(mid, 0.4))
-        b = math.log(0.025) / math.log(BERN.chernoff(mid, 0.6))
+        a = math.log(0.025) / float(BERN.log_chernoff(mid, 0.4))
+        b = math.log(0.025) / float(BERN.log_chernoff(mid, 0.6))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_grows_without_bound_as_scale_shrinks(self):
@@ -340,25 +339,15 @@ class TestDecisionVariable:
         rule = plan.stages[0]
         undecided = np.flatnonzero(rule.labels[:rule.n + 1] == CONTINUE)
         assert undecided.size
-        assert decision_variable(plan, 1, undecided[0] / rule.n) == 0
-
-    @pytest.mark.parametrize("stage_index", [0, 6])
-    def test_stage_index_validation(self, stage_index):
-        with pytest.raises(DomainError, match="stage index"):
-            decision_variable(classic_plan(), stage_index, 0.0)
+        assert rule.decision_for_sum(int(undecided[0])) == 0
 
     def test_all_failures_accept_lowest(self):
-        assert decision_variable(classic_plan(), 1, 0.0) == 1
+        assert classic_plan().stages[0].decision_for_sum(0) == 1
 
     def test_last_stage_decides_everywhere(self):
         plan = classic_plan()
-        n = plan.stage_ns[-1]
-        for k in range(n + 1):
-            assert decision_variable(plan, plan.s, k / n) != 0
-
-    def test_off_support_mean_rejected(self):
-        with pytest.raises(DomainError):
-            decision_variable(classic_plan(), 1, 0.3)
+        for k in range(plan.stage_ns[-1] + 1):
+            assert plan.stages[-1].decision_for_sum(k) != 0
 
     def test_inclusion_property_exhaustive(self):
         """A nonzero decision always carries its defining limit crossings."""

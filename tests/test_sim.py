@@ -157,9 +157,9 @@ class TestSubstreamContract:
             oracle_report(spec, 0.5, trials, 2**64 + 3)
 
     @pytest.mark.parametrize("cap", [None, 700])
-    def test_sprt_stragglers_walk_from_their_start(self, monkeypatch, cap):
-        # with narrow blocks the rounds end at 256 draws and longer trials
-        # finish through the stream runner's walk on a fresh generator
+    def test_sprt_rows_wider_than_a_block(self, monkeypatch, cap):
+        # with narrow blocks the rounds past 256 draws hold one trial's row
+        # per block, each drawn again from the start of its stream
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 256)
         spec = SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2, cap=cap)
         rep = simulate(spec, 0.5, 200, 0)
