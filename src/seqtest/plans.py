@@ -34,7 +34,7 @@ size; a plan build computes each table once over many sizes.
 
 Plans are closed: the final stage size is chosen (or validated) so that
 every count the model reaches at it decides (``stage_is_closed``, read
-from the stage's labels like the OC kernel's ``continue_spans``), hence
+from the stage's count edges like the OC kernel's ``continue_spans``), hence
 the sample size never exceeds ``stage_ns[-1]``.  The searches tabulate
 the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to their
 horizon, so their cost tracks the answer rather than the horizon, and
@@ -56,7 +56,8 @@ larger levels bounds the answer from below, one found at smaller levels
 bounds it from above, and the search covers only the sizes between: its
 answer is still the one a scan from 1 gives.
 For fully sequential one-sided plans, ``sample_bound`` gives the analytic
-cap derived from the large-deviation rate at the zone midpoint.
+cap derived from the large-deviation rate at the zone midpoint.  A plan
+and ``sprt.SprtSpec`` both run from a count-edge table (``_Edges``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from .conflimits import ExactLimits, ChernoffLimits
@@ -115,6 +116,8 @@ _PROBES = 256
 _FIRST_BLOCK = 16
 # Label of an undecided sum cell in a stage's decision array.
 CONTINUE = -1
+# Count-edge stand-in for "no such count" on an unbounded support.
+_NO_COUNT = np.iinfo(np.int64).max
 # Final stage sizes found in the open tuning run: per search key, a list of
 # ((alphas, betas), final size) records.  None outside a tuning run.
 _SIZE_MEMO: ContextVar[dict | None] = ContextVar("seqtest_size_memo", default=None)
@@ -167,21 +170,40 @@ class StageRule:
         return False
 
 
-def _undecided(rule: StageRule, model) -> tuple[np.ndarray, int | None]:
-    """The ``CONTINUE`` counts of ``rule.labels`` that the model reaches at ``rule.n``.
-
-    Returns those counts inside the labels array and the last undecided
-    count.  The last label holds for every count above the array, so when
-    it continues the last undecided count is the support's end (None for
-    an unbounded support).  -1 when every reachable count decides.
-    """
+def _edge_row(rule: StageRule, model) -> tuple[list[int], list[int]]:
+    """(below, above) of the m + 1 gaps of a stage's windows.  Gap j lies
+    between the last count deciding a hypothesis < j (else -1) and the first
+    deciding one >= j (else one past the support, or ``_NO_COUNT``)."""
     top = model.sum_upper(rule.n)
-    labels = rule.labels
-    cells = np.flatnonzero(labels[:None if top is None else top + 1] == CONTINUE)
-    if not len(cells):
-        return cells, -1
-    last = int(cells[-1])
-    return cells, top if last == len(labels) - 1 else last
+    below, above = [-1], [_NO_COUNT if top is None else top + 1]
+    for win in rule.windows:
+        below.append(below[-1] if win is None else _NO_COUNT if win[1] is None else win[1])
+    for win in reversed(rule.windows):
+        above.append(above[-1] if win is None else win[0])
+    return below, above[::-1]
+
+
+def _undecided(rule: StageRule, model) -> list[tuple[int, int]]:
+    """The runs (first, last) of undecided counts that the model reaches at
+    ``rule.n``, in order; a run without end stops at ``_NO_COUNT - 1``."""
+    below, above = _edge_row(rule, model)  # above[-1] is one past the support
+    runs = {(max(b + 1, 0), min(a, above[-1]) - 1) for b, a in zip(below, above)}
+    return sorted((lo, hi) for lo, hi in runs if lo <= hi)
+
+
+class _Edges(NamedTuple):
+    """Rows of a one-sample runner's count-edge table, which ``run_plan`` and
+    the simulator read.  At size ``ns[r]`` a running sum k decides unless
+    ``below[r, c] < k < above[r, c]`` in some column c; the first ``zones``
+    columns are the zone boundaries, so k decides hypothesis
+    #{i < zones : k >= above[r, i]}.  On the last row a sample cap's sign
+    rule decided k where ``band[0] < k < band[1]``."""
+
+    ns: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    zones: int
+    band: tuple[int, int] = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -238,21 +260,31 @@ class MultiHypPlan(_ZonedPlan):
     def continue_spans(self) -> tuple[tuple[int, int | None, bool], ...]:
         """Each stage's undecided span over the counts its model reaches.
 
-        A span is (lo, hi, holes): the first and last ``CONTINUE`` count
-        of ``StageRule.labels`` (hi None when the last label, which holds
-        for every count above it, continues on an unbounded support) and
-        whether a decided count lies between them.  (0, -1, False) when
+        A span is (lo, hi, holes): the first and last undecided count (hi
+        None when the counts continue without end on an unbounded support)
+        and whether a decided count lies between them.  (0, -1, False) when
         every count is decided.
         """
         spans = []
         for rule in self.stages:
-            cells, last = _undecided(rule, self.model)
-            if not len(cells):
-                spans.append((0, -1, False))
-                continue
-            lo = int(cells[0])
-            spans.append((lo, last, int(cells[-1]) - lo + 1 > len(cells)))
+            runs = _undecided(rule, self.model) or [(0, -1)]
+            hi = runs[-1][1]
+            spans.append((runs[0][0], None if hi == _NO_COUNT - 1 else hi, len(runs) > 1))
         return tuple(spans)
+
+    def _edge_chunks(self) -> tuple[_Edges]:
+        return (self._edges,)
+
+    @cached_property
+    def _edges(self) -> _Edges:
+        """Every stage's boundary gaps from ``_edge_row``, and the gap under
+        window 0 or over window m - 1 where some stage leaves one."""
+        m = self.m
+        below, above = map(np.array, zip(*(_edge_row(r, self.model) for r in self.stages)))
+        ends = [j for j, nb in ((0, 1), (m, m - 1))  # a present window parts j from nb
+                if ((below[:, j] != below[:, nb]) & (below[:, j] < above[:, j] - 1)).any()]
+        cols = [*range(1, m), *ends]
+        return _Edges(np.array(self.stage_ns), below[:, cols], above[:, cols], m - 1)
 
 
 @dataclass(frozen=True)
@@ -508,15 +540,12 @@ def _validate_windows(rule: StageRule) -> None:
             raise InfeasibleDesignError(f"stage {rule.n}: decision windows overlap")
         if hi is not None and hi < lo:
             raise InfeasibleDesignError(f"stage {rule.n}: empty decision window")
-        if hi is None:
-            break
-        cursor = hi
+        cursor = math.inf if hi is None else hi
 
 
 def stage_is_closed(rule: StageRule, model) -> bool:
-    """True when every count the model reaches at the stage's size decides:
-    no reachable ``CONTINUE`` in ``rule.labels``."""
-    return not len(_undecided(rule, model)[0])
+    """True when every count the model reaches at the stage's size decides."""
+    return not _undecided(rule, model)
 
 
 def check_stage_sizes(sizes: Sequence) -> None:
@@ -812,21 +841,19 @@ def _take(it: Iterator, count: int, model, label: str = "observation") -> int:
 
 
 def run_plan(plan: MultiHypPlan, stream: Iterable) -> TestOutcome:
-    """Execute the plan on an observation stream, consuming exactly as many
-    values as the reached stage requires."""
+    """Execute the plan, or a ``sprt.SprtSpec``, on an observation stream,
+    consuming exactly as many values as the reached stage requires."""
     it = iter(stream)
-    total = 0
-    prev_n = 0
-    for idx, rule in enumerate(plan.stages, start=1):
-        total += _take(it, rule.n - prev_n, plan.model)
-        prev_n = rule.n
-        d = rule.decision_for_sum(total)
-        if d != 0:
-            return TestOutcome(
-                stage_index=idx,
-                sample_count=rule.n,
-                accepted_index=d - 1,
-                terminal_estimate=total / rule.n,
-                tie_occurred=rule.tie_for_sum(total),
-            )
+    total = used = idx = 0
+    for edges in plan._edge_chunks():
+        ns, gaps = edges.ns.tolist(), list(zip(edges.below.T.tolist(), edges.above.T.tolist()))
+        for j, n in enumerate(ns):
+            total += _take(it, n - used, plan.model)
+            used, idx = n, idx + 1
+            k = min(total, _NO_COUNT - 1)  # a larger sum lies past every edge alike
+            if all(k <= b[j] or k >= a[j] for b, a in gaps):
+                return TestOutcome(
+                    idx, n, sum(k >= a[j] for _, a in gaps[:edges.zones]), total / n,
+                    isinstance(plan, MultiHypPlan) and plan.stages[idx - 1].tie_for_sum(total),
+                    n == ns[-1] and edges.band[0] < k < edges.band[1])
     raise InfeasibleDesignError("plan is not closed: no decision at the final stage")

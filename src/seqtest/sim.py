@@ -13,17 +13,14 @@ trial, so ``_trial_rngs`` derives the same states in bulk: it runs numpy's
 SeedSequence hash (``mix_entropy`` and ``generate_state``, in uint32
 arithmetic) over a chunk of trial indices at once, applies PCG64's
 two-step seeding (``pcg64_set_seed``) in Python integers and loads each
-state into one reused generator.  Simulations then hold at most
-``_BLOCK_CELLS`` draws at once.  For a plan, a block of trials, each
-trial's final stage one row, is summed along its rows and decided a stage
-at a time.  An SPRT trial has no final stage, so its trials go in rounds
-of widening rows: every undecided trial draws its first ``width`` values
-again from the start of its stream, which reads the same values the walk
-would, and stops at its first running sum outside the count windows.  The
-rows start at ``_SPRT_CHUNK`` draws and widen ``_SPRT_GROWTH``-fold until
-every trial is decided; a row wider than ``_BLOCK_CELLS`` is a block of
-its own.  The widest row is the cap, or ``sprt._MAX_DRAWS`` for a walk
-that would otherwise run away.
+state into one reused generator.  One trial loop (``_trials``) then
+decides every runner, holding at most ``_BLOCK_CELLS`` draws at once.  A
+one-sample runner hands out its count-edge table (``plans._Edges``) in
+chunks of sizes: a plan all its stages at once, an SPRT 1..``_SPRT_CHUNK``
+and then ``_SPRT_GROWTH``-fold wider rounds.  Each undecided trial draws
+up to a chunk's last size from the start of its stream into a row (a row
+wider than ``_BLOCK_CELLS`` is a block of its own) and stops at the first
+of the chunk's sizes that decides.  Two-sample plans use the same loop.
 """
 
 from __future__ import annotations
@@ -32,18 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sprt
 from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
 from .plans import CONTINUE, MultiHypPlan
-from .sprt import SprtSpec
+from .sprt import _SPRT_CHUNK, _SPRT_GROWTH, SprtSpec
 from .twoprop import _BERN, TwoPropPlan, _check_point
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]
 
-_SPRT_CHUNK = 64        # draws in an SPRT trial's first round
-_SPRT_GROWTH = 4        # width factor between SPRT rounds
 _BLOCK_CELLS = 1 << 16  # draws a simulation holds at once
 _SEED_CHUNK = 1 << 12   # trial states hashed per numpy pass
 _MAX_TRIALS = 1 << 32   # trial indices fit the one-word spawn key hashed below
@@ -59,9 +53,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _check_run(trials, seed) -> None:
     """Raise unless ``trials`` is an integer in 1..2**32 and ``seed`` a
     nonnegative one."""
-    if not isinstance(trials, (int, np.integer)) or not 1 <= trials <= _MAX_TRIALS:
+    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
+            or not 1 <= trials <= _MAX_TRIALS):
         raise DomainError(f"trials must be an integer in 1..2**32, got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -181,65 +176,41 @@ def _summarize(theta, trials, seed, accepted, nstop, n_hyp, forced) -> SimReport
     )
 
 
-def _decide(accepted, nstop, stages) -> None:
-    """Record, per trial, the first of its ``(samples, labels)`` stages that
-    decides (labels not ``CONTINUE``); ``accepted`` starts at ``CONTINUE``."""
-    for n, labels in stages:
-        new = (accepted == CONTINUE) & (labels != CONTINUE)
-        accepted[new] = labels[new]
-        nstop[new] = n
-    if (accepted == CONTINUE).any():
-        raise InfeasibleDesignError("plan is not closed: no decision at the final stage")
-
-
-def _simulate_plan(plan: MultiHypPlan, theta, trials, seed) -> SimReport:
-    model = plan.model
-    model.validate_theta(theta)
-    n_last = plan.stage_ns[-1]
-    accepted = np.full(trials, CONTINUE, dtype=np.int64)
-    nstop = np.empty(trials, dtype=np.int64)
-
-    def fill(rng, row):
-        row[:] = model.draw(rng, n_last, theta)
-
-    for rows, block in _blocks(seed, np.arange(trials), n_last, fill):
-        sums = np.cumsum(block, axis=1, out=block)
-        # a count past the labels array takes its last entry
-        _decide(accepted[rows], nstop[rows],
-                ((rule.n, rule.labels[np.minimum(sums[:, rule.n - 1], len(rule.labels) - 1)])
-                 for rule in plan.stages))
-    return _summarize(theta, trials, seed, accepted, nstop, plan.m, None)
-
-
-def _simulate_sprt(spec: SprtSpec, theta, trials, seed) -> SimReport:
-    model, cap = spec.model, spec.cap
-    model.validate_theta(theta)
-    nstop = np.empty(trials, dtype=np.int64)
-    accepted = np.empty(trials, dtype=np.int64)
+def _trials(seed: int, trials: int, chunks, fill, decide):
+    """(accepted, nstop, forced) per trial.  For each (width, chunk) of
+    ``chunks``, each undecided trial fills a row of its first ``width``
+    draws, and ``decide(chunk, block)`` returns which rows decided and their
+    sample counts, hypotheses and forced flags."""
+    accepted, nstop = np.empty((2, trials), dtype=np.int64)
     forced = np.zeros(trials, dtype=bool)
-
-    def fill(rng, row):
-        row[:] = model.draw(rng, len(row), theta)
-
-    # the rounds end at the cap or at the draw limit run_sprt keeps
-    top = sprt._MAX_DRAWS if cap is None else min(cap, sprt._MAX_DRAWS)
-    pending, width = np.arange(trials), _SPRT_CHUNK
-    while len(pending):
-        n = min(width, top)
-        acc, rej = spec.count_bounds(np.arange(1, n + 1))
+    pending = np.arange(trials)
+    for width, chunk in chunks:
         undecided = []
-        for rows, block in _blocks(seed, pending, n, fill):
-            sums = np.cumsum(block, axis=1, out=block)
-            hit = (sums <= acc) | (sums >= rej)
-            done, part = hit.any(axis=1), pending[rows]
-            ts, j = part[done], hit[done].argmax(axis=1)
-            k = sums[done, j]
-            nstop[ts], accepted[ts], forced[ts] = j + 1, k >= rej[j], spec._forced(j + 1, k)
+        for rows, block in _blocks(seed, pending, width, fill):
+            done, n, label, force = decide(chunk, block)
+            part = pending[rows]
+            ts = part[done]
+            nstop[ts], accepted[ts], forced[ts] = n, label, force
             undecided.append(part[~done])
-        pending, width = np.concatenate(undecided), width * _SPRT_GROWTH
-        if len(pending) and n == top:
-            raise DomainError(f"sequential walk still undecided after {n} draws")
-    return _summarize(theta, trials, seed, accepted, nstop, 2, forced)
+        pending = np.concatenate(undecided)
+        if not len(pending):
+            return accepted, nstop, forced
+    raise InfeasibleDesignError("plan is not closed: no decision at the final stage")
+
+
+def _decide_counts(edges, block):
+    """``_trials``'s ``decide`` for a chunk of a count-edge table."""
+    sums, cols = np.cumsum(block, axis=1, out=block), len(edges.ns)
+    # consecutive sizes up to the row's end (every SPRT chunk) are read as a view
+    sums = sums[:, -cols:] if edges.ns[0] + cols > block.shape[1] else sums[:, edges.ns - 1]
+    hit = (sums <= edges.below[:, 0]) | (sums >= edges.above[:, 0])
+    for c in range(1, edges.below.shape[1]):
+        hit &= (sums <= edges.below[:, c]) | (sums >= edges.above[:, c])
+    done = hit.any(axis=1)
+    j = hit[done].argmax(axis=1)
+    k = sums[done, j]
+    return (done, edges.ns[j], (k[:, None] >= edges.above[j, :edges.zones]).sum(axis=1),
+            (j == len(edges.ns) - 1) & (edges.band[0] < k) & (k < edges.band[1]))
 
 
 def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
@@ -248,31 +219,41 @@ def simulate_two_prop(plan: TwoPropPlan, p_x: float, p_y: float, trials: int,
     _check_run(trials, seed)
     _check_point(p_x, p_y)
     n_x = plan.stages[-1].n_x
-    accepted = np.full(trials, CONTINUE, dtype=np.int64)
-    nstop = np.empty(trials, dtype=np.int64)
+    sizes = np.array([st.n_x + st.n_y for st in plan.stages])
 
     def fill(rng, row):  # the x arm's draws, then the y arm's, from one stream
         row[:n_x] = _BERN.draw(rng, n_x, p_x)
         row[n_x:] = _BERN.draw(rng, len(row) - n_x, p_y)
 
-    width = n_x + plan.stages[-1].n_y
-    for rows, block in _blocks(seed, np.arange(trials), width, fill):
+    def decide(stages, block):
         kx = np.cumsum(block[:, :n_x], axis=1)
         ky = np.cumsum(block[:, n_x:], axis=1)
-        _decide(accepted[rows], nstop[rows],
-                ((st.n_x + st.n_y, st.decision[kx[:, st.n_x - 1], ky[:, st.n_y - 1]])
-                 for st in plan.stages))
+        dec = np.stack([st.decision[kx[:, st.n_x - 1], ky[:, st.n_y - 1]] for st in stages],
+                       axis=1)
+        hit = dec != CONTINUE
+        done = hit.any(axis=1)
+        j = hit[done].argmax(axis=1)
+        return done, sizes[j], dec[done, j], False
+
+    accepted, nstop, _ = _trials(seed, trials, [(int(sizes[-1]), plan.stages)], fill, decide)
     return _summarize(p_x - p_y, trials, seed, accepted, nstop, plan.m, None)
 
 
 def simulate(runner, theta: float, trials: int, seed: int) -> SimReport:
     """Empirical acceptance, sample-count, and stopping summary for one mean."""
     _check_run(trials, seed)
-    if isinstance(runner, MultiHypPlan):
-        return _simulate_plan(runner, theta, trials, seed)
-    if isinstance(runner, SprtSpec):
-        return _simulate_sprt(runner, theta, trials, seed)
-    raise UnsupportedModelError(f"cannot simulate runner of type {type(runner).__name__}")
+    if not isinstance(runner, (MultiHypPlan, SprtSpec)):
+        raise UnsupportedModelError(f"cannot simulate runner of type {type(runner).__name__}")
+    model = runner.model
+    model.validate_theta(theta)
+
+    def fill(rng, row):
+        row[:] = model.draw(rng, len(row), theta)
+
+    chunks = ((int(edges.ns[-1]), edges) for edges in runner._edge_chunks())
+    accepted, nstop, forced = _trials(seed, trials, chunks, fill, _decide_counts)
+    m = runner.m if isinstance(runner, MultiHypPlan) else 2
+    return _summarize(theta, trials, seed, accepted, nstop, m, forced)
 
 
 @dataclass
@@ -313,12 +294,14 @@ def compare(runners, theta_grid, trials: int, seed: int, names=None) -> CompareR
     """
     _check_run(trials, seed)
     runners = list(runners)
+    thetas = [float(t) for t in theta_grid]
+    if not runners or not thetas:
+        raise DomainError("compare needs at least one runner and one theta")
     if names is None:
         names = [f"runner_{i+1}" for i in range(len(runners))]
     names = [str(x) for x in names]
     if len(names) != len(runners):
         raise DomainError("one name per runner required")
-    thetas = [float(t) for t in theta_grid]
     rows = []
     for theta in thetas:
         for name, runner in zip(names, runners):

@@ -5,11 +5,11 @@ against the lower one.  After n observations summing to k it is the line
 ``k * slope + n * offset``, slope > 0, so at every n its boundaries are
 integer count windows, as in a plan stage: the sum k accepts the null at
 k <= b_n (ratio <= log B) and rejects it at k >= a_n (ratio >= log A).  A
-sample cap closes its stage by the sign of the ratio.  The stream runner
-walks the integer running sum through these windows one value at a time,
-so a path that reaches a boundary exactly stops there whatever the order
-of its samples; the simulator compares blocks of running sums with the
-same windows.
+sample cap closes its stage by the sign of the ratio.  So the test is a
+plan with one stage per sample size: its (b_n, a_n) rows form the plans'
+count-edge table (``plans._Edges``), handed out in chunks up to the cap,
+which ``plans.run_plan`` and the simulator run as they run a plan, and a
+path that reaches a boundary exactly stops there whatever its order.
 The closed-form OC and ASN are Wald's approximations: they ignore
 overshoot and any cap and are labeled approximate wherever they surface.
 """
@@ -22,11 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, StreamExhaustedError
+from .errors import DomainError
 from .models import Bernoulli, Poisson, lr_count
-from .plans import TestOutcome, _take
+from .plans import TestOutcome, _Edges, run_plan
 
 __all__ = ["SprtSpec", "run_sprt", "sprt_oc_asn"]
+
+_SPRT_CHUNK = 64        # sample sizes in the first chunk of count windows
+_SPRT_GROWTH = 4        # size factor between chunks
+_MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,6 @@ class SprtSpec:
         return (lr_count(self.line, ns, self.log_b),
                 lr_count(self.line, ns, self.log_a, at_least=True))
 
-    def _forced(self, n, k):
-        """Whether the sign rule at the cap, not a boundary crossing, decided
-        the running sum k at size n (ints or arrays alike): n is the cap and
-        k lies strictly inside the uncapped windows."""
-        if self.cap is None:
-            return False
-        low, high = self._crossings(self.cap)
-        return (n == self.cap) & (low < k) & (k < high)
-
     def count_bounds(self, ns) -> tuple[np.ndarray, np.ndarray]:
         """Per sample size in the 1-D array ``ns``: (b_n, a_n).
 
@@ -97,13 +92,24 @@ class SprtSpec:
             reject[at_cap] = accept[at_cap] + 1
         return accept, reject
 
+    def _edge_chunks(self):
+        """The windows as ``plans._Edges`` of sizes 1..64, 65..256, ... up to
+        the cap, whose row's band is the gap its sign rule closes, or up to
+        ``_MAX_DRAWS``; asking past the last means the walk is undecided."""
+        top = _MAX_DRAWS if self.cap is None else min(self.cap, _MAX_DRAWS)
+        stop = 0
+        while stop < top:
+            ns = np.arange(stop + 1, min(max(_SPRT_CHUNK, stop * _SPRT_GROWTH), top) + 1)
+            stop = int(ns[-1])
+            below, above = self.count_bounds(ns)
+            band = tuple(map(int, self._crossings(stop))) if stop == self.cap else (0, 0)
+            yield _Edges(ns, below[:, None], above[:, None], 1, band)
+        raise DomainError(f"sequential walk still undecided after {top} draws")
+
     def increments(self, xs) -> np.ndarray:
         """Per-observation log likelihood ratio contributions."""
         slope, offset = self.line
         return np.asarray(xs) * slope + offset
-
-
-_MAX_DRAWS = 10_000_000  # safety on a runaway uncapped walk
 
 
 def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
@@ -112,26 +118,7 @@ def run_sprt(spec: SprtSpec, stream) -> TestOutcome:
     With a cap, hitting it forces a decision by the sign of the statistic
     (nonpositive accepts the null); the outcome is flagged as forced.
     """
-    it = iter(stream)
-    top = _MAX_DRAWS if spec.cap is None else min(spec.cap, _MAX_DRAWS)
-    accept = reject = []
-    k = 0
-    for n in range(1, top + 1):
-        if n > len(accept):  # the windows of sizes 1..64, 1..128, ...
-            bounds = spec.count_bounds(np.arange(1, min(max(64, 2 * len(accept)), top) + 1))
-            accept, reject = (b.tolist() for b in bounds)
-        try:
-            k += _take(it, 1, spec.model)
-        except StreamExhaustedError:
-            raise StreamExhaustedError(
-                f"observation stream ended after {n - 1} samples with no decision"
-            ) from None
-        if k <= accept[n - 1] or k >= reject[n - 1]:
-            return TestOutcome(stage_index=n, sample_count=n,
-                               accepted_index=int(k >= reject[n - 1]),
-                               terminal_estimate=k / n, tie_occurred=False,
-                               forced=bool(spec._forced(n, k)))
-    raise DomainError(f"sequential walk still undecided after {top} draws")
+    return run_plan(spec, stream)
 
 
 def _log_mgf(spec: SprtSpec, theta: float, h: float) -> float:

@@ -33,7 +33,7 @@ ZETA_FLOOR = 1e-8
 
 @dataclass
 class TuneResult:
-    zeta: float                   # largest verified-feasible scale found
+    zeta: float                   # verified-feasible scale at the bisection's feasibility edge
     plan: object
     report: object                # feasibility report at .zeta
     iterations: int               # feasibility evaluations spent
@@ -49,11 +49,13 @@ class TuneResult:
 
 def tune_zeta(plan_family, requirement, tol: float = 1e-3,
               zeta_max: float = 1.0, verify=None) -> TuneResult:
-    """Largest scale in (0, zeta_max) whose plan passes exact verification.
+    """A feasible scale in (0, zeta_max) at a feasibility edge found by bisection.
 
-    ``plan_family`` maps a scale to a plan; a construction error counts as
-    infeasible at that scale.  ``verify`` maps a plan to (ok, report) and
-    defaults to the exact zone-endpoint verdict against ``requirement``.
+    Feasibility is not monotone in the scale: a larger feasible one may lie
+    above an infeasible gap.  ``plan_family`` maps a scale to a plan; a
+    construction error counts as infeasible at that scale.  ``verify`` maps
+    a plan to (ok, report) and defaults to the exact zone-endpoint verdict
+    against ``requirement``.
     The bracket starts by geometric probing downward from ``zeta_max`` and
     is then bisected to relative width ``tol``; the feasible endpoint is
     returned.  No feasible scale above ``ZETA_FLOOR`` raises an error: the

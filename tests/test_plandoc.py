@@ -307,6 +307,9 @@ class TestMalformedDocuments:
                           "windows": [[0, 5], [5, 5]], "ties": [None]}]
         self.expect(doc, "stages[0].windows")
         self.expect(doc, "overlap")
+        # an unbounded window overlaps every window after it
+        doc["stages"][0]["windows"] = [[0, None], [3, 5]]
+        self.expect(doc, "overlap")
 
         doc = self.good_doc()
         doc["stages"][2]["windows"][1] = [9, 3]

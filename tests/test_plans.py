@@ -1,11 +1,16 @@
 """Plan construction, decision thresholds, and plan execution."""
 
+import dataclasses
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from seqtest import sim
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, StreamExhaustedError
 from seqtest import plans
@@ -27,8 +32,10 @@ from seqtest.plans import (
     stage_is_closed,
     stage_schedule,
 )
+from seqtest.plandoc import doc_to_plan, parse_doc
 from seqtest.sprt import SprtSpec
 
+GOLDEN = pathlib.Path(__file__).parent / "data" / "plans"
 BERN = Bernoulli()
 POIS = Poisson()
 EXACT = ExactLimits()
@@ -592,3 +599,95 @@ class TestContinueSpans:
         assert self.spans(POIS, windows)[1] == (2, None, True)
         assert self.spans(BERN, windows, n=8)[1] == (2, 6, True)
         assert self.spans(BERN, windows, n=5)[1] == (2, 3, False)
+
+
+def golden_one_sample_plans():
+    docs = {path.stem: parse_doc(path.read_text(encoding="utf-8"))
+            for path in sorted(GOLDEN.glob("*.json"))}
+    return [pytest.param(doc_to_plan(doc), id=name) for name, doc in docs.items()
+            if doc["kind"] != "two-prop"]
+
+
+def check_edges_decide_like_the_labels(plan):
+    """Each stage's row of the count-edge table decides every count as
+    ``decision_for_sum`` does, read the simulator's way and the runner's.
+
+    The counts run over the support, or for Poisson one past the labels
+    array and on to a sum past int64."""
+    edges = plan._edges
+    for s, rule in enumerate(plan.stages):
+        top = plan.model.sum_upper(rule.n)
+        ks = list(range(top + 1 if top is not None else len(rule.labels) + 2))
+        far = [] if top is not None else [10**6, 2**62]
+        want = np.array([rule.decision_for_sum(k) for k in ks + far])
+        block = np.zeros((len(want), rule.n), dtype=np.int64)
+        block[:, 0] = ks + far  # a running sum of k at every size
+        row = plans._Edges(edges.ns[s:s + 1], edges.below[s:s + 1], edges.above[s:s + 1],
+                           edges.zones)
+        done, ns, label, forced = sim._decide_counts(row, block)
+        np.testing.assert_array_equal(done, want != 0, err_msg=f"stage {rule.n}")
+        np.testing.assert_array_equal(label, want[want != 0] - 1)
+        assert (ns == rule.n).all() and not forced.any()
+        alone = dataclasses.replace(plan, stages=(rule,))
+        for k in ks + far + ([] if top is not None else [2**70]):
+            stream = [k] + [0] * (rule.n - 1) if top is None else [1] * k + [0] * (rule.n - k)
+            d = rule.decision_for_sum(k)
+            if d == 0:
+                with pytest.raises(InfeasibleDesignError):
+                    run_plan(alone, stream)
+                continue
+            out = run_plan(alone, stream)
+            assert (out.accepted_index, out.tie_occurred) == (d - 1, rule.tie_for_sum(k)), k
+
+
+class TestEdgeTable:
+    """The runner and the simulator decide from the count-edge table that a
+    plan reads once from its windows; the labels are the oracle."""
+
+    @pytest.mark.parametrize("plan", golden_one_sample_plans())
+    def test_golden_plans(self, plan):
+        check_edges_decide_like_the_labels(plan)
+
+    @pytest.mark.parametrize("make", [
+        classic_plan,
+        lambda: build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
+                                     fully_sequential=True),
+        lambda: build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
+                                     stage_ns=[150], tiebreak=TIEBREAK_ALWAYS_REJECT),
+        lambda: build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
+                                    base_alphas=[0.1, 0.1], base_betas=[0.1, 0.1], stages=3),
+        lambda: build_one_sided_plan(POIS, EXACT, 1.0, 1.5, 0.05, 0.05, 0.5, stages=4),
+        lambda: build_multihyp_plan(POIS, EXACT, [0.5, 1.5], [1.0, 2.0], 0.5, stages=3),
+    ], ids=["bernoulli", "fully-sequential", "tied", "three-hypotheses", "poisson",
+            "poisson-three-hypotheses"])
+    def test_built_plans(self, make):
+        plan = make()
+        check_edges_decide_like_the_labels(plan)
+        # a builder's windows leave no gap under window 0 or over window m - 1
+        assert plan._edges.below.shape[1] == plan.m - 1
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_any_ordered_disjoint_windows(self, data):
+        """Windows no builder makes too: a first window that starts above 0,
+        a top window that stops short of the support, unreachable ones, in
+        stages beside others that have none of these."""
+        model = data.draw(st.sampled_from([BERN, POIS]))
+        m = data.draw(st.integers(2, 4))
+        rules = []
+        for n in np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))):
+            cuts = sorted(data.draw(st.lists(st.integers(0, int(n) + 1), min_size=2 * m,
+                                             max_size=2 * m)))
+            # window i is [cuts[2i] + i, cuts[2i + 1] + i]: ordered, disjoint, maybe abutting
+            windows = [(lo + i, hi + i) for i, (lo, hi) in enumerate(zip(cuts[::2], cuts[1::2]))]
+            windows = [None if data.draw(st.booleans()) else w for w in windows]
+            present = [i for i, w in enumerate(windows) if w is not None]
+            if present and data.draw(st.booleans()):
+                windows[present[-1]] = (windows[present[-1]][0], None)
+            rules.append(StageRule(n=int(n), f=(0.0,) * m, g=(0.0,) * m,
+                                   windows=tuple(windows), ties=(None,) * (m - 1)))
+            plans._validate_windows(rules[-1])
+        plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.4,) * (m - 1),
+                            zone_hi=(0.6,) * (m - 1), base_alphas=(0.1,) * (m - 1),
+                            base_betas=(0.1,) * (m - 1), zeta=0.5, stages=tuple(rules))
+        check_edges_decide_like_the_labels(plan)

@@ -329,6 +329,7 @@ class TestCompare:
         (10, -1, "seed"), (10, 1.5, "seed"), (10, "1", "seed"), (10, None, "seed"),
         (2.5, 1, "trials"), (0, 1, "trials"), (-3, 1, "trials"), (10.0, 1, "trials"),
         (2**32 + 1, 1, "trials"),  # past the one-word trial index of the substreams
+        (True, 1, "trials"), (10, True, "seed"),
     ])
     def test_trials_and_seed_must_be_integers(self, trials, seed, what):
         plan = classic_plan()
@@ -341,6 +342,12 @@ class TestCompare:
                      lambda: compare([plan], [], trials, seed)):
             with pytest.raises(DomainError, match=f"{what} must be a"):
                 call()
+
+    @pytest.mark.parametrize("runners, grid", [([classic_plan()], []), ([], [0.5])],
+                             ids=["empty-grid", "no-runners"])
+    def test_compare_needs_a_runner_and_a_theta(self, runners, grid):
+        with pytest.raises(DomainError, match="at least one runner and one theta"):
+            compare(runners, grid, 10, 1)
 
     def test_numpy_integers_are_accepted(self):
         plan = classic_plan()

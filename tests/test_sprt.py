@@ -12,7 +12,7 @@ from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, StreamExhaustedError
 from seqtest.models import Bernoulli, Poisson
 from seqtest.ocexact import propagate
-from seqtest.plans import CONTINUE, build_one_sided_plan, run_plan
+from seqtest.plans import CONTINUE, build_multihyp_plan, build_one_sided_plan, run_plan
 from seqtest.sim import simulate
 from seqtest.sprt import SprtSpec, run_sprt, sprt_oc_asn
 from seqtest.twoprop import build_two_prop_plan, run_two_prop
@@ -426,15 +426,23 @@ class TestStreamReads:
         if spec.cap is not None:
             assert spec.cap in stops
 
-    def test_run_plan(self):
-        plan = build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5, stages=5)
+    @pytest.mark.parametrize("plan, theta", [
+        (build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5, stages=5), 0.5),
+        (build_multihyp_plan(BERN, ExactLimits(), [0.15, 0.55], [0.35, 0.75], 0.5,
+                             [0.1, 0.1], stages=3), 0.45),
+        (build_one_sided_plan(POIS, ExactLimits(), 1.0, 1.5, 0.05, 0.05, 0.5, stages=4), 1.25),
+    ], ids=["bernoulli", "three-hypotheses", "poisson"])
+    def test_run_plan(self, plan, theta):
         rng = np.random.default_rng(43)
         stops = set()
         for _ in range(100):
-            draws = BERN.draw(rng, plan.stage_ns[-1] + 20, 0.5).tolist()
+            draws = plan.model.draw(rng, plan.stage_ns[-1] + 20, theta).tolist()
             it = iter(draws)
             out = run_plan(plan, it)
             assert list(it) == draws[out.sample_count:]
+            stage = plan.stages[out.stage_index - 1]
+            assert out.sample_count == stage.n
+            assert out.tie_occurred == stage.tie_for_sum(sum(draws[:stage.n]))
             stops.add(out.sample_count)
         assert len(stops) > 1
 

@@ -97,6 +97,18 @@ class TestClassicTune:
         # and everything beyond the infeasible bracket edge fails
         assert not any(f for z, f in zip(grid, flags) if z > res.bracket[1])
 
+    def test_bisection_edge_is_not_the_largest_feasible_scale(self):
+        """Feasibility is not monotone in zeta: above the returned edge an
+        infeasible gap leads to a larger scale whose plan passes."""
+        res = tune_one_sided(BERN, EXACT, 0.45, 0.55, 0.05, 0.05, stages=5)
+        assert res.zeta == pytest.approx(0.355784, abs=1e-6)
+        assert res.plan.stage_ns == (6, 18, 51, 151, 441)
+        plan = build_one_sided_plan(BERN, EXACT, 0.45, 0.55, 0.05, 0.05, 0.365, stages=5)
+        assert plan.stage_ns == (6, 18, 51, 149, 435)
+        rep = verify_risk(plan, (0.05, 0.05))
+        assert rep.satisfied
+        assert max(z.bound for z in rep.zones) == pytest.approx(0.048859, abs=1e-6)
+
     def test_halving_preserves_feasibility(self):
         for z in (0.42, 0.3, 0.2):
             for zz in (z, z / 2):
