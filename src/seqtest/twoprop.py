@@ -270,8 +270,8 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     kx = ky = 0
     used_x = used_y = 0
     for idx, stage in enumerate(plan.stages):
-        kx += _take(it_x, stage.n_x - used_x, _BERN, "first-arm")
-        ky += _take(it_y, stage.n_y - used_y, _BERN, "second-arm")
+        kx += _take(it_x, used_x, stage.n_x, _BERN, "first-arm")
+        ky += _take(it_y, used_y, stage.n_y, _BERN, "second-arm")
         used_x, used_y = stage.n_x, stage.n_y
         d = int(stage.decision[kx, ky])
         if d != CONTINUE:

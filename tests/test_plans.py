@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import pathlib
+import re
+import time
 
 import mpmath as mp
 import numpy as np
@@ -305,6 +307,17 @@ class TestBuildPlans:
             build_multihyp_plan(BERN, EXACT, [0.48], [0.52], 0.04, stages=2,
                                 max_stage_size=50)
 
+    def test_one_sided_final_stage_stays_within_max_stage_size(self):
+        # the plan closes at 2,399 samples, inside the sample cap of 4,607
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleDesignError, match="no closed final stage within 1000 samples"):
+            build_one_sided_plan(BERN, EXACT, 0.48, 0.52, 0.05, 0.05, 0.5, stages=5,
+                                 max_stage_size=1000)
+        assert time.perf_counter() - start < 1.0
+        plan = build_one_sided_plan(BERN, EXACT, 0.48, 0.52, 0.05, 0.05, 0.5, stages=5,
+                                    max_stage_size=2399)
+        assert plan.stage_ns[-1] == 2399
+
     def test_short_final_stage_is_reported(self):
         with pytest.raises(InfeasibleDesignError):
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
@@ -436,6 +449,12 @@ class TestRunPlan:
         plan = classic_plan()
         with pytest.raises(StreamExhaustedError):
             run_plan(plan, iter([0, 1, 0]))
+
+    def test_exhausted_stream_names_values_read_and_stage_size(self):
+        # a sum of 2 leaves stage 5 undecided, and the stream ends inside stage 10
+        with pytest.raises(StreamExhaustedError, match=re.escape(
+                "observation stream ended after 7 values; the stage of size 10 needs 3 more")):
+            run_plan(classic_plan(), iter([0, 1, 0, 1, 0, 1, 0]))
 
     def test_values_outside_support_rejected(self):
         plan = classic_plan()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestRunSprt:
         assert up_first.forced and up_first.accepted_index == 1
 
     def test_exhausted_stream(self):
-        with pytest.raises(StreamExhaustedError):
+        with pytest.raises(StreamExhaustedError, match=re.escape(
+                "observation stream ended after 3 values; the stage of size 4 needs 1 more")):
             run_sprt(classic_spec(), iter([1, 0, 1]))
 
     def test_stops_unaided_in_practice(self):

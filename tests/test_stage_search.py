@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import seqtest.plans as plans
@@ -212,11 +214,79 @@ class TestCrossingCounts:
         for q in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.025, 0.05, 0.5, 0.975):
             want = stats.poisson.isf(q, mus)
             np.testing.assert_array_equal(_poisson_isf(q, mus), want)
-            np.testing.assert_array_equal(plans._poisson_guess(q, mus), want + 1)
         # 1 - q rounds to 1, where the quantile is not defined
-        np.testing.assert_array_equal(plans._poisson_guess(1e-20, mus), np.ceil(mus) + 1)
         with pytest.raises(DomainError):
             _poisson_isf(1e-20, mus)
+
+
+@st.composite
+def monotone_searches(draw):
+    """(firsts, hi, guess): per size, the first count where a monotone
+    predicate holds; the counts where it is known to hold (None for an
+    unbounded support); and a guess per size, near the answer, negative,
+    past ``hi`` or far off."""
+    sizes = draw(st.integers(1, 40))
+    bounded = draw(st.booleans())
+    if bounded:
+        hi = np.array(draw(st.lists(st.integers(1, 5000), min_size=sizes, max_size=sizes)))
+        # an answer of hi stands for no true count below it
+        firsts = np.array([draw(st.integers(0, int(h))) for h in hi])
+    else:
+        hi = None
+        firsts = np.array(draw(st.lists(st.integers(0, 10**12), min_size=sizes,
+                                        max_size=sizes)))
+    top = 10**13 if hi is None else 2 * int(hi.max()) + 10
+    guess = np.array([draw(st.one_of(st.integers(-3, 3).map(lambda d, f=f: int(f) + d),
+                                     st.integers(-10**6, -1),
+                                     st.integers(0, top)))
+                      for f in firsts], dtype=np.int64)
+    return firsts, hi, guess
+
+
+class TestGuessedSearch:
+    """The crossing-count search starts at a guess, which only saves probes:
+    whatever the guess, each answer is the first count where the predicate
+    holds, the one a scan from 0 gives, and every probe lies on the counts
+    below the known true count."""
+
+    @staticmethod
+    def first_true(firsts, hi, guess):
+        ns = np.arange(1, len(firsts) + 1)
+
+        def pred(n, k):
+            assert (k >= 0).all()
+            if hi is not None:
+                assert (k < hi[n - 1]).all()
+            return k >= firsts[n - 1]
+
+        return plans._first_true(pred, ns, hi, guess)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(monotone_searches())
+    def test_any_guess_gives_the_first_true_count(self, search):
+        firsts, hi, guess = search
+        np.testing.assert_array_equal(self.first_true(firsts, hi, guess), firsts)
+
+    def test_no_true_count_below_the_largest_count(self):
+        with pytest.raises(InfeasibleDesignError, match="no crossing below"):
+            self.first_true(np.array([5, 2**60]), None, np.array([5, 7]))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=lambda m: m.name)
+    def test_crossing_counts_equal_the_masks(self, model, family):
+        rng = np.random.default_rng([17, len(family.tag), model is POIS])
+        for _ in range(6):
+            if model is BERN:
+                lo, hi = np.sort(rng.uniform(0.01, 0.99, 2))
+            else:
+                lo, hi = np.sort(rng.uniform(0.05, 5.0, 2))
+            alpha, beta = 10.0 ** rng.uniform(-12, math.log10(0.5), 2)
+            ns = np.unique(rng.integers(1, 3001, 8))
+            min_a, max_b = _crossing_counts(model, family, ns, [lo], [hi], [alpha], [beta])
+            want = np.array([mask_edges(model, family, int(n), lo, hi, alpha, beta)
+                             for n in ns])
+            np.testing.assert_array_equal(min_a[0], want[:, 0])
+            np.testing.assert_array_equal(max_b[0], want[:, 1])
 
 
 def test_ladder_final_sizes():

@@ -7,6 +7,7 @@ for operating characteristics, and dense parameter grids for certificates.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,9 @@ class TestRunPlan:
         plan = small_plan()
         with pytest.raises(StreamExhaustedError):
             run_two_prop(plan, [0, 1, 0], [1] * 10)
+        with pytest.raises(StreamExhaustedError, match=re.escape(
+                "second-arm stream ended after 3 values; the stage of size 4 needs 1 more")):
+            run_two_prop(plan, [1] * 10, [0, 1, 0])
         with pytest.raises(DomainError):
             run_two_prop(plan, [0, 1, 2, 0], [1] * 4)
 
