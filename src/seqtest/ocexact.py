@@ -4,17 +4,18 @@ Every exact evaluator runs one forward recursion, ``propagate`` (Jennison
 and Turnbull, *Group Sequential Methods*, 2000, ch. 19).  It carries the
 sub-probability array of the running sum over the undecided event.  At
 each stage it convolves in the pmf of each axis increment, hands the state
-and the stage's decision labels (``CONTINUE`` for undecided) to the
-caller's reduction and then drops the decided cells.  Mass still undecided
-after the last stage means the plan is not closed and raises
+to the caller's reduction and then drops the decided cells.  Mass still
+undecided after the last stage means the plan is not closed and raises
 ``InfeasibleDesignError``.
 
 One sample, the state is (rows, cells): a row per parameter point, so a
 theta grid goes through together, over the counts from an offset.  After
 each stage only the stage's undecided span is kept, from the first to the
-last ``CONTINUE`` count its model can reach (``MultiHypPlan.continue_spans``,
+last undecided count its model can reach (``MultiHypPlan.continue_spans``,
 computed once per plan), so a stage costs span x increment rather than
-every count x increment.  The pmf rows of a batch come from one
+every count x increment.  The reduction labels the states' cells, and no
+other counts, in one pass from the plan's gap table (``_cell_bins``).
+The pmf rows of a batch come from one
 ``increment_pmf`` call per distinct increment, with every theta of the
 batch at once.  Each row is convolved with its own pmf row,
 every output cell adding its products in state-cell order, and masses are
@@ -133,32 +134,32 @@ def _row_mass(state: np.ndarray) -> np.ndarray:
 def propagate(stages, pmf):
     """Run the forward recursion over ``stages``, one yield per stage.
 
-    ``stages`` lists (sizes, labels, span) per stage: the cumulative sample
-    size of each axis, the decision label of each sum cell and, for one
-    sample, the stage's (lo, hi, holes) span as
-    ``MultiHypPlan.continue_spans`` gives it (None for two).  A 1-D label
-    array may be shorter than the state; its last entry then covers every
-    count above it.  ``pmf(axis, m)`` gives (pmf, truncated mass) of an
-    m-sample increment on one axis, asked once per distinct (axis, m).  For
-    one sample these may be a (rows, taps) array and a (rows,) array, one
-    row per parameter point of a batch, rows shorter than the widest
-    padded with zeros, as one ``increment_pmf`` call over the batch's
-    thetas returns them.
+    ``stages`` lists (sizes, rule, span) per stage: the cumulative sample
+    size of each axis, the stage's decisions and, for one sample, its
+    (lo, hi, holes) span as ``MultiHypPlan.continue_spans`` gives it (None
+    for two).  Two samples, ``rule`` is the decision label of each grid
+    cell (``CONTINUE`` for undecided); one sample, it is the stage's
+    ``StageRule.windows``, read only to clear the windows inside a span
+    with holes, and no per-count label array is made.  ``pmf(axis, m)``
+    gives (pmf, truncated mass) of an m-sample increment on one axis, asked
+    once per distinct (axis, m).  For one sample these may be a (rows,
+    taps) array and a (rows,) array, one row per parameter point of a
+    batch, rows shorter than the widest padded with zeros, as one
+    ``increment_pmf`` call over the batch's thetas returns them.
 
     One sample, the state is (rows, cells) over the counts offset, offset
-    + 1, ...; after each stage it keeps only the span's cells (decided
-    cells inside the span cleared), and each row is convolved with its own
+    + 1, ...; after each stage it keeps only the span's cells (the windows
+    inside the span cleared), and each row is convolved with its own
     pmf row by ``_convolve_rows``.  The kernel never writes to such a state
     once yielded, so a caller may keep it.  Two samples, the state is the
     grid of x by y counts, one parameter point at offset 0; each axis
     increment is one banded matrix product, and the decided cells are
     cleared in place after the yield.
 
-    Yields (stage index, state, labels, offset, truncated mass so far),
-    ``labels`` matching the state's cells and the truncated mass per row
-    (0.0 until a pmf truncates).  The caller may zero cells of ``state``
-    before the decided ones are dropped.  Mass left after the last stage
-    raises ``InfeasibleDesignError``.
+    Yields (stage index, state, rule, offset, truncated mass so far), the
+    truncated mass per row (0.0 until a pmf truncates).  The caller may
+    zero cells of ``state`` before the decided ones are dropped.  Mass left
+    after the last stage raises ``InfeasibleDesignError``.
     """
     pmfs = {}
     dims = len(stages[0][0])
@@ -166,7 +167,7 @@ def propagate(stages, pmf):
     offset = 0
     prev = (0,) * dims
     truncated = 0.0
-    for idx, (sizes, labels, span) in enumerate(stages):
+    for idx, (sizes, rule, span) in enumerate(stages):
         for axis in range(dims):
             m = sizes[axis] - prev[axis]
             if m > 0:
@@ -187,49 +188,75 @@ def propagate(stages, pmf):
                         truncated = truncated + lost * float(state.sum())
                     state = _convolve(state, probs, axis)
         prev = sizes
-        if dims == 1:
-            # the labels of the counts offset, offset + 1, ... of the state
-            stop = offset + state.shape[1]
-            labels = (labels[offset:stop] if stop <= len(labels)
-                      else labels.take(np.arange(offset, stop), mode="clip"))
-        yield idx, state, labels, offset, truncated
+        yield idx, state, rule, offset, truncated
         if span is None:
-            state[labels != CONTINUE] = 0.0
+            state[rule != CONTINUE] = 0.0
             continue
         # keep the span's cells, with a copy that clears any decided ones in it
         lo, hi, holes = span
         start = max(lo - offset, 0)
         stop = state.shape[1] if hi is None else max(min(hi + 1 - offset, state.shape[1]), start)
         state = state[:, start:stop]
-        if holes:
-            state = np.where(labels[start:stop] == CONTINUE, state, 0.0)
         offset += start
+        if holes:
+            state = state.copy()
+            for win in filter(None, rule):
+                end = state.shape[1] if win[1] is None else win[1] + 1 - offset
+                state[:, max(win[0] - offset, 0):max(end, 0)] = 0.0
     if state.any():
         raise InfeasibleDesignError("plan leaves mass undecided after its last stage")
 
 
-def _label_mass(states, labels, m: int) -> np.ndarray:
-    """(stage, row, hypothesis) mass of the cells labelled 0, ..., m - 1.
+def _cell_bins(plan: MultiHypPlan, offsets, widths) -> np.ndarray:
+    """Per cell of a batch's states, stage i holding the counts offsets[i]
+    .. offsets[i] + widths[i] - 1, its bin: stage * (m + 1) + 1 + the
+    hypothesis its count decides, or stage * (m + 1) where it continues.
 
-    ``states`` and ``labels`` list each stage's state and labels as
-    ``propagate`` yields them.  One bincount over every stage, with the bin
-    of a cell at (stage, row, label + 1); each bin adds its cells in order,
+    Along the count, gap j of a stage (``plans._edge_row``) holds below[j]
+    + 1 .. above[j] - 1 and window j above[j] .. below[j + 1]; a running
+    maximum over these cuts empties the gap and window a missing window
+    leaves.  Each run's bin is repeated over its counts inside the state.
+    The plan keeps the cells of the last layout, which only a Poisson
+    plan's pmf truncation changes.
+    """
+    cells = plan._cell_memo.get((offsets, widths))
+    if cells is None:
+        (below, above), m = plan._gaps, plan.m
+        lo = np.array(offsets)[:, None]
+        hi = lo + np.array(widths)[:, None]
+        cuts = np.empty((len(lo), 2 * m + 2), dtype=np.int64)
+        cuts[:, 0:-1:2] = np.minimum(below, above - 1) + 1  # below + 1, kept below _NO_COUNT
+        cuts[:, 1:-1:2], cuts[:, -1:] = above[:, :-1], hi
+        cuts = np.clip(np.maximum.accumulate(cuts, axis=1), lo, hi)
+        run = np.arange(2 * m + 1)
+        bins = run % 2 * (run // 2 + 1) + (m + 1) * np.arange(len(lo))[:, None]
+        cells = bins.ravel().repeat((cuts[:, 1:] - cuts[:, :-1]).ravel())
+        cells.setflags(write=False)  # kept and shared with every later call
+        plan._cell_memo.clear()
+        plan._cell_memo[offsets, widths] = cells
+    return cells
+
+
+def _label_mass(plan: MultiHypPlan, states, offsets) -> np.ndarray:
+    """(stage, row, hypothesis) mass of the decided cells of every stage.
+
+    ``states`` and ``offsets`` list each stage's state and offset as
+    ``propagate`` yields them.  One bincount adds the cells, the bin of a
+    cell at (row, its ``_cell_bins`` bin); each bin adds its cells in order,
     so zero cells leave it unchanged.
     """
-    rows, size = len(states[0]), m + 1
-    first = np.arange(1, len(states) * rows * size, rows * size)   # (stage, 0, 0) + 1
-    cells = np.concatenate(labels) + first.repeat([len(part) for part in labels])
-    bins = cells + size * np.arange(rows)[:, None]
-    mass = np.bincount(bins.ravel(), np.concatenate(states, axis=1).ravel(),
-                       len(states) * rows * size)
-    return mass.reshape(len(states), rows, size)[..., 1:]
+    rows, size = len(states[0]), (plan.m + 1) * len(states)
+    bins = _cell_bins(plan, tuple(offsets), tuple(state.shape[1] for state in states))
+    mass = np.bincount((bins + size * np.arange(rows)[:, None]).ravel(),
+                       np.concatenate(states, axis=1).ravel(), rows * size)
+    return mass.reshape(rows, len(states), plan.m + 1).transpose(1, 0, 2)[..., 1:]
 
 
 def _one_sample(plan: MultiHypPlan, thetas):
     # one theta takes the scalar call, which skips the padding a batch needs
     thetas = thetas[0] if len(thetas) == 1 else np.asarray(thetas, dtype=float)
 
-    return propagate([((rule.n,), rule.labels, span)
+    return propagate([((rule.n,), rule.windows, span)
                       for rule, span in zip(plan.stages, plan.continue_spans)],
                      lambda _, m: plan.model.increment_pmf(m, thetas))
 
@@ -262,8 +289,8 @@ def _stage_mass(plan: MultiHypPlan, thetas):
     masses, bounds = [], []
     for i in range(0, len(thetas), size):
         batch = thetas[i:i + size]
-        _, states, labels, _, truncated = zip(*_one_sample(plan, batch))
-        masses.append(_label_mass(states, labels, plan.m))
+        _, states, _, offsets, truncated = zip(*_one_sample(plan, batch))
+        masses.append(_label_mass(plan, states, offsets))
         bounds.append(truncated[-1] + np.zeros(len(batch)))
     return np.concatenate(masses, axis=1), np.concatenate(bounds)
 
@@ -306,14 +333,14 @@ def rejection_split(plan: MultiHypPlan, hyp: int, theta: float, bound: float, si
     if not 0 <= hyp < plan.m:
         raise DomainError(f"hypothesis index out of range: {hyp}")
     plan.model.validate_theta(theta)
-    states, stage_labels = [], []
-    for idx, state, labels, offset, _ in _one_sample(plan, [theta]):
+    states, offsets = [], []
+    for idx, state, _, offset, _ in _one_sample(plan, [theta]):
         zs = (offset + np.arange(state.shape[1])) / plan.stages[idx].n
         near = zs <= bound + 1e-12 if side == "low" else zs >= bound - 1e-12
         states.append(state * near)
-        stage_labels.append(labels)
+        offsets.append(offset)
     total = 0.0
-    mass = _label_mass(states, stage_labels, plan.m)[:, 0]
+    mass = _label_mass(plan, states, offsets)[:, 0]
     for seg in np.delete(mass, hyp, axis=1).ravel().tolist():
         total += seg
     return total

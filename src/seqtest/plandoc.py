@@ -238,7 +238,7 @@ def _doc_to_stage(sd: dict, idx: int, model) -> StageRule:
         _validate_windows(rule)
     except InfeasibleDesignError as exc:
         raise PlanDocumentError(str(exc), f"{ctx}.windows") from None
-    # StageRule.labels holds one cell per count up to the last finite edge
+    # a bounded support: no window may name a count past it
     top = model.sum_upper(rule.n)
     if top is not None and any(e is not None and e > top
                                for win in windows if win is not None for e in win):

@@ -34,7 +34,7 @@ size; a plan build computes each table once over many sizes.  The search
 (``_first_true``) makes its first predicate call over four consecutive
 counts around a closed-form guess per size, a normal quantile of the sum
 with a skew term (``_crossing_guess``), and that call settles most sizes;
-only the sizes it missed go on to sectioning rounds.  The guess saves
+only the sizes it missed go on to bisect their brackets.  The guess saves
 probes and nothing else: each count is the first where the unchanged
 predicate holds, as a search from the whole support finds it.
 
@@ -115,9 +115,6 @@ _C_POLICIES = (C_POLICY_SUPPORT_MIDPOINT, C_POLICY_ZONE_MIDPOINT)
 # Largest count a Poisson crossing search brackets; beyond it float64 no
 # longer holds every integer.
 _MAX_COUNT = 2**53
-# Counts one sectioning call probes in the crossing-edge searches: one call
-# settles a single Bernoulli bracket of up to 255 counts.
-_PROBES = 256
 # Consecutive counts the first call of a crossing-edge search probes around
 # each size's guess, two below it and one above: it settles an answer within
 # one count of the guess.
@@ -125,7 +122,7 @@ _WINDOW = 4
 # Stage sizes 1..16 form the first block of the stage-size search, and each
 # later block doubles the sizes it covers.
 _FIRST_BLOCK = 16
-# Label of an undecided sum cell in a stage's decision array.
+# Label of an undecided cell in a two-sample stage's decision grid.
 CONTINUE = -1
 # Count-edge stand-in for "no such count" on an unbounded support.
 _NO_COUNT = np.iinfo(np.int64).max
@@ -152,33 +149,13 @@ class StageRule:
     windows: tuple[tuple[int, int | None] | None, ...]
     ties: tuple[tuple[int, int] | None, ...]
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Decision per sum count, int8: the 0-based hypothesis or CONTINUE.
-
-        The array ends one past the last finite window edge, and its last
-        entry also holds for every count above it.
-        """
-        spans = [(i, win) for i, win in enumerate(self.windows) if win is not None]
-        top = max([0] + [lo if hi is None else hi + 1 for _, (lo, hi) in spans])
-        labels = np.full(top + 1, CONTINUE, dtype=np.int8)
-        for i, (lo, hi) in reversed(spans):  # the first window holding k decides it
-            labels[lo:None if hi is None else hi + 1] = i
-        labels.setflags(write=False)  # cached and shared with every caller
-        return labels
-
     def decision_for_sum(self, k: int) -> int:
         """Decision variable for sum count k: 0 = continue, else i in 1..m."""
-        labels = self.labels
-        if k < 0:
-            return 0
-        return labels.item(k if k < len(labels) else -1) + 1
+        return next((i + 1 for i, win in enumerate(self.windows)
+                     if win and win[0] <= k and (win[1] is None or k <= win[1])), 0)
 
     def tie_for_sum(self, k: int) -> bool:
-        for tie in self.ties:
-            if tie is not None and tie[0] <= k <= tie[1]:
-                return True
-        return False
+        return any(tie is not None and tie[0] <= k <= tie[1] for tie in self.ties)
 
 
 def _edge_row(rule: StageRule, model) -> tuple[list[int], list[int]]:
@@ -192,14 +169,6 @@ def _edge_row(rule: StageRule, model) -> tuple[list[int], list[int]]:
     for win in reversed(rule.windows):
         above.append(above[-1] if win is None else win[0])
     return below, above[::-1]
-
-
-def _undecided(rule: StageRule, model) -> list[tuple[int, int]]:
-    """The runs (first, last) of undecided counts that the model reaches at
-    ``rule.n``, in order; a run without end stops at ``_NO_COUNT - 1``."""
-    below, above = _edge_row(rule, model)  # above[-1] is one past the support
-    runs = {(max(b + 1, 0), min(a, above[-1]) - 1) for b, a in zip(below, above)}
-    return sorted((lo, hi) for lo, hi in runs if lo <= hi)
 
 
 class _Edges(NamedTuple):
@@ -268,30 +237,43 @@ class MultiHypPlan(_ZonedPlan):
         return tuple(st.n for st in self.stages)
 
     @cached_property
+    def _gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(below, above), each (stages, m + 1): every stage's ``_edge_row``."""
+        return tuple(map(np.array, zip(*(_edge_row(r, self.model) for r in self.stages))))
+
+    @cached_property
     def continue_spans(self) -> tuple[tuple[int, int | None, bool], ...]:
         """Each stage's undecided span over the counts its model reaches.
 
         A span is (lo, hi, holes): the first and last undecided count (hi
         None when the counts continue without end on an unbounded support)
         and whether a decided count lies between them.  (0, -1, False) when
-        every count is decided.
+        every count is decided.  Two gaps are equal (a missing window between
+        them) or disjoint.
         """
-        spans = []
-        for rule in self.stages:
-            runs = _undecided(rule, self.model) or [(0, -1)]
-            hi = runs[-1][1]
-            spans.append((runs[0][0], None if hi == _NO_COUNT - 1 else hi, len(runs) > 1))
-        return tuple(spans)
+        below, above = self._gaps
+        end = np.minimum(above, above[:, -1:])  # gap j: counts below + 1 .. end - 1
+        held, rows = below < end - 1, np.arange(len(below))
+        first, last = held.argmax(axis=1), held.shape[1] - 1 - held[:, ::-1].argmax(axis=1)
+        spans = zip(held.any(axis=1).tolist(), (below[rows, first] + 1).tolist(),
+                    (end[rows, last] - 1).tolist(),
+                    (below[rows, first] != below[rows, last]).tolist())
+        return tuple((lo, None if hi == _NO_COUNT - 1 else hi, holes) if open_ else (0, -1, False)
+                     for open_, lo, hi, holes in spans)
+
+    @cached_property
+    def _cell_memo(self) -> dict:
+        """``ocexact._cell_bins``' cells of the last layout of states."""
+        return {}
 
     def _edge_chunks(self) -> tuple[_Edges]:
         return (self._edges,)
 
     @cached_property
     def _edges(self) -> _Edges:
-        """Every stage's boundary gaps from ``_edge_row``, and the gap under
+        """Every stage's boundary gaps from ``_gaps``, and the gap under
         window 0 or over window m - 1 where some stage leaves one."""
-        m = self.m
-        below, above = map(np.array, zip(*(_edge_row(r, self.model) for r in self.stages)))
+        (below, above), m = self._gaps, self.m
         ends = [j for j, nb in ((0, 1), (m, m - 1))  # a present window parts j from nb
                 if ((below[:, j] != below[:, nb]) & (below[:, j] < above[:, j] - 1)).any()]
         cols = [*range(1, m), *ends]
@@ -383,10 +365,7 @@ def _first_true(pred, ns, hi, guess):
     answer lies within one count of the guess.  The sizes it missed keep
     the brackets it left them.  On an unbounded support those still without
     a count where pred holds double their last failing count until it does.
-    Each later round probes evenly spaced counts inside every unresolved
-    bracket and keeps the section where pred turns true: bisection when many
-    sizes share a call, wider sections when few do, about ``_PROBES`` counts
-    per call.
+    Each later call bisects every open bracket at its upper midpoint.
     """
     if hi is None:
         hi = np.full(len(ns), _NO_COUNT)
@@ -403,16 +382,8 @@ def _first_true(pred, ns, hi, guess):
         up = up[hi[up] == _NO_COUNT]
     act = np.flatnonzero(hi - lo > 1)
     while act.size:
-        a_lo = lo[act]
-        span = (hi[act] - a_lo)[:, None]
-        sections = min(max(2, _PROBES // act.size), int(span.max()))
-        # Inner section edges a_lo + ceil(j * span / sections), j = 1 ..
-        # sections - 1, kept below the bracket's top: these probe every
-        # count strictly inside a bracket that spans at most ``sections``.
-        j = np.arange(1, sections)
-        lo[act], hi[act] = _narrow(
-            pred, ns[act], a_lo, hi[act],
-            a_lo[:, None] + np.minimum((j * span + sections - 1) // sections, span - 1))
+        lo[act], hi[act] = _narrow(pred, ns[act], lo[act], hi[act],
+                                   ((lo[act] + hi[act] + 1) // 2)[:, None])
         act = act[hi[act] - lo[act] > 1]
     return hi
 
@@ -591,8 +562,9 @@ def _validate_windows(rule: StageRule) -> None:
 
 
 def stage_is_closed(rule: StageRule, model) -> bool:
-    """True when every count the model reaches at the stage's size decides."""
-    return not _undecided(rule, model)
+    """True when no gap of ``_edge_row`` holds a count the model reaches."""
+    below, above = _edge_row(rule, model)
+    return all(b >= min(a, above[-1]) - 1 for b, a in zip(below, above))
 
 
 def check_stage_sizes(sizes: Sequence) -> None:

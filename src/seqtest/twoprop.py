@@ -507,10 +507,10 @@ def certify_risk(plan: TwoPropPlan, hyp: int, delta: float, tol: float = 1e-3,
 
 def tune_two_prop(plan_family, deltas, tol: float = 1e-3, zeta_max: float = 1.0,
                   certify_tol: float = 1e-3, budget: int = 20_000):
-    """Largest scale whose plan earns a proved certificate for every zone.
+    """A feasible scale at a feasibility edge found by bisection (``tune_zeta``).
 
-    Only a full set of proved verdicts counts as feasible; disproved and
-    inconclusive both reject the candidate scale.
+    Feasible means a proved certificate for every zone: a disproved or an
+    inconclusive verdict rejects the candidate scale.
     """
     from .tuning import tune_zeta
 

@@ -10,8 +10,8 @@ from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson
 from seqtest import ocexact
-from seqtest.ocexact import (OCReport, _convolve, _convolve_rows, _one_sample, oc_curve,
-                             oc_single, rejection_split, verify_risk)
+from seqtest.ocexact import (OCReport, _cell_bins, _convolve, _convolve_rows, _one_sample,
+                             oc_curve, oc_single, rejection_split, verify_risk)
 from seqtest.plans import MultiHypPlan, StageRule, build_multihyp_plan, build_one_sided_plan
 
 BERN = Bernoulli()
@@ -151,12 +151,16 @@ class TestConvolveRows:
         monkeypatch.setattr(ocexact, "_convolve_rows", spy)
         stages = list(_one_sample(plan, [0.5]))
         assert widths[-1] == 47
-        _, state, labels, offset, _ = stages[-1]
+        _, state, _, offset, _ = stages[-1]
         assert state.shape[1] == 47 + 8085
         assert plan.continue_spans[3][:2] == (offset, offset + 46)
-        _, before, before_labels, before_offset, _ = stages[3]
+        _, before, _, before_offset, _ = stages[3]
         assert before.shape[1] + before_offset < 1519
-        assert int((before_labels == -1).sum()) == 47
+        # the cells of stage 4 are labelled over the state alone, 47 undecided
+        sizes = [stage[1].shape[1] for stage in stages]
+        cells = _cell_bins(plan, tuple(stage[3] for stage in stages), tuple(sizes))
+        assert len(cells) == sum(sizes)
+        assert int((cells[sum(sizes[:3]):sum(sizes[:4])] == 3 * 3).sum()) == 47
 
 
 class TestOcSingle:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,12 +295,28 @@ class TestMalformedDocuments:
         plan = build_one_sided_plan(Bernoulli(), ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
                                     stage_ns=[50, 150])
         doc = plan_to_doc(plan)
-        # an edge of 10**7 would make a 10 MB labels array; it is refused first
+        # a Bernoulli sum never passes the stage size, so no window may end past it
         for edge in (151, 10**7):
             doc["stages"][1]["windows"][1][1] = edge
             self.expect(doc, "(at stages[1].windows)")
         doc["stages"][1]["windows"][1][1] = 150
         assert doc_to_plan(doc).stages == plan.stages
+
+    def test_poisson_window_edges_far_past_the_counts(self):
+        """A Poisson sum has no bound, so a far edge loads; the exact kernel
+        labels only the counts its states hold, and the edge costs nothing."""
+        path = pathlib.Path(__file__).parent / "data" / "plans" / "poisson_1.0_1.5_5stage.json"
+        doc = parse_doc(path.read_text(encoding="utf-8"))
+        doc["stages"][-1]["windows"] = [[0, 10**7], [10**7 + 1, None]]
+        plan = doc_to_plan(doc)
+        tracemalloc.start()
+        try:
+            accept, _, _, _ = oc_single(plan, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert accept.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_overlapping_windows_rejected(self):
         # Evaluated anyway, these windows give OC [1, 0] at every theta.

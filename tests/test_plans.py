@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtest import sim
+from seqtest import ocexact, sim
 from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError, StreamExhaustedError
 from seqtest import plans
 from seqtest.models import Bernoulli, Poisson, lr_count
 from seqtest.plans import (
-    CONTINUE,
     MultiHypPlan,
     OneSidedPlan,
     StageRule,
@@ -357,9 +356,9 @@ class TestDecisionVariable:
     def test_continuation_between_windows(self):
         plan = classic_plan()
         rule = plan.stages[0]
-        undecided = np.flatnonzero(rule.labels[:rule.n + 1] == CONTINUE)
-        assert undecided.size
-        assert rule.decision_for_sum(int(undecided[0])) == 0
+        (_, last_accept), (first_reject, _) = rule.windows
+        assert first_reject - last_accept > 1
+        assert all(rule.decision_for_sum(k) == 0 for k in range(last_accept + 1, first_reject))
 
     def test_all_failures_accept_lowest(self):
         assert classic_plan().stages[0].decision_for_sum(0) == 1
@@ -540,7 +539,7 @@ class TestStageSizeRule:
 
 
 class TestClosure:
-    """Closure is read from the labels over the counts the model reaches."""
+    """Closure is read from the windows' gaps over the counts the model reaches."""
 
     def rule(self, n):
         windows = ((0, 1), (2, 3), (4, 5), (7, 9))
@@ -557,7 +556,7 @@ class TestClosure:
         assert not stage_is_closed(self.rule(2), POIS)
 
     def test_a_top_label_that_continues_opens_the_stage(self):
-        # the last label, CONTINUE at count 10, holds for every count above it
+        # count 10 lies past every window, as every count above it does
         assert not stage_is_closed(self.rule(10), BERN)
         assert not stage_is_closed(self.rule(1), POIS)
 
@@ -588,23 +587,25 @@ class TestContinueSpans:
         ((0, 1), (4, 5), (7, 8)), ((0, 3), None), (None, (4, None)), ((2, 2), (5, None)),
         ((0, 9), None), ((0, 1), (2, None)), ((0, 3), (6, 7)), (None, None)])
     @pytest.mark.parametrize("model, n", [(BERN, 9), (BERN, 6), (POIS, 9)])
-    def test_span_holds_the_continue_counts_of_the_labels(self, windows, model, n):
+    def test_span_holds_the_continue_counts_of_the_windows(self, windows, model, n):
         rule, (lo, hi, holes) = self.spans(model, windows, n)
-        top = model.sum_upper(n)
-        undecided = [k for k in range(len(rule.labels) + 3 if top is None else top + 1)
+        top, past = model.sum_upper(n), past_the_edges(rule)
+        undecided = [k for k in range(past + 4 if top is None else top + 1)
                      if rule.decision_for_sum(k) == 0]
         if not undecided:
             assert (lo, hi, holes) == (0, -1, False)
             return
         assert lo == undecided[0]
-        assert hi == (None if top is None and rule.labels[-1] == CONTINUE else undecided[-1])
+        assert hi == (None if top is None and rule.decision_for_sum(past) == 0
+                      else undecided[-1])
         assert holes == (len(undecided) < undecided[-1] - lo + 1)
 
     def test_bernoulli_sentinel_past_the_support_is_not_undecided(self):
         plan = classic_plan()
         for rule, span in zip(plan.stages[:-1], plan.continue_spans):
-            assert len(rule.labels) == rule.n + 2 and rule.labels[-1] == CONTINUE
-            undecided = np.flatnonzero(rule.labels[:rule.n + 1] == CONTINUE)
+            # count n + 1 lies past every window but off the support
+            assert past_the_edges(rule) == rule.n + 1 and rule.decision_for_sum(rule.n + 1) == 0
+            undecided = [k for k in range(rule.n + 1) if rule.decision_for_sum(k) == 0]
             assert span == (undecided[0], undecided[-1], False)
         assert plan.continue_spans[-1] == (0, -1, False)
 
@@ -627,16 +628,25 @@ def golden_one_sample_plans():
             if doc["kind"] != "two-prop"]
 
 
-def check_edges_decide_like_the_labels(plan):
-    """Each stage's row of the count-edge table decides every count as
-    ``decision_for_sum`` does, read the simulator's way and the runner's.
+def past_the_edges(rule):
+    """One past the last finite window edge: every count from there on
+    decides alike."""
+    return max([0] + [lo if hi is None else hi + 1
+                      for lo, hi in filter(None, rule.windows)])
 
-    The counts run over the support, or for Poisson one past the labels
-    array and on to a sum past int64."""
+
+def check_edges_decide_like_the_windows(plan):
+    """Each stage's row of the count-edge table decides every count as
+    ``decision_for_sum`` does, read the simulator's way, the runner's and
+    the exact kernel's.
+
+    The counts run over the support, or for Poisson two past the last
+    window edge and on to a sum past int64."""
     edges = plan._edges
+    widths, cells = [], []
     for s, rule in enumerate(plan.stages):
         top = plan.model.sum_upper(rule.n)
-        ks = list(range(top + 1 if top is not None else len(rule.labels) + 2))
+        ks = list(range(top + 1 if top is not None else past_the_edges(rule) + 3))
         far = [] if top is not None else [10**6, 2**62]
         want = np.array([rule.decision_for_sum(k) for k in ks + far])
         block = np.zeros((len(want), rule.n), dtype=np.int64)
@@ -647,7 +657,11 @@ def check_edges_decide_like_the_labels(plan):
         np.testing.assert_array_equal(done, want != 0, err_msg=f"stage {rule.n}")
         np.testing.assert_array_equal(label, want[want != 0] - 1)
         assert (ns == rule.n).all() and not forced.any()
+        widths.append(len(ks))
+        cells.append(s * (plan.m + 1) + want[:len(ks)])
         alone = dataclasses.replace(plan, stages=(rule,))
+        for k in far:
+            assert ocexact._cell_bins(alone, (k,), (1,)).tolist() == [rule.decision_for_sum(k)]
         for k in ks + far + ([] if top is not None else [2**70]):
             stream = [k] + [0] * (rule.n - 1) if top is None else [1] * k + [0] * (rule.n - k)
             d = rule.decision_for_sum(k)
@@ -657,15 +671,18 @@ def check_edges_decide_like_the_labels(plan):
                 continue
             out = run_plan(alone, stream)
             assert (out.accepted_index, out.tie_occurred) == (d - 1, rule.tie_for_sum(k)), k
+    # one state per stage over the counts from 0, labelled in one pass
+    np.testing.assert_array_equal(
+        ocexact._cell_bins(plan, (0,) * len(widths), tuple(widths)), np.concatenate(cells))
 
 
 class TestEdgeTable:
-    """The runner and the simulator decide from the count-edge table that a
-    plan reads once from its windows; the labels are the oracle."""
+    """The runner, the simulator and the exact kernel decide from the gaps
+    a plan reads once from its windows; ``decision_for_sum`` is the oracle."""
 
     @pytest.mark.parametrize("plan", golden_one_sample_plans())
     def test_golden_plans(self, plan):
-        check_edges_decide_like_the_labels(plan)
+        check_edges_decide_like_the_windows(plan)
 
     @pytest.mark.parametrize("make", [
         classic_plan,
@@ -681,7 +698,7 @@ class TestEdgeTable:
             "poisson-three-hypotheses"])
     def test_built_plans(self, make):
         plan = make()
-        check_edges_decide_like_the_labels(plan)
+        check_edges_decide_like_the_windows(plan)
         # a builder's windows leave no gap under window 0 or over window m - 1
         assert plan._edges.below.shape[1] == plan.m - 1
 
@@ -709,4 +726,4 @@ class TestEdgeTable:
         plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.4,) * (m - 1),
                             zone_hi=(0.6,) * (m - 1), base_alphas=(0.1,) * (m - 1),
                             base_betas=(0.1,) * (m - 1), zeta=0.5, stages=tuple(rules))
-        check_edges_decide_like_the_labels(plan)
+        check_edges_decide_like_the_windows(plan)

@@ -13,7 +13,7 @@ from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, StreamExhaustedError
 from seqtest.models import Bernoulli, Poisson
 from seqtest.ocexact import propagate
-from seqtest.plans import CONTINUE, build_multihyp_plan, build_one_sided_plan, run_plan
+from seqtest.plans import build_multihyp_plan, build_one_sided_plan, run_plan
 from seqtest.sim import simulate
 from seqtest.sprt import SprtSpec, run_sprt, sprt_oc_asn
 from seqtest.twoprop import build_two_prop_plan, run_two_prop
@@ -259,30 +259,25 @@ def line_ratio(spec, n, k):
     return k * math.log(t1 / t0) - n * (t1 - t0)
 
 
-def window_labels(spec, n):
-    """Decision label per sum count 0..n of a Bernoulli stage from count_bounds."""
+def window_stage(spec, n):
+    """(sizes, windows, span) of a Bernoulli stage from count_bounds, as the
+    kernel reads a plan stage, and its (b_n, a_n)."""
     b, a = (int(v[0]) for v in spec.count_bounds(np.array([n])))
-    labels = np.full(n + 1, CONTINUE, dtype=np.int8)
-    labels[:max(b + 1, 0)] = 0
-    labels[min(a, n + 1):] = 1
-    return labels
-
-
-def window_span(labels):
-    """The one run of undecided counts between the two windows."""
-    cells = np.flatnonzero(labels == CONTINUE)
-    return (int(cells[0]), int(cells[-1]), False) if len(cells) else (0, -1, False)
+    windows = ((0, b) if b >= 0 else None, (a, n) if a <= n else None)
+    lo, hi = max(b + 1, 0), min(a - 1, n)
+    return ((n,), windows, (lo, hi, False) if lo <= hi else (0, -1, False)), (b, a)
 
 
 def exact_capped(spec, theta):
     """Acceptance and ASN of a capped Bernoulli SPRT through the plan kernel."""
-    stages = [((n,), labels, window_span(labels))
-              for n in range(1, spec.cap + 1) for labels in [window_labels(spec, n)]]
+    stages, bounds = zip(*(window_stage(spec, n) for n in range(1, spec.cap + 1)))
     accept = asn = 0.0
-    for idx, state, labels, _, _ in propagate(stages,
+    for idx, state, _, offset, _ in propagate(stages,
                                               lambda _, m: BERN.increment_pmf(m, theta)):
-        accept += float(state[:, labels == 0].sum())
-        asn += (idx + 1) * float(state[:, labels != CONTINUE].sum())
+        b, a = bounds[idx]
+        ks = offset + np.arange(state.shape[1])
+        accept += float(state[:, ks <= b].sum())
+        asn += (idx + 1) * float(state[:, (ks <= b) | (ks >= a)].sum())
     return accept, asn
 
 
