@@ -1,28 +1,27 @@
-"""Exact operating characteristic and sample-size distribution of a plan.
+"""Exact operating characteristic and sample-size distribution of a one-sample plan.
 
-Every exact evaluator runs one forward recursion, ``propagate`` (Jennison
-and Turnbull, *Group Sequential Methods*, 2000, ch. 19).  It carries the
-sub-probability array of the running sum over the undecided event.  At
-each stage it convolves in the pmf of each axis increment, hands the state
+Every exact evaluator here runs one forward recursion, ``propagate``
+(Jennison and Turnbull, *Group Sequential Methods*, 2000, ch. 19).  It
+carries the sub-probability array of the running sum over the undecided
+event.  At each stage it convolves in the increment pmf, hands the state
 to the caller's reduction and then drops the decided cells.  Mass still
 undecided after the last stage means the plan is not closed and raises
-``InfeasibleDesignError``.
+``InfeasibleDesignError``.  Two-sample plans run their own grid recursion
+in ``twoprop``.
 
-One sample, the state is (rows, cells): a row per parameter point, so a
-theta grid goes through together, over the counts from an offset.  After
-each stage only the stage's undecided span is kept, from the first to the
-last undecided count its model can reach (``MultiHypPlan.continue_spans``,
+The state is (rows, cells): a row per parameter point, so a theta grid
+goes through together, over the counts from an offset.  After each stage
+only the stage's undecided span is kept, from the first to the last
+undecided count its model can reach (``MultiHypPlan.continue_spans``,
 computed once per plan), so a stage costs span x increment rather than
 every count x increment.  The reduction labels the states' cells, and no
 other counts, in one pass from the plan's gap table (``_cell_bins``).
-The pmf rows of a batch come from one
-``increment_pmf`` call per distinct increment, with every theta of the
-batch at once.  Each row is convolved with its own pmf row,
-every output cell adding its products in state-cell order, and masses are
-summed cell by cell, so a row's result does not depend on the other rows
-of its batch: ``oc_curve`` rows equal ``oc_single`` bit for bit.  Two
-samples, the state is one grid of both arms' counts, one parameter point
-at offset 0, and each axis increment is one banded matrix product.
+The pmf rows of a batch come from one ``increment_pmf`` call per distinct
+increment, with every theta of the batch at once.  Each row is convolved
+with its own pmf row, every output cell adding its products in state-cell
+order, and masses are summed cell by cell, so a row's result does not
+depend on the other rows of its batch: ``oc_curve`` rows equal
+``oc_single`` bit for bit.
 
 For Bernoulli data every convolution is over a finite support and the
 result is exact to float arithmetic.  For Poisson data the increment pmf
@@ -36,10 +35,10 @@ its own boundary: then one endpoint evaluation settles an edge zone, and
 the wrong-acceptance sum at the two endpoints bounds a middle one.  That
 holds for two-hypothesis plans, whose stage windows are ordered along the
 count: each increment is stochastically increasing in theta, so a coupling
-argument applies (the 1-D case of ``twoprop._monotone``).  A
-plan with more hypotheses can have undecided counts on both sides of a
-middle window; its verdict is then exact at the endpoints but no proof
-over the zones.  All the endpoints go through one batched pass.
+argument applies (the 1-D case of ``twoprop._monotone``).  A plan with
+more hypotheses can have undecided counts on both sides of a middle
+window; its verdict is then exact at the endpoints but no proof over the
+zones.  All the endpoints go through one batched pass.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleDesignError
-from .plans import CONTINUE, MultiHypPlan
+from .plans import MultiHypPlan
 
 __all__ = ["OCReport", "RiskReport", "oc_single", "oc_curve", "verify_risk",
            "rejection_split"]
@@ -83,24 +82,6 @@ def _csv_text(head, rows) -> str:
                    for row in [head, *rows])
 
 
-def _convolve(state: np.ndarray, probs: np.ndarray, axis: int) -> np.ndarray:
-    """Full convolution of a 2-D ``state`` with ``probs`` along one axis.
-
-    The state is multiplied by the banded (Toeplitz) matrix
-    ``T[i, j] = probs[i - j]``: ``T @ state`` along axis 0 and
-    ``state @ T.T`` along axis 1.
-    """
-    n_in = state.shape[axis]
-    n_out = n_in + len(probs) - 1
-    # Row j of ``band`` starts ``probs`` at column j: each row of the
-    # buffer is one entry longer than a row of the view, so the view's
-    # rows shift right by one while the buffer's zeros fill the rest.
-    buf = np.zeros((n_in, n_out + 1))
-    buf[:, :len(probs)] = probs
-    band = buf.reshape(-1)[:n_in * n_out].reshape(n_in, n_out)   # T.T
-    return band.T @ state if axis == 0 else state @ band
-
-
 def _convolve_rows(state: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Full convolution of each row of ``state`` with the same row of ``probs``.
 
@@ -132,66 +113,44 @@ def _row_mass(state: np.ndarray) -> np.ndarray:
 
 
 def propagate(stages, pmf):
-    """Run the forward recursion over ``stages``, one yield per stage.
+    """Run the one-sample forward recursion over ``stages``, one yield per stage.
 
-    ``stages`` lists (sizes, rule, span) per stage: the cumulative sample
-    size of each axis, the stage's decisions and, for one sample, its
-    (lo, hi, holes) span as ``MultiHypPlan.continue_spans`` gives it (None
-    for two).  Two samples, ``rule`` is the decision label of each grid
-    cell (``CONTINUE`` for undecided); one sample, it is the stage's
-    ``StageRule.windows``, read only to clear the windows inside a span
-    with holes, and no per-count label array is made.  ``pmf(axis, m)``
-    gives (pmf, truncated mass) of an m-sample increment on one axis, asked
-    once per distinct (axis, m).  For one sample these may be a (rows,
-    taps) array and a (rows,) array, one row per parameter point of a
-    batch, rows shorter than the widest padded with zeros, as one
-    ``increment_pmf`` call over the batch's thetas returns them.
+    ``stages`` lists (n, windows, span) per stage: the cumulative sample
+    size, the stage's ``StageRule.windows`` and its (lo, hi, holes) span as
+    ``MultiHypPlan.continue_spans`` gives it.  ``pmf(m)`` gives (pmf,
+    truncated mass) of an m-sample increment, asked once per distinct m:
+    a (taps,) array and a float, or a (rows, taps) and a (rows,) array, one
+    row per parameter point of a batch as ``increment_pmf`` returns them.
 
-    One sample, the state is (rows, cells) over the counts offset, offset
-    + 1, ...; after each stage it keeps only the span's cells (the windows
-    inside the span cleared), and each row is convolved with its own
-    pmf row by ``_convolve_rows``.  The kernel never writes to such a state
-    once yielded, so a caller may keep it.  Two samples, the state is the
-    grid of x by y counts, one parameter point at offset 0; each axis
-    increment is one banded matrix product, and the decided cells are
-    cleared in place after the yield.
+    The state is (rows, cells) over the counts offset, offset + 1, ...;
+    each row is convolved with its own pmf row by ``_convolve_rows``, and
+    after each stage only the span's cells are kept, the windows inside it
+    cleared.  The kernel never writes to a state once yielded, so a caller
+    may keep it.
 
-    Yields (stage index, state, rule, offset, truncated mass so far), the
-    truncated mass per row (0.0 until a pmf truncates).  The caller may
-    zero cells of ``state`` before the decided ones are dropped.  Mass left
-    after the last stage raises ``InfeasibleDesignError``.
+    Yields (stage index, state, offset, truncated mass so far), the
+    truncated mass per row (0.0 until a pmf truncates).  Mass left after
+    the last stage raises ``InfeasibleDesignError``.
     """
     pmfs = {}
-    dims = len(stages[0][0])
     state = np.array([[1.0]])
-    offset = 0
-    prev = (0,) * dims
+    offset = prev = 0
     truncated = 0.0
-    for idx, (sizes, rule, span) in enumerate(stages):
-        for axis in range(dims):
-            m = sizes[axis] - prev[axis]
-            if m > 0:
-                entry = pmfs.get((axis, m))
-                if entry is None:
-                    probs, lost = pmf(axis, m)
-                    entry = pmfs[axis, m] = (
-                        probs[None] if dims == 1 and probs.ndim == 1 else probs,
-                        lost if (lost.any() if isinstance(lost, np.ndarray) else lost)
-                        else None)
-                probs, lost = entry
-                if dims == 1:
-                    if lost is not None:
-                        truncated = truncated + lost * _row_mass(state)
-                    state = _convolve_rows(state, probs)
-                else:
-                    if lost is not None:
-                        truncated = truncated + lost * float(state.sum())
-                    state = _convolve(state, probs, axis)
-        prev = sizes
-        yield idx, state, rule, offset, truncated
-        if span is None:
-            state[rule != CONTINUE] = 0.0
-            continue
+    for idx, (n, windows, span) in enumerate(stages):
+        m = n - prev
+        if m > 0:
+            entry = pmfs.get(m)
+            if entry is None:
+                probs, lost = pmf(m)
+                entry = pmfs[m] = (
+                    probs[None] if probs.ndim == 1 else probs,
+                    lost if (lost.any() if isinstance(lost, np.ndarray) else lost) else None)
+            probs, lost = entry
+            if lost is not None:
+                truncated = truncated + lost * _row_mass(state)
+            state = _convolve_rows(state, probs)
+        prev = n
+        yield idx, state, offset, truncated
         # keep the span's cells, with a copy that clears any decided ones in it
         lo, hi, holes = span
         start = max(lo - offset, 0)
@@ -200,7 +159,7 @@ def propagate(stages, pmf):
         offset += start
         if holes:
             state = state.copy()
-            for win in filter(None, rule):
+            for win in filter(None, windows):
                 end = state.shape[1] if win[1] is None else win[1] + 1 - offset
                 state[:, max(win[0] - offset, 0):max(end, 0)] = 0.0
     if state.any():
@@ -255,10 +214,9 @@ def _label_mass(plan: MultiHypPlan, states, offsets) -> np.ndarray:
 def _one_sample(plan: MultiHypPlan, thetas):
     # one theta takes the scalar call, which skips the padding a batch needs
     thetas = thetas[0] if len(thetas) == 1 else np.asarray(thetas, dtype=float)
-
-    return propagate([((rule.n,), rule.windows, span)
+    return propagate([(rule.n, rule.windows, span)
                       for rule, span in zip(plan.stages, plan.continue_spans)],
-                     lambda _, m: plan.model.increment_pmf(m, thetas))
+                     lambda m: plan.model.increment_pmf(m, thetas))
 
 
 def _row_cells(plan: MultiHypPlan, theta: float) -> float:
@@ -289,7 +247,7 @@ def _stage_mass(plan: MultiHypPlan, thetas):
     masses, bounds = [], []
     for i in range(0, len(thetas), size):
         batch = thetas[i:i + size]
-        _, states, _, offsets, truncated = zip(*_one_sample(plan, batch))
+        _, states, offsets, truncated = zip(*_one_sample(plan, batch))
         masses.append(_label_mass(plan, states, offsets))
         bounds.append(truncated[-1] + np.zeros(len(batch)))
     return np.concatenate(masses, axis=1), np.concatenate(bounds)
@@ -333,8 +291,10 @@ def rejection_split(plan: MultiHypPlan, hyp: int, theta: float, bound: float, si
     if not 0 <= hyp < plan.m:
         raise DomainError(f"hypothesis index out of range: {hyp}")
     plan.model.validate_theta(theta)
+    if np.isnan(bound):
+        raise DomainError("bound must be a number, got nan")
     states, offsets = [], []
-    for idx, state, _, offset, _ in _one_sample(plan, [theta]):
+    for idx, state, offset, _ in _one_sample(plan, [theta]):
         zs = (offset + np.arange(state.shape[1])) / plan.stages[idx].n
         near = zs <= bound + 1e-12 if side == "low" else zs >= bound - 1e-12
         states.append(state * near)
@@ -384,6 +344,8 @@ def verify_risk(plan: MultiHypPlan, deltas) -> RiskReport:
     deltas = tuple(float(d) for d in deltas)
     if len(deltas) != m:
         raise DomainError(f"need one rejection budget per hypothesis ({m})")
+    if not all(0.0 <= d <= 1.0 for d in deltas):
+        raise DomainError(f"rejection budgets must lie in [0, 1], got {deltas}")
 
     # Every distinct zone endpoint in one pass; rows do not depend on
     # their batch, so each equals its own ``oc_single``.
@@ -396,15 +358,10 @@ def verify_risk(plan: MultiHypPlan, deltas) -> RiskReport:
     zones: list[ZoneVerdict] = []
     slack = 0.0
     for i in range(m):
-        if i == 0:
-            th = plan.zone_lo[0]
+        if i in (0, m - 1):
+            th = plan.zone_lo[0] if i == 0 else plan.zone_hi[-1]
             acc, dfct = rows[th]
-            bound = 1.0 - float(acc[0])
-            eps, ths = (bound,), (th,)
-        elif i == m - 1:
-            th = plan.zone_hi[-1]
-            acc, dfct = rows[th]
-            bound = 1.0 - float(acc[m - 1])
+            bound = 1.0 - float(acc[i])
             eps, ths = (bound,), (th,)
         else:
             a, b = plan.zone_hi[i - 1], plan.zone_lo[i]

@@ -34,10 +34,10 @@ import numpy as np
 from .conflimits import ApproxLimits, family_by_tag
 from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
 from .models import model_by_name
-from .plans import (_C_POLICIES, _SCHEDULES, _TIEBREAKS, CONTINUE, MultiHypPlan,
+from .plans import (_C_POLICIES, _SCHEDULES, _TIEBREAKS, MultiHypPlan,
                     OneSidedPlan, StageRule, _check_zones, _levels, _tie_c_policy,
                     _validate_windows, check_stage_sizes, stage_is_closed)
-from .twoprop import TwoPropPlan, TwoPropStage, _check_two_prop_zones
+from .twoprop import CONTINUE, TwoPropPlan, TwoPropStage, _check_two_prop_zones
 
 __all__ = [
     "SCHEMA_VERSION", "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
@@ -142,10 +142,10 @@ def _need(doc: dict, key: str, ctx: str = ""):
     return doc[key]
 
 
-def _number(doc: dict, key: str) -> float:
-    v = _need(doc, key)
+def _number(doc: dict, key: str, ctx: str = "") -> float:
+    v = _need(doc, key, ctx)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise PlanDocumentError(f"{key} must be a number, got {v!r}", key)
+        raise PlanDocumentError(f"{key} must be a number, got {v!r}", ctx or key)
     return float(v)
 
 
@@ -168,8 +168,8 @@ def _pair_or_none(v, ctx: str, hi_none_ok: bool):
     if v is None:
         return None
     if (not isinstance(v, list) or len(v) != 2
-            or not isinstance(v[0], int)
-            or not (isinstance(v[1], int) or (hi_none_ok and v[1] is None))):
+            or not _is_int(v[0])
+            or not (_is_int(v[1]) or (hi_none_ok and v[1] is None))):
         raise PlanDocumentError(f"expected null or an integer pair, got {v!r}", ctx)
     return (v[0], v[1])
 
@@ -326,8 +326,12 @@ def doc_to_plan(doc: dict):
     fam_doc = _need(doc, "family")
     if not isinstance(fam_doc, dict) or "tag" not in fam_doc:
         raise PlanDocumentError("expected an object with a 'tag' field", "family")
+    # only an approx family reads a width, and it must give one
+    width = _number(fam_doc, "width", "family.width") if fam_doc["tag"] == "approx" else None
+    if width is None and "width" in fam_doc:
+        raise PlanDocumentError(f"a {fam_doc['tag']!r} family takes no width", "family.width")
     try:
-        family = family_by_tag(fam_doc["tag"], fam_doc.get("width"))
+        family = family_by_tag(fam_doc["tag"], width)
     except Exception as exc:
         raise PlanDocumentError(str(exc), "family") from None
     _check_domain(_check_zones, "zone_lo, zone_hi", model, zone_lo, zone_hi)

@@ -122,8 +122,6 @@ _WINDOW = 4
 # Stage sizes 1..16 form the first block of the stage-size search, and each
 # later block doubles the sizes it covers.
 _FIRST_BLOCK = 16
-# Label of an undecided cell in a two-sample stage's decision grid.
-CONTINUE = -1
 # Count-edge stand-in for "no such count" on an unbounded support.
 _NO_COUNT = np.iinfo(np.int64).max
 # Final stage sizes found in the open tuning run: per search key, a list of
@@ -548,16 +546,20 @@ def _rule_from_counts(model, n, first_a, last_b, zone_lo, zone_hi, c_policy, lr_
 
 
 def _validate_windows(rule: StageRule) -> None:
-    """Raise unless the windows are nonempty, ordered and disjoint."""
+    """Raise unless the windows start at count 0 or above and are nonempty,
+    ordered and disjoint."""
     cursor = -1
     for win in rule.windows:
         if win is None:
             continue
         lo, hi = win
+        if lo < 0:
+            raise InfeasibleDesignError(f"stage of size {rule.n}: decision window starts "
+                                        "below count 0")
         if lo <= cursor:
-            raise InfeasibleDesignError(f"stage {rule.n}: decision windows overlap")
+            raise InfeasibleDesignError(f"stage of size {rule.n}: decision windows overlap")
         if hi is not None and hi < lo:
-            raise InfeasibleDesignError(f"stage {rule.n}: empty decision window")
+            raise InfeasibleDesignError(f"stage of size {rule.n}: empty decision window")
         cursor = math.inf if hi is None else hi
 
 
@@ -567,12 +569,18 @@ def stage_is_closed(rule: StageRule, model) -> bool:
     return all(b >= min(a, above[-1]) - 1 for b, a in zip(below, above))
 
 
+def _is_integer(v) -> bool:
+    """True for an int or a numpy integer, and not for a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_stage_sizes(sizes: Sequence) -> None:
-    """Raise unless the stage sizes are positive and strictly increasing on
-    every arm.  Each entry is one stage's size, or a tuple of its per-arm sizes."""
+    """Raise unless the stage sizes are integers, positive and strictly
+    increasing on every arm.  Each entry is one stage's size, or a tuple of
+    its per-arm sizes."""
     arms = list(zip(*(n if isinstance(n, tuple) else (n,) for n in sizes)))
-    if not arms or any(arm[0] < 1 or any(b <= a for a, b in zip(arm, arm[1:]))
-                       for arm in arms):
+    if not arms or any(not all(map(_is_integer, arm)) or arm[0] < 1
+                       or any(b <= a for a, b in zip(arm, arm[1:])) for arm in arms):
         raise DomainError("stage sizes must be strictly increasing positive integers")
 
 
@@ -748,8 +756,9 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
                                 has_window)
             stage_ns = stage_schedule(first or last, last, stages, schedule)
     else:
-        stage_ns = tuple(int(n) for n in stage_ns)
+        stage_ns = tuple(stage_ns)
         check_stage_sizes(stage_ns)
+        stage_ns = tuple(map(int, stage_ns))
     min_a, max_b = _crossing_counts(model, family, stage_ns, zone_lo, zone_hi, alphas, betas)
     rules = tuple(rule(n, min_a, max_b, j) for j, n in enumerate(stage_ns))
     if not stage_is_closed(rules[-1], model):

@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
-from .plans import CONTINUE, MultiHypPlan
+from .plans import MultiHypPlan
 from .sprt import _SPRT_CHUNK, _SPRT_GROWTH, SprtSpec
-from .twoprop import _BERN, TwoPropPlan, _check_point
+from .twoprop import _BERN, CONTINUE, TwoPropPlan, _check_point
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",
            "reports_csv"]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import Bernoulli, Poisson, lr_count
-from .plans import TestOutcome, _Edges, run_plan
+from .plans import TestOutcome, _Edges, _is_integer, run_plan
 
 __all__ = ["SprtSpec", "run_sprt", "sprt_oc_asn"]
 
@@ -54,7 +54,7 @@ class SprtSpec:
             # Otherwise log A <= 0 <= log B and the count windows overlap.
             raise DomainError(
                 f"risk levels must sum below 1, got {self.alpha} + {self.beta}")
-        if self.cap is not None and self.cap < 1:
+        if self.cap is not None and not (_is_integer(self.cap) and self.cap >= 1):
             raise DomainError("sample cap must be a positive integer")
 
     @property

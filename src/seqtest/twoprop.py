@@ -12,9 +12,9 @@ builder gives both arms the same size at every stage and, unless the
 sizes are given, finds the first and last in one pass over the sizes;
 plan documents whose arms differ in size still load and run.
 
-The exact OC and the risk bounds run the forward recursion of
-``ocexact.propagate`` over the 2-D count grid, and the bounds rest on
-exact values at single points only.  Per hypothesis, where every stage's
+The exact OC and the risk bounds run this module's forward recursion
+over the grid of both arms' counts (``_propagate``), and the bounds rest
+on exact values at single points only.  Per hypothesis, where every stage's
 decision regions are monotone in the two counts (``_monotone``), a
 coupling argument makes each side's wrong acceptance monotone in p_x and
 p_y, so exact values at two opposite rectangle corners bound the
@@ -39,8 +39,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
-from .ocexact import propagate
-from .plans import (CONTINUE, TestOutcome, _ZonedPlan, _check_stage_count, _levels, _take,
+from .plans import (TestOutcome, _ZonedPlan, _check_stage_count, _levels, _take,
                     check_stage_sizes, stage_schedule)
 
 __all__ = [
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 _BERN = Bernoulli()
+# Label of an undecided cell in a stage's decision grid.
+CONTINUE = -1
 
 
 def _wilson_roots(phat, n, c):
@@ -250,8 +251,9 @@ def build_two_prop_plan(
     if stage_ns is None:
         first, last = _search_sizes(zone_lo, zone_hi, alphas, betas, max_stage_size)
         stage_ns = stage_schedule(first, last, stages, schedule)
-    ns = tuple(int(n) for n in stage_ns)
+    ns = tuple(stage_ns)
     check_stage_sizes(ns)
+    ns = tuple(map(int, ns))
     built = tuple(_build_stage(n, zone_lo, zone_hi, alphas, betas)[0] for n in ns)
     if not built[-1].closed:
         raise InfeasibleDesignError(
@@ -285,8 +287,49 @@ def run_two_prop(plan: TwoPropPlan, stream_x, stream_y) -> TestOutcome:
     raise InfeasibleDesignError("closed plan reached its last stage undecided")
 
 
+def _convolve(state: np.ndarray, probs: np.ndarray, axis: int) -> np.ndarray:
+    """Full convolution of a 2-D ``state`` with ``probs`` along one axis.
+
+    The state is multiplied by the banded (Toeplitz) matrix
+    ``T[i, j] = probs[i - j]``: ``T @ state`` along axis 0 and
+    ``state @ T.T`` along axis 1.
+    """
+    n_in = state.shape[axis]
+    n_out = n_in + len(probs) - 1
+    # Row j of ``band`` starts ``probs`` at column j: each row of the
+    # buffer is one entry longer than a row of the view, so the view's
+    # rows shift right by one while the buffer's zeros fill the rest.
+    buf = np.zeros((n_in, n_out + 1))
+    buf[:, :len(probs)] = probs
+    band = buf.reshape(-1)[:n_in * n_out].reshape(n_in, n_out)   # T.T
+    return band.T @ state if axis == 0 else state @ band
+
+
 def _propagate(plan: TwoPropPlan, pmf):
-    return propagate([((st.n_x, st.n_y), st.decision, None) for st in plan.stages], pmf)
+    """Run the forward recursion over the grid of both arms' counts.
+
+    ``pmf(axis, m)`` gives the pmf of an m-sample increment on arm ``axis``
+    (0 for x), asked once per distinct (axis, m); each is convolved in by
+    one banded matrix product.  Yields (stage index, state), then clears
+    the cells the stage decides.  Mass left after the last stage raises
+    ``InfeasibleDesignError``.
+    """
+    pmfs = {}
+    state = np.array([[1.0]])
+    prev = (0, 0)
+    for idx, st in enumerate(plan.stages):
+        for axis, n in enumerate((st.n_x, st.n_y)):
+            m = n - prev[axis]
+            if m > 0:
+                probs = pmfs.get((axis, m))
+                if probs is None:
+                    probs = pmfs[axis, m] = pmf(axis, m)
+                state = _convolve(state, probs, axis)
+        prev = st.n_x, st.n_y
+        yield idx, state
+        state[st.decision != CONTINUE] = 0.0
+    if state.any():
+        raise InfeasibleDesignError("plan leaves mass undecided after its last stage")
 
 
 def _monotone(plan: TwoPropPlan, b: int) -> bool:
@@ -349,8 +392,7 @@ class _RejectionBounds:
         key = (px, py)
         if key not in self._points:
             below = above = 0.0
-            for idx, state, _, _, _ in _propagate(
-                    self.plan, lambda axis, m: (self._pmf(m, key[axis]), 0.0)):
+            for idx, state in _propagate(self.plan, lambda axis, m: self._pmf(m, key[axis])):
                 below += float(state[self._below[idx]].sum())
                 above += float(state[self._above[idx]].sum())
             self._points[key] = below, above
@@ -417,15 +459,15 @@ def exact_oc(plan: TwoPropPlan, p_x: float, p_y: float):
     accept = np.zeros(plan.m)
     asn_x = asn_y = 0.0
     ps = (p_x, p_y)
-    for idx, state, labels, _, _ in _propagate(
-            plan, lambda axis, m: _BERN.increment_pmf(m, ps[axis])):
+    for idx, state in _propagate(plan, lambda axis, m: _BERN.increment_pmf(m, ps[axis])[0]):
+        stage = plan.stages[idx]
         stopped = 0.0
         for b in range(plan.m):
-            mass = float(state[labels == b].sum())
+            mass = float(state[stage.decision == b].sum())
             accept[b] += mass
             stopped += mass
-        asn_x += plan.stages[idx].n_x * stopped
-        asn_y += plan.stages[idx].n_y * stopped
+        asn_x += stage.n_x * stopped
+        asn_y += stage.n_y * stopped
     return accept, asn_x, asn_y
 
 

@@ -21,7 +21,7 @@ that forces some calls and a drift-free one whose longest walk passes
 One-sample values and every ``SimReport`` are compared bit for bit: they
 come from elementwise numpy and sums taken in a fixed order.  Two-sample
 exact values are compared within ``TWO_SAMPLE_ULPS`` units in the last
-place, because ``ocexact._convolve`` propagates a two-sample state through
+place, because ``twoprop._convolve`` propagates a two-sample state through
 BLAS ``matmul``, whose summation order may differ between CPUs and BLAS
 builds.  Verdicts and search sizes of the certificates are compared
 exactly.

@@ -10,9 +10,10 @@ from seqtest.conflimits import ExactLimits
 from seqtest.errors import DomainError, InfeasibleDesignError
 from seqtest.models import Bernoulli, Poisson
 from seqtest import ocexact
-from seqtest.ocexact import (OCReport, _cell_bins, _convolve, _convolve_rows, _one_sample,
+from seqtest.ocexact import (OCReport, _cell_bins, _convolve_rows, _one_sample,
                              oc_curve, oc_single, rejection_split, verify_risk)
 from seqtest.plans import MultiHypPlan, StageRule, build_multihyp_plan, build_one_sided_plan
+from seqtest.twoprop import _convolve
 
 BERN = Bernoulli()
 POIS = Poisson()
@@ -151,14 +152,14 @@ class TestConvolveRows:
         monkeypatch.setattr(ocexact, "_convolve_rows", spy)
         stages = list(_one_sample(plan, [0.5]))
         assert widths[-1] == 47
-        _, state, _, offset, _ = stages[-1]
+        _, state, offset, _ = stages[-1]
         assert state.shape[1] == 47 + 8085
         assert plan.continue_spans[3][:2] == (offset, offset + 46)
-        _, before, _, before_offset, _ = stages[3]
+        _, before, before_offset, _ = stages[3]
         assert before.shape[1] + before_offset < 1519
         # the cells of stage 4 are labelled over the state alone, 47 undecided
         sizes = [stage[1].shape[1] for stage in stages]
-        cells = _cell_bins(plan, tuple(stage[3] for stage in stages), tuple(sizes))
+        cells = _cell_bins(plan, tuple(stage[2] for stage in stages), tuple(sizes))
         assert len(cells) == sum(sizes)
         assert int((cells[sum(sizes[:3]):sum(sizes[:4])] == 3 * 3).sum()) == 47
 
@@ -505,6 +506,10 @@ class TestSplitBound:
         with pytest.raises(DomainError, match="hypothesis index"):
             rejection_split(classic_plan(), hyp, 0.5, 0.5, "low")
 
+    def test_nan_bound_is_refused(self):
+        with pytest.raises(DomainError, match="bound must be a number"):
+            rejection_split(classic_plan(), 0, 0.5, float("nan"), "low")
+
 
 class TestVerifyRisk:
     def test_classic_plan_misses_tight_budget(self):
@@ -535,6 +540,11 @@ class TestVerifyRisk:
     def test_zone_count_validated(self):
         with pytest.raises(DomainError):
             verify_risk(classic_plan(), (0.05,))
+
+    @pytest.mark.parametrize("deltas", [(float("nan"), 0.05), (2.0, 2.0), (0.05, -0.01)])
+    def test_budgets_outside_the_unit_interval_are_refused(self, deltas):
+        with pytest.raises(DomainError, match=r"rejection budgets must lie in \[0, 1\]"):
+            verify_risk(classic_plan(), deltas)
 
     def test_middle_zone_budget_uses_both_endpoints(self):
         plan = three_zone_plan()

@@ -318,13 +318,44 @@ class TestMalformedDocuments:
         assert peak < 1e6
         assert accept.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name, stage, key, pair", [
+        ("one-sided-exact", 0, "windows", [False, 0]),
+        ("one-sided-exact", 0, "windows", [0, False]),
+        ("multi-chernoff", 1, "ties", [True, 53]),
+        ("multi-chernoff", 1, "ties", [53, True]),
+    ])
+    def test_count_pairs_are_not_booleans(self, name, stage, key, pair):
+        doc = self.good_doc(name)
+        doc["stages"][stage][key][-1] = pair
+        self.expect(doc, f"integer pair, got {pair!r} (at stages[{stage}].{key}[")
+
+    @pytest.mark.parametrize("width", [True, "0.3", None])
+    def test_approx_family_needs_a_numeric_width(self, width):
+        doc = self.good_doc("approx-width")
+        doc["family"]["width"] = width
+        self.expect(doc, "(at family.width)")
+        del doc["family"]["width"]
+        self.expect(doc, "missing field 'width' (at family.width)")
+
+    @pytest.mark.parametrize("name", ["one-sided-exact", "multi-chernoff"])
+    def test_only_an_approx_family_takes_a_width(self, name):
+        doc = self.good_doc(name)
+        doc["family"]["width"] = 0.5
+        self.expect(doc, "family takes no width (at family.width)")
+
+    def test_window_below_count_zero_is_named_apart_from_an_overlap(self):
+        doc = self.good_doc()
+        doc["stages"] = [{"n": 5, "f": [0.5, "inf"], "g": ["-inf", 0.5],
+                          "windows": [[-3, 0], [5, 5]], "ties": [None]}]
+        self.expect(doc, "stage of size 5: decision window starts below count 0 "
+                         "(at stages[0].windows)")
+
     def test_overlapping_windows_rejected(self):
         # Evaluated anyway, these windows give OC [1, 0] at every theta.
         doc = self.good_doc()
         doc["stages"] = [{"n": 5, "f": [0.5, "inf"], "g": ["-inf", 0.5],
                           "windows": [[0, 5], [5, 5]], "ties": [None]}]
-        self.expect(doc, "stages[0].windows")
-        self.expect(doc, "overlap")
+        self.expect(doc, "stage of size 5: decision windows overlap (at stages[0].windows)")
         # an unbounded window overlaps every window after it
         doc["stages"][0]["windows"] = [[0, None], [3, 5]]
         self.expect(doc, "overlap")

@@ -267,6 +267,21 @@ class TestBuildPlans:
             build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
                                  stage_ns=stage_ns)
 
+    @pytest.mark.parametrize("stage_ns", [[5.7, 95.2], [True, 95], [10, 95.0], ["10", 95]])
+    def test_one_sided_stage_sizes_must_be_integers(self, stage_ns):
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, stage_ns=stage_ns)
+        numpy_sizes = build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
+                                           stage_ns=np.array([10, 95]))
+        assert numpy_sizes.stage_ns == (10, 95)
+        assert all(type(n) is int for n in numpy_sizes.stage_ns)
+
+    @pytest.mark.parametrize("stage_ns", [[2.5, 40.5], [True, 40]])
+    def test_multihyp_stage_sizes_must_be_integers(self, stage_ns):
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
+                                stage_ns=stage_ns)
+
     @pytest.mark.parametrize("stages", [0, -3])
     def test_one_sided_stage_count_below_one_is_refused(self, stages):
         with pytest.raises(DomainError, match="at least one stage"):
@@ -527,12 +542,14 @@ class TestThreeHypotheses:
 
 
 class TestStageSizeRule:
-    @pytest.mark.parametrize("sizes", [[1], [1, 2, 9], [(1, 3), (2, 4)], [(4, 1), (8, 2)]])
+    @pytest.mark.parametrize("sizes", [[1], [1, 2, 9], [(1, 3), (2, 4)], [(4, 1), (8, 2)],
+                                       [np.int64(2), np.int32(5)]])
     def test_increasing_positive_sizes_pass(self, sizes):
         check_stage_sizes(sizes)
 
     @pytest.mark.parametrize("sizes", [[], [0], [3, 3], [5, 4], [(1, 3), (2, 3)],
-                                       [(2, 3), (1, 4)], [(1, 0)], [(0, 1)]])
+                                       [(2, 3), (1, 4)], [(1, 0)], [(0, 1)], [1.5],
+                                       [True, 4], [(1, 2.0)], [np.float64(3)]])
     def test_every_arm_is_checked(self, sizes):
         with pytest.raises(DomainError, match="strictly increasing positive"):
             check_stage_sizes(sizes)

@@ -86,6 +86,12 @@ class TestBoundaries:
         with pytest.raises(DomainError):
             SprtSpec(BERN, 0.4, 0.6, 0.05, 0.05, cap=0)
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3", 0, -2])
+    def test_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(DomainError, match="sample cap must be a positive integer"):
+            SprtSpec(BERN, 0.4, 0.6, 0.05, 0.05, cap=cap)
+        assert SprtSpec(BERN, 0.4, 0.6, 0.05, 0.05, cap=np.int64(3)).cap == 3
+
     @pytest.mark.parametrize("alpha, beta", [(0.6, 0.6), (0.5, 0.5), (0.3, 0.7)])
     def test_risks_must_sum_below_one(self, alpha, beta):
         # at alpha + beta >= 1, log A <= 0 <= log B: the windows would overlap
@@ -260,20 +266,19 @@ def line_ratio(spec, n, k):
 
 
 def window_stage(spec, n):
-    """(sizes, windows, span) of a Bernoulli stage from count_bounds, as the
+    """(n, windows, span) of a Bernoulli stage from count_bounds, as the
     kernel reads a plan stage, and its (b_n, a_n)."""
     b, a = (int(v[0]) for v in spec.count_bounds(np.array([n])))
     windows = ((0, b) if b >= 0 else None, (a, n) if a <= n else None)
     lo, hi = max(b + 1, 0), min(a - 1, n)
-    return ((n,), windows, (lo, hi, False) if lo <= hi else (0, -1, False)), (b, a)
+    return (n, windows, (lo, hi, False) if lo <= hi else (0, -1, False)), (b, a)
 
 
 def exact_capped(spec, theta):
     """Acceptance and ASN of a capped Bernoulli SPRT through the plan kernel."""
     stages, bounds = zip(*(window_stage(spec, n) for n in range(1, spec.cap + 1)))
     accept = asn = 0.0
-    for idx, state, _, offset, _ in propagate(stages,
-                                              lambda _, m: BERN.increment_pmf(m, theta)):
+    for idx, state, offset, _ in propagate(stages, lambda m: BERN.increment_pmf(m, theta)):
         b, a = bounds[idx]
         ks = offset + np.arange(state.shape[1])
         accept += float(state[:, ks <= b].sum())

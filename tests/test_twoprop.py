@@ -154,6 +154,11 @@ class TestBuildPlan:
         with pytest.raises(DomainError, match="at least one stage"):
             build_two_prop_plan([-0.3], [0.3], 0.5, stages=stages)
 
+    @pytest.mark.parametrize("stage_ns", [[4.5, 8.2], [True, 8]])
+    def test_stage_sizes_must_be_integers(self, stage_ns):
+        with pytest.raises(DomainError, match="strictly increasing positive"):
+            build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=stage_ns)
+
     def test_stage_count_is_refused_with_given_sizes(self):
         with pytest.raises(DomainError, match="at least one stage"):
             build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8], stages=0)
