@@ -15,7 +15,7 @@ only the stage's undecided span is kept, from the first to the last
 undecided count its model can reach (``MultiHypPlan.continue_spans``,
 computed once per plan), so a stage costs span x increment rather than
 every count x increment.  The reduction labels the states' cells, and no
-other counts, in one pass from the plan's gap table (``_cell_bins``).
+other counts, in one pass from the plan's count-edge table (``_cell_bins``).
 The pmf rows of a batch come from one ``increment_pmf`` call per distinct
 increment, with every theta of the batch at once.  Each row is convolved
 with its own pmf row, every output cell adding its products in state-cell
@@ -116,11 +116,12 @@ def propagate(stages, pmf):
     """Run the one-sample forward recursion over ``stages``, one yield per stage.
 
     ``stages`` lists (n, windows, span) per stage: the cumulative sample
-    size, the stage's ``StageRule.windows`` and its (lo, hi, holes) span as
-    ``MultiHypPlan.continue_spans`` gives it.  ``pmf(m)`` gives (pmf,
-    truncated mass) of an m-sample increment, asked once per distinct m:
-    a (taps,) array and a float, or a (rows, taps) and a (rows,) array, one
-    row per parameter point of a batch as ``increment_pmf`` returns them.
+    size (strictly increasing), the stage's ``StageRule.windows`` and its
+    (lo, hi, holes) span as ``MultiHypPlan.continue_spans`` gives it.
+    ``pmf(m)`` gives (pmf, truncated mass) of an m-sample increment, asked
+    once per distinct m: a (taps,) array and a float, or a (rows, taps) and
+    a (rows,) array, one row per parameter point of a batch as
+    ``increment_pmf`` returns them.
 
     The state is (rows, cells) over the counts offset, offset + 1, ...;
     each row is convolved with its own pmf row by ``_convolve_rows``, and
@@ -138,17 +139,16 @@ def propagate(stages, pmf):
     truncated = 0.0
     for idx, (n, windows, span) in enumerate(stages):
         m = n - prev
-        if m > 0:
-            entry = pmfs.get(m)
-            if entry is None:
-                probs, lost = pmf(m)
-                entry = pmfs[m] = (
-                    probs[None] if probs.ndim == 1 else probs,
-                    lost if (lost.any() if isinstance(lost, np.ndarray) else lost) else None)
-            probs, lost = entry
-            if lost is not None:
-                truncated = truncated + lost * _row_mass(state)
-            state = _convolve_rows(state, probs)
+        entry = pmfs.get(m)
+        if entry is None:
+            probs, lost = pmf(m)
+            entry = pmfs[m] = (
+                probs[None] if probs.ndim == 1 else probs,
+                lost if (lost.any() if isinstance(lost, np.ndarray) else lost) else None)
+        probs, lost = entry
+        if lost is not None:
+            truncated = truncated + lost * _row_mass(state)
+        state = _convolve_rows(state, probs)
         prev = n
         yield idx, state, offset, truncated
         # keep the span's cells, with a copy that clears any decided ones in it
@@ -171,16 +171,16 @@ def _cell_bins(plan: MultiHypPlan, offsets, widths) -> np.ndarray:
     .. offsets[i] + widths[i] - 1, its bin: stage * (m + 1) + 1 + the
     hypothesis its count decides, or stage * (m + 1) where it continues.
 
-    Along the count, gap j of a stage (``plans._edge_row``) holds below[j]
-    + 1 .. above[j] - 1 and window j above[j] .. below[j + 1]; a running
-    maximum over these cuts empties the gap and window a missing window
-    leaves.  Each run's bin is repeated over its counts inside the state.
-    The plan keeps the cells of the last layout, which only a Poisson
-    plan's pmf truncation changes.
+    Along the count, gap j of a stage (column j of ``plan._edges``) holds
+    below[j] + 1 .. above[j] - 1 and window j above[j] .. below[j + 1]; a
+    running maximum over these cuts empties the gap and window a missing
+    window leaves.  Each run's bin is repeated over its counts inside the
+    state.  The plan keeps the cells of the last layout, which only a
+    Poisson plan's pmf truncation changes.
     """
     cells = plan._cell_memo.get((offsets, widths))
     if cells is None:
-        (below, above), m = plan._gaps, plan.m
+        below, above, m = plan._edges.below, plan._edges.above, plan.m
         lo = np.array(offsets)[:, None]
         hi = lo + np.array(widths)[:, None]
         cuts = np.empty((len(lo), 2 * m + 2), dtype=np.int64)

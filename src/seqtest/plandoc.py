@@ -223,7 +223,7 @@ def _check_build(build, kind: str) -> None:
                                 "build.fully_sequential")
 
 
-def _doc_to_stage(sd: dict, idx: int, model) -> StageRule:
+def _doc_to_stage(sd: dict, idx: int, model, m: int) -> StageRule:
     ctx = f"stages[{idx}]"
     f = tuple(_dec_edge(x, f"{ctx}.f") for x in _list(sd, "f", f"{ctx}.f"))
     g = tuple(_dec_edge(x, f"{ctx}.g") for x in _list(sd, "g", f"{ctx}.g"))
@@ -231,8 +231,9 @@ def _doc_to_stage(sd: dict, idx: int, model) -> StageRule:
                     for i, w in enumerate(_list(sd, "windows", f"{ctx}.windows")))
     ties = tuple(_pair_or_none(t, f"{ctx}.ties[{i}]", hi_none_ok=False)
                  for i, t in enumerate(_list(sd, "ties", f"{ctx}.ties")))
-    if len(f) != len(windows) or len(g) != len(windows) or len(ties) != len(windows) - 1:
-        raise PlanDocumentError("stage field lengths are inconsistent", ctx)
+    if (len(windows), len(ties), len(f), len(g)) != (m, m - 1, m, m):
+        raise PlanDocumentError(f"a stage of {m} hypotheses needs {m} windows, {m - 1} ties, "
+                                f"{m} f and {m} g", ctx)
     rule = StageRule(n=sd["n"], f=f, g=g, windows=windows, ties=ties)
     try:
         _validate_windows(rule)
@@ -341,7 +342,8 @@ def doc_to_plan(doc: dict):
     if kind == "multi" and c_policy not in _C_POLICIES:
         raise PlanDocumentError(f"unknown c policy {c_policy!r}", "c_policy")
     _check_sizes(raw_stages, ("n",))
-    stages = tuple(_doc_to_stage(sd, i, model) for i, sd in enumerate(raw_stages))
+    stages = tuple(_doc_to_stage(sd, i, model, len(zone_lo) + 1)
+                   for i, sd in enumerate(raw_stages))
     if not stage_is_closed(stages[-1], model):
         raise PlanDocumentError("final stage leaves continuation points",
                                 f"stages[{len(stages) - 1}].windows")

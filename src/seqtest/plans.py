@@ -34,7 +34,7 @@ size; a plan build computes each table once over many sizes.  The search
 (``_first_true``) makes its first predicate call over four consecutive
 counts around a closed-form guess per size, a normal quantile of the sum
 with a skew term (``_crossing_guess``), and that call settles most sizes;
-only the sizes it missed go on to bisect their brackets.  The guess saves
+only the sizes it missed go on to refine their brackets.  The guess saves
 probes and nothing else: each count is the first where the unchanged
 predicate holds, as a search from the whole support finds it.
 
@@ -63,7 +63,8 @@ bounds it from above, and the search covers only the sizes between: its
 answer is still the one a scan from 1 gives.
 For fully sequential one-sided plans, ``sample_bound`` gives the analytic
 cap derived from the large-deviation rate at the zone midpoint.  A plan
-and ``sprt.SprtSpec`` both run from a count-edge table (``_Edges``).
+keeps one count-edge table (``_edges``), which the runner, the simulator and
+the exact kernel read; ``sprt.SprtSpec`` hands out tables of its form.
 """
 
 from __future__ import annotations
@@ -170,17 +171,17 @@ def _edge_row(rule: StageRule, model) -> tuple[list[int], list[int]]:
 
 
 class _Edges(NamedTuple):
-    """Rows of a one-sample runner's count-edge table, which ``run_plan`` and
-    the simulator read.  At size ``ns[r]`` a running sum k decides unless
-    ``below[r, c] < k < above[r, c]`` in some column c; the first ``zones``
-    columns are the zone boundaries, so k decides hypothesis
-    #{i < zones : k >= above[r, i]}.  On the last row a sample cap's sign
-    rule decided k where ``band[0] < k < band[1]``."""
+    """Rows of a one-sample runner's count-edge table, which ``run_plan``,
+    the simulator and the exact kernel read.  At size ``ns[r]`` a running
+    sum k decides unless ``below[r, c] < k < above[r, c]`` in some column c;
+    the columns ``zones`` (a slice) are the zone boundaries, so k decides
+    hypothesis #{c in zones : k >= above[r, c]}.  On the last row a sample
+    cap's sign rule decided k where ``band[0] < k < band[1]``."""
 
     ns: np.ndarray
     below: np.ndarray
     above: np.ndarray
-    zones: int
+    zones: slice
     band: tuple[int, int] = (0, 0)
 
 
@@ -230,14 +231,12 @@ class MultiHypPlan(_ZonedPlan):
     stages: tuple[StageRule, ...]
     c_policy: str = C_POLICY_SUPPORT_MIDPOINT
 
+    def __post_init__(self):
+        check_stage_sizes(self.stage_ns)
+
     @property
     def stage_ns(self) -> tuple[int, ...]:
         return tuple(st.n for st in self.stages)
-
-    @cached_property
-    def _gaps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(below, above), each (stages, m + 1): every stage's ``_edge_row``."""
-        return tuple(map(np.array, zip(*(_edge_row(r, self.model) for r in self.stages))))
 
     @cached_property
     def continue_spans(self) -> tuple[tuple[int, int | None, bool], ...]:
@@ -249,7 +248,7 @@ class MultiHypPlan(_ZonedPlan):
         every count is decided.  Two gaps are equal (a missing window between
         them) or disjoint.
         """
-        below, above = self._gaps
+        below, above = self._edges.below, self._edges.above
         end = np.minimum(above, above[:, -1:])  # gap j: counts below + 1 .. end - 1
         held, rows = below < end - 1, np.arange(len(below))
         first, last = held.argmax(axis=1), held.shape[1] - 1 - held[:, ::-1].argmax(axis=1)
@@ -269,13 +268,10 @@ class MultiHypPlan(_ZonedPlan):
 
     @cached_property
     def _edges(self) -> _Edges:
-        """Every stage's boundary gaps from ``_gaps``, and the gap under
-        window 0 or over window m - 1 where some stage leaves one."""
-        (below, above), m = self._gaps, self.m
-        ends = [j for j, nb in ((0, 1), (m, m - 1))  # a present window parts j from nb
-                if ((below[:, j] != below[:, nb]) & (below[:, j] < above[:, j] - 1)).any()]
-        cols = [*range(1, m), *ends]
-        return _Edges(np.array(self.stage_ns), below[:, cols], above[:, cols], m - 1)
+        """Every stage's m + 1 gaps (``_edge_row``), the zone boundaries in
+        columns 1 .. m - 1."""
+        below, above = map(np.array, zip(*(_edge_row(r, self.model) for r in self.stages)))
+        return _Edges(np.array(self.stage_ns), below, above, slice(1, self.m))
 
 
 @dataclass(frozen=True)
@@ -287,6 +283,7 @@ class OneSidedPlan(MultiHypPlan):
     tiebreak: str = TIEBREAK_LIKELIHOOD_RATIO
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "c_policy", _tie_c_policy(self.tiebreak))
 
     @property
@@ -361,27 +358,24 @@ def _first_true(pred, ns, hi, guess):
     The first call probes the ``_WINDOW`` consecutive counts from two below
     each size's guess, kept inside [0, hi), and settles every size whose
     answer lies within one count of the guess.  The sizes it missed keep
-    the brackets it left them.  On an unbounded support those still without
-    a count where pred holds double their last failing count until it does.
-    Each later call bisects every open bracket at its upper midpoint.
+    the brackets it left them.  Each later call probes every open bracket:
+    one with no upper end (unbounded support) at twice its last failing
+    count plus one, any other at its upper midpoint.
     """
     if hi is None:
         hi = np.full(len(ns), _NO_COUNT)
     start = np.maximum(np.minimum(guess - _WINDOW // 2, hi - _WINDOW), 0)
     lo, hi = _narrow(pred, ns, -1, hi,
                      np.minimum(start[:, None] + np.arange(_WINDOW), hi[:, None] - 1))
-    up = np.flatnonzero(hi == _NO_COUNT)
-    while up.size:
-        probe = 2 * lo[up] + 1
-        if probe.max() > _MAX_COUNT:
-            raise InfeasibleDesignError(
-                f"no crossing below {_MAX_COUNT} counts at stage size {int(ns[up[0]])}")
-        lo[up], hi[up] = _narrow(pred, ns[up], lo[up], hi[up], probe[:, None])
-        up = up[hi[up] == _NO_COUNT]
-    act = np.flatnonzero(hi - lo > 1)
+    act = np.flatnonzero(hi - lo > 1)  # no overflow: lo >= 0 where hi is _NO_COUNT
     while act.size:
-        lo[act], hi[act] = _narrow(pred, ns[act], lo[act], hi[act],
-                                   ((lo[act] + hi[act] + 1) // 2)[:, None])
+        lo_, hi_ = lo[act], hi[act]
+        probe, ends = 2 * lo_ + 1, hi_ != _NO_COUNT
+        probe[ends] = (lo_[ends] + hi_[ends] + 1) // 2
+        if probe.max() > _MAX_COUNT:
+            raise InfeasibleDesignError(f"no crossing below {_MAX_COUNT} counts at stage "
+                                        f"size {int(ns[act[probe.argmax()]])}")
+        lo[act], hi[act] = _narrow(pred, ns[act], lo_, hi_, probe[:, None])
         act = act[hi[act] - lo[act] > 1]
     return hi
 
@@ -886,7 +880,7 @@ def run_plan(plan: MultiHypPlan, stream: Iterable) -> TestOutcome:
             k = min(total, _NO_COUNT - 1)  # a larger sum lies past every edge alike
             if all(k <= b[j] or k >= a[j] for b, a in gaps):
                 return TestOutcome(
-                    idx, n, sum(k >= a[j] for _, a in gaps[:edges.zones]), total / n,
+                    idx, n, sum(k >= a[j] for _, a in gaps[edges.zones]), total / n,
                     isinstance(plan, MultiHypPlan) and plan.stages[idx - 1].tie_for_sum(total),
                     n == ns[-1] and edges.band[0] < k < edges.band[1])
     raise InfeasibleDesignError("plan is not closed: no decision at the final stage")

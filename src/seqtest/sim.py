@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
-from .plans import MultiHypPlan
+from .plans import MultiHypPlan, _is_integer
 from .sprt import _SPRT_CHUNK, _SPRT_GROWTH, SprtSpec
 from .twoprop import _BERN, CONTINUE, TwoPropPlan, _check_point
 
@@ -53,10 +53,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _check_run(trials, seed) -> None:
     """Raise unless ``trials`` is an integer in 1..2**32 and ``seed`` a
     nonnegative one."""
-    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
-            or not 1 <= trials <= _MAX_TRIALS):
+    if not _is_integer(trials) or not 1 <= trials <= _MAX_TRIALS:
         raise DomainError(f"trials must be an integer in 1..2**32, got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -209,7 +208,7 @@ def _decide_counts(edges, block):
     done = hit.any(axis=1)
     j = hit[done].argmax(axis=1)
     k = sums[done, j]
-    return (done, edges.ns[j], (k[:, None] >= edges.above[j, :edges.zones]).sum(axis=1),
+    return (done, edges.ns[j], (k[:, None] >= edges.above[j, edges.zones]).sum(axis=1),
             (j == len(edges.ns) - 1) & (edges.band[0] < k) & (k < edges.band[1]))
 
 

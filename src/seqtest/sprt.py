@@ -103,7 +103,7 @@ class SprtSpec:
             stop = int(ns[-1])
             below, above = self.count_bounds(ns)
             band = tuple(map(int, self._crossings(stop))) if stop == self.cap else (0, 0)
-            yield _Edges(ns, below[:, None], above[:, None], 1, band)
+            yield _Edges(ns, below[:, None], above[:, None], slice(0, 1), band)
         raise DomainError(f"sequential walk still undecided after {top} draws")
 
     def increments(self, xs) -> np.ndarray:

@@ -144,6 +144,9 @@ class TwoPropPlan(_ZonedPlan):
     zeta: float
     stages: tuple[TwoPropStage, ...]
 
+    def __post_init__(self):
+        check_stage_sizes(self.stage_sizes)
+
     @property
     def stage_sizes(self) -> tuple[tuple[int, int], ...]:
         return tuple((st.n_x, st.n_y) for st in self.stages)
@@ -320,11 +323,10 @@ def _propagate(plan: TwoPropPlan, pmf):
     for idx, st in enumerate(plan.stages):
         for axis, n in enumerate((st.n_x, st.n_y)):
             m = n - prev[axis]
-            if m > 0:
-                probs = pmfs.get((axis, m))
-                if probs is None:
-                    probs = pmfs[axis, m] = pmf(axis, m)
-                state = _convolve(state, probs, axis)
+            probs = pmfs.get((axis, m))
+            if probs is None:
+                probs = pmfs[axis, m] = pmf(axis, m)
+            state = _convolve(state, probs, axis)
         prev = st.n_x, st.n_y
         yield idx, state
         state[st.decision != CONTINUE] = 0.0

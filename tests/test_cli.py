@@ -519,6 +519,47 @@ class TestDesignTuneRoundTrip:
         capsys.readouterr()
 
 
+class TestUsageRefusals:
+    """Each usage error exits 2 and names what is wrong, and leaves the
+    document as it was."""
+
+    @pytest.fixture(scope="class")
+    def multi_doc(self, workdir):
+        path = workdir / "multi.json"
+        assert main(["design", *MULTI, "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["design", "--kind", "multi", "--zeta", "0.5", "--out", "new.json"],
+         "design --kind multi requires --zones"),
+        (["design", "--kind", "multi", "--zones", "0.1-0.45", "--zeta", "0.5",
+          "--out", "new.json"], "zones must look like lo:hi[,lo:hi...], got '0.1-0.45'"),
+        (["design", "--kind", "multi", "--zones", "0.1:0.45,0.55:0.9", "--alphas", "0.1,low",
+          "--zeta", "0.5", "--out", "new.json"],
+         "--alphas must be a comma-separated list of numbers, got '0.1,low'"),
+        (["oc", "--plan", "plan.json", "--grid", "0.3:0.7"],
+         "--grid must look like start:stop:step, got '0.3:0.7'"),
+        (["tune", "--plan", "multi.json"],
+         "tune on a multi-hypothesis document requires --deltas"),
+        (["tune", "--plan", "multi.json", "--deltas", "0.1,0.1"], "need 3 risk budgets, got 2"),
+        (["certify", "--plan", "twoprop.json", "--deltas", "0.1,0.1,0.1"],
+         "need 2 risk budgets, got 3"),
+        (["simulate", "--plan", "plan.json", "--seed", "1"],
+         "simulate requires --theta for one-sample documents"),
+        (["compare", "--plan", "multi.json", "--grid", "0.3:0.7:0.1", "--seed", "1", "--sprt"],
+         "--sprt requires a one-sided document"),
+    ], ids=["multi without zones", "zones", "alphas", "grid", "tune multi without deltas",
+            "tune budgets", "certify budgets", "simulate without theta", "compare sprt multi"])
+    def test_exits_two_naming_the_fault(self, argv, message, workdir, multi_doc, capsys):
+        argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+        docs = {p: p.read_text() for p in map(pathlib.Path, argv) if p.suffix == ".json"
+                and p.exists()}
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
+        assert {p: p.read_text() for p in docs} == docs
+        assert not (workdir / "new.json").exists()
+
+
 class TestErrorSurface:
     def test_malformed_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -315,6 +315,11 @@ class TestProbeBudget:
 
 
 class TestApproxLimits:
+    @pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
+    def test_weight_outside_the_unit_interval_is_refused(self, w):
+        with pytest.raises(DomainError, match=r"blend weight w must lie in \[0, 1\]"):
+            ApproxLimits(w)
+
     def test_weight_zero_is_wald(self):
         Z = ndtri(1 - 0.05 / 2)
         fam = ApproxLimits(0.0)

@@ -124,6 +124,13 @@ class TestTails:
         assert BERN.tail_lower(1, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
         assert BERN.tail_upper(1, 0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("model", [BERN, POIS], ids=["bernoulli", "poisson"])
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_an_infinite_threshold_is_refused(self, model, z):
+        for tail in (model.tail_lower, model.tail_upper):
+            with pytest.raises(DomainError, match="threshold must be finite"):
+                tail(5, z, 0.5)
+
     def test_lower_tail_is_three_binomial_masses(self):
         oracle = sum(math.comb(5, k) * 0.4**k * 0.6 ** (5 - k) for k in (0, 1, 2))
         assert BERN.tail_lower(5, 0.4, 0.4) == pytest.approx(oracle, rel=1e-13)

@@ -232,6 +232,42 @@ class TestMalformedDocuments:
             doc["stages"][0][key] = -1
             self.expect(doc, f"(at stages[0].{key})")
 
+    @pytest.mark.parametrize("reshape", ["three windows", "one window"])
+    def test_stage_fields_count_the_hypotheses(self, reshape):
+        """The kernel, the runner and the simulator read m windows per stage
+        of a plan over m hypotheses."""
+        path = pathlib.Path(__file__).parent / "data" / "plans" / "exact_0.4_0.6_5stage.json"
+        doc = parse_doc(path.read_text(encoding="utf-8"))
+        for sd in doc["stages"]:
+            if reshape == "three windows":
+                for key, extra in (("windows", None), ("ties", None), ("f", "inf"), ("g", "inf")):
+                    sd[key].append(extra)
+            else:
+                sd.update(windows=[[0, sd["n"]]], ties=[], f=["inf"], g=["-inf"])
+        self.expect(doc, "a stage of 2 hypotheses needs 2 windows, 1 ties, 2 f and 2 g "
+                         "(at stages[0])")
+
+    def test_three_hypothesis_stage_missing_a_tie(self):
+        doc = self.good_doc("multi-chernoff")
+        doc["stages"][1]["ties"].pop()
+        self.expect(doc, "a stage of 3 hypotheses needs 3 windows, 2 ties, 3 f and 3 g "
+                         "(at stages[1])")
+
+    @pytest.mark.parametrize("stage", [[5], "5", None])
+    def test_a_stage_is_an_object(self, stage):
+        doc = self.good_doc()
+        doc["stages"][1] = stage
+        self.expect(doc, "expected a stage object (at stages[1])")
+
+    def test_a_document_root_is_an_object(self):
+        self.expect([self.good_doc()], "document root must be an object")
+
+    @pytest.mark.parametrize("family", ["exact", ["exact"], {"width": 0.3}])
+    def test_a_family_is_an_object_with_a_tag(self, family):
+        doc = self.good_doc()
+        doc["family"] = family
+        self.expect(doc, "expected an object with a 'tag' field (at family)")
+
     def test_two_prop_grid_context(self):
         doc = self.good_doc("two-prop")
         doc["stages"][0]["decision"][0] = "..."

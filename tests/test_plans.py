@@ -226,6 +226,41 @@ class TestSchedules:
         with pytest.raises(DomainError):
             stage_schedule(5, 95, 5, "fibonacci")
 
+    def test_first_size_past_the_last_is_refused(self):
+        with pytest.raises(DomainError, match="need n1 <= ns, got 96 > 95"):
+            stage_schedule(96, 95, 5, "geometric")
+
+
+class TestBuilderRefusals:
+    """Each refusal of a builder's inputs, with its message."""
+
+    @pytest.mark.parametrize("levels", [(0.0, 0.025), (0.025, 1.0), (1.5, 0.025)])
+    def test_sample_bound_levels_lie_in_the_unit_interval(self, levels):
+        with pytest.raises(DomainError, match=r"effective risk level must lie in \(0, 1\)"):
+            sample_bound(BERN, 0.4, 0.6, *levels)
+
+    @pytest.mark.parametrize("zone_lo, zone_hi", [([0.15, 0.55], [0.35]), ([], [])])
+    def test_zone_lists_are_nonempty_and_of_one_length(self, zone_lo, zone_hi):
+        with pytest.raises(DomainError, match="nonempty and of equal length"):
+            build_multihyp_plan(BERN, EXACT, zone_lo, zone_hi, 0.5)
+
+    @pytest.mark.parametrize("pairs", [{"base_alphas": [0.1]}, {"base_betas": [0.1] * 3}])
+    def test_one_base_pair_per_zone_boundary(self, pairs):
+        with pytest.raises(DomainError, match=r"one \(alpha, beta\) base pair per zone"):
+            build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5, **pairs)
+
+    def test_unknown_c_policy(self):
+        with pytest.raises(DomainError, match="unknown c policy 'bogus'"):
+            build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
+                                c_policy="bogus")
+
+    def test_unknown_tie_policy_where_a_tie_is_cut(self):
+        # the stage of 150 samples at levels 0.025 has the tie region 73..77
+        args = (BERN, EXACT, 150, [0.4], [0.6], [0.025], [0.025])
+        assert build_stage_rule(*args).ties == ((73, 77),)
+        with pytest.raises(DomainError, match="unknown tie policy 'bogus'"):
+            build_stage_rule(*args, c_policy="bogus")
+
 
 class TestBuildPlans:
     def test_classic_five_stage_sizing(self):
@@ -351,6 +386,16 @@ class TestPlanFields:
         with pytest.raises(TypeError):
             MultiHypPlan(**self.fields(plan), kind="two-prop")
         assert (MultiHypPlan(**self.fields(plan)).kind, plan.kind) == ("multi", "one-sided")
+
+    @pytest.mark.parametrize("kind", [MultiHypPlan, OneSidedPlan])
+    def test_stage_sizes_out_of_order_are_refused(self, kind):
+        """The exact kernel, the runner and the simulator draw each stage's
+        increment as its size less the last, so a plan's sizes must grow."""
+        plan = kind(**self.fields(classic_plan()))
+        first, second, *rest = plan.stages
+        for stages in ((second, first, *rest), (first, first, *rest), ()):
+            with pytest.raises(DomainError, match="strictly increasing positive"):
+                dataclasses.replace(plan, stages=stages)
 
     def test_one_sided_c_policy_is_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -716,8 +761,13 @@ class TestEdgeTable:
     def test_built_plans(self, make):
         plan = make()
         check_edges_decide_like_the_windows(plan)
-        # a builder's windows leave no gap under window 0 or over window m - 1
-        assert plan._edges.below.shape[1] == plan.m - 1
+        # a builder's windows leave no gap under window 0 or over window m - 1:
+        # on every stage, gap column 0 and gap column m hold no count, or are
+        # their neighbour's gap where that window is missing
+        edges, m = plan._edges, plan.m
+        for j, nb in ((0, 1), (m, m - 1)):
+            below, above = edges.below[:, j], edges.above[:, j]
+            assert ((below == edges.below[:, nb]) | (below >= above - 1)).all(), j
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())

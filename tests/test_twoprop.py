@@ -163,6 +163,24 @@ class TestBuildPlan:
         with pytest.raises(DomainError, match="at least one stage"):
             build_two_prop_plan([-0.3], [0.3], 0.5, stage_ns=[4, 8], stages=0)
 
+    def test_stage_sizes_out_of_order_are_refused(self):
+        """The grid recursion convolves in each arm's increment, so each arm's
+        sizes must grow."""
+        plan = small_plan()
+        for stages in (plan.stages[::-1], plan.stages[:1] * 2, ()):
+            with pytest.raises(DomainError, match="strictly increasing positive"):
+                dataclasses.replace(plan, stages=stages)
+
+    @pytest.mark.parametrize("zone_lo, zone_hi", [([], []), ([-0.3], [0.3, 0.5])])
+    def test_zone_lists_are_nonempty_and_matching(self, zone_lo, zone_hi):
+        with pytest.raises(DomainError, match="need matching nonempty zone endpoint"):
+            build_two_prop_plan(zone_lo, zone_hi, 0.5)
+
+    @pytest.mark.parametrize("hyp", [-1, 2])
+    def test_zone_band_of_a_hypothesis_out_of_range(self, hyp):
+        with pytest.raises(DomainError, match=f"hypothesis index out of range: {hyp}"):
+            small_plan().zone_band(hyp)
+
     def test_wide_zone_single_sample(self):
         plan = build_two_prop_plan([-0.45], [0.45], 0.5)
         assert plan.stage_sizes == ((1, 1),)
