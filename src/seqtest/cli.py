@@ -89,6 +89,14 @@ def _family_from_args(args):
     return family_by_tag(args.limits, width)
 
 
+def _refuse(parser, args, flags, why: str) -> None:
+    """A usage error for the first of ``flags`` (dests of options with no
+    default) given on the command line, which would otherwise be ignored."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            parser.error(f"--{flag.replace('_', '-')} {why}")
+
+
 def _sizing_from_args(args) -> dict:
     if args.stage_ns is not None:
         return {"stage_ns": list(args.stage_ns)}
@@ -103,7 +111,11 @@ def _cmd_design(args, parser) -> int:
         parser.error("--stages must be a positive integer")
     if args.fully_sequential and args.kind != "one-sided":
         parser.error("--fully-sequential applies to one-sided designs")
+    if args.fully_sequential and args.stage_ns is not None:
+        parser.error("--fully-sequential picks its own stage sizes; drop --stage-ns")
     if args.kind == "one-sided":
+        _refuse(parser, args, ("zones", "alphas", "betas"),
+                "applies to multi and two-prop designs")
         for flag in ("theta0", "theta1", "alpha", "beta"):
             if getattr(args, flag) is None:
                 parser.error(f"design --kind one-sided requires --{flag}")
@@ -112,6 +124,7 @@ def _cmd_design(args, parser) -> int:
     elif args.zones is None:
         parser.error(f"design --kind {args.kind} requires --zones")
     else:
+        _refuse(parser, args, ("theta0", "theta1", "alpha", "beta"), "applies to one-sided designs")
         spec, kwargs = (*args.zones, args.alphas, args.betas), {}
     model, family = ((None, None) if args.kind == "two-prop"
                      else (model_by_name(args.model), _family_from_args(args)))
@@ -138,10 +151,12 @@ def _two_prop_oc_csv(plan: TwoPropPlan, grid_x, grid_y) -> str:
 def _cmd_oc(args, parser) -> int:
     plan, _ = load_plan(args.plan)
     if isinstance(plan, TwoPropPlan):
+        _refuse(parser, args, ("grid",), "applies to one-sample documents")
         if args.grid_x is None or args.grid_y is None:
             parser.error("oc on a two-prop document requires --grid-x and --grid-y")
         text = _two_prop_oc_csv(plan, args.grid_x, args.grid_y)
     else:
+        _refuse(parser, args, ("grid_x", "grid_y"), "applies to two-prop documents")
         if args.grid is None:
             parser.error("oc requires --grid for one-sample documents")
         text = oc_curve(plan, args.grid).to_csv()
@@ -224,6 +239,7 @@ def _cmd_certify(args, parser) -> int:
 def _cmd_simulate(args, parser) -> int:
     plan, _ = load_plan(args.plan)
     if isinstance(plan, TwoPropPlan):
+        _refuse(parser, args, ("theta",), "applies to one-sample documents")
         if args.theta_x is None or args.theta_y is None:
             parser.error("simulate on a two-prop document requires "
                          "--theta-x and --theta-y")
@@ -232,6 +248,7 @@ def _cmd_simulate(args, parser) -> int:
         text = reports_csv([("two-prop", (args.theta_x, args.theta_y), rep)],
                            ("p_x", "p_y"))
     else:
+        _refuse(parser, args, ("theta_x", "theta_y"), "applies to two-prop documents")
         if args.theta is None:
             parser.error("simulate requires --theta for one-sample documents")
         rep = sim_simulate(plan, args.theta, args.trials, args.seed)
@@ -244,6 +261,8 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_compare(args, parser) -> int:
+    if args.sprt_cap is not None and not args.sprt:
+        parser.error("--sprt-cap requires --sprt")
     plan, _ = load_plan(args.plan)
     if isinstance(plan, TwoPropPlan):
         parser.error("compare runs on one-sample documents")

@@ -221,6 +221,9 @@ def _check_build(build, kind: str) -> None:
     if not isinstance(fully, bool) or fully and kind != "one-sided":
         raise PlanDocumentError(f"expected false, or true on a one-sided plan, got {fully!r}",
                                 "build.fully_sequential")
+    if fully and "stage_ns" in build:
+        raise PlanDocumentError("a fully sequential plan picks its own stage sizes, "
+                                "so the build holds no stage_ns", "build.fully_sequential")
 
 
 def _doc_to_stage(sd: dict, idx: int, model, m: int) -> StageRule:

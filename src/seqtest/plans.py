@@ -821,11 +821,15 @@ def build_one_sided_plan(
     default accepts H0 exactly when the likelihood ratio of the two zone
     endpoints is at least alpha/beta.  The final stage is searched up to
     ``max_stage_size`` samples, and under exact and Chernoff limits up to
-    one past the sample cap (``sample_bound``) where that is smaller.
+    one past the sample cap (``sample_bound``) where that is smaller.  A
+    ``fully_sequential`` plan has a stage at every size up to the final one,
+    so it takes no ``stage_ns``.
     """
     _check_zones(model, (theta0,), (theta1,))
     if tiebreak not in _TIEBREAKS:
         raise DomainError(f"unknown tiebreak {tiebreak!r}")
+    if fully_sequential and stage_ns is not None:
+        raise DomainError("a fully sequential plan picks its own stage sizes; omit stage_ns")
     _, _, alphas, betas = _levels((alpha,), (beta,), zeta, 1)
     lr_cut = ((theta0, theta1, math.log(alpha / beta))
               if tiebreak == TIEBREAK_LIKELIHOOD_RATIO else None)

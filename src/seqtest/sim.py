@@ -16,11 +16,12 @@ two-step seeding (``pcg64_set_seed``) in Python integers and loads each
 state into one reused generator.  One trial loop (``_trials``) then
 decides every runner, holding at most ``_BLOCK_CELLS`` draws at once.  A
 one-sample runner hands out its count-edge table (``plans._Edges``) in
-chunks of sizes: a plan all its stages at once, an SPRT 1..``_SPRT_CHUNK``
-and then ``_SPRT_GROWTH``-fold wider rounds.  Each undecided trial draws
-up to a chunk's last size from the start of its stream into a row (a row
-wider than ``_BLOCK_CELLS`` is a block of its own) and stops at the first
-of the chunk's sizes that decides.  Two-sample plans use the same loop.
+chunks of sizes: a plan all its stages at once, an SPRT
+1..``sprt._SPRT_CHUNK`` and then ``sprt._SPRT_GROWTH``-fold wider rounds.
+Each undecided trial draws up to a chunk's last size from the start of its
+stream into a row (a row wider than ``_BLOCK_CELLS`` is a block of its own)
+and stops at the first of the chunk's sizes that decides.  Two-sample
+plans use the same loop.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleDesignError, UnsupportedModelError
 from .ocexact import _csv_text
 from .plans import MultiHypPlan, _is_integer
-from .sprt import _SPRT_CHUNK, _SPRT_GROWTH, SprtSpec
+from .sprt import SprtSpec
 from .twoprop import _BERN, CONTINUE, TwoPropPlan, _check_point
 
 __all__ = ["SimReport", "CompareReport", "simulate", "simulate_two_prop", "compare",

@@ -455,6 +455,7 @@ TIED = ["--theta0", "0.4", "--theta1", "0.6", "--alpha", "0.1", "--beta", "0.05"
         "--zeta", "0.5", "--stage-ns", "120,150"]
 MULTI = ["--kind", "multi", "--zones", "0.1:0.45,0.55:0.9", "--alphas", "0.1,0.1",
          "--betas", "0.1,0.1", "--zeta", "0.2755"]
+TWO_PROP = ["--kind", "two-prop", "--zones=-0.3:0.3", "--zeta", "0.5", "--stage-ns", "4,8"]
 
 
 class TestDesignTuneRoundTrip:
@@ -548,8 +549,46 @@ class TestUsageRefusals:
          "simulate requires --theta for one-sample documents"),
         (["compare", "--plan", "multi.json", "--grid", "0.3:0.7:0.1", "--seed", "1", "--sprt"],
          "--sprt requires a one-sided document"),
+        # options the command would otherwise ignore
+        (["compare", "--plan", "plan.json", "--grid", "0.3:0.7:0.1", "--trials", "10",
+          "--seed", "1", "--sprt-cap", "10"], "--sprt-cap requires --sprt"),
+        (["simulate", "--plan", "plan.json", "--theta", "0.5", "--theta-x", "0.5",
+          "--trials", "10", "--seed", "1"], "--theta-x applies to two-prop documents"),
+        (["simulate", "--plan", "plan.json", "--theta", "0.5", "--theta-y", "0.5",
+          "--trials", "10", "--seed", "1"], "--theta-y applies to two-prop documents"),
+        (["simulate", "--plan", "twoprop.json", "--theta-x", "0.5", "--theta-y", "0.5",
+          "--theta", "0.5", "--trials", "10", "--seed", "1"],
+         "--theta applies to one-sample documents"),
+        (["oc", "--plan", "plan.json", "--grid", "0.3:0.7:0.1", "--grid-x", "0.1:0.9:0.2"],
+         "--grid-x applies to two-prop documents"),
+        (["oc", "--plan", "plan.json", "--grid", "0.3:0.7:0.1", "--grid-y", "0.1:0.9:0.2"],
+         "--grid-y applies to two-prop documents"),
+        (["oc", "--plan", "twoprop.json", "--grid-x", "0.1:0.9:0.2", "--grid-y", "0.1:0.9:0.2",
+          "--grid", "0.3:0.7:0.1"], "--grid applies to one-sample documents"),
+        (["design", *ONE_SIDED, "--zones", "0.1:0.2", "--out", "new.json"],
+         "--zones applies to multi and two-prop designs"),
+        (["design", *ONE_SIDED, "--alphas", "0.1", "--out", "new.json"],
+         "--alphas applies to multi and two-prop designs"),
+        (["design", *ONE_SIDED, "--betas", "0.1", "--out", "new.json"],
+         "--betas applies to multi and two-prop designs"),
+        (["design", *MULTI, "--theta0", "0.4", "--out", "new.json"],
+         "--theta0 applies to one-sided designs"),
+        (["design", *MULTI, "--theta1", "0.6", "--out", "new.json"],
+         "--theta1 applies to one-sided designs"),
+        (["design", *TWO_PROP, "--alpha", "0.05", "--out", "new.json"],
+         "--alpha applies to one-sided designs"),
+        (["design", *TWO_PROP, "--beta", "0.05", "--out", "new.json"],
+         "--beta applies to one-sided designs"),
+        (["design", *ONE_SIDED, "--stage-ns", "5,10", "--fully-sequential", "--out", "new.json"],
+         "--fully-sequential picks its own stage sizes; drop --stage-ns"),
     ], ids=["multi without zones", "zones", "alphas", "grid", "tune multi without deltas",
-            "tune budgets", "certify budgets", "simulate without theta", "compare sprt multi"])
+            "tune budgets", "certify budgets", "simulate without theta", "compare sprt multi",
+            "compare sprt cap without sprt", "simulate theta-x one-sample",
+            "simulate theta-y one-sample", "simulate theta two-prop", "oc grid-x one-sample",
+            "oc grid-y one-sample", "oc grid two-prop", "design one-sided zones",
+            "design one-sided alphas", "design one-sided betas", "design multi theta0",
+            "design multi theta1", "design two-prop alpha", "design two-prop beta",
+            "design stage sizes fully sequential"])
     def test_exits_two_naming_the_fault(self, argv, message, workdir, multi_doc, capsys):
         argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
         docs = {p: p.read_text() for p in map(pathlib.Path, argv) if p.suffix == ".json"

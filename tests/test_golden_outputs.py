@@ -26,20 +26,44 @@ BLAS ``matmul``, whose summation order may differ between CPUs and BLAS
 builds.  Verdicts and search sizes of the certificates are compared
 exactly.
 
+The benchmark's plans are pinned too.  ``tests/data/bench_plans/`` holds
+the documents that ``perfbench/dump_plans.py`` writes, and the test runs
+the script once and compares its output with them byte for byte.
+``tests/data/bench_outputs.json`` records the 85 ``seqtest`` outputs
+written from those documents (``_bench_record`` gives the commands): each
+plan's exact OC CSV, a certificate record with its exit status for each
+two-sample plan, a seeded ``simulate`` CSV per plan, and a seeded
+``compare --sprt`` CSV per one-sided plan.  They are written in one
+process through ``seqtest.cli.main``, and every file that differs is
+named.  The record keeps a sha256 digest of each file, except the
+two-sample OC CSVs and certificate records: it keeps their text, and
+their exact values (every column after ``p_x,p_y``, and each ``max upper
+bound``) are compared within ``TWO_SAMPLE_ULPS``, the rest of the text
+byte for byte.
+
 A change that means to move outputs rewrites the records and names each
-value that moved:
+file or directory it wrote:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-rewrites the plan records and the SPRT one alike.
+rewrites the plan records, the SPRT one, the benchmark's plan documents
+and their output record alike.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import pathlib
+import re
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+from seqtest.cli import main
 from seqtest.ocexact import oc_curve, verify_risk
 from seqtest.models import Bernoulli, Poisson
 from seqtest.plandoc import load_plan
@@ -50,6 +74,9 @@ from seqtest.twoprop import TwoPropPlan, certify_risk, exact_oc
 PLANS = pathlib.Path(__file__).parent / "data" / "plans"
 DATA = pathlib.Path(__file__).parent / "data" / "outputs"
 SPRT_DATA = pathlib.Path(__file__).parent / "data" / "sprt_outputs.json"
+BENCH_PLANS = pathlib.Path(__file__).parent / "data" / "bench_plans"
+BENCH_DATA = pathlib.Path(__file__).parent / "data" / "bench_outputs.json"
+DUMP_PLANS = pathlib.Path(__file__).parents[1] / "perfbench" / "dump_plans.py"
 NAMES = sorted(p.stem for p in PLANS.glob("*.json"))
 TWO_SAMPLE_ULPS = 64
 
@@ -155,6 +182,96 @@ def _floats(hexes):
     return np.array([float.fromhex(h) for h in hexes])
 
 
+def _dump_bench_plans(out):
+    """Run the benchmark's plan dump script, writing its documents under ``out``."""
+    subprocess.run([sys.executable, str(DUMP_PLANS), "--out", str(out)], check=True,
+                   capture_output=True)
+
+
+def _bench_record(docs, out):
+    """The record of each output file written from the benchmark plan documents
+    ``docs`` (paths) under ``out``, by name: ``{"sha256": digest}``, or
+    ``{"within_ulps": text}`` for a file that holds two-sample exact values.
+
+    One-sample plans are evaluated at 41 points spanning their zones and
+    simulated at the midpoint of their outer zone ends.  Two-sample plans are
+    evaluated on a 5 x 5 grid of the two arms' means, simulated at p_x 0.5,
+    p_y 0.4 and certified at risk budget 0.2 per hypothesis.  Each one-sided
+    plan is also compared with the SPRT at its design risks.
+    """
+    for sub in ("oc", "sim"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    record = {}
+    for doc in docs:
+        fields = json.loads(doc.read_text(encoding="utf-8"))
+        name, plan, two = doc.stem, str(doc), fields["kind"] == "two-prop"
+        lo, hi = fields["zone_lo"][0], fields["zone_hi"][-1]
+        runs = {f"oc/{name}.csv": ["oc", "--plan", plan, *(
+                    ["--grid-x", "0.1:0.9:0.2", "--grid-y", "0.1:0.9:0.2"] if two
+                    else ["--grid", f"{lo}:{hi}:{(hi - lo) / 40}"])],
+                f"sim/{name}.csv": ["simulate", "--plan", plan, *(
+                    ["--theta-x", "0.5", "--theta-y", "0.4"] if two
+                    else ["--theta", f"{(lo + hi) / 2}"]), "--trials", "2000", "--seed", "3"]}
+        if fields["kind"] == "one-sided":
+            runs[f"sim/{name}.compare.csv"] = ["compare", "--plan", plan, "--grid", "0.3:0.7:0.1",
+                                               "--trials", "500", "--seed", "3", "--sprt"]
+        texts = {}
+        for file, argv in runs.items():
+            argv = [*argv, "--out", str(out / file)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            texts[file] = (out / file).read_bytes()
+        if two:
+            deltas = ",".join(["0.2"] * (len(fields["zone_lo"]) + 1))
+            # certify exits 1 when a certificate is not proved: keep the status
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                status = main(["certify", "--plan", plan, "--deltas", deltas, "--budget", "2000"])
+            texts[f"cert/{name}.txt"] = f"{printed.getvalue()}exit status {status}\n".encode()
+        for file, data in texts.items():
+            record[file] = ({"within_ulps": data.decode()} if two and not file.startswith("sim/")
+                            else {"sha256": hashlib.sha256(data).hexdigest()})
+    return record
+
+
+_MAX_UPPER = re.compile(r"(?<=max upper bound )[^,]+")
+
+
+def _exact_values(file, text):
+    """A two-sample output's text with its exact values cut out, and those
+    values: each ``max upper bound`` of a certificate record, or every column
+    after ``p_x,p_y`` of an OC CSV."""
+    if file.startswith("cert/"):
+        return _MAX_UPPER.sub("", text), _MAX_UPPER.findall(text)
+    head, *rows = (line.split(",") for line in text.split("\n"))
+    return ([head, *(row[:2] + [None] * (len(row) - 2) for row in rows)],
+            [v for row in rows for v in row[2:]])
+
+
+def _matches(file, got, want):
+    if want is None or got.keys() != want.keys() or "sha256" in got:
+        return got == want
+    (rest, values), (want_rest, want_values) = (_exact_values(file, r["within_ulps"])
+                                                for r in (got, want))
+    if rest != want_rest or len(values) != len(want_values):
+        return False
+    try:
+        np.testing.assert_array_max_ulp(np.array(values, dtype=float),
+                                        np.array(want_values, dtype=float),
+                                        maxulp=TWO_SAMPLE_ULPS)
+    except AssertionError:
+        return False
+    return True
+
+
+def _bench_differences(fresh, stored):
+    """The name of each file in ``fresh`` that ``stored`` lacks or records otherwise."""
+    return sorted(file for file, got in fresh.items() if not _matches(file, got, stored.get(file)))
+
+
+def _stored_bench_record():
+    return json.loads(BENCH_DATA.read_text(encoding="utf-8"))
+
+
 def test_every_golden_plan_has_a_record():
     assert sorted(p.stem for p in DATA.glob("*.json")) == NAMES
     kinds = {json.loads((PLANS / f"{n}.json").read_text())["kind"] for n in SIMULATIONS}
@@ -184,6 +301,55 @@ def test_sprt_outputs_match_their_record():
     assert _sprt_records() == json.loads(SPRT_DATA.read_text(encoding="utf-8"))
 
 
+def test_benchmark_plans_match_their_dump(tmp_path):
+    _dump_bench_plans(tmp_path)
+    dumped = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+    stored = {p.name: p.read_bytes() for p in BENCH_PLANS.glob("*.json")}
+    assert sorted(dumped) == sorted(stored)
+    assert [name for name in sorted(stored) if dumped[name] != stored[name]] == []
+
+
+@pytest.mark.slow
+def test_benchmark_outputs_match_their_record(tmp_path):
+    fresh = _bench_record(sorted(BENCH_PLANS.glob("*.json")), tmp_path)
+    stored = _stored_bench_record()
+    assert sorted(fresh) == sorted(stored)
+    assert _bench_differences(fresh, stored) == []
+
+
+def test_an_edited_window_names_that_plans_files(tmp_path):
+    doc = json.loads((BENCH_PLANS / "design_0.4_0.6.json").read_text(encoding="utf-8"))
+    # accept H0 at 3 of the first 10 samples as well as at 0..2
+    assert doc["stages"][1]["n"] == 10 and doc["stages"][1]["windows"][0] == [0, 2]
+    doc["stages"][1]["windows"][0] = [0, 3]
+    (tmp_path / "design_0.4_0.6.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "probe_0.4_0.6.json").write_bytes((BENCH_PLANS / "probe_0.4_0.6.json").read_bytes())
+    fresh = _bench_record(sorted(tmp_path.glob("*.json")), tmp_path)
+    assert _bench_differences(fresh, _stored_bench_record()) == [
+        "oc/design_0.4_0.6.csv", "sim/design_0.4_0.6.compare.csv", "sim/design_0.4_0.6.csv"]
+
+
+def test_a_changed_digest_names_that_file(tmp_path):
+    stored = _stored_bench_record()
+    stored["oc/probe_0.4_0.6.csv"] = {"sha256": "0" * 64}
+    fresh = _bench_record([BENCH_PLANS / "probe_0.4_0.6.json"], tmp_path)
+    assert _bench_differences(fresh, stored) == ["oc/probe_0.4_0.6.csv"]
+
+
+@pytest.mark.parametrize("ulps, named", [(TWO_SAMPLE_ULPS, []),
+                                         (TWO_SAMPLE_ULPS + 1, ["cert/two_prop_readme.txt"])])
+def test_two_sample_exact_values_move_within_ulps(ulps, named, tmp_path):
+    stored = _stored_bench_record()
+    text = stored["cert/two_prop_readme.txt"]["within_ulps"]
+    moved = float(_MAX_UPPER.search(text).group())
+    for _ in range(ulps):
+        moved = np.nextafter(moved, np.inf)
+    stored["cert/two_prop_readme.txt"]["within_ulps"] = _MAX_UPPER.sub(repr(float(moved)), text,
+                                                                        count=1)
+    fresh = _bench_record([BENCH_PLANS / "two_prop_readme.json"], tmp_path)
+    assert _bench_differences(fresh, stored) == named
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name in NAMES:
@@ -192,3 +358,12 @@ if __name__ == "__main__":
         print(DATA / f"{name}.json")
     SPRT_DATA.write_text(_text(_sprt_records()), encoding="utf-8", newline="\n")
     print(SPRT_DATA)
+    BENCH_PLANS.mkdir(parents=True, exist_ok=True)
+    for stale in BENCH_PLANS.glob("*.json"):
+        stale.unlink()
+    _dump_bench_plans(BENCH_PLANS)
+    print(BENCH_PLANS)
+    with tempfile.TemporaryDirectory() as tmp:
+        record = _bench_record(sorted(BENCH_PLANS.glob("*.json")), pathlib.Path(tmp))
+    BENCH_DATA.write_text(_text(record), encoding="utf-8", newline="\n")
+    print(BENCH_DATA)

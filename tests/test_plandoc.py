@@ -433,6 +433,8 @@ class TestMalformedDocuments:
         ("one-sided-exact", {"schedule": "harmonic"}, "build.schedule"),
         ("one-sided-exact", {"fully_sequential": 1}, "build.fully_sequential"),
         ("multi-chernoff", {"fully_sequential": True}, "build.fully_sequential"),
+        ("one-sided-exact", {"stage_ns": [5, 10], "fully_sequential": True},
+         "build.fully_sequential"),
         ("two-prop", {"stage_ns": []}, "build.stage_ns"),
     ])
     def test_build_block_is_what_the_builders_accept(self, name, build, ctx):

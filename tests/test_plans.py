@@ -254,6 +254,11 @@ class TestBuilderRefusals:
             build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
                                 c_policy="bogus")
 
+    def test_fully_sequential_takes_no_stage_sizes(self):
+        with pytest.raises(DomainError, match="picks its own stage sizes; omit stage_ns"):
+            build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5, stage_ns=[50, 150],
+                                 fully_sequential=True)
+
     def test_unknown_tie_policy_where_a_tie_is_cut(self):
         # the stage of 150 samples at levels 0.025 has the tie region 73..77
         args = (BERN, EXACT, 150, [0.4], [0.6], [0.025], [0.025])

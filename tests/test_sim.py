@@ -145,14 +145,14 @@ class TestSubstreamContract:
         # third round, are decided where they stop
         spec = SprtSpec(Bernoulli(), 0.45, 0.55, 0.01, 0.2)
         _, nstop, _ = oracle_outcomes(spec, 0.5, 400, 0)
-        width = sim._SPRT_CHUNK
-        assert {width, sim._SPRT_GROWTH * width} <= set(nstop.tolist())
-        assert nstop.max() > sim._SPRT_GROWTH ** 2 * width
+        width = sprt._SPRT_CHUNK
+        assert {width, sprt._SPRT_GROWTH * width} <= set(nstop.tolist())
+        assert nstop.max() > sprt._SPRT_GROWTH ** 2 * width
         assert simulate(spec, 0.5, 400, 0) == oracle_report(spec, 0.5, 400, 0)
 
     def test_sprt_rounds_span_several_blocks(self):
         spec = SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05)
-        trials = 2 * (sim._BLOCK_CELLS // sim._SPRT_CHUNK) + 3  # three blocks at first
+        trials = 2 * (sim._BLOCK_CELLS // sprt._SPRT_CHUNK) + 3  # three blocks at first
         assert simulate(spec, 0.5, trials, 2**64 + 3) == \
             oracle_report(spec, 0.5, trials, 2**64 + 3)
 
@@ -198,7 +198,7 @@ class TestSubstreamContract:
     def test_sprt_memory_stays_in_one_block(self):
         spec = SprtSpec(Bernoulli(), 0.4, 0.6, 0.05, 0.05)
         trials = 10_000
-        assert trials * sim._SPRT_CHUNK * 8 > 5e6  # the first round's whole draw matrix
+        assert trials * sprt._SPRT_CHUNK * 8 > 5e6  # the first round's whole draw matrix
         tracemalloc.start()
         try:
             simulate(spec, 0.5, trials, 3)
