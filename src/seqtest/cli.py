@@ -35,6 +35,13 @@ from .twoprop import TwoPropPlan, certify_risk, exact_oc, tune_two_prop
 
 _FMT = repr  # shortest round-trip decimals in reports
 
+# ``design`` options that only some kinds or sizings read: None on the
+# command line, so ``_refuse`` can name them where they do not apply, and
+# these values where they do.
+_DESIGN_DEFAULTS = {"model": "bernoulli", "limits": "exact", "approx_width": 0.5,
+                    "tiebreak": TIEBREAK_LIKELIHOOD_RATIO, "stages": 1,
+                    "schedule": "geometric"}
+
 
 def _parse_grid(text: str, what: str):
     parts = text.split(":")
@@ -107,12 +114,27 @@ def _sizing_from_args(args) -> dict:
 
 
 def _cmd_design(args, parser) -> int:
-    if args.stages < 1:
-        parser.error("--stages must be a positive integer")
     if args.fully_sequential and args.kind != "one-sided":
         parser.error("--fully-sequential applies to one-sided designs")
     if args.fully_sequential and args.stage_ns is not None:
         parser.error("--fully-sequential picks its own stage sizes; drop --stage-ns")
+    if args.stage_ns is not None:
+        _refuse(parser, args, ("stages", "schedule"), "does not apply with --stage-ns")
+    if args.fully_sequential:
+        _refuse(parser, args, ("stages", "schedule"),
+                "does not apply with --fully-sequential")
+    if args.kind != "one-sided":
+        _refuse(parser, args, ("tiebreak",), "applies to one-sided designs")
+    if args.kind == "two-prop":
+        _refuse(parser, args, ("model", "limits", "approx_width"),
+                "applies to one-sample designs")
+    elif args.limits != "approx":
+        _refuse(parser, args, ("approx_width",), "applies to --limits approx")
+    for dest, value in _DESIGN_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if args.stages < 1:
+        parser.error("--stages must be a positive integer")
     if args.kind == "one-sided":
         _refuse(parser, args, ("zones", "alphas", "betas"),
                 "applies to multi and two-prop designs")
@@ -296,11 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("design", help="build a plan and write its document")
     d.add_argument("--kind", choices=["one-sided", "multi", "two-prop"],
                    default="one-sided")
-    d.add_argument("--model", choices=["bernoulli", "poisson"], default="bernoulli")
+    defaults = _DESIGN_DEFAULTS
+    d.add_argument("--model", choices=["bernoulli", "poisson"],
+                   help=f"one-sample data model (default: {defaults['model']})")
     d.add_argument("--limits", choices=["exact", "chernoff", "approx"],
-                   default="exact")
-    d.add_argument("--approx-width", type=float, default=0.5,
-                   help="blend weight for the approx limit family")
+                   help=f"one-sample confidence-limit family (default: {defaults['limits']})")
+    d.add_argument("--approx-width", type=float,
+                   help="blend weight for the approx limit family "
+                        f"(default: {defaults['approx_width']})")
     d.add_argument("--theta0", type=float)
     d.add_argument("--theta1", type=float)
     d.add_argument("--alpha", type=float)
@@ -311,13 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="base risk coefficients per zone boundary")
     d.add_argument("--betas", type=lambda s: _parse_list(s, "--betas"))
     d.add_argument("--zeta", type=float, required=True)
-    d.add_argument("--stages", type=int, default=1)
+    d.add_argument("--stages", type=int, help=f"number of stages (default: {defaults['stages']})")
     d.add_argument("--schedule", choices=_SCHEDULES,
-                   default="geometric")
+                   help=f"spacing of the stage sizes (default: {defaults['schedule']})")
     d.add_argument("--stage-ns", type=lambda s: _parse_list(s, "--stage-ns", int),
-                   help="explicit stage sizes, overriding --stages/--schedule")
+                   help="explicit stage sizes, in place of --stages/--schedule")
     d.add_argument("--fully-sequential", action="store_true")
-    d.add_argument("--tiebreak", default=TIEBREAK_LIKELIHOOD_RATIO, choices=_TIEBREAKS)
+    d.add_argument("--tiebreak", choices=_TIEBREAKS,
+                   help=f"one-sided tie rule (default: {defaults['tiebreak']})")
     d.add_argument("--out", required=True)
     d.set_defaults(fn=_cmd_design)
 

@@ -47,7 +47,13 @@ horizon, so their cost tracks the answer rather than the horizon, and
 each answer is the one a size-by-size scan gives.  The final size is the
 first whose counts close the stage (``_closes``): no count between the
 accept and reject-low sets, or, where ties are required, the two sets
-overlapping at every boundary.  It makes no rule.  The first size is the
+overlapping at every boundary.  It makes no rule.  Past its first block
+it tables only the sizes that one witness count per size and boundary
+does not prove open (``_unproved_open``): two tails a size, where a table
+takes at least eight.  The proof rests on the predicates being monotone in
+the count, as the count search does, so the answer does not move.  The
+first block is tabled outright, since a warm search mostly ends there.
+The first size is the
 first at which some crossing count lies on the support and the rule made
 there has a window.  Every rule of the plan is then made from one more
 table over its sizes, which the final ``stage_is_closed`` check reads.
@@ -638,19 +644,34 @@ def _size_blocks(start: int, horizon: int):
         lo = hi + 1
 
 
-def _first_size(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, passes):
+def _first_size(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, passes,
+                screen=None):
     """The smallest stage size n in start..horizon that ``passes``, or None.
 
-    ``passes(ns, min_a, max_b)`` takes a block's crossing-count table and
-    returns, column by column in order, whether each size passes; the
-    search stops at the first that does, so when no size below ``start``
-    passes its answer is the one a size-by-size scan from 1 gives.
+    ``passes(ns, min_a, max_b)`` takes a crossing-count table and returns,
+    column by column in order, whether each size passes; the search stops
+    at the first that does, so when no size below ``start`` passes its
+    answer is the one a size-by-size scan from 1 gives.  ``screen(ns)``,
+    where given, returns the sizes of a block it cannot prove fail, in
+    order.  Every block after the first is screened, and only the sizes
+    left are tabled, in parts of 16, 16, 32, ... sizes
+    (``_size_blocks``).  The first block is tabled outright: a warm search
+    in a tuning run mostly ends there, and a screen of the block that holds
+    the answer only adds to its table.  A screened-out size fails, so the
+    answer does not move.
     """
-    for ns in _size_blocks(start, horizon):
-        min_a, max_b = _crossing_counts(model, family, ns, zone_lo, zone_hi, alphas, betas)
-        for n, ok in zip(ns, passes(ns, min_a, max_b)):
-            if ok:
-                return int(n)
+    for b, ns in enumerate(_size_blocks(start, horizon)):
+        if b and screen is not None:
+            ns = screen(ns)
+            parts = [ns[at - 1] for at in _size_blocks(1, len(ns))]
+        else:
+            parts = [ns]
+        for part in parts:
+            min_a, max_b = _crossing_counts(model, family, part, zone_lo, zone_hi, alphas,
+                                            betas)
+            for n, ok in zip(part, passes(part, min_a, max_b)):
+                if ok:
+                    return int(n)
     return None
 
 
@@ -705,13 +726,40 @@ def _closes(min_a, max_b, require_ties: bool) -> np.ndarray:
     return (min_a <= (max_b if require_ties else max_b + 1)).all(axis=0)
 
 
+def _unproved_open(model, family, ns, zone_lo, zone_hi, alphas, betas, require_ties):
+    """The stage sizes of ``ns`` that one witness count per boundary does not
+    prove open, in order: sizes where ``_closes`` may hold.
+
+    The witness k is the midpoint of the gap between the guessed first
+    reject count and first count past the accept set (``_crossing_guess``),
+    clipped to the support.  Where the reject-low predicate fails at k,
+    ``min_a`` lies above k, since the predicate is monotone in the count as
+    ``_first_true`` requires.  Where the accept predicate also fails at k,
+    or at k + 1 when ties are required, ``max_b`` lies below it, so no
+    table at that size can close the stage.  Two tails per size and
+    boundary, where a table takes at least eight.
+    """
+    ties = int(require_ties)
+    for i in range(len(zone_lo)):
+        k = (_crossing_guess(model, family, ns, zone_lo[i], alphas[i], 1)
+             + _crossing_guess(model, family, ns, zone_hi[i], betas[i], -1) - 1 - ties) // 2
+        top = model.sum_upper(ns)
+        k = np.maximum(k if top is None else np.minimum(k, top - ties), 0)
+        ns = ns[family.support_lower_crossed(model, ns, k, zone_lo[i], alphas[i])
+                | family.support_upper_crossed(model, ns, k + ties, zone_hi[i], betas[i])]
+    return ns
+
+
 def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                  stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
     """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
     the searches pick.  The final-size search reads the count tables
-    (``_closes``) and makes no rule; inside a tuning run it covers only the
-    sizes that the final sizes of earlier builds leave open (``_size_range``)
-    and records its own.  The first-stage search makes a rule wherever some
+    (``_closes``) and makes no rule; past its first block it tables only the
+    sizes that a witness count does not prove open (``_unproved_open``).  No
+    table could close a size proved open, so the answer is the one the
+    tables alone give.  Inside a tuning run it covers only the sizes
+    that the final sizes of earlier builds leave open (``_size_range``) and
+    records its own.  The first-stage search makes a rule wherever some
     crossing count lies on the support, since that count test is only a
     necessary condition for a window.  Every rule of the plan is then made
     once, from one count table over its sizes."""
@@ -726,7 +774,9 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
         levels = (*alphas, *betas)
         start, stop = _size_range(records or (), levels, horizon)
         last = _first_size(model, family, zone_lo, zone_hi, alphas, betas, start, stop,
-                           lambda ns, min_a, max_b: _closes(min_a, max_b, require_ties))
+                           lambda ns, min_a, max_b: _closes(min_a, max_b, require_ties),
+                           lambda ns: _unproved_open(model, family, ns, zone_lo, zone_hi,
+                                                     alphas, betas, require_ties))
         if last is None:
             raise InfeasibleDesignError(
                 f"no closed final stage within {horizon} samples; "

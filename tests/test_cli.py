@@ -581,6 +581,33 @@ class TestUsageRefusals:
          "--beta applies to one-sided designs"),
         (["design", *ONE_SIDED, "--stage-ns", "5,10", "--fully-sequential", "--out", "new.json"],
          "--fully-sequential picks its own stage sizes; drop --stage-ns"),
+        (["design", *TWO_PROP, "--model", "poisson", "--out", "new.json"],
+         "--model applies to one-sample designs"),
+        (["design", *TWO_PROP, "--limits", "chernoff", "--out", "new.json"],
+         "--limits applies to one-sample designs"),
+        (["design", *TWO_PROP, "--approx-width", "0.9", "--out", "new.json"],
+         "--approx-width applies to one-sample designs"),
+        (["design", *TWO_PROP, "--model", "poisson", "--limits", "chernoff", "--out",
+          "new.json"], "--model applies to one-sample designs"),
+        (["design", *TWO_PROP, "--tiebreak", "always-accept", "--out", "new.json"],
+         "--tiebreak applies to one-sided designs"),
+        (["design", *MULTI, "--tiebreak", "always-accept", "--out", "new.json"],
+         "--tiebreak applies to one-sided designs"),
+        (["design", *ONE_SIDED, "--approx-width", "0.9", "--out", "new.json"],
+         "--approx-width applies to --limits approx"),
+        (["design", *ONE_SIDED, "--limits", "chernoff", "--approx-width", "0.9", "--out",
+          "new.json"], "--approx-width applies to --limits approx"),
+        (["design", *ONE_SIDED, "--stage-ns", "10,95", "--stages", "5", "--out", "new.json"],
+         "--stages does not apply with --stage-ns"),
+        (["design", *ONE_SIDED, "--stage-ns", "10,95", "--schedule", "arithmetic", "--out",
+          "new.json"], "--schedule does not apply with --stage-ns"),
+        (["design", *ONE_SIDED, "--stage-ns", "10,95", "--stages", "5", "--schedule",
+          "arithmetic", "--approx-width", "0.9", "--out", "new.json"],
+         "--stages does not apply with --stage-ns"),
+        (["design", *ONE_SIDED, "--fully-sequential", "--stages", "5", "--out", "new.json"],
+         "--stages does not apply with --fully-sequential"),
+        (["design", *ONE_SIDED, "--fully-sequential", "--schedule", "arithmetic", "--out",
+          "new.json"], "--schedule does not apply with --fully-sequential"),
     ], ids=["multi without zones", "zones", "alphas", "grid", "tune multi without deltas",
             "tune budgets", "certify budgets", "simulate without theta", "compare sprt multi",
             "compare sprt cap without sprt", "simulate theta-x one-sample",
@@ -588,7 +615,13 @@ class TestUsageRefusals:
             "oc grid-y one-sample", "oc grid two-prop", "design one-sided zones",
             "design one-sided alphas", "design one-sided betas", "design multi theta0",
             "design multi theta1", "design two-prop alpha", "design two-prop beta",
-            "design stage sizes fully sequential"])
+            "design stage sizes fully sequential", "design two-prop model",
+            "design two-prop limits", "design two-prop approx width",
+            "design two-prop model and limits", "design two-prop tiebreak",
+            "design multi tiebreak", "design approx width exact limits",
+            "design approx width chernoff limits", "design stage sizes stages",
+            "design stage sizes schedule", "design stage sizes stages schedule approx width",
+            "design fully sequential stages", "design fully sequential schedule"])
     def test_exits_two_naming_the_fault(self, argv, message, workdir, multi_doc, capsys):
         argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
         docs = {p: p.read_text() for p in map(pathlib.Path, argv) if p.suffix == ".json"
@@ -597,6 +630,14 @@ class TestUsageRefusals:
         assert message in capsys.readouterr().err
         assert {p: p.read_text() for p in docs} == docs
         assert not (workdir / "new.json").exists()
+
+
+def test_design_help_names_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["design", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for default in ("bernoulli", "exact", "0.5", "likelihood-ratio", "1", "geometric"):
+        assert f"(default: {default})" in out
 
 
 class TestErrorSurface:

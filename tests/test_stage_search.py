@@ -385,16 +385,21 @@ class TestRulesAreMadeAtKeptSizes:
 
 
 class TestOneCountTablePerSearch:
-    """Each stage-size search block, and the sizes no search confirmed, take one
-    crossing-count table; no stage rule makes one of its own."""
+    """The first block of each stage-size search, each part of the sizes the
+    final-size screen leaves, and the plan's own sizes take one
+    crossing-count table each; no stage rule makes one of its own."""
 
     @pytest.mark.parametrize("build, tables", [
+        # the final-size search tables 1-16, then the first 16 sizes that
+        # the screen leaves (95-114, the first of them 95); the plan's 95
         (lambda: build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
-                                      fully_sequential=True), 5),
+                                      fully_sequential=True), [16, 16, 95]),
+        # ... then the first-stage search 1-16 and the plan's 5 sizes
         (lambda: build_one_sided_plan(BERN, ExactLimits(), 0.4, 0.6, 0.05, 0.05, 0.5,
-                                      stages=5), 6),
+                                      stages=5), [16, 16, 16, 5]),
         (lambda: build_multihyp_plan(BERN, ExactLimits(), [0.1, 0.55], [0.45, 0.9],
-                                     0.2755, [0.1, 0.1], [0.1, 0.1], stages=3), 4),
+                                     0.2755, [0.1, 0.1], [0.1, 0.1], stages=3),
+         [16, 5, 16, 3]),
     ], ids=["fully-sequential", "five-stage", "three-hypotheses"])
     def test_crossing_count_calls(self, build, tables, monkeypatch):
         calls = []
@@ -406,7 +411,7 @@ class TestOneCountTablePerSearch:
 
         monkeypatch.setattr(plans, "_crossing_counts", counting)
         build()
-        assert len(calls) == tables, calls
+        assert calls == tables
 
 
 def outcome(build, zeta):
@@ -427,10 +432,10 @@ class TestWarmFinalSizeSearch:
         calls = []
         first_size = plans._first_size
 
-        def spying(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, passes):
+        def spying(model, family, zone_lo, zone_hi, alphas, betas, start, horizon, *rest):
             calls.append((start, horizon))
             return first_size(model, family, zone_lo, zone_hi, alphas, betas, start, horizon,
-                              passes)
+                              *rest)
 
         monkeypatch.setattr(plans, "_first_size", spying)
         return calls
@@ -543,3 +548,99 @@ def test_size_blocks_cover_the_range_once(start, horizon):
 def test_size_blocks_from_one():
     assert [(int(b[0]), int(b[-1])) for b in plans._size_blocks(1, 128)] == [
         (1, 16), (17, 32), (33, 64), (65, 128)]
+
+
+def final_size(model, family, zone_lo, zone_hi, alphas, betas, require_ties, start, horizon,
+               screened):
+    """The final-size search of ``_stage_rules``, with or without its screen;
+    the text of the error it raises instead."""
+    screen = None
+    if screened:
+        def screen(ns):
+            return plans._unproved_open(model, family, ns, zone_lo, zone_hi, alphas, betas,
+                                        require_ties)
+    try:
+        return plans._first_size(model, family, zone_lo, zone_hi, alphas, betas, start,
+                                 horizon,
+                                 lambda ns, min_a, max_b: plans._closes(min_a, max_b,
+                                                                        require_ties),
+                                 screen)
+    except InfeasibleDesignError as exc:
+        return str(exc)
+
+
+def random_search(rng, model):
+    """Zones, levels, ties, start and horizon of one random final-size search:
+    one boundary (one-sided closure or required ties) or two (required ties),
+    levels log-uniform in 1e-12..0.2, starts 1-40, horizons up to 3,000."""
+    bounds = int(rng.integers(1, 3))
+    top = 0.98 if model is BERN else 10.0
+    ends = np.sort(rng.uniform(0.02, top, 2 * bounds))
+    zone_lo, zone_hi = tuple(ends[0::2]), tuple(ends[1::2])
+    alphas, betas = (tuple(10.0 ** rng.uniform(-12, math.log10(0.2), bounds))
+                     for _ in range(2))
+    require_ties = bounds > 1 or bool(rng.integers(2))
+    return (zone_lo, zone_hi, alphas, betas, require_ties, int(rng.integers(1, 41)),
+            int(rng.integers(1, 3001)))
+
+
+class TestScreenedFinalSizeSearch:
+    """Past its first block the final-size search tables only the sizes that a
+    witness count per size does not prove open.  Its answer, or its error,
+    is the unscreened table scan's."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.w}")
+    def test_equals_the_table_scan(self, family):
+        rng = np.random.default_rng([31, int(10 * (family.w or 0)), len(family.tag)])
+        answers = []
+        for model in (BERN, POIS) * 40:
+            search = random_search(rng, model)
+            screened = final_size(model, family, *search, screened=True)
+            assert screened == final_size(model, family, *search, screened=False), search
+            answers.append(screened)
+        # most searches find a final size past the first block, some none
+        assert sum(isinstance(n, int) and n > 40 for n in answers) >= 20
+        assert None in answers
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Bernoulli tails evaluated from here on, and the sizes of each
+        crossing-count table."""
+        tails, tables = [0], []
+        sum_tail, crossing_counts = Bernoulli.sum_tail, plans._crossing_counts
+
+        def counting_tails(self, n, k, *args, **kwargs):
+            tails[0] += np.broadcast(np.asarray(n), np.asarray(k)).size
+            return sum_tail(self, n, k, *args, **kwargs)
+
+        def counting_tables(*args, **kwargs):
+            tables.append(len(args[2]))
+            return crossing_counts(*args, **kwargs)
+
+        monkeypatch.setattr(Bernoulli, "sum_tail", counting_tails)
+        monkeypatch.setattr(plans, "_crossing_counts", counting_tables)
+        return tails, tables
+
+    def test_five_stage_build_cost(self, monkeypatch):
+        tails, tables = self.counted(monkeypatch)
+        plan = build_one_sided_plan(BERN, ExactLimits(), 0.48, 0.52, 0.05, 0.05, 0.5,
+                                    stages=5)
+        assert plan.stage_ns == (6, 27, 120, 536, 2399)
+        assert tails[0] <= 9_000
+        assert sum(tables) <= 64
+
+    def test_exhausted_horizon_costs_two_tails_per_screened_size(self, monkeypatch):
+        horizon = 20_000
+        assert sample_bound(BERN, 0.498, 0.502, 0.025, 0.025) > horizon
+        tails, tables = self.counted(monkeypatch)
+        plans._crossing_counts(BERN, ExactLimits(), np.arange(1, 17), [0.498], [0.502],
+                               [0.025], [0.025])
+        first_block = tails[0]
+        tails[0], tables[:] = 0, []
+        with pytest.raises(InfeasibleDesignError) as err:
+            build_one_sided_plan(BERN, ExactLimits(), 0.498, 0.502, 0.05, 0.05, 0.5,
+                                 stages=5, max_stage_size=horizon)
+        assert str(err.value) == (f"no closed final stage within {horizon} samples; "
+                                  "widen the zones or increase the risk budget")
+        assert tails[0] <= 2 * (horizon - 16) + first_block
+        assert tables == [16]  # the first block; the screen rules out every later size
