@@ -11,7 +11,15 @@ __all__ = [
 
 
 class SeqTestError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``context``, where
+    given, names the offending field or line; the message ends with it."""
+
+    def __init__(self, message: str, context: str | None = None):
+        super().__init__(message)
+        self.context = context
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at {self.context})" if self.context else self.args[0]
 
 
 class DomainError(SeqTestError, ValueError):
@@ -31,14 +39,4 @@ class UnsupportedModelError(SeqTestError, TypeError):
 
 
 class PlanDocumentError(SeqTestError, ValueError):
-    """A plan document failed to parse or validate.
-
-    ``context`` carries the offending field or line so command-line users
-    can locate the problem.
-    """
-
-    def __init__(self, message: str, context: str | None = None):
-        self.context = context
-        if context:
-            message = f"{message} (at {context})"
-        super().__init__(message)
+    """A plan document failed to parse or validate."""

@@ -6,16 +6,15 @@ plan never recomputes confidence limits.  Serialization is canonical
 endings, trailing newline), which makes the design -> save -> load ->
 save cycle byte-identical and documents diffable.
 
-Loading checks what the plan machinery relies on, by the builders' rules:
-zones, risk coefficients and ``zeta`` lie in the builders' domain, stage
-sizes are positive and strictly increasing on every arm, every stage's
-windows are ordered and disjoint (and, for Bernoulli stages, end at most
-at the stage size), and the final stage decides at every count the model
-reaches (every cell, for two-sample grids), so a loaded plan is a closed
-plan.  A one-sided document's sample cap must be the one its zone and
-risk levels give, and its ``c_policy`` the one its ``tiebreak`` gives: the
-support midpoint under the likelihood-ratio rule, the tiebreak itself
-otherwise.  Unknown tie policies and fields of the wrong type are refused.
+Loading parses: it refuses fields of the wrong type and checks what only
+a document holds (its schema, kind, model, family width, build block and,
+for one-sided plans, theta0/theta1, a ``c_policy`` that is the one its
+``tiebreak`` gives and a sample cap that is the one its zone and risk
+levels give).  Two-sample stage sizes are checked before the grids are read
+against them.  What the plan machinery relies on (zones, risk levels, tie
+policies, stage sizes, windows, the support bound and a closed final stage)
+is checked by the plan types when the plan is made, as for a built plan; a
+refusal of theirs becomes a document error at the field it names.
 
 Infinite window edges are stored as the strings "inf" / "-inf" so the
 text stays strict JSON.  Two-sample decision grids are stored as row
@@ -32,12 +31,10 @@ import math
 import numpy as np
 
 from .conflimits import ApproxLimits, family_by_tag
-from .errors import DomainError, InfeasibleDesignError, PlanDocumentError
+from .errors import PlanDocumentError, SeqTestError
 from .models import model_by_name
-from .plans import (_C_POLICIES, _SCHEDULES, _TIEBREAKS, MultiHypPlan,
-                    OneSidedPlan, StageRule, _check_zones, _levels, _tie_c_policy,
-                    _validate_windows, check_stage_sizes, stage_is_closed)
-from .twoprop import CONTINUE, TwoPropPlan, TwoPropStage, _check_two_prop_zones
+from .plans import _SCHEDULES, MultiHypPlan, OneSidedPlan, StageRule, check_stage_sizes
+from .twoprop import CONTINUE, TwoPropPlan, TwoPropStage
 
 __all__ = [
     "SCHEMA_VERSION", "plan_to_doc", "doc_to_plan", "dump_doc", "parse_doc",
@@ -175,29 +172,24 @@ def _pair_or_none(v, ctx: str, hi_none_ok: bool):
 
 
 def _check_sizes(raw_stages: list, keys: tuple[str, ...]) -> None:
-    """Raise unless every stage is an object whose size fields ``keys`` are
-    integers that pass ``check_stage_sizes`` along each arm."""
+    """Raise unless every stage is an object whose size fields ``keys`` are integers."""
     for idx, sd in enumerate(raw_stages):
         if not isinstance(sd, dict):
             raise PlanDocumentError("expected a stage object", f"stages[{idx}]")
         for key in keys:
-            ctx = f"stages[{idx}].{key}"
-            n = _need(sd, key, ctx)
+            n = _need(sd, key, f"stages[{idx}].{key}")
             if not _is_int(n):
                 raise PlanDocumentError(f"stage size must be a positive integer, got {n!r}",
-                                        ctx)
-            try:
-                check_stage_sizes([raw_stages[idx - 1][key], n] if idx else [n])
-            except DomainError as exc:
-                raise PlanDocumentError(str(exc), ctx) from None
+                                        f"stages[{idx}].{key}")
 
 
-def _check_domain(check, ctx: str, *args) -> None:
-    """Run one of the builders' domain checks on document values."""
+def _checked(call, *args, context: str | None = None, **kwargs):
+    """``call(*args, **kwargs)``, its refusal a document error at ``context``,
+    or else at the field the refusal names."""
     try:
-        check(*args)
-    except DomainError as exc:
-        raise PlanDocumentError(str(exc), ctx) from None
+        return call(*args, **kwargs)
+    except SeqTestError as exc:
+        raise PlanDocumentError(exc.args[0], context or exc.context) from None
 
 
 def _check_build(build, kind: str) -> None:
@@ -211,7 +203,7 @@ def _check_build(build, kind: str) -> None:
         ns = build["stage_ns"]
         if not isinstance(ns, list) or not all(map(_is_int, ns)):
             raise PlanDocumentError(f"expected a list of integers, got {ns!r}", "build.stage_ns")
-        _check_domain(check_stage_sizes, "build.stage_ns", ns)
+        _checked(check_stage_sizes, ns, context="build.stage_ns")
     stages, schedule = build.get("stages", 1), build.get("schedule", "geometric")
     if not _is_int(stages) or stages < 1:
         raise PlanDocumentError(f"expected a positive integer, got {stages!r}", "build.stages")
@@ -226,7 +218,7 @@ def _check_build(build, kind: str) -> None:
                                 "so the build holds no stage_ns", "build.fully_sequential")
 
 
-def _doc_to_stage(sd: dict, idx: int, model, m: int) -> StageRule:
+def _doc_to_stage(sd: dict, idx: int) -> StageRule:
     ctx = f"stages[{idx}]"
     f = tuple(_dec_edge(x, f"{ctx}.f") for x in _list(sd, "f", f"{ctx}.f"))
     g = tuple(_dec_edge(x, f"{ctx}.g") for x in _list(sd, "g", f"{ctx}.g"))
@@ -234,21 +226,7 @@ def _doc_to_stage(sd: dict, idx: int, model, m: int) -> StageRule:
                     for i, w in enumerate(_list(sd, "windows", f"{ctx}.windows")))
     ties = tuple(_pair_or_none(t, f"{ctx}.ties[{i}]", hi_none_ok=False)
                  for i, t in enumerate(_list(sd, "ties", f"{ctx}.ties")))
-    if (len(windows), len(ties), len(f), len(g)) != (m, m - 1, m, m):
-        raise PlanDocumentError(f"a stage of {m} hypotheses needs {m} windows, {m - 1} ties, "
-                                f"{m} f and {m} g", ctx)
-    rule = StageRule(n=sd["n"], f=f, g=g, windows=windows, ties=ties)
-    try:
-        _validate_windows(rule)
-    except InfeasibleDesignError as exc:
-        raise PlanDocumentError(str(exc), f"{ctx}.windows") from None
-    # a bounded support: no window may name a count past it
-    top = model.sum_upper(rule.n)
-    if top is not None and any(e is not None and e > top
-                               for win in windows if win is not None for e in win):
-        raise PlanDocumentError(f"window edges must not exceed the largest count {top}",
-                                f"{ctx}.windows")
-    return rule
+    return StageRule(n=sd["n"], f=f, g=g, windows=windows, ties=ties)
 
 
 def _rows_to_grid(rows, n_x: int, n_y: int, m: int, what: str, idx: int):
@@ -278,7 +256,8 @@ def _rows_to_grid(rows, n_x: int, n_y: int, m: int, what: str, idx: int):
 
 
 def doc_to_plan(doc: dict):
-    """Reconstruct the plan object a document describes."""
+    """Reconstruct the plan object a document describes; the plan type checks
+    it as it checks a built one."""
     if not isinstance(doc, dict):
         raise PlanDocumentError("document root must be an object")
     schema = _need(doc, "schema")
@@ -298,15 +277,16 @@ def doc_to_plan(doc: dict):
     if not isinstance(raw_stages, list) or not raw_stages:
         raise PlanDocumentError("expected a nonempty stage list", "stages")
     _check_build(doc.get("build"), kind)
+    levels = dict(zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
+                  base_betas=base_betas, zeta=zeta)
 
     if kind == "two-prop":
         if doc.get("link", "identity") != "identity":
             raise PlanDocumentError(
                 f"only the identity arm link is supported, got {doc['link']!r}", "link")
-        _check_domain(_check_two_prop_zones, "zone_lo, zone_hi", zone_lo, zone_hi)
-        _check_domain(_levels, "base_alphas, base_betas, zeta", base_alphas, base_betas,
-                      zeta, len(zone_lo))
         _check_sizes(raw_stages, ("n_x", "n_y"))
+        # the row strings are read against the sizes
+        _checked(check_stage_sizes, [(sd["n_x"], sd["n_y"]) for sd in raw_stages], ("n_x", "n_y"))
         m = len(zone_lo) + 1
         stages = []
         for i, sd in enumerate(raw_stages):
@@ -317,11 +297,7 @@ def doc_to_plan(doc: dict):
                                 n_x, n_y, m, "midpoint", i)
             stages.append(TwoPropStage(n_x=n_x, n_y=n_y, decision=dec,
                                        midpoint_used=mid))
-        if not stages[-1].closed:
-            raise PlanDocumentError("final stage leaves continuation cells",
-                                    f"stages[{len(stages) - 1}].decision")
-        return TwoPropPlan(zone_lo=zone_lo, zone_hi=zone_hi, base_alphas=base_alphas,
-                           base_betas=base_betas, zeta=zeta, stages=tuple(stages))
+        return _checked(TwoPropPlan, **levels, stages=tuple(stages))
 
     try:
         model = model_by_name(_need(doc, "model"))
@@ -338,36 +314,21 @@ def doc_to_plan(doc: dict):
         family = family_by_tag(fam_doc["tag"], width)
     except Exception as exc:
         raise PlanDocumentError(str(exc), "family") from None
-    _check_domain(_check_zones, "zone_lo, zone_hi", model, zone_lo, zone_hi)
-    _check_domain(_levels, "base_alphas, base_betas, zeta", base_alphas, base_betas,
-                  zeta, len(zone_lo))
     c_policy = _need(doc, "c_policy")
-    if kind == "multi" and c_policy not in _C_POLICIES:
-        raise PlanDocumentError(f"unknown c policy {c_policy!r}", "c_policy")
     _check_sizes(raw_stages, ("n",))
-    stages = tuple(_doc_to_stage(sd, i, model, len(zone_lo) + 1)
-                   for i, sd in enumerate(raw_stages))
-    if not stage_is_closed(stages[-1], model):
-        raise PlanDocumentError("final stage leaves continuation points",
-                                f"stages[{len(stages) - 1}].windows")
-    common = dict(
-        model=model, family=family, zone_lo=zone_lo, zone_hi=zone_hi,
-        base_alphas=base_alphas, base_betas=base_betas, zeta=zeta, stages=stages,
-    )
+    stages = tuple(_doc_to_stage(sd, i) for i, sd in enumerate(raw_stages))
+    common = dict(model=model, family=family, **levels, stages=stages)
     if kind == "multi":
-        return MultiHypPlan(**common, c_policy=c_policy)
-    tiebreak = _need(doc, "tiebreak")
-    if tiebreak not in _TIEBREAKS:
-        raise PlanDocumentError(f"unknown tiebreak {tiebreak!r}", "tiebreak")
-    if c_policy != _tie_c_policy(tiebreak):
-        raise PlanDocumentError(f"c policy must be {_tie_c_policy(tiebreak)!r}, the one "
-                                f"tiebreak {tiebreak!r} gives, got {c_policy!r}", "c_policy")
+        return _checked(MultiHypPlan, **common, c_policy=c_policy)
+    plan = _checked(OneSidedPlan, **common, tiebreak=_need(doc, "tiebreak"))
+    if c_policy != plan.c_policy:
+        raise PlanDocumentError(f"c policy must be {plan.c_policy!r}, the one tiebreak "
+                                f"{plan.tiebreak!r} gives, got {c_policy!r}", "c_policy")
     theta0, theta1 = _number(doc, "theta0"), _number(doc, "theta1")
     if (theta0,) != zone_lo or (theta1,) != zone_hi:
         raise PlanDocumentError("theta0 and theta1 must be the zone endpoints",
                                 "theta0, theta1")
-    plan = OneSidedPlan(**common, tiebreak=tiebreak)
-    _check_domain(lambda: plan.sample_cap, "zone_lo, zone_hi")
+    _checked(lambda: plan.sample_cap, context="zone_lo, zone_hi")
     cap = doc.get("sample_cap")
     if not (cap is None or _is_int(cap)) or cap != plan.sample_cap:
         raise PlanDocumentError(f"sample cap must be {plan.sample_cap}, the bound the "

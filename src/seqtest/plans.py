@@ -38,25 +38,25 @@ only the sizes it missed go on to refine their brackets.  The guess saves
 probes and nothing else: each count is the first where the unchanged
 predicate holds, as a search from the whole support finds it.
 
-Plans are closed: the final stage size is chosen (or validated) so that
-every count the model reaches at it decides (``stage_is_closed``, read
-from the stage's count edges like the OC kernel's ``continue_spans``), hence
-the sample size never exceeds ``stage_ns[-1]``.  The searches tabulate
-the two counts over blocks of sizes (1-16, 17-32, 33-64, ...) up to their
-horizon, so their cost tracks the answer rather than the horizon, and
-each answer is the one a size-by-size scan gives.  The final size is the
-first whose counts close the stage (``_closes``): no count between the
-accept and reject-low sets, or, where ties are required, the two sets
-overlapping at every boundary.  It makes no rule.  Past its first block
-it tables only the sizes that one witness count per size and boundary
-does not prove open (``_unproved_open``): two tails a size, where a table
-takes at least eight.  The proof rests on the predicates being monotone in
-the count, as the count search does, so the answer does not move.  The
-first block is tabled outright, since a warm search mostly ends there.
-The first size is the
+Plans are closed: the final stage size is chosen so that every count the
+model reaches at it decides, and a plan refuses a final stage that leaves
+one undecided (``stage_is_closed``, read from the stage's count edges like
+the OC kernel's ``continue_spans``), hence the sample size never exceeds
+``stage_ns[-1]``.  The searches tabulate the two counts over blocks of
+sizes (1-16, 17-32, 33-64, ...) up to their horizon, so their cost tracks
+the answer rather than the horizon, and each answer is the one a
+size-by-size scan gives.  The final size is the first whose counts close
+the stage (``_closes``): no count between the accept and reject-low sets,
+or, where ties are required, the two sets overlapping at every boundary.
+It makes no rule.  Past its first block it tables only the sizes that one
+witness count per size and boundary does not prove open
+(``_unproved_open``): two tails a size, where a table takes at least eight.
+The proof rests on the predicates being monotone in the count, as the count
+search does, so the answer does not move.  The first block is tabled
+outright, since a warm search mostly ends there.  The first size is the
 first at which some crossing count lies on the support and the rule made
 there has a window.  Every rule of the plan is then made from one more
-table over its sizes, which the final ``stage_is_closed`` check reads.
+table over its sizes.
 
 Inside a tuning run (``_size_memo``) the final-size search starts warm.
 For exact and Chernoff limits a crossing predicate compares a level-free
@@ -154,11 +154,6 @@ class StageRule:
     windows: tuple[tuple[int, int | None] | None, ...]
     ties: tuple[tuple[int, int] | None, ...]
 
-    def decision_for_sum(self, k: int) -> int:
-        """Decision variable for sum count k: 0 = continue, else i in 1..m."""
-        return next((i + 1 for i, win in enumerate(self.windows)
-                     if win and win[0] <= k and (win[1] is None or k <= win[1])), 0)
-
     def tie_for_sum(self, k: int) -> bool:
         return any(tie is not None and tie[0] <= k <= tie[1] for tie in self.ties)
 
@@ -224,7 +219,15 @@ class _ZonedPlan:
 
 @dataclass(frozen=True)
 class MultiHypPlan(_ZonedPlan):
-    """A fully materialized multistage plan over m hypotheses."""
+    """A fully materialized multistage plan over m hypotheses.
+
+    It refuses, naming the field: zones and risk levels outside the
+    builders' domain, an unknown c policy, stage sizes that do not strictly
+    increase, a stage without m windows, m - 1 ties, m f and m g, windows
+    that start below count 0, are empty, overlap or pass the model's
+    support, and an open final stage.  f and g are not checked against the
+    windows.
+    """
 
     kind: ClassVar[str] = "multi"
     model: object
@@ -238,7 +241,16 @@ class MultiHypPlan(_ZonedPlan):
     c_policy: str = C_POLICY_SUPPORT_MIDPOINT
 
     def __post_init__(self):
-        check_stage_sizes(self.stage_ns)
+        _named("zone_lo, zone_hi", _check_zones, self.model, self.zone_lo, self.zone_hi)
+        _named("base_alphas, base_betas, zeta", _levels, self.base_alphas, self.base_betas,
+               self.zeta, len(self.zone_lo))
+        self._check_policy()
+        check_stage_sizes(self.stage_ns, ("n",))
+        _check_rules(self.stages, self.model, self.m)
+
+    def _check_policy(self):
+        if self.c_policy not in _C_POLICIES:
+            raise DomainError(f"unknown c policy {self.c_policy!r}", "c_policy")
 
     @property
     def stage_ns(self) -> tuple[int, ...]:
@@ -282,14 +294,18 @@ class MultiHypPlan(_ZonedPlan):
 
 @dataclass(frozen=True)
 class OneSidedPlan(MultiHypPlan):
-    """Two-hypothesis plan for H0: theta <= theta0 versus H1: theta >= theta1."""
+    """Two-hypothesis plan for H0: theta <= theta0 versus H1: theta >= theta1.
+
+    Its c policy is the one its tiebreak gives; it refuses an unknown tiebreak.
+    """
 
     kind: ClassVar[str] = "one-sided"
     c_policy: str = field(init=False)
     tiebreak: str = TIEBREAK_LIKELIHOOD_RATIO
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check_policy(self):
+        if self.tiebreak not in _TIEBREAKS:
+            raise DomainError(f"unknown tiebreak {self.tiebreak!r}", "tiebreak")
         object.__setattr__(self, "c_policy", _tie_c_policy(self.tiebreak))
 
     @property
@@ -539,28 +555,36 @@ def _rule_from_counts(model, n, first_a, last_b, zone_lo, zone_hi, c_policy, lr_
         windows.append(None if lo is None or below is None or below < lo else (lo, below))
         lo = above
     windows.append(None if lo is None or (k_top is not None and k_top < lo) else (lo, k_top))
-    rule = StageRule(n=n, f=tuple(f + [math.inf]), g=tuple(g), windows=tuple(windows),
+    return StageRule(n=n, f=tuple(f + [math.inf]), g=tuple(g), windows=tuple(windows),
                      ties=tuple(ties))
-    _validate_windows(rule)
-    return rule
 
 
-def _validate_windows(rule: StageRule) -> None:
-    """Raise unless the windows start at count 0 or above and are nonempty,
-    ordered and disjoint."""
-    cursor = -1
-    for win in rule.windows:
-        if win is None:
-            continue
-        lo, hi = win
-        if lo < 0:
-            raise InfeasibleDesignError(f"stage of size {rule.n}: decision window starts "
-                                        "below count 0")
-        if lo <= cursor:
-            raise InfeasibleDesignError(f"stage of size {rule.n}: decision windows overlap")
-        if hi is not None and hi < lo:
-            raise InfeasibleDesignError(f"stage of size {rule.n}: empty decision window")
-        cursor = math.inf if hi is None else hi
+def _check_rules(rules, model, m: int) -> None:
+    """Raise, naming the stage at fault, unless each rule has the windows,
+    ties, f and g ``MultiHypPlan`` takes and the last is closed."""
+    for i, rule in enumerate(rules):
+        if (len(rule.windows), len(rule.ties), len(rule.f), len(rule.g)) != (m, m - 1, m, m):
+            raise DomainError(f"a stage of {m} hypotheses needs {m} windows, {m - 1} ties, "
+                              f"{m} f and {m} g", f"stages[{i}]")
+        cursor = last = -1  # the end of the windows so far, and their last finite edge
+        for win in rule.windows:
+            if win is None:
+                continue
+            lo, hi = win
+            if lo < 0 or lo <= cursor or hi is not None and hi < lo:
+                fault = ("decision window starts below count 0" if lo < 0 else
+                         "decision windows overlap" if lo <= cursor else "empty decision window")
+                raise InfeasibleDesignError(f"stage of size {rule.n}: {fault}",
+                                            f"stages[{i}].windows")
+            cursor, last = (math.inf, lo) if hi is None else (hi, hi)
+        top = model.sum_upper(rule.n)
+        if top is not None and last > top:
+            raise InfeasibleDesignError(f"window edges must not exceed the largest count {top}",
+                                        f"stages[{i}].windows")
+    if not stage_is_closed(rules[-1], model):
+        raise InfeasibleDesignError(f"final stage of size {rules[-1].n} leaves continuation "
+                                    "points; increase the last stage size",
+                                    f"stages[{len(rules) - 1}].windows")
 
 
 def stage_is_closed(rule: StageRule, model) -> bool:
@@ -574,14 +598,17 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def check_stage_sizes(sizes: Sequence) -> None:
+def check_stage_sizes(sizes: Sequence, names: tuple[str, ...] | None = None) -> None:
     """Raise unless the stage sizes are integers, positive and strictly
     increasing on every arm.  Each entry is one stage's size, or a tuple of
-    its per-arm sizes."""
-    arms = list(zip(*(n if isinstance(n, tuple) else (n,) for n in sizes)))
-    if not arms or any(not all(map(_is_integer, arm)) or arm[0] < 1
-                       or any(b <= a for a, b in zip(arm, arm[1:])) for arm in arms):
-        raise DomainError("stage sizes must be strictly increasing positive integers")
+    its per-arm sizes.  Given the arms' field names, the refusal names the
+    first size at fault, ``stages[i].<name>`` (stage 0 where there is none)."""
+    arms = list(zip(*(n if isinstance(n, tuple) else (n,) for n in sizes))) or [(None,)]
+    for a, arm in enumerate(arms):
+        for i, n in enumerate(arm):
+            if not (_is_integer(n) and n > (arm[i - 1] if i else 0)):
+                raise DomainError("stage sizes must be strictly increasing positive integers",
+                                  names and f"stages[{i}].{names[a]}")
 
 
 def _check_stage_count(s: int) -> None:
@@ -603,6 +630,14 @@ def stage_schedule(n1: int, ns: int, s: int, kind: str) -> tuple[int, ...]:
     else:
         raise DomainError(f"unknown schedule {kind!r}")
     return tuple(sorted({int(round(x)) for x in xs}))
+
+
+def _named(context: str, check, *args):
+    """``check(*args)``, its ``DomainError`` naming the plan field ``context``."""
+    try:
+        return check(*args)
+    except DomainError as exc:
+        raise DomainError(exc.args[0], context) from None
 
 
 def _check_zones(model, zone_lo, zone_hi) -> None:
@@ -752,17 +787,17 @@ def _unproved_open(model, family, ns, zone_lo, zone_hi, alphas, betas, require_t
 
 def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cut,
                  stage_ns, stages, schedule, require_ties, horizon, fully_sequential=False):
-    """The stage rules of a closed plan at ``stage_ns``, or, when it is None, at sizes
-    the searches pick.  The final-size search reads the count tables
-    (``_closes``) and makes no rule; past its first block it tables only the
-    sizes that a witness count does not prove open (``_unproved_open``).  No
-    table could close a size proved open, so the answer is the one the
-    tables alone give.  Inside a tuning run it covers only the sizes
-    that the final sizes of earlier builds leave open (``_size_range``) and
-    records its own.  The first-stage search makes a rule wherever some
-    crossing count lies on the support, since that count test is only a
-    necessary condition for a window.  Every rule of the plan is then made
-    once, from one count table over its sizes."""
+    """The stage rules of a plan at ``stage_ns``, or, when it is None, of a
+    closed plan at sizes the searches pick.  The final-size search reads the
+    count tables (``_closes``) and makes no rule; past its first block it
+    tables only the sizes that a witness count does not prove open
+    (``_unproved_open``).  No table could close a size proved open, so the
+    answer is the one the tables alone give.  Inside a tuning run it covers
+    only the sizes that the final sizes of earlier builds leave open
+    (``_size_range``) and records its own.  The first-stage search makes a
+    rule wherever some crossing count lies on the support, since that count
+    test is only a necessary condition for a window.  Every rule of the plan
+    is then made once, from one count table over its sizes."""
     _check_stage_count(stages)
 
     def rule(n, min_a, max_b, j):
@@ -804,13 +839,7 @@ def _stage_rules(model, family, zone_lo, zone_hi, alphas, betas, c_policy, lr_cu
         check_stage_sizes(stage_ns)
         stage_ns = tuple(map(int, stage_ns))
     min_a, max_b = _crossing_counts(model, family, stage_ns, zone_lo, zone_hi, alphas, betas)
-    rules = tuple(rule(n, min_a, max_b, j) for j, n in enumerate(stage_ns))
-    if not stage_is_closed(rules[-1], model):
-        raise InfeasibleDesignError(
-            f"final stage of size {rules[-1].n} leaves continuation points; "
-            "increase the last stage size"
-        )
-    return rules
+    return tuple(rule(n, min_a, max_b, j) for j, n in enumerate(stage_ns))
 
 
 def build_multihyp_plan(

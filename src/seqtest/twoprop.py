@@ -39,7 +39,7 @@ from scipy.special import ndtri
 
 from .errors import DomainError, InfeasibleDesignError
 from .models import Bernoulli
-from .plans import (TestOutcome, _ZonedPlan, _check_stage_count, _levels, _take,
+from .plans import (TestOutcome, _ZonedPlan, _check_stage_count, _levels, _named, _take,
                     check_stage_sizes, stage_schedule)
 
 __all__ = [
@@ -136,6 +136,11 @@ class TwoPropStage:
 
 @dataclass(frozen=True, eq=False)
 class TwoPropPlan(_ZonedPlan):
+    """A multistage plan over the grid of both arms' counts.  It refuses,
+    naming the field: zones and risk levels outside the builder's domain,
+    stage sizes that do not strictly increase on each arm, and an open final
+    grid.  Grid shapes are not checked against the sizes."""
+
     kind: ClassVar[str] = "two-prop"
     zone_lo: tuple[float, ...]   # lower endpoint of each indifference zone
     zone_hi: tuple[float, ...]   # upper endpoint of each indifference zone
@@ -145,7 +150,16 @@ class TwoPropPlan(_ZonedPlan):
     stages: tuple[TwoPropStage, ...]
 
     def __post_init__(self):
-        check_stage_sizes(self.stage_sizes)
+        _named("zone_lo, zone_hi", _check_two_prop_zones, self.zone_lo, self.zone_hi)
+        _named("base_alphas, base_betas, zeta", _levels, self.base_alphas, self.base_betas,
+               self.zeta, len(self.zone_lo))
+        check_stage_sizes(self.stage_sizes, ("n_x", "n_y"))
+        last = self.stages[-1]
+        if not last.closed:
+            size = last.n_x if last.n_x == last.n_y else (last.n_x, last.n_y)
+            raise InfeasibleDesignError(f"final stage of size {size} leaves continuation "
+                                        "points; increase the last stage size",
+                                        f"stages[{len(self.stages) - 1}].decision")
 
     @property
     def stage_sizes(self) -> tuple[tuple[int, int], ...]:
@@ -258,11 +272,6 @@ def build_two_prop_plan(
     check_stage_sizes(ns)
     ns = tuple(map(int, ns))
     built = tuple(_build_stage(n, zone_lo, zone_hi, alphas, betas)[0] for n in ns)
-    if not built[-1].closed:
-        raise InfeasibleDesignError(
-            f"final stage of size {ns[-1]} leaves continuation points; "
-            "increase the last stage size"
-        )
     return TwoPropPlan(
         zone_lo=tuple(zone_lo), zone_hi=tuple(zone_hi),
         base_alphas=base_alphas, base_betas=base_betas, zeta=zeta, stages=built,

@@ -23,6 +23,8 @@ from seqtest.tuning import tune_zeta
 from seqtest.twoprop import (Rectangle, build_two_prop_plan, certify_risk,
                              exact_oc, rejection_prob_bounds)
 
+from helpers import decision_for_sum
+
 BERN = Bernoulli()
 POIS = Poisson()
 EXACT = ExactLimits()
@@ -82,7 +84,7 @@ def brute_force_oc(plan, theta):
         total = 0
         for stage, k in enumerate(path, start=1):
             total += k
-            d = plan.stages[stage - 1].decision_for_sum(total)
+            d = decision_for_sum(plan.stages[stage - 1], total)
             if d != 0:
                 accept[d - 1] += weight
                 asn += ns[stage - 1] * weight
@@ -183,7 +185,7 @@ class TestAcceptance:
                                           stage_ns=[cap])
             top = cap if model is BERN else int(math.ceil(6 * t1 * cap)) + 30
             for k in range(top + 1):
-                assert single.stages[0].decision_for_sum(k) != 0
+                assert decision_for_sum(single.stages[0], k) != 0
             # seeded runs through the staged plan never pass the bound
             mid = 0.5 * (t0 + t1)
             rep = simulate(plan, mid, 10_000, 1000 + i)

@@ -35,6 +35,9 @@ from seqtest.plans import (
 )
 from seqtest.plandoc import doc_to_plan, parse_doc
 from seqtest.sprt import SprtSpec
+from seqtest.twoprop import CONTINUE, build_two_prop_plan
+
+from helpers import closed_stage, decision_for_sum, zones
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "plans"
 BERN = Bernoulli()
@@ -85,7 +88,7 @@ class TestStageRule:
         assert not (accept_low & accept_high).any()
         for k in range(31):
             want = 1 if accept_low[k] else 2 if accept_high[k] else 0
-            assert rule.decision_for_sum(k) == want
+            assert decision_for_sum(rule, k) == want
         assert rule.windows == ((0, 12), (18, 30))
         assert rule.ties == (None,)
         # threshold in mean units sits at the edge of the accept-low set
@@ -104,7 +107,7 @@ class TestStageRule:
         assert rule.ties == ((73, 77),)
         # every support point with at least one crossing is decided
         for k in range(151):
-            d = rule.decision_for_sum(k)
+            d = decision_for_sum(rule, k)
             if accept_low[k] and not accept_high[k]:
                 assert d == 1
             elif accept_high[k] and not accept_low[k]:
@@ -120,14 +123,14 @@ class TestStageRule:
         assert rule.windows == (None, None)
         assert rule.f == (-math.inf, math.inf)
         assert rule.g == (-math.inf, math.inf)
-        assert all(rule.decision_for_sum(k) == 0 for k in range(3))
+        assert all(decision_for_sum(rule, k) == 0 for k in range(3))
 
     def test_poisson_top_window_unbounded(self):
         rule = build_stage_rule(POIS, EXACT, 8, [1.0], [2.0], [0.05], [0.05])
         assert rule.windows == ((0, 9), (14, None))
-        assert rule.decision_for_sum(9) == 1
-        assert rule.decision_for_sum(11) == 0
-        assert rule.decision_for_sum(500) == 2
+        assert decision_for_sum(rule, 9) == 1
+        assert decision_for_sum(rule, 11) == 0
+        assert decision_for_sum(rule, 500) == 2
 
     def test_three_zone_rule_windows_are_ordered(self):
         rule = build_stage_rule(BERN, EXACT, 60, [0.2, 0.6], [0.4, 0.8],
@@ -145,7 +148,7 @@ class TestLikelihoodRatioTie:
         plan = build_one_sided_plan(BERN, EXACT, 0.4, 0.6, 0.05, 0.05, 0.5,
                                     stage_ns=[104, 105])
         assert plan.stages[0].ties == ((52, 52),)
-        assert plan.stages[0].decision_for_sum(52) == 1
+        assert decision_for_sum(plan.stages[0], 52) == 1
 
     def test_exact_tie_accepts_at_every_even_size(self):
         ns = np.arange(2, 3001, 2)
@@ -153,9 +156,9 @@ class TestLikelihoodRatioTie:
         tied = np.flatnonzero((min_a[0] <= ns // 2) & (ns // 2 <= max_b[0]))
         assert len(tied) == 1449
         wrong = [int(ns[j]) for j in tied
-                 if plans._rule_from_counts(BERN, int(ns[j]), min_a[:, j], max_b[:, j],
-                                            [0.4], [0.6], None, (0.4, 0.6, 0.0)
-                                            ).decision_for_sum(int(ns[j]) // 2) != 1]
+                 if decision_for_sum(plans._rule_from_counts(
+                     BERN, int(ns[j]), min_a[:, j], max_b[:, j], [0.4], [0.6], None,
+                     (0.4, 0.6, 0.0)), int(ns[j]) // 2) != 1]
         assert wrong == []
 
     @pytest.mark.parametrize("model, top", [(BERN, 1.0), (POIS, 20.0)])
@@ -205,7 +208,7 @@ class TestLikelihoodRatioTie:
             spec = SprtSpec(model, t0, t1, 0.05, 0.05, cap=rule.n)
             accept = int(spec.count_bounds(np.array([rule.n]))[0][0])
             lo, hi = rule.ties[0]
-            assert ([rule.decision_for_sum(k) for k in range(lo, hi + 1)]
+            assert ([decision_for_sum(rule, k) for k in range(lo, hi + 1)]
                     == [1 if k <= accept else 2 for k in range(lo, hi + 1)])
             split += lo <= accept < hi
         assert len(tied) > 10 and split > 0
@@ -417,21 +420,89 @@ class TestPlanFields:
         assert OneSidedPlan(**self.fields(plan), tiebreak=tiebreak) == plan
 
 
+def with_stage(plan, i, **change):
+    """``plan.stages`` with stage i changed."""
+    stages = list(plan.stages)
+    stages[i] = dataclasses.replace(stages[i], **change)
+    return tuple(stages)
+
+
+def with_open_cell(plan):
+    """A two-sample plan's stages with one cell of the last grid undecided."""
+    decision = plan.stages[-1].decision.copy()
+    decision[0, 0] = CONTINUE
+    return with_stage(plan, -1, decision=decision)
+
+
+def three_hypotheses():
+    return build_multihyp_plan(BERN, EXACT, [0.15, 0.55], [0.35, 0.75], 0.5,
+                               base_alphas=[0.1, 0.1], base_betas=[0.1, 0.1], stages=3)
+
+
+class TestRefusedWhenMade:
+    """A plan refuses, when it is made, what its evaluators cannot read, and
+    names the field at fault.  Evaluated anyway, the swapped windows give
+    acceptances 0.461 and 0.461 at theta 0.5 and the overlapping ones 0.070
+    and 0.930, against 0.5 and 0.5; three windows fail with a numpy shape
+    error, and the open grid fails only inside ``exact_oc``."""
+
+    @pytest.mark.parametrize("plan, change, error, text", [
+        (classic_plan, lambda p: dict(stages=with_stage(p, 1, windows=((8, 10), (0, 2)))),
+         InfeasibleDesignError, "stage of size 10: decision windows overlap (at stages[1].windows)"),
+        (classic_plan, lambda p: dict(stages=with_stage(p, 1, windows=((0, 6), (3, 10)))),
+         InfeasibleDesignError, "stage of size 10: decision windows overlap (at stages[1].windows)"),
+        (classic_plan, lambda p: dict(stages=with_stage(p, 1, windows=((0, 2), (3, 7), (8, 10)))),
+         DomainError, "a stage of 2 hypotheses needs 2 windows, 1 ties, 2 f and 2 g "
+                      "(at stages[1])"),
+        (classic_plan, lambda p: dict(stages=with_stage(p, 1, windows=((0, 2), (8, 12)))),
+         InfeasibleDesignError, "window edges must not exceed the largest count 10 "
+                                "(at stages[1].windows)"),
+        (classic_plan, lambda p: dict(zone_lo=(0.7,)), DomainError,
+         "zone must be a nonempty open interval, got [0.7, 0.6] (at zone_lo, zone_hi)"),
+        (classic_plan, lambda p: dict(zeta=-1.0), DomainError,
+         "zeta must lie in (0, 20), got -1.0 (at base_alphas, base_betas, zeta)"),
+        (classic_plan, lambda p: dict(tiebreak="coin-flip"), DomainError,
+         "unknown tiebreak 'coin-flip' (at tiebreak)"),
+        (three_hypotheses, lambda p: dict(c_policy="coin-flip"), DomainError,
+         "unknown c policy 'coin-flip' (at c_policy)"),
+        (classic_plan, lambda p: dict(stages=p.stages[:-1]), InfeasibleDesignError,
+         "final stage of size 46 leaves continuation points; increase the last stage size "
+         "(at stages[3].windows)"),
+        (lambda: build_two_prop_plan([-0.2], [0.2], 0.5, stages=3),
+         lambda p: dict(stages=with_open_cell(p)), InfeasibleDesignError,
+         "final stage of size 6 leaves continuation points; increase the last stage size "
+         "(at stages[2].decision)"),
+        (lambda: build_two_prop_plan([-0.2], [0.2], 0.5, stages=3),
+         lambda p: dict(zone_lo=(0.5,)), DomainError,
+         "zone (0.5, 0.2) must be ordered inside (-1, 1) (at zone_lo, zone_hi)"),
+    ], ids=["swapped-windows", "overlapping-windows", "three-windows", "past-the-support",
+            "zone", "zeta", "tiebreak", "c-policy", "open-final-stage", "open-final-grid",
+            "two-sample-zone"])
+    def test_through_the_constructor_and_replace(self, plan, change, error, text):
+        plan = plan()
+        change = change(plan)
+        fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+        with pytest.raises(error, match=re.escape(text) + "$"):
+            type(plan)(**{**fields, **change})
+        with pytest.raises(error, match=re.escape(text) + "$"):
+            dataclasses.replace(plan, **change)
+
+
 class TestDecisionVariable:
     def test_continuation_between_windows(self):
         plan = classic_plan()
         rule = plan.stages[0]
         (_, last_accept), (first_reject, _) = rule.windows
         assert first_reject - last_accept > 1
-        assert all(rule.decision_for_sum(k) == 0 for k in range(last_accept + 1, first_reject))
+        assert all(decision_for_sum(rule, k) == 0 for k in range(last_accept + 1, first_reject))
 
     def test_all_failures_accept_lowest(self):
-        assert classic_plan().stages[0].decision_for_sum(0) == 1
+        assert decision_for_sum(classic_plan().stages[0], 0) == 1
 
     def test_last_stage_decides_everywhere(self):
         plan = classic_plan()
         for k in range(plan.stage_ns[-1] + 1):
-            assert plan.stages[-1].decision_for_sum(k) != 0
+            assert decision_for_sum(plan.stages[-1], k) != 0
 
     def test_inclusion_property_exhaustive(self):
         """A nonzero decision always carries its defining limit crossings."""
@@ -442,7 +513,7 @@ class TestDecisionVariable:
         for si, rule in enumerate(plan.stages):
             n = rule.n
             for k in range(n + 1):
-                d = rule.decision_for_sum(k)
+                d = decision_for_sum(rule, k)
                 if d == 0 or rule.tie_for_sum(k):
                     continue
                 z = k / n
@@ -574,7 +645,7 @@ class TestThreeHypotheses:
                                    stages=2)
         assert plan.m == 3
         last = plan.stages[-1]
-        seen = {last.decision_for_sum(k) for k in range(last.n + 1)}
+        seen = {decision_for_sum(last, k) for k in range(last.n + 1)}
         assert 0 not in seen
         assert seen == {1, 2, 3}
 
@@ -628,11 +699,15 @@ class TestClosure:
         assert not stage_is_closed(self.rule(1), POIS)
 
     def test_closure_agrees_with_the_spans(self):
-        for model, n in ((BERN, 2), (BERN, 6), (BERN, 10), (POIS, 2)):
-            rule = self.rule(n)
-            plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.2, 0.4, 0.6),
-                                zone_hi=(0.3, 0.5, 0.7), base_alphas=(0.1,) * 3,
-                                base_betas=(0.1,) * 3, zeta=0.5, stages=(rule,))
+        for model, n in ((BERN, 2), (BERN, 5), (BERN, 6), (BERN, 10), (POIS, 2)):
+            # the windows cut to the support, as a plan takes them, and then
+            # a closed final stage
+            top = model.sum_upper(n)
+            rule = dataclasses.replace(self.rule(n), windows=tuple(
+                win if top is None or win[1] <= top else (win[0], top) if win[0] <= top
+                else None for win in self.rule(n).windows))
+            plan = MultiHypPlan(model=model, family=EXACT, **zones(4),
+                                stages=(rule, closed_stage(model, n + 1, 4)))
             closed = plan.continue_spans[0] == (0, -1, False)
             assert stage_is_closed(rule, model) == closed
 
@@ -641,13 +716,16 @@ class TestContinueSpans:
     """The undecided span of each stage, over the counts its model reaches."""
 
     @staticmethod
-    def spans(model, windows, n=9):
+    def rule(windows, n):
         m = len(windows)
-        rule = StageRule(n=n, f=(0.0,) * m, g=(0.0,) * m, windows=windows,
+        return StageRule(n=n, f=(0.0,) * m, g=(0.0,) * m, windows=windows,
                          ties=(None,) * (m - 1))
-        plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.4,) * (m - 1),
-                            zone_hi=(0.6,) * (m - 1), base_alphas=(0.1,) * (m - 1),
-                            base_betas=(0.1,) * (m - 1), zeta=0.5, stages=(rule,))
+
+    def spans(self, model, windows, n=9):
+        """The span of a stage of these windows, followed by a closed stage."""
+        rule = self.rule(windows, n)
+        plan = MultiHypPlan(model=model, family=EXACT, **zones(len(windows)),
+                            stages=(rule, closed_stage(model, n + 1, len(windows))))
         return rule, plan.continue_spans[0]
 
     @pytest.mark.parametrize("windows", [
@@ -655,15 +733,20 @@ class TestContinueSpans:
         ((0, 9), None), ((0, 1), (2, None)), ((0, 3), (6, 7)), (None, None)])
     @pytest.mark.parametrize("model, n", [(BERN, 9), (BERN, 6), (POIS, 9)])
     def test_span_holds_the_continue_counts_of_the_windows(self, windows, model, n):
+        top, past = model.sum_upper(n), past_the_edges(self.rule(windows, n))
+        if top is not None and past > top + 1:
+            # a window past the support: no plan takes the stage
+            with pytest.raises(InfeasibleDesignError, match="must not exceed the largest count"):
+                self.spans(model, windows, n)
+            return
         rule, (lo, hi, holes) = self.spans(model, windows, n)
-        top, past = model.sum_upper(n), past_the_edges(rule)
         undecided = [k for k in range(past + 4 if top is None else top + 1)
-                     if rule.decision_for_sum(k) == 0]
+                     if decision_for_sum(rule, k) == 0]
         if not undecided:
             assert (lo, hi, holes) == (0, -1, False)
             return
         assert lo == undecided[0]
-        assert hi == (None if top is None and rule.decision_for_sum(past) == 0
+        assert hi == (None if top is None and decision_for_sum(rule, past) == 0
                       else undecided[-1])
         assert holes == (len(undecided) < undecided[-1] - lo + 1)
 
@@ -671,8 +754,9 @@ class TestContinueSpans:
         plan = classic_plan()
         for rule, span in zip(plan.stages[:-1], plan.continue_spans):
             # count n + 1 lies past every window but off the support
-            assert past_the_edges(rule) == rule.n + 1 and rule.decision_for_sum(rule.n + 1) == 0
-            undecided = [k for k in range(rule.n + 1) if rule.decision_for_sum(k) == 0]
+            assert past_the_edges(rule) == rule.n + 1
+            assert decision_for_sum(rule, rule.n + 1) == 0
+            undecided = [k for k in range(rule.n + 1) if decision_for_sum(rule, k) == 0]
             assert span == (undecided[0], undecided[-1], False)
         assert plan.continue_spans[-1] == (0, -1, False)
 
@@ -685,7 +769,7 @@ class TestContinueSpans:
         windows = ((0, 1), (4, 5), (7, 8))
         assert self.spans(POIS, windows)[1] == (2, None, True)
         assert self.spans(BERN, windows, n=8)[1] == (2, 6, True)
-        assert self.spans(BERN, windows, n=5)[1] == (2, 3, False)
+        assert self.spans(BERN, ((0, 1), (4, 5), None), n=5)[1] == (2, 3, False)
 
 
 def golden_one_sample_plans():
@@ -715,7 +799,7 @@ def check_edges_decide_like_the_windows(plan):
         top = plan.model.sum_upper(rule.n)
         ks = list(range(top + 1 if top is not None else past_the_edges(rule) + 3))
         far = [] if top is not None else [10**6, 2**62]
-        want = np.array([rule.decision_for_sum(k) for k in ks + far])
+        want = np.array([decision_for_sum(rule, k) for k in ks + far])
         block = np.zeros((len(want), rule.n), dtype=np.int64)
         block[:, 0] = ks + far  # a running sum of k at every size
         row = plans._Edges(edges.ns[s:s + 1], edges.below[s:s + 1], edges.above[s:s + 1],
@@ -726,18 +810,20 @@ def check_edges_decide_like_the_windows(plan):
         assert (ns == rule.n).all() and not forced.any()
         widths.append(len(ks))
         cells.append(s * (plan.m + 1) + want[:len(ks)])
-        alone = dataclasses.replace(plan, stages=(rule,))
+        # the stage alone, then a stage that decides every count
+        alone = dataclasses.replace(
+            plan, stages=(rule, closed_stage(plan.model, rule.n + 1, plan.m)))
         for k in far:
-            assert ocexact._cell_bins(alone, (k,), (1,)).tolist() == [rule.decision_for_sum(k)]
+            assert ocexact._cell_bins(alone, (k, 0), (1, 1))[0] == decision_for_sum(rule, k)
         for k in ks + far + ([] if top is not None else [2**70]):
             stream = [k] + [0] * (rule.n - 1) if top is None else [1] * k + [0] * (rule.n - k)
-            d = rule.decision_for_sum(k)
+            d = decision_for_sum(rule, k)
+            out = run_plan(alone, stream + [0])
             if d == 0:
-                with pytest.raises(InfeasibleDesignError):
-                    run_plan(alone, stream)
+                assert out.stage_index == 2, k
                 continue
-            out = run_plan(alone, stream)
-            assert (out.accepted_index, out.tie_occurred) == (d - 1, rule.tie_for_sum(k)), k
+            assert (out.stage_index, out.accepted_index, out.tie_occurred) == (
+                1, d - 1, rule.tie_for_sum(k)), k
     # one state per stage over the counts from 0, labelled in one pass
     np.testing.assert_array_equal(
         ocexact._cell_bins(plan, (0,) * len(widths), tuple(widths)), np.concatenate(cells))
@@ -778,24 +864,26 @@ class TestEdgeTable:
     @given(st.data())
     def test_any_ordered_disjoint_windows(self, data):
         """Windows no builder makes too: a first window that starts above 0,
-        a top window that stops short of the support, unreachable ones, in
-        stages beside others that have none of these."""
+        a top window that stops short of the support, missing ones, in
+        stages beside others that have none of these, and then a closed
+        stage."""
         model = data.draw(st.sampled_from([BERN, POIS]))
         m = data.draw(st.integers(2, 4))
         rules = []
         for n in np.cumsum(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))):
+            top = model.sum_upper(int(n))
             cuts = sorted(data.draw(st.lists(st.integers(0, int(n) + 1), min_size=2 * m,
                                              max_size=2 * m)))
-            # window i is [cuts[2i] + i, cuts[2i + 1] + i]: ordered, disjoint, maybe abutting
+            # window i is [cuts[2i] + i, cuts[2i + 1] + i]: ordered, disjoint, maybe abutting;
+            # none lies past the support
             windows = [(lo + i, hi + i) for i, (lo, hi) in enumerate(zip(cuts[::2], cuts[1::2]))]
-            windows = [None if data.draw(st.booleans()) else w for w in windows]
+            windows = [None if data.draw(st.booleans()) or top is not None and w[1] > top
+                       else w for w in windows]
             present = [i for i, w in enumerate(windows) if w is not None]
             if present and data.draw(st.booleans()):
                 windows[present[-1]] = (windows[present[-1]][0], None)
             rules.append(StageRule(n=int(n), f=(0.0,) * m, g=(0.0,) * m,
                                    windows=tuple(windows), ties=(None,) * (m - 1)))
-            plans._validate_windows(rules[-1])
-        plan = MultiHypPlan(model=model, family=EXACT, zone_lo=(0.4,) * (m - 1),
-                            zone_hi=(0.6,) * (m - 1), base_alphas=(0.1,) * (m - 1),
-                            base_betas=(0.1,) * (m - 1), zeta=0.5, stages=tuple(rules))
+        rules.append(closed_stage(model, rules[-1].n + 1, m))
+        plan = MultiHypPlan(model=model, family=EXACT, **zones(m), stages=tuple(rules))
         check_edges_decide_like_the_windows(plan)

@@ -29,6 +29,8 @@ from seqtest.plans import MultiHypPlan, OneSidedPlan, StageRule
 from seqtest.twoprop import (Rectangle, TwoPropPlan, TwoPropStage, exact_oc,
                              rejection_prob_bounds)
 
+from helpers import decision_for_sum
+
 BERN, POIS = Bernoulli(), Poisson()
 FEW = settings(max_examples=40, deadline=None, database=None)
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -76,13 +78,6 @@ def thetas(model):
     return st.floats(0.05, 0.95) if model is BERN else st.floats(0.1, 1.5)
 
 
-def window_decision(rule, k):
-    for i, win in enumerate(rule.windows):
-        if win is not None and win[0] <= k and (win[1] is None or k <= win[1]):
-            return i
-    return None
-
-
 def increment_pmf(model, m, theta):
     if model is BERN:
         return stats.binom.pmf(np.arange(m + 1), m, theta)
@@ -97,9 +92,9 @@ def path_ends(plan, theta):
     def walk(idx, prev_n, total, prob):
         rule = plan.stages[idx]
         for d, p in enumerate(increment_pmf(plan.model, rule.n - prev_n, theta)):
-            dec = window_decision(rule, total + d)
-            if dec is not None:
-                ends.append((dec, rule.n, total + d, prob * p))
+            dec = decision_for_sum(rule, total + d)
+            if dec:
+                ends.append((dec - 1, rule.n, total + d, prob * p))
             else:
                 assert idx + 1 < plan.s, "a closed plan left a path undecided"
                 walk(idx + 1, rule.n, total + d, prob * p)
@@ -128,9 +123,7 @@ def test_oc_single_matches_path_enumeration(case):
         top = plan.model.sum_upper(rule.n)
         undecided = []
         for k in range(rule.n * 3 + 4):
-            dec = window_decision(rule, k)
-            assert rule.decision_for_sum(k) == (0 if dec is None else dec + 1)
-            if dec is None and (top is None or k <= top):
+            if not decision_for_sum(rule, k) and (top is None or k <= top):
                 undecided.append(k)
         if undecided:
             first, last = undecided[0], undecided[-1]

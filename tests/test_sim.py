@@ -1,6 +1,5 @@
 """Monte Carlo runner tests: determinism, substreams, and exact cross-checks."""
 
-import dataclasses
 import math
 import tracemalloc
 from itertools import chain, cycle
@@ -18,6 +17,8 @@ from seqtest.plans import build_multihyp_plan, build_one_sided_plan, run_plan
 from seqtest.sim import compare, simulate, simulate_two_prop
 from seqtest.sprt import SprtSpec, run_sprt
 from seqtest.twoprop import build_two_prop_plan, run_two_prop
+
+from helpers import without_final_stage
 
 
 def classic_plan():
@@ -361,12 +362,13 @@ class TestCompare:
 
 
 class TestUnclosedPlans:
-    """A hand-built plan whose last stage leaves counts undecided is refused
-    as the runners and the exact OC refuse it."""
+    """A plan whose last stage leaves counts undecided, which no plan type
+    makes, is refused by the simulator as the runners and the exact OC
+    refuse it."""
 
     def test_one_sample(self):
         plan = classic_plan()
-        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        cut = without_final_stage(plan)
         with pytest.raises(InfeasibleDesignError):
             run_plan(cut, [1, 0] * (cut.stage_ns[-1] // 2 + 1))
         with pytest.raises(InfeasibleDesignError):
@@ -374,7 +376,7 @@ class TestUnclosedPlans:
 
     def test_two_sample(self):
         plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23])
-        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        cut = without_final_stage(plan)
         with pytest.raises(InfeasibleDesignError):
             run_two_prop(cut, [0, 1], [0, 1])
         with pytest.raises(InfeasibleDesignError):

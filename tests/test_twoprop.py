@@ -21,6 +21,8 @@ from seqtest.twoprop import (Rectangle, _monotone, _RejectionBounds,
                              build_two_prop_plan, certify_risk, exact_oc, newcombe_limits,
                              rejection_prob_bounds, run_two_prop, tune_two_prop)
 
+from helpers import without_final_stage
+
 
 def small_plan():
     """Two zones split at [-0.3, 0.3], scale 0.5, stage sizes (4, 8)."""
@@ -322,8 +324,9 @@ class TestExactOC:
             assert sum(acc) == pytest.approx(1.0, abs=1e-12)
 
     def test_unclosed_plan_raises(self):
+        # no plan type makes such a plan; the recursion still refuses one
         plan = build_two_prop_plan([-0.1], [0.1], 0.5, stage_ns=[2, 23])
-        cut = dataclasses.replace(plan, stages=plan.stages[:-1])
+        cut = without_final_stage(plan)
         with pytest.raises(InfeasibleDesignError):
             exact_oc(cut, 0.5, 0.5)
 
